@@ -39,8 +39,9 @@ MatrixMarket files.
 ``partition`` builds an on-disk shard store (streaming two-pass
 external partitioner for ``.txt``/``.npz`` inputs -- the full edge set
 never resides in RAM); ``run`` and ``profile`` then execute straight
-from the store with ``--shard-store``, memory-mapping shards behind the
-host prefetch pipeline, optionally capped by ``--memory-budget``.
+from the store with ``--shard-store``: the packed shard file is mapped
+once and shards page in on demand, their residency optionally capped by
+``--memory-budget``.
 """
 
 from __future__ import annotations
@@ -259,9 +260,12 @@ def _make_engine(args, opts) -> tuple:
     (an unweighted store running SSSP gets unit weights).
     """
     if getattr(args, "shard_store", None):
-        from repro.core.shardstore import ShardStore
+        from repro.core.shardstore import ShardStore, StoreFormatError
 
-        store = ShardStore.open(args.shard_store)
+        try:
+            store = ShardStore.open(args.shard_store)
+        except StoreFormatError as exc:
+            raise SystemExit(f"error: {exc}") from None
         return GraphReduce(shard_store=store, options=opts), store.edgelist()
     if not args.graph:
         raise SystemExit("error: provide --graph or --shard-store")
@@ -273,11 +277,11 @@ def _print_prefetch(result) -> None:
     pf = result.prefetch
     if not pf:
         return
-    acquired = pf["hits"] + pf["waits"] + pf["faults"]
-    line = (f"prefetch   : {pf['hits']}/{acquired} warm, {pf['waits']} waits "
-            f"({pf['wait_seconds']:.3f} s), {pf['faults']} faults, "
-            f"{pf['evictions']} evictions, "
-            f"{pf['bytes_loaded'] / 2**20:.2f} MiB faulted in "
+    acquired = pf["hits"] + pf["faults"]
+    line = (f"prefetch   : {pf['hits']}/{acquired} resident, "
+            f"{pf['faults']} faults, {pf['evictions']} evictions, "
+            f"{pf['bytes_loaded'] / 2**20:.2f} MiB faulted in, "
+            f"{pf['released_bytes'] / 2**20:.2f} MiB released "
             f"(cache capacity {pf['capacity']})")
     if pf.get("runs", 1) > 1:
         line += f", kept warm across {pf['runs']} runs"
@@ -616,6 +620,7 @@ def cmd_partition(args) -> int:
             f"error: {args.input!r} is neither a dataset "
             f"({', '.join(sorted(DATASETS))}) nor an existing file"
         )
+    store.verify()  # read the build back against its recorded checksums
     print(f"wrote {store.path}: {store.num_partitions} shards, "
           f"V={store.num_vertices}, E={store.num_edges}, "
           f"{'weighted' if store.weighted else 'unweighted'}, "
@@ -729,12 +734,7 @@ def cmd_bench_check(args) -> int:
 def cmd_bench_wallclock(args) -> int:
     from repro.obs import bench
 
-    fresh = bench.run_wallclock_suite(
-        repeats=args.repeats,
-        warmup=args.warmup,
-        shard_store=args.shard_store,
-        memory_budget=args.memory_budget,
-    )
+    fresh = bench.run_wallclock_suite(repeats=args.repeats, warmup=args.warmup)
     for name, m in sorted(fresh.items()):
         pc = m.get("plan_cache") or {}
         print(f"{name:22s} fast {m['wall_seconds_fast'] * 1e3:8.1f} ms  "
@@ -747,11 +747,6 @@ def cmd_bench_wallclock(args) -> int:
             ratios = "  ".join(f"{k} {v:5.2f}x" for k, v in sorted(vs.items()))
             print(f"{'':22s} auto vs fixed: {ratios} "
                   f"(floor {m.get('min_variant_ratio', 0.0):.2f}x)")
-        probe = m.get("ooc_probe")
-        if probe:
-            print(f"{'':22s} ooc probe: peak RSS +"
-                  f"{probe['rss_delta_bytes'] / 2**20:.1f} MiB "
-                  f"(in-RAM footprint {m['in_ram_bytes'] / 2**20:.1f} MiB)")
     if args.out:
         bench.save_snapshot(args.out, fresh)
         print(f"wrote {args.out}")
@@ -1006,7 +1001,7 @@ def _add_telemetry_args(p) -> None:
     p.add_argument(
         "--stall-timeout", type=float, default=30.0,
         help="seconds without a heartbeat before the watchdog declares a "
-             "busy worker/prefetcher stalled (default 30)",
+             "busy worker stalled (default 30)",
     )
 
 
@@ -1288,16 +1283,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also write the fresh measurements here (CI artifact)")
     wall_p.add_argument("--update", action="store_true",
                         help="rewrite the snapshot from this run's measurements")
-    wall_p.add_argument(
-        "--shard-store", default=None,
-        help="reuse this store for the out-of-core scenario instead of "
-             "building a temporary one",
-    )
-    wall_p.add_argument(
-        "--memory-budget", type=int, default=None,
-        help="shard-cache budget (bytes) for the out-of-core scenario's "
-             "warm configuration and RSS probe",
-    )
     return parser
 
 

@@ -25,7 +25,6 @@ with synchronous full-shard copies -- the Figure 15 baseline.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -91,173 +90,100 @@ def optimal_concurrent_shards(
 
 
 class HostPrefetcher:
-    """Asynchronous disk-to-RAM shard staging for out-of-core runs.
+    """Budgeted shard residency for out-of-core runs.
 
     The host-side mirror of this module's device streaming: shards live
-    in an on-disk :class:`~repro.core.shardstore.ShardStore` and fault
-    into RAM through an LRU cache whose capacity comes from the same
-    Eq. (1)/(2) resident-set formula, applied to a *host* memory budget
-    instead of device memory. A small thread pool keeps the next shards
-    of the runtime's schedule warm (pages touched, CSR views built)
-    while the current shard computes -- double buffering against disk.
+    in an on-disk :class:`~repro.core.shardstore.ShardStore` (one file,
+    mapped once) and are acquired through an LRU whose capacity comes
+    from the same Eq. (1)/(2) resident-set formula, applied to a *host*
+    memory budget instead of device memory. Acquiring a shard is cheap
+    -- views into the mapping -- so residency is about pages, not
+    objects: evicting a shard ``madvise(MADV_DONTNEED)``s its page range
+    (:meth:`ShardStore.release`), which is what makes the budget bound
+    RSS. With ``advise`` on, the shards coming up in the runtime's
+    schedule get ``MADV_WILLNEED`` so the OS reads them in while the
+    current shard computes; no thread of ours is involved.
 
     Frontier awareness falls out of the integration point: the runtime
     calls :meth:`schedule` with exactly the shards the FrontierManager
-    selected for the phase, so skipped shards are neither prefetched nor
+    selected for the phase, so skipped shards are neither hinted nor
     faulted in -- the paper's shard-skip optimization applied to I/O.
 
     Everything here is wall-clock only and invisible to the simulated
-    timeline (counters + the ``lane`` intervals are observability).
-    Thread safety: all mutable state is guarded by one lock; loads run
-    outside it. ``on_evict`` (the runtime hooks the PlanCache's
-    ``drop_shard``) is called under the lock and must not call back in.
+    timeline. One lock guards all state: :meth:`get` is called from the
+    compute threads under ``parallel_backend="threads"``.
     """
 
-    def __init__(
-        self,
-        store,
-        capacity: int,
-        workers: int = 2,
-        obs=None,
-        unit_weights: bool = False,
-        heartbeats=None,
-    ):
+    def __init__(self, store, capacity: int, obs=None, unit_weights: bool = False, advise: bool = True):
         self.store = store
         self.capacity = max(1, int(capacity))
-        self.workers = max(0, int(workers))
         self.obs = obs if obs is not None else NULL_OBSERVER
         self.unit_weights = unit_weights
-        #: optional health-watchdog hookup (repro.obs.health): the
-        #: prefetcher beats on every completed load and is marked busy
-        #: only while loads are outstanding, so an idle cache between
-        #: phases never reads as a stall.
-        self.heartbeats = heartbeats
-        if heartbeats is not None:
-            heartbeats.register("prefetcher", kind="prefetcher")
-        #: eviction hook: called with the shard index being dropped
-        self.on_evict = None
+        self.advise = advise
         #: runs served (>1 when carried across runs via ``keep_warm``)
         self.runs = 1
         self.hits = 0
-        self.waits = 0
         self.faults = 0
         self.evictions = 0
-        self.prefetched = 0
         self.bytes_loaded = 0
-        self.wait_seconds = 0.0
-        #: wall-clock activity intervals: (kind, shard, t0, t1) seconds
-        #: relative to construction; feeds the Chrome-trace host lane
-        self.lane: list[tuple] = []
+        #: bytes handed back to the OS by eviction and shutdown
+        self.released_bytes = 0
         self._cache: "OrderedDict[int, object]" = OrderedDict()
-        self._futures: dict[int, object] = {}
         self._order: list[int] = []
         self._pos: dict[int, int] = {}
-        self._cursor = 0
+        self._hinted = 0
         self._lock = threading.Lock()
-        self._t0 = time.perf_counter()
-        self._pool = None
-        if self.workers > 0:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="shard-prefetch"
-            )
 
     # -- scheduling ----------------------------------------------------
     def schedule(self, shard_ids) -> None:
-        """Set the phase's shard order and start warming ahead."""
+        """Set the phase's shard order and hint its first shards."""
         with self._lock:
             self._order = list(shard_ids)
             self._pos = {idx: i for i, idx in enumerate(self._order)}
-            self._cursor = 0
-            self._top_up()
+            self._hinted = 0
+            self._hint_from(0)
 
-    def _top_up(self) -> None:
-        """(lock held) Submit loads so cache + in-flight covers the next
-        ``capacity - 1`` scheduled shards (one slot stays for the shard
-        currently computing)."""
-        if self._pool is None or self.capacity < 2:
+    def _hint_from(self, cursor: int) -> None:
+        """(lock held) ``MADV_WILLNEED`` the not-yet-hinted scheduled
+        shards in the ``capacity - 1`` positions from ``cursor`` (one
+        slot stays for the shard currently computing)."""
+        if not self.advise:
             return
-        ahead, j = 0, self._cursor
-        while j < len(self._order) and ahead < self.capacity - 1:
-            idx = self._order[j]
-            if idx not in self._cache and idx not in self._futures:
-                self._futures[idx] = self._pool.submit(self._load_async, idx)
-            ahead += 1
-            j += 1
-        if self.heartbeats is not None:
-            self.heartbeats.busy("prefetcher", bool(self._futures))
-
-    def _load_async(self, index: int):
-        t0 = time.perf_counter()
-        arrays = self.store.load_arrays(index, unit_weights=self.unit_weights)
-        self._warm(arrays)
-        t1 = time.perf_counter()
-        with self._lock:
-            self._futures.pop(index, None)
-            self._insert(index, arrays)
-            self.prefetched += 1
-            self.bytes_loaded += arrays.nbytes
-            self.lane.append(("prefetch", index, t0 - self._t0, t1 - self._t0))
-            outstanding = bool(self._futures)
-        if self.heartbeats is not None:
-            self.heartbeats.beat("prefetcher")
-            self.heartbeats.busy("prefetcher", outstanding)
-        self.obs.add("prefetch.prefetched")
-        self.obs.add("prefetch.bytes", arrays.nbytes)
-        return arrays
-
-    @staticmethod
-    def _warm(arrays) -> None:
-        """Fault the mapped pages in (one touch per page)."""
-        for a in (
-            arrays.csc.indptr, arrays.csc.indices, arrays.csc.edge_ids,
-            arrays.csr.indptr, arrays.csr.indices, arrays.csr.edge_ids,
-            arrays.csc_weights, arrays.csr_weights,
-        ):
-            if a is not None and len(a):
-                a[:: max(1, 4096 // a.itemsize)].max()
+        stop = min(len(self._order), cursor + max(1, self.capacity - 1))
+        for j in range(max(cursor, self._hinted), stop):
+            if self._order[j] not in self._cache:
+                self.store.will_need(self._order[j])
+        self._hinted = max(self._hinted, stop)
 
     # -- acquisition ---------------------------------------------------
     def get(self, index: int):
-        """Acquire one shard's arrays for compute (counts hit/wait/fault).
+        """Acquire one shard's arrays for compute (counts hit/fault).
 
         Called once per (shard, phase) by the runtime's compute wrapper,
         possibly from worker threads under parallel shard compute.
         """
-        t0 = time.perf_counter()
         with self._lock:
-            self._advance(index)
             arrays = self._cache.get(index)
             if arrays is not None:
                 self._cache.move_to_end(index)
                 self.hits += 1
-                self._top_up()
                 self.obs.add("prefetch.hits")
-                return arrays
-            fut = self._futures.get(index)
-        if fut is not None:
-            arrays = fut.result()  # _load_async inserts into the cache
-            t1 = time.perf_counter()
-            with self._lock:
-                self.waits += 1
-                self.wait_seconds += t1 - t0
-                self.lane.append(("wait", index, t0 - self._t0, t1 - self._t0))
-                self._top_up()
-            self.obs.add("prefetch.waits")
-            self.obs.observe("prefetch.wait_seconds", t1 - t0)
+            else:
+                arrays = self.store.load_arrays(index, unit_weights=self.unit_weights)
+                self.faults += 1
+                self.bytes_loaded += arrays.nbytes
+                self.obs.add("prefetch.faults")
+                self.obs.add("prefetch.bytes", arrays.nbytes)
+                self._cache[index] = arrays
+                while len(self._cache) > self.capacity:
+                    old, _views = self._cache.popitem(last=False)
+                    self.evictions += 1
+                    self.obs.add("prefetch.evictions")
+                    self._release(old)
+            pos = self._pos.get(index)
+            if pos is not None:
+                self._hint_from(pos + 1)
             return arrays
-        arrays = self.store.load_arrays(index, unit_weights=self.unit_weights)
-        t1 = time.perf_counter()
-        with self._lock:
-            self.faults += 1
-            self.bytes_loaded += arrays.nbytes
-            self.lane.append(("fault", index, t0 - self._t0, t1 - self._t0))
-            self._insert(index, arrays)
-            self._top_up()
-        self.obs.add("prefetch.faults")
-        self.obs.add("prefetch.bytes", arrays.nbytes)
-        return arrays
 
     def arrays(self, index: int):
         """Uncounted access for lazy-shard properties: serve from cache,
@@ -265,100 +191,60 @@ class HostPrefetcher:
         between acquisition and use."""
         with self._lock:
             got = self._cache.get(index)
-            if got is not None:
-                return got
-        return self.get(index)
+        return got if got is not None else self.get(index)
 
-    def _advance(self, index: int) -> None:
-        p = self._pos.get(index)
-        if p is not None and p + 1 > self._cursor:
-            self._cursor = p + 1
-
-    def _insert(self, index: int, arrays) -> None:
-        if index in self._cache:
-            self._cache.move_to_end(index)
-            return
-        self._cache[index] = arrays
-        while len(self._cache) > self.capacity:
-            old, _dropped = self._cache.popitem(last=False)
-            self.evictions += 1
-            self.obs.add("prefetch.evictions")
-            if self.on_evict is not None:
-                self.on_evict(old)
+    def _release(self, index: int) -> None:
+        """(lock held) Hand one shard's pages back to the OS."""
+        released = self.store.release(index)
+        self.released_bytes += released
+        self.obs.add("prefetch.released_bytes", released)
 
     # -- lifecycle / reporting -----------------------------------------
-    def rewarm(self, obs=None, heartbeats=None) -> None:
+    def rewarm(self, obs=None) -> None:
         """Attach a carried (``keep_warm``) prefetcher to a new run.
 
-        The LRU cache, warming pool and counters all survive -- resident
-        shards from the previous run serve the new run's first touches as
-        hits -- but the per-run integrations are re-aimed: the observer,
-        the health-watchdog registry (the old run's telemetry is gone)
-        and the phase schedule, which the runtime re-derives from the new
-        run's frontier before any shard is acquired.
+        The LRU and the counters survive -- resident shards from the
+        previous run serve the new run's first touches as hits -- but
+        the observer is re-aimed and the phase schedule cleared; the
+        runtime re-derives it from the new run's frontier before any
+        shard is acquired.
         """
         if obs is not None:
             self.obs = obs
-        self.heartbeats = heartbeats
-        if heartbeats is not None:
-            heartbeats.register("prefetcher", kind="prefetcher")
         with self._lock:
             self._order = []
             self._pos = {}
-            self._cursor = 0
+            self._hinted = 0
             self.runs += 1
-
-    def thread_idents(self) -> set:
-        """Idents of the live warming threads (leak-check baseline when
-        the runtime keeps this prefetcher across runs)."""
-        if self._pool is None:
-            return set()
-        return {
-            t.ident for t in getattr(self._pool, "_threads", ()) if t.is_alive()
-        }
 
     def __enter__(self) -> "HostPrefetcher":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        # Context-manager form of shutdown(): guarantees the warming
-        # threads die even when an iteration raises mid-run (the
-        # runtime's try/finally uses shutdown() directly; this is for
-        # ad-hoc callers).
         self.shutdown()
         return False
 
     def shutdown(self) -> None:
-        if self._pool is not None:
-            for fut in list(self._futures.values()):
-                fut.cancel()
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        """Release every resident shard's pages. Idempotent; counters
+        stay readable."""
         with self._lock:
-            self._futures.clear()
+            for index in self._cache:
+                self._release(index)
             self._cache.clear()
-        if self.heartbeats is not None:
-            # Clean teardown: an unregistered component can never be
-            # flagged by a post-shutdown watchdog pass.
-            self.heartbeats.unregister("prefetcher")
 
     def snapshot(self) -> dict:
-        """Counters + the host activity lane (the result's ``prefetch``)."""
+        """The counters (the result's ``prefetch``)."""
         with self._lock:
-            total = self.hits + self.waits + self.faults
+            total = self.hits + self.faults
             return {
                 "capacity": self.capacity,
-                "workers": self.workers,
                 "runs": self.runs,
                 "hits": self.hits,
-                "waits": self.waits,
                 "faults": self.faults,
                 "evictions": self.evictions,
-                "prefetched": self.prefetched,
                 "bytes_loaded": self.bytes_loaded,
-                "wait_seconds": self.wait_seconds,
+                "released_bytes": self.released_bytes,
                 "hit_rate": self.hits / total if total else 0.0,
-                "lane": list(self.lane),
             }
 
 

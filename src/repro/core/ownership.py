@@ -199,7 +199,7 @@ def estimate_shard_bytes(
     """Host bytes of one shard's CSC+CSR arrays, from counts alone.
 
     Pure count math so the cluster pool can report per-worker resident
-    footprints for store-backed shards without faulting their memmaps
+    footprints for store-backed shards without faulting their pages
     (edge ids ride with each layout at ``IDX_BYTES`` apiece).
     """
     nv = num_interval_vertices

@@ -15,7 +15,9 @@ our NumPy kernels):
   come from :func:`~repro.graph.csr.dense_gather` and the per-edge
   arrays are the shard's flat CSR/CSC arrays *by reference*, no fancy
   gather at all. Dense plans are built once per shard and reused for the
-  rest of the run.
+  rest of the run; the one O(E) array they would own, the per-edge
+  ``row_ids``, is derived on first read (only the generic gather_map /
+  scatter read it), so a retained dense plan costs O(V).
 * **Plan cache** -- sparse plans are keyed on a cheap frontier
   fingerprint: :class:`~repro.core.frontier.FrontierManager` bumps a
   per-(mask, interval) epoch on every mutation, so an epoch match proves
@@ -67,8 +69,26 @@ from repro.obs.span import NULL_OBSERVER
 SPARSE_BYPASS_FACTOR = 8
 
 
+def _row_ids(seg: np.ndarray, start: int, dtype) -> np.ndarray:
+    """Global row vertex per selected edge, from interval-local rows."""
+    return (seg + start).astype(dtype)
+
+
+class _LazyRowIds:
+    """``row_ids`` of a plan: stored for sparse plans, derived from the
+    shard's ``indptr`` on first read for dense ones."""
+
+    @property
+    def row_ids(self) -> np.ndarray | None:
+        if self._row_source is not None:
+            indptr, start = self._row_source
+            self._row_ids = _row_ids(dense_gather(indptr)[0], start, self.indices.dtype)
+            self._row_source = None
+        return self._row_ids
+
+
 @dataclass
-class GatherPlan:
+class GatherPlan(_LazyRowIds):
     """Index plan for one shard's gather phases (CSC, active rows)."""
 
     #: global active vertex ids the plan was built from (None = dense)
@@ -79,8 +99,9 @@ class GatherPlan:
     eids: np.ndarray
     #: weight per selected in-edge (None when the graph is unweighted)
     weights: np.ndarray | None
-    #: destination vertex per selected in-edge (vid dtype, global)
-    row_ids: np.ndarray
+    #: destination vertex per selected in-edge (vid dtype, global),
+    #: read through the ``row_ids`` property
+    _row_ids: np.ndarray | None
     #: segment starts into the per-edge arrays (one per destination
     #: with at least one selected in-edge)
     starts: np.ndarray
@@ -89,10 +110,12 @@ class GatherPlan:
     n_edges: int
     dense: bool
     epoch: int
+    #: ``(indptr, interval start)`` a dense plan derives ``row_ids`` from
+    _row_source: tuple | None = None
 
 
 @dataclass
-class OutPlan:
+class OutPlan(_LazyRowIds):
     """Index plan over a shard's out-edges (CSR, changed rows)."""
 
     rows: np.ndarray | None
@@ -102,8 +125,8 @@ class OutPlan:
     eids: np.ndarray | None
     weights: np.ndarray | None
     #: source vertex per selected out-edge (vid dtype, global; None on
-    #: a lite plan)
-    row_ids: np.ndarray | None
+    #: a lite plan), read through the ``row_ids`` property
+    _row_ids: np.ndarray | None
     n_edges: int
     dense: bool
     epoch: int
@@ -115,6 +138,8 @@ class OutPlan:
     #: frontier_activate may OR this mask in instead of issuing one
     #: write per out-edge. None on sparse plans.
     targets: np.ndarray | None = None
+    #: ``(indptr, interval start)`` a dense full plan derives ``row_ids`` from
+    _row_source: tuple | None = None
 
 
 def _build_gather_plan(shard: Shard, rows, dense: bool, epoch: int) -> GatherPlan:
@@ -140,12 +165,13 @@ def _build_gather_plan(shard: Shard, rows, dense: bool, epoch: int) -> GatherPla
         indices=indices,
         eids=eids,
         weights=weights,
-        row_ids=(seg + shard.start).astype(csc.indices.dtype),
+        _row_ids=None if dense else _row_ids(seg, shard.start, csc.indices.dtype),
         starts=starts,
         verts=verts_local + shard.start,
         n_edges=len(seg),
         dense=dense,
         epoch=epoch,
+        _row_source=(csc.indptr, shard.start) if dense else None,
     )
 
 
@@ -173,12 +199,13 @@ def _build_out_plan(
         indices=indices,
         eids=eids if full else None,
         weights=weights if full else None,
-        row_ids=(seg + shard.start).astype(csr.indices.dtype) if full else None,
+        _row_ids=_row_ids(seg, shard.start, csr.indices.dtype) if full and not dense else None,
         n_edges=len(seg),
         dense=dense,
         epoch=epoch,
         full=full,
         targets=targets,
+        _row_source=(csr.indptr, shard.start) if full and dense else None,
     )
 
 
@@ -197,14 +224,17 @@ def _plan_nbytes(plan) -> int:
 
     Dense plans alias the shard's CSR/CSC arrays by reference, and that
     is exactly the point of counting them: the budget bounds what the
-    cache can keep pinned (for memmapped shards, the mapped pages), so
-    aliased bytes must weigh the same as owned ones.
+    cache can keep pinned, so aliased bytes must weigh the same as
+    owned ones -- and a dense plan's ``row_ids`` weighs its full size
+    before anyone has read it, because a read materializes it.
     """
     total = 0
-    for name in ("rows", "indices", "eids", "weights", "row_ids", "starts", "verts", "targets"):
+    for name in ("rows", "indices", "eids", "weights", "_row_ids", "starts", "verts", "targets"):
         arr = getattr(plan, name, None)
         if arr is not None and hasattr(arr, "nbytes"):
             total += arr.nbytes
+    if plan._row_source is not None:
+        total += plan.n_edges * plan.indices.dtype.itemsize
     return total
 
 
@@ -527,30 +557,6 @@ class PlanCache:
             self._account("out", shard.index, plan)
         self._record(hit=False, invalidated=cached is not None)
         return plan
-
-    def drop_shard(self, index: int) -> None:
-        """Release every cached plan holding a shard's arrays.
-
-        Dense plans alias the shard's CSR/CSC storage *by reference*, so
-        when the out-of-core prefetcher evicts a memmapped shard it calls
-        this hook -- otherwise the cached plans would pin the evicted
-        mappings (and their address space) for the rest of the run. The
-        row-set entries survive: they are frontier state, not shard
-        data, so a re-faulted shard revalidates instead of rebuilding
-        from the mask.
-
-        Thread safety matches the class contract: each dict entry is
-        touched by at most one worker's shard, and per-key ``pop`` is
-        atomic under the GIL.
-        """
-        for store in (self._gather, self._out, self._dense_gather, self._dense_out):
-            store.pop(index, None)
-        if self.budget is not None:
-            with self._lock:
-                for kind in self._stores:
-                    size = self._lru.pop((kind, index), None)
-                    if size is not None:
-                        self._held_bytes -= size
 
     def active_rows(self, shard: Shard):
         """(rows, dense) for the apply phase.

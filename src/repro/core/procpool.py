@@ -9,10 +9,11 @@ shard CSC/CSR sub-arrays --
 
 * in-RAM runs export the shard arrays once into a read-only
   ``multiprocessing.shared_memory`` segment that each worker maps, and
-* shard-store runs let each worker ``np.memmap`` its own shards straight
-  from the :class:`~repro.core.shardstore.ShardStore` (the OS page cache
-  dedupes the physical pages between workers, so nobody double-faults a
-  shard another worker already paged in).
+* shard-store runs let each worker open the
+  :class:`~repro.core.shardstore.ShardStore` itself -- one read-only
+  mapping of the packed shard file per worker -- and touch only its own
+  shards (the OS page cache dedupes the physical pages between workers,
+  so nobody re-reads a shard another worker already paged in).
 
 Determinism is preserved by construction, not by luck: workers never
 write shared state. Each task runs the phase kernels against a
@@ -332,9 +333,9 @@ class _WorkerRunner:
 
             _, path, unit_weights = spec["graph"]
             store = ShardStore.open(path)
-            # Each worker memmaps its *own* pinned shards on first
-            # touch; the page cache shares the physical pages, so
-            # workers never re-read a shard another already faulted.
+            # One mapping of the whole store per worker; each faults in
+            # only its *own* pinned shards on first touch, and the page
+            # cache shares the physical pages between workers.
             shards = store.sharded_graph(unit_weights=unit_weights).shards
             ctx = RuntimeContext(store.edgelist())
         state_name, state_toc = spec["state"]
@@ -461,7 +462,7 @@ class _ClusterWorkerRunner(_WorkerRunner):
             store = ShardStore.open(path)
             lazy = store.sharded_graph(unit_weights=unit_weights).shards
             # Bind only the owned shards: the others stay manifest
-            # entries and are never memmapped by this process.
+            # entries whose pages this process never touches.
             shards = [lazy[index] for index, *_rest in spec["shards"]]
         state_name, state_toc = spec["state"]
         state_shm = _attach_segment(state_name)
@@ -1095,7 +1096,7 @@ class ClusterPool(ProcessPool):
             for s in sharded.shards
         }
         if store is not None:
-            # Count math only -- never fault the store's memmaps.
+            # Count math only -- never fault the store's pages.
             shard_bytes = {
                 i: estimate_shard_bytes(row[2] - row[1], row[3], row[4], with_weights)
                 for i, row in shard_manifest.items()
@@ -1239,7 +1240,7 @@ class ClusterPool(ProcessPool):
 
             # In-RAM runs map the per-worker graph segment zero-copy, so
             # its size *is* the worker's shard footprint; store-backed
-            # workers memmap their owned shards (count math, no faults).
+            # workers fault in their owned shards (count math here).
             graph_bytes = (
                 graph_nbytes
                 if store is None

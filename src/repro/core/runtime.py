@@ -125,8 +125,8 @@ class GraphReduceOptions:
     #: How ``parallel_shards`` workers execute: ``"threads"`` (PR 3's
     #: ThreadPoolExecutor; NumPy kernels release the GIL), or
     #: ``"processes"`` (a spawn-safe worker pool attaching the shard
-    #: arrays zero-copy -- shared memory for in-RAM runs, per-worker
-    #: memmaps for shard-store runs -- see :mod:`repro.core.procpool`).
+    #: arrays zero-copy -- shared memory for in-RAM runs, the store's
+    #: own mapping for shard-store runs -- see :mod:`repro.core.procpool`).
     #: or ``"cluster"`` (partitioned ownership: each worker attaches
     #: only its owned shard slice and the main process ships sparse
     #: boundary-vertex deltas through fixed-slot shared-memory
@@ -147,21 +147,23 @@ class GraphReduceOptions:
     frontier_policy: str = "replicated"
     #: LRU byte budget for the gather/scatter plan cache (counts the
     #: bytes each cached plan references, including dense plans' aliased
-    #: shard arrays -- i.e. what eviction can unpin). ``None`` keeps the
-    #: pre-PR-5 unbounded behavior.
+    #: shard arrays). It alone decides how long a plan lives: evicting a
+    #: store-backed shard's pages under ``memory_budget`` leaves its
+    #: plans in place. ``None`` keeps the pre-PR-5 unbounded behavior.
     plan_cache_budget: int | None = 256 * 1024 * 1024
     #: Out-of-core execution (shard-store-backed runs only; see
     #: :mod:`repro.core.shardstore`). ``memory_budget`` bounds the host
     #: RAM spent on resident shards: the prefetcher's LRU capacity comes
     #: from the Eq. (1)/(2) formula with this budget standing in for
-    #: device memory (None -> every shard may stay resident).
-    #: ``host_prefetch`` toggles the asynchronous warming threads;
-    #: disabled, shards fault in synchronously on first touch.
+    #: device memory (None -> every shard may stay resident); evicted
+    #: shards' pages are handed back to the OS, so the budget bounds
+    #: RSS. ``host_prefetch`` asks the OS to read the next scheduled
+    #: shards in ahead of use (``madvise(MADV_WILLNEED)``); disabled,
+    #: pages fault in on first touch. No thread is involved either way.
     #: Like the host fast paths these change wall-clock only -- results
     #: and the simulated timeline are bit-identical to in-RAM runs.
     memory_budget: int | None = None
     host_prefetch: bool = True
-    prefetch_workers: int = 2
     #: carry host-side warm state across consecutive ``run()`` calls on
     #: one engine: the prefetcher's LRU (resident shards survive, so the
     #: next run's first touches are hits instead of faults) and the
@@ -169,10 +171,10 @@ class GraphReduceOptions:
     #: batch executor's chunked runs and repeated-query workloads are
     #: the intended users. Wall-clock only -- results and the simulated
     #: timeline are bit-identical either way. Ignored by the process-
-    #: pool backend (workers memmap their own shards; the main process
+    #: pool backend (workers map the store themselves; the main process
     #: holds nothing worth keeping). Call :meth:`GraphReduce.close`
     #: (or use the engine as a context manager) to release the kept
-    #: threads and cache.
+    #: cache.
     keep_warm: bool = False
     trace: bool = True
     #: structured observability (hierarchical spans + typed counters,
@@ -182,8 +184,8 @@ class GraphReduceOptions:
     #: live telemetry (see :mod:`repro.obs.telemetry`): a
     #: :class:`~repro.obs.telemetry.TelemetryConfig` turns on the
     #: streaming bus (periodic JSONL snapshots a concurrent ``repro
-    #: monitor`` tails), the health watchdog over the main loop /
-    #: pool workers / prefetcher, and -- when its ``flight_recorder``
+    #: monitor`` tails), the health watchdog over the main loop and
+    #: pool workers, and -- when its ``flight_recorder``
     #: flag is set -- the bounded ring-buffer span recorder in place
     #: of the unbounded tree. ``None`` (default) adds nothing: the
     #: NULL_OBSERVER zero-overhead path is untouched.
@@ -283,8 +285,8 @@ class GraphReduceResult:
     #: kernel-layer totals (backend, fused_calls, fallbacks, arena
     #: reuse); None when ``kernel_backend`` was "off"
     kernels: dict | None = None
-    #: host prefetcher totals + wall-clock activity lane (out-of-core
-    #: shard-store runs only; None for in-RAM runs)
+    #: host prefetcher totals: hits, faults, evictions, bytes loaded
+    #: and released (shard-store runs only; None for in-RAM runs)
     prefetch: dict | None = None
     #: process-pool totals + per-worker wall-clock lane (``processes``
     #: backend only; None otherwise)
@@ -350,8 +352,8 @@ class GraphReduce:
         self._warm_plans: tuple | None = None
 
     def close(self) -> None:
-        """Release ``keep_warm`` state (prefetcher threads, shard LRU,
-        carried plans). Idempotent; a no-op for engines that never kept
+        """Release ``keep_warm`` state (resident shards, carried
+        plans). Idempotent; a no-op for engines that never kept
         anything warm."""
         if self._warm_prefetch is not None:
             self._warm_prefetch["prefetcher"].shutdown()
@@ -465,9 +467,9 @@ class GraphReduce:
             )
         keep_state = opts.keep_warm and not use_pool
         if not keep_state:
-            # A non-warm run (or the pool backend, whose workers memmap
-            # their own shards) invalidates whatever a previous warm run
-            # left behind.
+            # A non-warm run (or the pool backend, whose workers map
+            # the store themselves) invalidates whatever a previous warm
+            # run left behind.
             self.close()
         prefetcher = None
         prefetch_key = None
@@ -479,10 +481,10 @@ class GraphReduce:
         converged = False
         iteration = 0
         run_error = None
-        # One try/finally covers everything from here on: the prefetcher
-        # (and later the executor/pool) own threads, processes and
-        # shared-memory segments that must be released even when setup
-        # or an iteration raises mid-run.
+        # One try/finally covers everything from here on: the executor
+        # and pool own threads, processes and shared-memory segments
+        # (and the prefetcher resident pages) that must be released
+        # even when setup or an iteration raises mid-run.
         try:
             with obs.span("partition", category="setup") as part_span:
                 if self.shard_store is not None:
@@ -493,7 +495,7 @@ class GraphReduce:
                         with_state,
                         resident_bytes,
                         obs,
-                        warm=not use_pool,
+                        advise=opts.host_prefetch and not use_pool,
                         telemetry=telem,
                     )
                     part_span.set(
@@ -627,10 +629,6 @@ class GraphReduce:
                 # Per-query lanes for the monitor: retirement progress
                 # rides the same snapshot stream as the other sources.
                 telem.add_source("batch", program.batch_stats)
-            if prefetcher is not None:
-                # Dense plans alias the memmapped shard arrays by reference;
-                # eviction must drop them or the mappings stay pinned.
-                prefetcher.on_evict = plans.drop_shard
             if opts.execution_mode == "async":
                 plan = build_async_plan(program, obs=obs)
             elif opts.execution_mode == "bsp":
@@ -752,9 +750,9 @@ class GraphReduce:
                         shards, skipped = self._select_shards(group, sharded, frontier, opts)
                         if prefetcher is not None and pool is None:
                             # Only the frontier-selected shards: skipped
-                            # shards are neither prefetched nor faulted.
-                            # (With the process pool the workers memmap
-                            # their own shards; the main process never
+                            # shards are neither hinted nor faulted.
+                            # (With the process pool the workers map the
+                            # store themselves; the main process never
                             # touches the arrays at all.)
                             prefetcher.schedule([s.index for s in shards])
                         if pool is not None:
@@ -832,32 +830,24 @@ class GraphReduce:
                 pool.shutdown()
             if executor is not None:
                 executor.shutdown(wait=True)
-            keep_prefetcher = (
-                keep_state and run_error is None and prefetcher is not None
-            )
-            if prefetcher is not None and not keep_prefetcher:
+            if prefetcher is not None and not (keep_state and run_error is None):
                 prefetcher.shutdown()
                 if (
                     self._warm_prefetch is not None
                     and self._warm_prefetch["prefetcher"] is prefetcher
                 ):
-                    # An errored warm run killed the carried prefetcher;
-                    # the stale carry-over must not resurrect it.
+                    # An errored warm run emptied the carried prefetcher;
+                    # drop the carry-over with it.
                     self._warm_prefetch = None
                     self._warm_plans = None
             if telem is not None:
                 # After the pools are down so the leaked-thread check
                 # sees the post-shutdown state; emits run_end and
                 # closes the sink even when setup or a phase raised.
-                # A kept (keep_warm) prefetcher's warming threads are
-                # carried state, not leaks -- excluded by ident.
                 telemetry_summary = telem.finish(
                     iteration,
                     converged,
                     error=repr(run_error) if run_error else None,
-                    ignore_threads=(
-                        prefetcher.thread_idents() if keep_prefetcher else None
-                    ),
                 )
 
         if keep_state:
@@ -938,7 +928,7 @@ class GraphReduce:
         with_state,
         resident_bytes,
         obs,
-        warm=True,
+        advise=True,
         telemetry=None,
     ):
         """Lazy sharded view + budgeted prefetcher over ``shard_store``.
@@ -948,9 +938,9 @@ class GraphReduce:
         shards (plus their interval's share of vertex staging and the
         resident vertex arrays) fit the budget. No budget -> every
         shard may stay resident, like a host whose RAM fits the graph.
-        ``warm=False`` (the process-pool backend) spawns no warming
-        threads: the pool's workers memmap their own pinned shards, so
-        main-process prefetching would only double-fault the data.
+        ``advise=False`` (``host_prefetch`` off, or the process-pool
+        backend, whose workers touch the shards, not this process)
+        issues no read-ahead hints.
         """
         store = self.shard_store
         if opts.num_partitions and opts.num_partitions != store.num_partitions:
@@ -978,39 +968,25 @@ class GraphReduce:
             )
         else:
             capacity = store.num_partitions
-        workers = opts.prefetch_workers if (opts.host_prefetch and warm) else 0
-        key = (unit_weights, capacity, workers)
+        key = (unit_weights, capacity, advise)
         if carried is not None and carried["key"] == key:
             prefetcher = carried["prefetcher"]
-            prefetcher.rewarm(
-                obs=obs,
-                heartbeats=telemetry.heartbeats if telemetry is not None else None,
-            )
+            prefetcher.rewarm(obs=obs)
         else:
             if carried is not None:
-                # Configuration changed (capacity/workers/weights): the
-                # carried cache no longer matches, and the dense plans
-                # alias arrays it holds -- release both.
+                # Configuration changed (capacity/hints/weights): the
+                # carried cache no longer matches -- release it, and the
+                # plans keyed on its sharded view with it.
                 carried["prefetcher"].shutdown()
                 self._warm_prefetch = None
                 self._warm_plans = None
             prefetcher = HostPrefetcher(
-                store,
-                capacity,
-                workers=workers,
-                obs=obs,
-                unit_weights=unit_weights,
-                heartbeats=telemetry.heartbeats if telemetry is not None else None,
+                store, capacity, obs=obs, unit_weights=unit_weights, advise=advise
             )
             for shard in sharded.shards:
                 shard.bind(prefetcher)
         if telemetry is not None:
-            telemetry.add_source(
-                "prefetch",
-                lambda p=prefetcher: {
-                    k: v for k, v in p.snapshot().items() if k != "lane"
-                },
-            )
+            telemetry.add_source("prefetch", prefetcher.snapshot)
         return sharded, prefetcher, key
 
     # ------------------------------------------------------------------

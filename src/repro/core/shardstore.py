@@ -4,19 +4,25 @@ GraphReduce's defining claim is processing graphs *larger than device
 memory* by streaming shards over PCIe. On the host side of the
 reproduction the same regime appears one level up the hierarchy: a graph
 larger than host RAM must stream shards from *disk*. This module is that
-tier -- a directory format holding one ``ShardedGraph``:
+tier -- a two-file directory holding one ``ShardedGraph``:
 
 ``manifest.json``
-    intervals, per-shard edge counts, dtypes, graph metadata. Opening a
-    store reads only this file, so ``ShardStore.open`` is O(1) RAM.
-``degrees.out.npy`` / ``degrees.in.npy``
-    the per-vertex degree arrays (PageRank's normalization and the
-    partitioner's load model need them without touching edges).
-``shardNNNNN.csc.indptr.npy`` (+ ``indices``/``eids``/``weights``, and
-the same four under ``.csr.``)
-    each shard's sub-arrays as plain ``.npy`` files, loaded with
-    ``np.load(..., mmap_mode="r")`` so a shard's bytes fault in on
-    first touch and can be dropped again by releasing the arrays.
+    graph metadata, intervals, per-shard edge counts, and the byte
+    offset of every array in ``shards.bin`` plus one ``zlib.crc32`` per
+    shard. Everything the Data Movement Engine sizes transfers with
+    comes from here.
+``shards.bin``
+    the two degree arrays, then every shard's CSC and CSR sub-arrays
+    (``indptr``/``indices``/``eids``[/``weights``]) packed back to back:
+    each array starts on a 64-byte boundary and each shard on a
+    4096-byte page, so a shard is a page range nobody else shares.
+
+``ShardStore.open`` maps ``shards.bin`` once, read-only. ``load_arrays``
+is then ``np.frombuffer`` views into that mapping (no file open, no
+header parse); a shard's bytes fault in on first touch, and
+:meth:`ShardStore.release` hands its page range back with
+``madvise(MADV_DONTNEED)``. Views stay valid after a release -- they
+re-fault -- so nothing that holds one (a dense plan, say) pins memory.
 
 Shards come back as :class:`LazyShard` views whose ``csc``/``csr``
 properties delegate to a pluggable *source* -- by default a per-store
@@ -36,7 +42,10 @@ per-shard compression pass reproduces exactly the stable-sort layout of
 from __future__ import annotations
 
 import json
+import mmap
 import shutil
+import warnings
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,18 +62,36 @@ from repro.graph.csr import CSR
 from repro.graph.io import edgelist_metadata, iter_edge_chunks
 
 FORMAT = "graphreduce-shard-store"
-VERSION = 1
+VERSION = 2
 
 MANIFEST = "manifest.json"
-OUT_DEGREES = "degrees.out.npy"
-IN_DEGREES = "degrees.in.npy"
+PACKED = "shards.bin"
 
-#: sub-array file suffixes per layout ("csc" / "csr")
-_PARTS = ("indptr", "indices", "eids", "weights")
+#: every shard starts on a page (so ``madvise`` can drop exactly it) and
+#: every array on a cache line (what the fused kernels stream)
+PAGE = 4096
+ALIGN = layout_mod.ALIGN
+
+#: sub-array name -> dtype, in on-disk order per layout ("csc" / "csr")
+_DTYPES = {
+    "indptr": np.dtype(np.int64),
+    "indices": np.dtype(VID_DTYPE),
+    "eids": np.dtype(np.int64),
+    "weights": np.dtype(WEIGHT_DTYPE),
+}
+_REQUIRED = (
+    "name", "num_vertices", "num_edges", "undirected", "weighted", "logic",
+    "dtypes", "boundaries", "packed_bytes", "degrees", "shards",
+)
 
 
-def _shard_file(index: int, layout: str, part: str) -> str:
-    return f"shard{index:05d}.{layout}.{part}.npy"
+#: ``madvise`` flags, None where the platform's ``mmap`` has none
+_MADV_DONTNEED = getattr(mmap, "MADV_DONTNEED", None)
+_MADV_WILLNEED = getattr(mmap, "MADV_WILLNEED", None)
+
+
+class StoreFormatError(ValueError):
+    """The directory is not a readable v2 shard store."""
 
 
 # ----------------------------------------------------------------------
@@ -72,13 +99,13 @@ def _shard_file(index: int, layout: str, part: str) -> str:
 # ----------------------------------------------------------------------
 @dataclass
 class ShardArrays:
-    """One shard's materialized (memmap-backed) arrays."""
+    """One shard's arrays: read-only views into the store's mapping."""
 
     csc: CSR
     csr: CSR
     csc_weights: np.ndarray | None
     csr_weights: np.ndarray | None
-    #: bytes this shard's mapped files cover (for fault accounting)
+    #: bytes of the arrays above (for fault accounting)
     nbytes: int = 0
 
 
@@ -135,7 +162,7 @@ class LazyShard(ShardBytes):
 
 
 class StoreEdgeList:
-    """EdgeList facade over a store: metadata + memmapped degrees.
+    """EdgeList facade over a store: metadata + mapped degree views.
 
     Satisfies everything the runtime reads from ``edges`` -- counts,
     ``name``, ``undirected``, degree arrays, the ``weights is None``
@@ -192,19 +219,38 @@ class _MemoSource:
 # ----------------------------------------------------------------------
 # The store
 # ----------------------------------------------------------------------
+def _array_counts(meta: dict, weighted: bool) -> list[tuple[str, str, int]]:
+    """(key, part, element count) of one shard's arrays."""
+    rows = meta["stop"] - meta["start"] + 1
+    return [
+        (f"{layout}.{part}", part, rows if part == "indptr" else meta[count_key])
+        for layout, count_key in (("csc", "in_edges"), ("csr", "out_edges"))
+        for part in _DTYPES
+        if part != "weights" or weighted
+    ]
+
+
 class ShardStore:
     """A ``ShardedGraph`` serialized to one directory.
 
-    ``open`` reads the manifest only; array files are memory-mapped on
-    demand through :meth:`load_arrays`.
+    Construction validates the manifest against the packed file's size
+    and maps the file once; everything after is views into that mapping,
+    which lives as long as the store or any array handed out from it.
     """
 
     def __init__(self, path: Path, manifest: dict):
-        self.path = Path(path)
+        self.path = path = Path(path)
         if manifest.get("format") != FORMAT:
-            raise ValueError(f"{path}: not a shard store (format={manifest.get('format')!r})")
-        if manifest.get("version") != VERSION:
-            raise ValueError(f"{path}: unsupported store version {manifest.get('version')!r}")
+            raise StoreFormatError(
+                f"{path}: not a shard store (format={manifest.get('format')!r})"
+            )
+        version = manifest.get("version")
+        if version != VERSION:
+            hint = " (one .npy per array); rebuild with `repro partition`" if version == 1 else ""
+            raise StoreFormatError(f"{path}: unsupported store version {version!r}{hint}")
+        missing = [key for key in _REQUIRED if key not in manifest]
+        if missing:
+            raise StoreFormatError(f"{path}: manifest lacks {', '.join(missing)}")
         self.manifest = manifest
         self.name: str = manifest["name"]
         self.num_vertices: int = manifest["num_vertices"]
@@ -214,65 +260,95 @@ class ShardStore:
         self.logic: str = manifest["logic"]
         self.boundaries = np.asarray(manifest["boundaries"], dtype=np.int64)
         self.shard_meta: list[dict] = manifest["shards"]
+        self.packed_bytes: int = manifest["packed_bytes"]
+        try:
+            self._layout = self._checked_layout()
+        except (KeyError, TypeError) as exc:
+            raise StoreFormatError(f"{path}: malformed manifest ({exc!r})") from exc
+        packed = path / PACKED
+        try:
+            size = packed.stat().st_size
+        except FileNotFoundError:
+            raise StoreFormatError(f"{path}: {PACKED} is missing") from None
+        if size != self.packed_bytes:
+            raise StoreFormatError(
+                f"{path}: {PACKED} holds {size} bytes, manifest says {self.packed_bytes}"
+            )
+        with packed.open("rb") as fh:
+            self._mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        self._warned_no_madvise = False
+
+    def _checked_layout(self) -> list[dict[str, tuple]]:
+        """Per shard, array key -> ``(dtype, count, offset)``, every
+        span proven inside the file."""
+        if self.manifest["dtypes"] != {k: dt.name for k, dt in _DTYPES.items()}:
+            raise StoreFormatError(f"{self.path}: unexpected dtypes {self.manifest['dtypes']}")
+
+        def span(offset: int, nbytes: int, align: int, what: str) -> None:
+            if offset < 0 or offset % align or offset + nbytes > self.packed_bytes:
+                raise StoreFormatError(
+                    f"{self.path}: {what} at [{offset}, {offset + nbytes}) is misaligned "
+                    f"or outside the {self.packed_bytes}-byte packed file"
+                )
+
+        degrees = self.manifest["degrees"]
+        span(degrees["offset"], degrees["nbytes"], ALIGN, "degrees")
+        for side in ("out", "in"):
+            span(degrees[side], self.num_vertices * 8, ALIGN, f"degrees.{side}")
+        layout = []
+        for meta in self.shard_meta:
+            span(meta["offset"], meta["nbytes"], PAGE, f"shard {meta['index']}")
+            arrays = {}
+            for key, part, count in _array_counts(meta, self.weighted):
+                dtype, offset = _DTYPES[part], meta["arrays"][key]
+                span(offset, count * dtype.itemsize, ALIGN, f"shard {meta['index']} {key}")
+                arrays[key] = (dtype, count, offset)
+            layout.append(arrays)
+        return layout
 
     # -- construction ---------------------------------------------------
     @classmethod
     def open(cls, path) -> "ShardStore":
         path = Path(path)
-        with (path / MANIFEST).open() as fh:
-            return cls(path, json.load(fh))
+        try:
+            with (path / MANIFEST).open() as fh:
+                manifest = json.load(fh)
+        except FileNotFoundError:
+            hint = ""
+            if any(path.glob("shard*.npy")):
+                hint = " (loose version 1 arrays; rebuild with `repro partition`)"
+            raise StoreFormatError(f"{path}: no {MANIFEST}{hint}") from None
+        except json.JSONDecodeError as exc:
+            raise StoreFormatError(f"{path}: unreadable {MANIFEST} ({exc})") from exc
+        if not isinstance(manifest, dict):
+            raise StoreFormatError(f"{path}: {MANIFEST} is not a JSON object")
+        return cls(path, manifest)
 
     @classmethod
     def save(cls, sharded: ShardedGraph, path) -> "ShardStore":
-        """Serialize an in-RAM ``ShardedGraph`` (same layout the
+        """Serialize an in-RAM ``ShardedGraph`` (same bytes the
         streaming builder produces)."""
-        path = Path(path)
-        path.mkdir(parents=True, exist_ok=True)
         edges = sharded.edges
-        weighted = edges.weights is not None
-        np.save(path / OUT_DEGREES, edges.out_degrees())
-        np.save(path / IN_DEGREES, edges.in_degrees())
-        meta = []
-        for shard in sharded.shards:
-            for layout, csr, w in (
-                ("csc", shard.csc, shard.csc_weights),
-                ("csr", shard.csr, shard.csr_weights),
-            ):
-                np.save(path / _shard_file(shard.index, layout, "indptr"), csr.indptr)
-                np.save(path / _shard_file(shard.index, layout, "indices"), csr.indices)
-                np.save(path / _shard_file(shard.index, layout, "eids"), csr.edge_ids)
-                if weighted:
-                    np.save(path / _shard_file(shard.index, layout, "weights"), w)
-            meta.append(
-                {
-                    "index": shard.index,
-                    "start": shard.start,
-                    "stop": shard.stop,
-                    "in_edges": shard.num_in_edges,
-                    "out_edges": shard.num_out_edges,
-                }
+        with _StoreWriter(path, edges.weights is not None) as writer:
+            writer.degrees(edges.out_degrees(), edges.in_degrees())
+            for shard in sharded.shards:
+                writer.shard(
+                    shard.index,
+                    shard.start,
+                    shard.stop,
+                    (
+                        (layout, (csr.indptr, csr.indices, csr.edge_ids, weights))
+                        for layout, csr, weights in (
+                            ("csc", shard.csc, shard.csc_weights),
+                            ("csr", shard.csr, shard.csr_weights),
+                        )
+                    ),
+                )
+            manifest = writer.finish(
+                edges.name, edges.num_vertices, edges.num_edges, edges.undirected,
+                sharded.logic, sharded.boundaries,
             )
-        manifest = {
-            "format": FORMAT,
-            "version": VERSION,
-            "name": edges.name,
-            "num_vertices": edges.num_vertices,
-            "num_edges": edges.num_edges,
-            "undirected": bool(edges.undirected),
-            "weighted": weighted,
-            "logic": sharded.logic,
-            "dtypes": {
-                "indptr": "int64",
-                "indices": np.dtype(VID_DTYPE).name,
-                "eids": "int64",
-                "weights": np.dtype(WEIGHT_DTYPE).name,
-            },
-            "boundaries": [int(b) for b in sharded.boundaries],
-            "shards": meta,
-        }
-        with (path / MANIFEST).open("w") as fh:
-            json.dump(manifest, fh, indent=1)
-        return cls(path, manifest)
+        return cls(writer.path, manifest)
 
     # -- reading --------------------------------------------------------
     @property
@@ -280,46 +356,72 @@ class ShardStore:
         return len(self.shard_meta)
 
     def load_arrays(self, index: int, unit_weights: bool = False) -> ShardArrays:
-        """Memory-map one shard's sub-arrays.
+        """One shard's sub-arrays as read-only views into the mapping.
 
         ``unit_weights`` synthesizes per-shard ``ones`` when an
         unweighted store runs a weights-needing program -- the same
         values ``EdgeList.with_unit_weights`` would have partitioned.
-
-        Alignment: the memmapped ``.npy`` payloads start at the format's
-        64-byte ``ARRAY_ALIGN`` boundary (a page-aligned mapping keeps
-        it), and the synthesized weights come from the kernel layer's
-        aligned allocator, so every sub-array the fused kernels stream
-        is cache-line aligned.
+        Every returned array is 64-byte aligned: the views by the file
+        layout, the synthesized weights by the kernel layer's allocator.
         """
-        def load(layout: str, part: str):
-            return np.load(self.path / _shard_file(index, layout, part), mmap_mode="r")
-
-        csc = CSR(load("csc", "indptr"), load("csc", "indices"), load("csc", "eids"))
-        csr = CSR(load("csr", "indptr"), load("csr", "indices"), load("csr", "eids"))
-        csc_w = csr_w = None
-        if self.weighted:
-            csc_w = load("csc", "weights")
-            csr_w = load("csr", "weights")
-        elif unit_weights:
+        v = {key: np.frombuffer(self._mm, *spec) for key, spec in self._layout[index].items()}
+        csc = CSR(v["csc.indptr"], v["csc.indices"], v["csc.eids"])
+        csr = CSR(v["csr.indptr"], v["csr.indices"], v["csr.eids"])
+        csc_w, csr_w = v.get("csc.weights"), v.get("csr.weights")
+        nbytes = sum(a.nbytes for a in v.values())
+        if unit_weights and not self.weighted:
             csc_w = layout_mod.aligned_ones(csc.num_edges, WEIGHT_DTYPE)
             csr_w = layout_mod.aligned_ones(csr.num_edges, WEIGHT_DTYPE)
-        nbytes = sum(
-            a.nbytes
-            for a in (
-                csc.indptr, csc.indices, csc.edge_ids,
-                csr.indptr, csr.indices, csr.edge_ids,
-            )
-        )
-        if csc_w is not None:
             nbytes += csc_w.nbytes + csr_w.nbytes
         return ShardArrays(csc, csr, csc_w, csr_w, nbytes)
 
+    def _advise(self, flag: int | None, index: int) -> int:
+        """``madvise`` one shard's page range; returns the bytes advised
+        (0 where the platform has no ``madvise``: warned once per store,
+        then a no-op, so residency is simply left to the OS)."""
+        if flag is None:
+            if not self._warned_no_madvise:
+                self._warned_no_madvise = True
+                warnings.warn(
+                    "mmap.madvise is unavailable on this platform: shard-store "
+                    "prefetch hints and eviction are no-ops",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+            return 0
+        meta = self.shard_meta[index]
+        self._mm.madvise(flag, meta["offset"], meta["nbytes"])
+        return meta["nbytes"]
+
+    def release(self, index: int) -> int:
+        """Drop a shard's pages from this process (``MADV_DONTNEED``).
+        Outstanding views stay valid and re-fault on next touch."""
+        return self._advise(_MADV_DONTNEED, index)
+
+    def will_need(self, index: int) -> int:
+        """Ask the OS to start reading a shard in (``MADV_WILLNEED``)."""
+        return self._advise(_MADV_WILLNEED, index)
+
+    def verify(self) -> None:
+        """Recompute every recorded checksum; raises on the first
+        mismatch. O(file) -- on demand, never part of ``open``."""
+        regions = [("degrees", self.manifest["degrees"])]
+        regions += [(f"shard {m['index']}", m) for m in self.shard_meta]
+        for what, r in regions:
+            with memoryview(self._mm)[r["offset"] : r["offset"] + r["nbytes"]] as region:
+                if zlib.crc32(region) != r["crc32"]:
+                    raise StoreFormatError(f"{self.path}: {what} fails its checksum")
+
+    def _degrees(self, side: str) -> np.ndarray:
+        return np.frombuffer(
+            self._mm, np.int64, self.num_vertices, self.manifest["degrees"][side]
+        )
+
     def out_degrees(self) -> np.ndarray:
-        return np.load(self.path / OUT_DEGREES, mmap_mode="r")
+        return self._degrees("out")
 
     def in_degrees(self) -> np.ndarray:
-        return np.load(self.path / IN_DEGREES, mmap_mode="r")
+        return self._degrees("in")
 
     def sharded_graph(self, unit_weights: bool = False, source=None) -> ShardedGraph:
         """The lazy ``ShardedGraph`` view (no shard data is read)."""
@@ -342,10 +444,115 @@ class ShardStore:
         return max((m["stop"] - m["start"] for m in self.shard_meta), default=0)
 
     def disk_bytes(self) -> int:
-        """Total size of the array files (what streaming must cover)."""
-        return sum(
-            f.stat().st_size for f in self.path.iterdir() if f.suffix == ".npy"
+        """Size of the packed array file (what streaming must cover)."""
+        return self.packed_bytes
+
+
+class _StoreWriter:
+    """Lays a store out on disk; shared by :meth:`ShardStore.save` and
+    :func:`build_store_streaming` so both produce the same bytes.
+
+    Arrays are appended to ``shards.bin`` at 64-byte boundaries, shards
+    at page boundaries; a running ``crc32`` covers each shard's span
+    (inner padding included) and the degree block.
+    """
+
+    def __init__(self, path, weighted: bool):
+        self.path = Path(path)
+        self.path.mkdir(parents=True, exist_ok=True)
+        self.weighted = weighted
+        self._fh = (self.path / PACKED).open("wb")
+        self._pos = 0
+        self._crc = 0
+        self._degrees: dict = {}
+        self._shards: list[dict] = []
+
+    def __enter__(self) -> "_StoreWriter":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self._fh.close()
+        return False
+
+    def _pad(self, align: int) -> None:
+        gap = -self._pos % align
+        if gap:
+            self._write(bytes(gap))
+
+    def _write(self, data) -> None:
+        self._fh.write(data)
+        self._crc = zlib.crc32(data, self._crc)
+        self._pos += len(data)
+
+    def _begin(self, align: int) -> int:
+        self._pad(align)
+        self._crc = 0
+        return self._pos
+
+    def _array(self, arr, dtype) -> int:
+        self._pad(ALIGN)
+        offset = self._pos
+        self._write(np.ascontiguousarray(arr, dtype=dtype).view(np.uint8))
+        return offset
+
+    def degrees(self, out_deg: np.ndarray, in_deg: np.ndarray) -> None:
+        offset = self._begin(ALIGN)
+        self._degrees = {
+            "out": self._array(out_deg, np.int64),
+            "in": self._array(in_deg, np.int64),
+            "offset": offset,
+            "nbytes": self._pos - offset,
+            "crc32": self._crc,
+        }
+
+    def shard(self, index: int, start: int, stop: int, layouts) -> None:
+        """``layouts`` yields ``("csc", columns)`` then ``("csr",
+        columns)``, columns being ``(indptr, indices, eids,
+        weights|None)``; each is dropped before the next is asked for,
+        so a lazy caller holds one layout in RAM at a time."""
+        offset = self._begin(PAGE)
+        arrays, edges = {}, {}
+        for layout, columns in layouts:
+            edges[layout] = len(columns[1])
+            for (part, dtype), column in zip(_DTYPES.items(), columns):
+                if part != "weights" or self.weighted:
+                    arrays[f"{layout}.{part}"] = self._array(column, dtype)
+            del columns, column
+        self._shards.append(
+            {
+                "index": index,
+                "start": start,
+                "stop": stop,
+                "in_edges": edges["csc"],
+                "out_edges": edges["csr"],
+                "offset": offset,
+                "nbytes": self._pos - offset,
+                "crc32": self._crc,
+                "arrays": arrays,
+            }
         )
+
+    def finish(self, name, num_vertices, num_edges, undirected, logic, boundaries) -> dict:
+        """Write the manifest (last, so a torn build never opens)."""
+        manifest = {
+            "format": FORMAT,
+            "version": VERSION,
+            "name": name,
+            "num_vertices": int(num_vertices),
+            "num_edges": int(num_edges),
+            "undirected": bool(undirected),
+            "weighted": self.weighted,
+            "logic": logic,
+            "dtypes": {part: dtype.name for part, dtype in _DTYPES.items()},
+            "boundaries": [int(b) for b in boundaries],
+            "packed_bytes": self._pos,
+            "degrees": self._degrees,
+            "shards": self._shards,
+        }
+        self._fh.close()
+        with (self.path / MANIFEST).open("w") as fh:
+            json.dump(manifest, fh, indent=1)
+        return manifest
 
 
 # ----------------------------------------------------------------------
@@ -384,7 +591,6 @@ def build_store_streaming(
     """
     input_path = Path(input_path)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     meta = edgelist_metadata(input_path)
 
     # -- pass 1: degrees / counts --------------------------------------
@@ -414,8 +620,6 @@ def build_store_streaming(
     in_deg = _grow_to(in_deg, n)
     num_partitions = max(1, min(num_partitions, max(n, 1)))
     boundaries = edge_balanced_from_loads(out_deg + in_deg, num_partitions)
-    np.save(out_dir / OUT_DEGREES, out_deg)
-    np.save(out_dir / IN_DEGREES, in_deg)
 
     # -- pass 2: bucket records into per-shard spill files --------------
     fields = [("key", np.int64), ("val", np.int64), ("eid", np.int64)]
@@ -423,7 +627,7 @@ def build_store_streaming(
         fields.append(("w", WEIGHT_DTYPE))
     rec_dtype = np.dtype(fields)
     spill_dir = out_dir / "_spill"
-    spill_dir.mkdir(exist_ok=True)
+    spill_dir.mkdir(parents=True, exist_ok=True)
     spill = {
         (i, layout): (spill_dir / f"{i:05d}.{layout}.bin").open("wb")
         for i in range(num_partitions)
@@ -456,47 +660,28 @@ def build_store_streaming(
             fh.close()
 
     # -- pass 3: per-shard compression ----------------------------------
-    shard_meta = []
-    for i in range(num_partitions):
-        start, stop = int(boundaries[i]), int(boundaries[i + 1])
-        entry = {"index": i, "start": start, "stop": stop}
-        for layout, count_key in (("csc", "in_edges"), ("csr", "out_edges")):
-            recs = np.fromfile(spill_dir / f"{i:05d}.{layout}.bin", dtype=rec_dtype)
-            # Records arrive in original edge order; a stable sort by key
-            # therefore preserves per-row original order -- the layout
-            # the in-RAM _compress + row_slice pipeline produces.
-            order = np.argsort(recs["key"], kind="stable")
-            recs = recs[order]
-            counts = np.bincount(recs["key"] - start, minlength=stop - start)
-            indptr = np.zeros(stop - start + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            np.save(out_dir / _shard_file(i, layout, "indptr"), indptr)
-            np.save(out_dir / _shard_file(i, layout, "indices"), recs["val"].astype(VID_DTYPE))
-            np.save(out_dir / _shard_file(i, layout, "eids"), np.ascontiguousarray(recs["eid"]))
-            if weighted:
-                np.save(out_dir / _shard_file(i, layout, "weights"), np.ascontiguousarray(recs["w"]))
-            entry[count_key] = len(recs)
-        shard_meta.append(entry)
-    shutil.rmtree(spill_dir)
+    def compress(i: int, layout: str, start: int, stop: int) -> tuple:
+        recs = np.fromfile(spill_dir / f"{i:05d}.{layout}.bin", dtype=rec_dtype)
+        # Records arrive in original edge order; a stable sort by key
+        # therefore preserves per-row original order -- the layout
+        # the in-RAM _compress + row_slice pipeline produces.
+        recs = recs[np.argsort(recs["key"], kind="stable")]
+        counts = np.bincount(recs["key"] - start, minlength=stop - start)
+        indptr = np.zeros(stop - start + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        return indptr, recs["val"], recs["eid"], recs["w"] if weighted else None
 
-    manifest = {
-        "format": FORMAT,
-        "version": VERSION,
-        "name": name or meta["name"],
-        "num_vertices": int(n),
-        "num_edges": int(num_edges),
-        "undirected": bool(meta["undirected"]),
-        "weighted": weighted,
-        "logic": "edge_balanced",
-        "dtypes": {
-            "indptr": "int64",
-            "indices": np.dtype(VID_DTYPE).name,
-            "eids": "int64",
-            "weights": np.dtype(WEIGHT_DTYPE).name,
-        },
-        "boundaries": [int(b) for b in boundaries],
-        "shards": shard_meta,
-    }
-    with (out_dir / MANIFEST).open("w") as fh:
-        json.dump(manifest, fh, indent=1)
+    with _StoreWriter(out_dir, weighted) as writer:
+        writer.degrees(out_deg, in_deg)
+        for i in range(num_partitions):
+            start, stop = int(boundaries[i]), int(boundaries[i + 1])
+            writer.shard(
+                i, start, stop,
+                ((layout, compress(i, layout, start, stop)) for layout in ("csc", "csr")),
+            )
+        shutil.rmtree(spill_dir)
+        manifest = writer.finish(
+            name or meta["name"], n, num_edges, meta["undirected"],
+            "edge_balanced", boundaries,
+        )
     return ShardStore(out_dir, manifest)

@@ -24,12 +24,10 @@ US = 1e6
 
 RUNTIME_PID = 1
 DEVICE_PID = 2
-#: Out-of-core runs add a third process: the host shard-prefetch lane.
-#: Its timestamps are *wall-clock* seconds since the prefetcher started,
-#: not simulated seconds -- a separate pid keeps the two clocks apart.
-HOST_PID = 3
-#: Process-pool runs add a fourth process: one wall-clock row per pool
-#: worker, showing which shard task each worker executed and when.
+#: Process-pool runs add one more process: one row per pool worker,
+#: showing which shard task each worker executed and when. Its
+#: timestamps are *wall-clock* seconds since the pool started, not
+#: simulated seconds -- a separate pid keeps the two clocks apart.
 POOL_PID = 4
 
 
@@ -108,43 +106,6 @@ def _interval_events(trace) -> list[dict]:
     return events
 
 
-def _prefetch_events(prefetch) -> list[dict]:
-    """The host prefetch lane: one wall-clock row of loads and waits.
-
-    ``prefetch`` is a :meth:`HostPrefetcher.snapshot` dict whose
-    ``"lane"`` entry lists ``(kind, shard, t0, t1)`` tuples in seconds
-    since the prefetcher was created (kind is ``prefetch``, ``fault`` or
-    ``wait``).
-    """
-    lane = (prefetch or {}).get("lane") or []
-    if not lane:
-        return []
-    events: list[dict] = [
-        {"ph": "M", "pid": HOST_PID, "name": "process_name", "args": {"name": "host"}},
-        {
-            "ph": "M",
-            "pid": HOST_PID,
-            "tid": 1,
-            "name": "thread_name",
-            "args": {"name": "shard prefetch (wall clock)"},
-        },
-    ]
-    for kind, shard, t0, t1 in lane:
-        events.append(
-            {
-                "ph": "X",
-                "pid": HOST_PID,
-                "tid": 1,
-                "ts": float(t0) * US,
-                "dur": (float(t1) - float(t0)) * US,
-                "name": f"{kind} shard {int(shard)}",
-                "cat": f"prefetch.{kind}",
-                "args": {"shard": int(shard)},
-            }
-        )
-    return events
-
-
 def _procpool_events(procpool) -> list[dict]:
     """The process-pool lanes: one wall-clock row per worker.
 
@@ -186,14 +147,13 @@ def _procpool_events(procpool) -> list[dict]:
     return events
 
 
-def to_chrome_trace(observer=None, trace=None, prefetch=None, procpool=None) -> dict:
+def to_chrome_trace(observer=None, trace=None, procpool=None) -> dict:
     """Merge an observer's spans and a device trace into one document.
 
     Either source may be None. The result is a valid trace_event JSON
     object; extra top-level keys (``metrics``) are ignored by viewers.
-    ``prefetch`` (a HostPrefetcher snapshot) adds the out-of-core host
-    lane as a third process; ``procpool`` (a ProcessPool snapshot) adds
-    per-worker lanes as a fourth.
+    ``procpool`` (a ProcessPool snapshot) adds per-worker wall-clock
+    lanes as a third process.
     """
     events: list[dict] = [
         {"ph": "M", "pid": RUNTIME_PID, "name": "process_name", "args": {"name": "runtime"}},
@@ -206,7 +166,6 @@ def to_chrome_trace(observer=None, trace=None, prefetch=None, procpool=None) -> 
         doc["metrics"] = observer.metrics.snapshot()
     if trace is not None:
         events.extend(_interval_events(trace))
-    events.extend(_prefetch_events(prefetch))
     events.extend(_procpool_events(procpool))
     return doc
 
@@ -216,7 +175,6 @@ def result_to_chrome_trace(result) -> dict:
     return to_chrome_trace(
         observer=getattr(result, "observer", None),
         trace=getattr(result, "trace", None),
-        prefetch=getattr(result, "prefetch", None),
         procpool=getattr(result, "procpool", None),
     )
 

@@ -1,8 +1,8 @@
 """Health watchdog: heartbeats, stall detection, incident events.
 
 Long-lived runs (and the planned query daemon) need to know that every
-moving part is still moving: the main iteration loop, the procpool
-workers, the prefetcher's warming threads. Each component registers a
+moving part is still moving: the main iteration loop and the procpool
+workers. Each component registers a
 **heartbeat** in a :class:`HeartbeatRegistry` and beats it whenever it
 makes progress; the :class:`Watchdog` periodically inspects the
 registry and raises a structured :class:`Incident` when a *busy*
@@ -152,7 +152,7 @@ class HeartbeatRegistry:
 #: Thread-name prefixes the leak check knows about: every thread the
 #: runtime spawns uses one of these (ThreadPoolExecutor prefixes and
 #: the watchdog's own poll thread).
-OWNED_THREAD_PREFIXES = ("shard-prefetch", "shard-compute", "repro-watchdog")
+OWNED_THREAD_PREFIXES = ("shard-compute", "repro-watchdog")
 
 
 class Watchdog:
@@ -227,7 +227,7 @@ class Watchdog:
     def check_threads(self, baseline: set[int] | None = None) -> list[Incident]:
         """Flag still-running runtime-owned threads (leak detection).
 
-        Call after the run's pools and prefetchers have shut down: any
+        Call after the run's pools have shut down: any
         surviving thread whose name carries one of the known prefixes
         (minus ``baseline`` idents, captured before the run) leaked.
         """
@@ -242,7 +242,7 @@ class Watchdog:
                 details="thread still alive after shutdown",
             )
             for t in threading.enumerate()
-            if t.name.startswith(OWNED_THREAD_PREFIXES[:2])
+            if t.name.startswith(OWNED_THREAD_PREFIXES[:1])
             and t.is_alive()
             and (baseline is None or t.ident not in baseline)
         ]

@@ -12,8 +12,8 @@ no per-observation storage, merge-exact, and stable across a JSON
 round-trip because the estimate is a pure function of the buckets.
 
 Thread safety: ``Counter.add`` and ``Histogram.observe`` take a
-per-instrument lock -- prefetcher warm threads, parallel shard compute
-and the telemetry watchdog all record concurrently, and ``+=`` on a
+per-instrument lock -- parallel shard compute and the telemetry
+watchdog record concurrently, and ``+=`` on a
 Python float is not atomic. Instrument creation in the registry is
 guarded separately, so the hot path costs one uncontended lock, not
 two.

@@ -181,7 +181,7 @@ def render(state: MonitorState) -> str:
         if prefetch:
             parts.append(
                 f"prefetch hit {_rate(prefetch, 'hits', 'faults')} "
-                f"waits {prefetch.get('waits', 0)}"
+                f"evictions {prefetch.get('evictions', 0)}"
             )
         if pool:
             parts.append(

@@ -7,12 +7,13 @@ vertex-value checksum. It must run in a *fresh* interpreter because
 a large array can never measure a smaller peak again --
 :func:`repro.obs.bench.run_ooc_probe` is the subprocess wrapper.
 
-``--address-space-cap`` turns the measurement into an enforced claim:
-``resource.setrlimit(RLIMIT_AS)`` hard-caps the address space at the
-given headroom *on top of the post-import mapping*, so a cap below the
-graph's in-RAM footprint proves the run never materializes the full
-graph (memmapped pages count toward RLIMIT_AS too). CI's out-of-core
-smoke job runs exactly that.
+``--rss-cap`` turns the measurement into an enforced claim: the probe
+exits non-zero when the run grew peak RSS (``VmHWM``) by more than the
+cap, so a cap below the graph's in-RAM footprint proves the run never
+held the full graph resident. (The store is one mapping of the whole
+file, so *address space* says nothing -- resident pages are what the
+``memory_budget`` bounds, by handing evicted shards' pages back to the
+OS.) CI's out-of-core smoke job runs exactly that.
 """
 
 from __future__ import annotations
@@ -20,13 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import resource
-import threading
-
-
-def _vm_bytes() -> int:
-    """Current virtual address-space size from /proc (Linux only)."""
-    with open("/proc/self/statm") as fh:
-        return int(fh.read().split()[0]) * resource.getpagesize()
 
 
 def _rss_peak_bytes() -> int:
@@ -54,70 +48,56 @@ def main(argv=None) -> int:
                         help="PageRank power iterations")
     parser.add_argument("--memory-budget", type=int, default=None,
                         help="host RAM budget (bytes) for the shard cache")
-    parser.add_argument("--prefetch-workers", type=int, default=2)
     parser.add_argument(
-        "--address-space-cap", type=int, default=None,
-        help="enforce RLIMIT_AS at this many bytes above the post-import "
-             "address space; the run fails if it ever maps more",
+        "--rss-cap", type=int, default=None,
+        help="fail unless the run's peak-RSS growth (rss_delta_bytes) "
+             "stays at or below this many bytes",
     )
     parser.add_argument("--profile-out", default=None,
                         help="also write the bottleneck profile JSON here")
     args = parser.parse_args(argv)
 
-    # Import the heavy stack before measuring or limiting anything --
-    # the probe bounds the *run*, not the interpreter.
+    # Import the heavy stack before measuring anything -- the probe
+    # bounds the *run*, not the interpreter.
     import numpy as np
 
     from repro.algorithms import PageRank
     from repro.core.runtime import GraphReduce, GraphReduceOptions
     from repro.core.shardstore import ShardStore
 
-    # Prefetch worker stacks are address space too (8 MiB each by
-    # default); shrink them so the cap measures data, not thread stacks.
-    threading.stack_size(512 * 1024)
     rss_floor = _rss_peak_bytes()
     out: dict = {
         "ok": False,
         "store": args.store,
         "rss_floor_bytes": rss_floor,
         "memory_budget": args.memory_budget,
-        "address_space_cap_bytes": args.address_space_cap,
+        "rss_cap_bytes": args.rss_cap,
     }
-    if args.address_space_cap is not None:
-        cap = _vm_bytes() + args.address_space_cap
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-    try:
-        store = ShardStore.open(args.store)
-        opts = GraphReduceOptions(
-            cache_policy="never",
-            memory_budget=args.memory_budget,
-            prefetch_workers=args.prefetch_workers,
-        )
-        result = GraphReduce(shard_store=store, options=opts).run(
-            PageRank(tolerance=None, max_iterations=args.iterations)
-        )
-    except (MemoryError, OSError) as exc:  # mmap under RLIMIT_AS raises ENOMEM
-        out["error"] = f"{type(exc).__name__}: {exc}"
-        print(json.dumps(out))
-        return 1
+    opts = GraphReduceOptions(cache_policy="never", memory_budget=args.memory_budget)
+    result = GraphReduce(shard_store=ShardStore.open(args.store), options=opts).run(
+        PageRank(tolerance=None, max_iterations=args.iterations)
+    )
     peak = _rss_peak_bytes()
     vals = result.vertex_values
+    delta = peak - rss_floor
     out.update(
-        ok=True,
+        ok=args.rss_cap is None or delta <= args.rss_cap,
         algorithm="pagerank-power",
         iterations=result.iterations,
         num_partitions=result.num_partitions,
         max_rss_bytes=peak,
-        rss_delta_bytes=peak - rss_floor,
+        rss_delta_bytes=delta,
         checksum=float(np.sum(vals[np.isfinite(vals)], dtype=np.float64)),
-        prefetch={k: v for k, v in (result.prefetch or {}).items() if k != "lane"},
+        prefetch=result.prefetch,
     )
+    if not out["ok"]:
+        out["error"] = f"peak RSS grew {delta} B, over the {args.rss_cap} B cap"
     if args.profile_out:
         from repro.obs.profile import build_profile, write_profile
 
         write_profile(args.profile_out, build_profile(result))
     print(json.dumps(out))
-    return 0
+    return 0 if out["ok"] else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -252,7 +252,7 @@ class ProfileReport:
     #: fused calls, fallbacks, scratch-arena reuse
     kernels: dict = field(default_factory=dict)
     #: histogram summaries (count/mean/p50/p90/p99 + log2 buckets) of
-    #: every observed distribution -- frontier sizes, prefetch waits
+    #: every observed distribution (frontier sizes, ...)
     histograms: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -386,16 +386,18 @@ class ProfileReport:
 
     def _prefetch_line(self) -> str:
         pf = self.prefetch
-        acquired = pf.get("hits", 0) + pf.get("waits", 0) + pf.get("faults", 0)
+        acquired = pf.get("hits", 0) + pf.get("faults", 0)
         if not acquired:
             return "host prefetch      : n/a (in-RAM run)"
         line = (
-            f"host prefetch      : {pf.get('hits', 0)}/{acquired} warm "
+            f"host prefetch      : {pf.get('hits', 0)}/{acquired} resident "
             f"({100 * pf.get('hit_rate', 0.0):.1f}%), "
-            f"{pf.get('waits', 0)} waits ({pf.get('wait_seconds', 0.0):.3f} s), "
             f"{pf.get('faults', 0)} faults, {pf.get('evictions', 0)} evictions, "
-            f"{pf.get('bytes_loaded', 0) / 2**20:.2f} MiB faulted in"
+            f"{pf.get('bytes_loaded', 0) / 2**20:.2f} MiB faulted in, "
+            f"{pf.get('released_bytes', 0) / 2**20:.2f} MiB released"
         )
+        if "capacity" in pf:
+            line += f" (capacity {pf['capacity']})"
         if pf.get("runs", 1) > 1:
             line += f", kept warm across {pf['runs']} runs"
         return line
@@ -619,23 +621,18 @@ def build_profile(result, machine=None, tolerance: float = MODEL_TOLERANCE) -> P
 
     # -- host shard prefetch (repro.core.movement) ---------------------
     prefetch = getattr(result, "prefetch", None)
-    if prefetch is not None:
-        # The wall-clock lane belongs in the Chrome trace, not here.
-        prefetch = {k: v for k, v in prefetch.items() if k != "lane"}
-    else:
+    if prefetch is None:
         hits = metrics.value("prefetch.hits")
-        waits = metrics.value("prefetch.waits")
         faults = metrics.value("prefetch.faults")
-        acquired = hits + waits + faults
+        acquired = hits + faults
         prefetch = {}
         if acquired:
             prefetch = {
                 "hits": int(hits),
-                "waits": int(waits),
                 "faults": int(faults),
                 "evictions": int(metrics.value("prefetch.evictions")),
-                "prefetched": int(metrics.value("prefetch.prefetched")),
                 "bytes_loaded": int(metrics.value("prefetch.bytes")),
+                "released_bytes": int(metrics.value("prefetch.released_bytes")),
                 "hit_rate": hits / acquired,
             }
 

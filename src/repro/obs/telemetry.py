@@ -177,8 +177,8 @@ class TelemetryConfig:
 class TelemetryBus:
     """Process-wide publisher of schema-versioned JSONL records.
 
-    Thread-safe: the main loop, the watchdog thread and prefetcher
-    callbacks all emit concurrently. Each record gets a monotone
+    Thread-safe: the main loop and the watchdog thread emit
+    concurrently. Each record gets a monotone
     ``seq`` so readers detect ordering and loss; the last few records
     are kept in a small ring for in-process consumers (the result
     summary, tests) without re-reading the sink.
@@ -331,21 +331,14 @@ class RunTelemetry:
         iterations: int,
         converged: bool,
         error: str | None = None,
-        ignore_threads: set | None = None,
     ) -> dict:
-        """Final check + ``run_end``; safe to call exactly once.
-
-        ``ignore_threads`` excludes thread idents from the leak check:
-        the runtime passes the warming threads of a prefetcher it keeps
-        alive across runs (``keep_warm``), which are carried state, not
-        leaks.
-        """
+        """Final check + ``run_end``; safe to call exactly once."""
         if self._finished:
             return self.summary()
         self._finished = True
         self.heartbeats.unregister("main-loop")
         self.watchdog.shutdown()
-        self.watchdog.check_threads(baseline=ignore_threads)
+        self.watchdog.check_threads()
         flight = (
             self.obs.snapshot()
             if isinstance(self.obs, FlightRecorder)

@@ -109,8 +109,6 @@ def _args(tmp_path, **overrides):
     ns = argparse.Namespace(
         repeats=1,
         warmup=0,
-        shard_store=None,
-        memory_budget=None,
         out=None,
         update=False,
         snapshot=str(tmp_path / "BENCH_wallclock.json"),

@@ -122,9 +122,10 @@ def test_numba_backend_matches_slow_path(graph_name):
 
 
 # Out-of-core: the same matrix, but the graph lives in an on-disk shard
-# store. One warm config (prefetch threads + every host fast path) and
-# one deliberately starved config (1-shard cache, no warming threads)
-# must both be bit-identical to the in-RAM slow path.
+# store. One warm config (read-ahead hints + every host fast path) and
+# one deliberately starved config (1-shard cache, no hints: every
+# acquisition evicts and releases the previous shard's pages) must both
+# be bit-identical to the in-RAM slow path.
 STORE_COMBOS = {
     "prefetch_on": dict(dense_fast_path=True, plan_cache=True, parallel_shards=3),
     "cold_budget1": dict(memory_budget=1, host_prefetch=False),

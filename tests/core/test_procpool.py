@@ -3,11 +3,12 @@
 The pool is a pure host-side rewrite of shard execution: every run must
 be bit-identical to serial (values, frontier trajectory, simulated
 timeline, kernel censuses) whether the shard arrays are exported through
-shared memory (in-RAM graphs) or attached as per-worker memmaps (shard
+shared memory (in-RAM graphs) or mapped per worker from the store (shard
 stores). The failure-handling half covers the hard guarantees: a killed
 worker degrades to a serial re-run with a warning and an unchanged
-result, shared-memory segments never outlive the run, and the host
-prefetcher's threads never outlive an iteration that raises.
+result, shared-memory segments never outlive the run, and a store-backed
+run leaves no thread and no resident shard behind when an iteration
+raises.
 """
 
 import os
@@ -35,10 +36,6 @@ def _shm_entries() -> set:
         return {n for n in os.listdir("/dev/shm") if n.startswith(SHM_PREFIX)}
     except FileNotFoundError:  # pragma: no cover - non-Linux
         return set()
-
-
-def _prefetch_threads() -> list:
-    return [t for t in threading.enumerate() if t.name.startswith("shard-prefetch")]
 
 
 def _assert_identical(label, pool, serial):
@@ -180,15 +177,13 @@ class ExplodingPageRank(PageRank):
 def test_prefetcher_threads_die_when_iteration_raises(tmp_path):
     g = build("er_mid")
     store = ShardStore.save(PartitionEngine().partition(g, 3), tmp_path / "s")
-    assert not _prefetch_threads()
+    before = set(threading.enumerate())
     with pytest.raises(RuntimeError, match="boom in apply"):
         GraphReduce(
-            shard_store=store,
-            options=GraphReduceOptions(host_prefetch=True, prefetch_workers=2),
+            shard_store=store, options=GraphReduceOptions(host_prefetch=True)
         ).run(ExplodingPageRank(tolerance=1e-3))
-    # runtime's try/finally shuts the pool down synchronously
-    # (shutdown(wait=True)), so no warming thread survives the raise.
-    assert not _prefetch_threads()
+    # There is no prefetch thread to die any more: nothing was started.
+    assert set(threading.enumerate()) == before
 
 
 def test_prefetcher_context_manager_shuts_down(tmp_path):
@@ -197,10 +192,15 @@ def test_prefetcher_context_manager_shuts_down(tmp_path):
     g = build("er_mid")
     store = ShardStore.save(PartitionEngine().partition(g, 3), tmp_path / "s")
     with pytest.raises(RuntimeError, match="mid-iteration"):
-        with HostPrefetcher(store, capacity=3, workers=2) as pf:
+        with HostPrefetcher(store, capacity=3) as pf:
             pf.schedule([0, 1, 2])
+            pf.get(0)
+            pf.get(1)
             raise RuntimeError("mid-iteration")
-    assert not _prefetch_threads()
+    # Leaving the block released both resident shards' pages.
+    resident = store.shard_meta[0]["nbytes"] + store.shard_meta[1]["nbytes"]
+    assert pf.snapshot()["released_bytes"] == resident
+    assert pf.arrays(2) is not None and pf.faults == 3  # emptied, still usable
 
 
 # ----------------------------------------------------------------------

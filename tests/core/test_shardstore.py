@@ -1,18 +1,19 @@
 """Shard-store format, streaming external partitioner, host prefetcher.
 
-Three layers of the out-of-core stack, bottom up: the on-disk directory
-format must round-trip a ``ShardedGraph`` bit-for-bit; the streaming
+Three layers of the out-of-core stack, bottom up: the packed on-disk
+format must round-trip a ``ShardedGraph`` bit-for-bit and reject
+anything that is not a whole v2 store with a typed error; the streaming
 builder must produce byte-identical stores to the in-RAM
 ``ShardStore.save`` path (global edge ids included); and the
 ``HostPrefetcher``'s cache accounting -- capacity, LRU eviction order,
-frontier-skip suppression, hit/wait/fault attribution -- must match its
-documented contract, since ``repro profile`` and the bench gate report
-those numbers as facts.
+page release, frontier-skip suppression, hit/fault attribution -- must
+match its documented contract, since ``repro profile`` and the
+benchmark report those numbers as facts.
 """
 
 import json
 import threading
-import time
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,15 +21,23 @@ import pytest
 
 from tests.fixture_graphs import build
 from repro.algorithms import PageRank
+from repro.core.frontier import FrontierManager
+from repro.core.kernels.layout import is_aligned
 from repro.core.movement import HostPrefetcher
 from repro.core.partition import PartitionEngine
+from repro.core.plans import PlanCache
 from repro.core.runtime import GraphReduce, GraphReduceOptions
 from repro.core.shardstore import (
     MANIFEST,
+    PACKED,
+    PAGE,
     ShardStore,
+    StoreFormatError,
     build_store_streaming,
 )
+from repro.graph.generators import erdos_renyi
 from repro.graph.io import save_edgelist_txt, save_npz
+from repro.graph.properties import footprint_bytes
 
 
 def _store(tmp_path, graph, p=3, name="store"):
@@ -99,13 +108,26 @@ class TestShardStoreFormat:
         assert store.load_arrays(0).csc_weights is None
 
     def test_open_rejects_non_store(self, tmp_path):
+        with pytest.raises(StoreFormatError, match="no manifest.json"):
+            ShardStore.open(tmp_path)
         (tmp_path / MANIFEST).write_text(json.dumps({"format": "something-else"}))
-        with pytest.raises(ValueError, match="not a shard store"):
+        with pytest.raises(StoreFormatError, match="not a shard store"):
             ShardStore.open(tmp_path)
         (tmp_path / MANIFEST).write_text(
             json.dumps({"format": "graphreduce-shard-store", "version": 99})
         )
-        with pytest.raises(ValueError, match="version"):
+        with pytest.raises(StoreFormatError, match="version"):
+            ShardStore.open(tmp_path)
+
+    def test_open_rejects_v1_store(self, tmp_path):
+        # loose v1 arrays without a manifest, then a v1 manifest
+        np.save(tmp_path / "shard00000.csc.indptr.npy", np.zeros(2, dtype=np.int64))
+        with pytest.raises(StoreFormatError, match="repro partition"):
+            ShardStore.open(tmp_path)
+        (tmp_path / MANIFEST).write_text(
+            json.dumps({"format": "graphreduce-shard-store", "version": 1})
+        )
+        with pytest.raises(StoreFormatError, match="repro partition"):
             ShardStore.open(tmp_path)
 
     def test_store_edgelist_facade(self, tmp_path):
@@ -122,10 +144,117 @@ class TestShardStoreFormat:
 
     def test_disk_bytes_covers_array_files(self, tmp_path):
         store = _store(tmp_path, build("er_mid"))
-        expected = sum(
-            f.stat().st_size for f in store.path.iterdir() if f.suffix == ".npy"
+        assert sorted(f.name for f in store.path.iterdir()) == [MANIFEST, PACKED]
+        assert store.disk_bytes() == (store.path / PACKED).stat().st_size > 0
+
+    def test_arrays_are_aligned_readonly_views(self, tmp_path):
+        store = _store(tmp_path, build("er_mid").with_random_weights(seed=5))
+        for i, meta in enumerate(store.shard_meta):
+            assert meta["offset"] % PAGE == 0  # a shard owns its pages
+            got = store.load_arrays(i)
+            arrays = [
+                got.csc.indptr, got.csc.indices, got.csc.edge_ids, got.csc_weights,
+                got.csr.indptr, got.csr.indices, got.csr.edge_ids, got.csr_weights,
+            ]
+            assert got.nbytes == sum(a.nbytes for a in arrays)
+            for a in arrays:
+                assert is_aligned(a) and not a.flags.writeable
+        for deg in (store.out_degrees(), store.in_degrees()):
+            assert is_aligned(deg) and not deg.flags.writeable
+
+    def test_released_shard_refaults_under_retained_plan(self, tmp_path):
+        g = build("er_mid")
+        ram = PartitionEngine().partition(g, 3)
+        store = ShardStore.save(ram, tmp_path / "s")
+        lazy = store.sharded_graph()
+        frontier = FrontierManager(lazy, np.ones(g.num_vertices, dtype=bool))
+        plans = PlanCache(lazy, frontier)
+        plan = plans.gather_plan(lazy.shards[1])
+        assert plan.dense
+        assert store.release(1) == store.shard_meta[1]["nbytes"] > 0
+        # The plan's views outlive the release and read the same bytes;
+        # row_ids, never built so far, derives from the re-faulted indptr.
+        expect = PlanCache(ram, FrontierManager(ram, np.ones(g.num_vertices, dtype=bool)))
+        want = expect.gather_plan(ram.shards[1])
+        np.testing.assert_array_equal(plan.indices, want.indices)
+        np.testing.assert_array_equal(plan.eids, want.eids)
+        np.testing.assert_array_equal(plan.row_ids, want.row_ids)
+        assert plan.row_ids.dtype == want.row_ids.dtype
+        assert plans.gather_plan(lazy.shards[1]) is plan  # still cached
+
+
+# ----------------------------------------------------------------------
+# Validation: anything but a whole v2 store is a StoreFormatError
+# ----------------------------------------------------------------------
+class TestStoreValidation:
+    def _edit_manifest(self, store, edit):
+        manifest = json.loads((store.path / MANIFEST).read_text())
+        edit(manifest)
+        (store.path / MANIFEST).write_text(json.dumps(manifest))
+
+    def test_truncated_packed_file(self, tmp_path):
+        store = _store(tmp_path, build("er_mid"))
+        packed = store.path / PACKED
+        packed.write_bytes(packed.read_bytes()[:-1])
+        with pytest.raises(StoreFormatError, match="holds"):
+            ShardStore.open(store.path)
+        packed.unlink()
+        with pytest.raises(StoreFormatError, match="missing"):
+            ShardStore.open(store.path)
+
+    def test_flipped_byte_caught_by_verify(self, tmp_path):
+        store = _store(tmp_path, build("er_mid"))
+        store.verify()
+        packed = store.path / PACKED
+        data = bytearray(packed.read_bytes())
+        # inside shard 1's indices: sizes and indptr stay valid, so only
+        # the checksum can tell
+        data[store.shard_meta[1]["arrays"]["csc.indices"]] ^= 0x01
+        packed.write_bytes(bytes(data))
+        reopened = ShardStore.open(store.path)  # open stays O(1): no checksum
+        with pytest.raises(StoreFormatError, match="shard 1 fails its checksum"):
+            reopened.verify()
+
+    @pytest.mark.parametrize("key", ["packed_bytes", "degrees", "boundaries", "dtypes"])
+    def test_missing_manifest_key(self, key, tmp_path):
+        store = _store(tmp_path, build("er_mid"))
+        self._edit_manifest(store, lambda m: m.pop(key))
+        with pytest.raises(StoreFormatError, match=key):
+            ShardStore.open(store.path)
+
+    def test_missing_shard_key(self, tmp_path):
+        store = _store(tmp_path, build("er_mid"))
+        self._edit_manifest(store, lambda m: m["shards"][0]["arrays"].pop("csr.eids"))
+        with pytest.raises(StoreFormatError, match="csr.eids"):
+            ShardStore.open(store.path)
+
+    def test_offsets_past_eof(self, tmp_path):
+        store = _store(tmp_path, build("er_mid"))
+        beyond = (store.disk_bytes() // 64 + 1) * 64  # aligned, past the end
+        self._edit_manifest(
+            store, lambda m: m["shards"][-1]["arrays"].update({"csr.indices": beyond})
         )
-        assert store.disk_bytes() == expected > 0
+        with pytest.raises(StoreFormatError, match="outside"):
+            ShardStore.open(store.path)
+
+    def test_misaligned_and_oversized_counts(self, tmp_path):
+        store = _store(tmp_path, build("er_mid"), name="a")
+        self._edit_manifest(store, lambda m: m["shards"][1].update(offset=m["shards"][1]["offset"] + 64))
+        with pytest.raises(StoreFormatError, match="misaligned"):
+            ShardStore.open(store.path)
+        store = _store(tmp_path, build("er_mid"), name="b")
+        self._edit_manifest(store, lambda m: m["shards"][-1].update(out_edges=10**9))
+        with pytest.raises(StoreFormatError, match="outside"):
+            ShardStore.open(store.path)
+
+    def test_inconsistent_csr_is_a_value_error_not_a_crash(self, tmp_path):
+        # in-file offsets, wrong edge count: CSR's own checks still run
+        store = _store(tmp_path, build("er_mid"))
+        self._edit_manifest(
+            store, lambda m: m["shards"][0].update(in_edges=m["shards"][0]["in_edges"] - 1)
+        )
+        with pytest.raises(ValueError, match="sizes disagree"):
+            ShardStore.open(store.path).load_arrays(0)
 
 
 # ----------------------------------------------------------------------
@@ -196,105 +325,74 @@ def _fake_arrays(index):
 
 
 class FakeStore:
-    """Records load order; optionally stalls loads on an Event."""
+    """Records loads, page releases and read-ahead hints, in order."""
 
     def __init__(self):
         self.loads = []
-        self.block = None
-        self._lock = threading.Lock()
+        self.released = []
+        self.hinted = []
 
     def load_arrays(self, index, unit_weights=False):
-        if self.block is not None:
-            assert self.block.wait(5.0)
-        with self._lock:
-            self.loads.append(index)
+        self.loads.append(index)
         return _fake_arrays(index)
 
+    def release(self, index):
+        self.released.append(index)
+        return 128  # a page range is a little larger than its arrays
 
-def _wait_until(predicate, timeout=5.0):
-    deadline = time.monotonic() + timeout
-    while not predicate():
-        assert time.monotonic() < deadline, "condition never became true"
-        time.sleep(0.002)
+    def will_need(self, index):
+        self.hinted.append(index)
+        return 128
 
 
 class TestHostPrefetcher:
     def test_capacity_floor(self):
-        assert HostPrefetcher(FakeStore(), capacity=0, workers=0).capacity == 1
+        assert HostPrefetcher(FakeStore(), capacity=0).capacity == 1
 
     def test_lru_eviction_order(self):
         store = FakeStore()
-        pf = HostPrefetcher(store, capacity=2, workers=0)
-        evicted = []
-        pf.on_evict = evicted.append
+        pf = HostPrefetcher(store, capacity=2, advise=False)
         for i in (0, 1, 2):
             pf.get(i)
         assert (pf.faults, pf.evictions) == (3, 1)
-        assert evicted == [0]  # least recently used first
+        assert store.released == [0]  # least recently used first
         assert pf.get(1) is not None and pf.hits == 1  # refreshed 1
         pf.get(0)  # refault -> evicts 2, not the just-touched 1
         assert (pf.faults, pf.evictions) == (4, 2)
-        assert evicted == [0, 2]
+        assert store.released == [0, 2]
+        assert pf.released_bytes == 256
         assert store.loads == [0, 1, 2, 0]
+        assert store.hinted == []  # advise off: never a hint
 
-    def test_workers_zero_never_prefetches(self):
+    def test_schedule_hints_a_sliding_window(self):
         store = FakeStore()
-        pf = HostPrefetcher(store, capacity=4, workers=0)
-        pf.schedule([0, 1, 2])
-        assert store.loads == [] and pf.prefetched == 0
-        pf.get(0)
-        assert (pf.faults, pf.hits) == (1, 0)
-
-    def test_schedule_warms_capacity_minus_one_ahead(self):
-        store = FakeStore()
-        pf = HostPrefetcher(store, capacity=3, workers=1)
-        try:
-            pf.schedule([5, 6, 7, 8])
-            _wait_until(lambda: pf.prefetched == 2)
-            assert sorted(store.loads) == [5, 6]  # one slot stays for compute
-            _wait_until(lambda: pf.get(5) is not None)
-            assert pf.hits == 1 and pf.faults == 0
-            # Consuming shard 5 advances the window: 7 gets warmed next.
-            _wait_until(lambda: 7 in store.loads)
-            assert 8 not in store.loads
-        finally:
-            pf.shutdown()
+        pf = HostPrefetcher(store, capacity=3)
+        pf.schedule([5, 6, 7, 8])
+        assert store.hinted == [5, 6]  # capacity - 1 ahead, no load yet
+        assert store.loads == []
+        pf.get(5)
+        assert store.hinted == [5, 6, 7]  # the window slid by one
+        pf.get(6)
+        pf.get(7)
+        pf.get(8)
+        assert store.hinted == [5, 6, 7, 8]  # each shard hinted once
+        pf.schedule([5, 8])
+        assert store.hinted == [5, 6, 7, 8, 5]  # 8 is resident: no hint
 
     def test_frontier_skip_suppression(self):
         store = FakeStore()
-        pf = HostPrefetcher(store, capacity=8, workers=1)
-        try:
-            pf.schedule([0, 2, 4])  # frontier skipped shards 1 and 3
-            _wait_until(lambda: pf.prefetched == 3)
-            assert sorted(store.loads) == [0, 2, 4]
-            for i in (0, 2, 4):
-                pf.get(i)
-            assert (pf.hits, pf.waits, pf.faults) == (3, 0, 0)
-            assert sorted(store.loads) == [0, 2, 4]  # skipped shards never touched
-        finally:
-            pf.shutdown()
-
-    def test_wait_accounting(self):
-        store = FakeStore()
-        store.block = threading.Event()
-        pf = HostPrefetcher(store, capacity=2, workers=1)
-        try:
-            pf.schedule([7, 8])
-            _wait_until(lambda: 7 in pf._futures)  # in flight, stalled on the event
-            threading.Timer(0.05, store.block.set).start()
-            arrays = pf.get(7)
-            assert arrays is not None
-            assert (pf.hits, pf.waits, pf.faults) == (0, 1, 0)
-            assert pf.wait_seconds > 0.0
-            kinds = {kind for kind, *_ in pf.lane}
-            assert {"prefetch", "wait"} <= kinds
-        finally:
-            store.block.set()
-            pf.shutdown()
+        pf = HostPrefetcher(store, capacity=8)
+        pf.schedule([0, 2, 4])  # frontier skipped shards 1 and 3
+        for i in (0, 2, 4):
+            pf.get(i)
+        assert (pf.hits, pf.faults) == (0, 3)
+        # skipped shards are neither hinted nor loaded
+        assert sorted(store.hinted) == [0, 2, 4]
+        assert store.loads == [0, 2, 4]
 
     def test_arrays_reads_are_uncounted(self):
         store = FakeStore()
-        pf = HostPrefetcher(store, capacity=2, workers=0)
+        pf = HostPrefetcher(store, capacity=2)
         pf.get(0)
         for _ in range(5):
             pf.arrays(0)
@@ -306,26 +404,46 @@ class TestHostPrefetcher:
 
     def test_shutdown_keeps_counters(self):
         store = FakeStore()
-        pf = HostPrefetcher(store, capacity=1, workers=0)
+        pf = HostPrefetcher(store, capacity=1)
         pf.get(0)
         pf.get(1)
         pf.shutdown()
+        assert store.released == [0, 1]  # the evicted one, then the resident one
         pf.shutdown()  # idempotent
+        assert store.released == [0, 1]
         snap = pf.snapshot()
         assert snap["faults"] == 2 and snap["evictions"] == 1
         assert snap["hit_rate"] == 0.0
-        assert snap["capacity"] == 1 and snap["workers"] == 0
-        assert len(snap["lane"]) == 2
+        assert snap["capacity"] == 1
+        assert snap["released_bytes"] == 256
+        assert set(snap) == {
+            "capacity", "runs", "hits", "faults", "evictions",
+            "bytes_loaded", "released_bytes", "hit_rate",
+        }
 
     def test_snapshot_hit_rate(self):
         store = FakeStore()
-        pf = HostPrefetcher(store, capacity=4, workers=0)
+        pf = HostPrefetcher(store, capacity=4)
         pf.get(0)
         pf.get(0)
         pf.get(0)
         snap = pf.snapshot()
         assert snap["hit_rate"] == pytest.approx(2 / 3)
         assert snap["bytes_loaded"] == 100  # one fake shard faulted in
+
+    def test_missing_madvise_degrades_with_one_warning(self, tmp_path, monkeypatch):
+        import repro.core.shardstore as mod
+
+        store = _store(tmp_path, build("er_mid"))
+        monkeypatch.setattr(mod, "_MADV_DONTNEED", None)
+        monkeypatch.setattr(mod, "_MADV_WILLNEED", None)
+        pf = HostPrefetcher(store, capacity=1)
+        with pytest.warns(RuntimeWarning, match="madvise is unavailable") as caught:
+            pf.schedule([0, 1, 2])
+            for i in (0, 1, 2):
+                pf.get(i)
+        assert len(caught) == 1
+        assert (pf.evictions, pf.released_bytes) == (2, 0)
 
 
 # ----------------------------------------------------------------------
@@ -339,10 +457,11 @@ class TestRuntimeIntegration:
             PageRank(tolerance=None, max_iterations=3)
         )
         pf = result.prefetch
-        assert pf["capacity"] == 1 and pf["workers"] == 0
+        assert pf["capacity"] == 1
         assert pf["evictions"] > 0  # every acquisition churns the 1-slot cache
-        assert pf["hits"] + pf["waits"] + pf["faults"] > 0
+        assert pf["hits"] + pf["faults"] > 0
         assert pf["bytes_loaded"] > 0
+        assert pf["released_bytes"] >= pf["bytes_loaded"]  # all of it handed back
 
     def test_unbudgeted_store_run_caches_everything(self, tmp_path):
         store = _store(tmp_path, build("er_mid"), p=4)
@@ -358,3 +477,83 @@ class TestRuntimeIntegration:
         engine = GraphReduce(shard_store=store, options=GraphReduceOptions(num_partitions=3))
         with pytest.raises(ValueError, match="partition"):
             engine.run(PageRank(tolerance=None, max_iterations=2))
+
+    def test_evictions_leave_plans_and_results_alone(self, tmp_path):
+        g = erdos_renyi(4096, 40_000, seed=3, name="er-evict")
+        store = _store(tmp_path, g, p=8)
+        program = lambda: PageRank(tolerance=None, max_iterations=10)
+        ram = GraphReduce(
+            g, options=GraphReduceOptions(num_partitions=8, cache_policy="never")
+        ).run(program())
+        ooc = GraphReduce(
+            shard_store=store,
+            options=GraphReduceOptions(
+                cache_policy="never",
+                memory_budget=footprint_bytes(g) // 4,
+                host_prefetch=False,
+            ),
+        ).run(program())
+        assert 1 <= ooc.prefetch["capacity"] < store.num_partitions
+        assert ooc.prefetch["evictions"] > 0
+        assert ooc.prefetch["released_bytes"] > 0
+        # shard bytes came and went; the topology-only plans did not
+        assert ooc.plan_cache["hit_rate"] >= 0.9
+        assert ooc.plan_cache["misses"] == ram.plan_cache["misses"]
+        assert np.array_equal(ooc.vertex_values, ram.vertex_values)
+        assert ooc.iterations == ram.iterations
+        assert ooc.frontier_history == ram.frontier_history
+        assert ooc.sim_time == ram.sim_time
+
+    def test_default_options_start_no_thread(self, tmp_path):
+        store = _store(tmp_path, build("er_mid"), p=4)
+        before = set(threading.enumerate())
+        seen = set()
+
+        class Watching(PageRank):
+            def apply(self, *args, **kwargs):
+                seen.update(threading.enumerate())
+                return super().apply(*args, **kwargs)
+
+        assert GraphReduceOptions().host_prefetch  # the default under test
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(20):
+                GraphReduce(shard_store=store, options=GraphReduceOptions(memory_budget=1)).run(
+                    Watching(tolerance=None, max_iterations=3)
+                )
+            assert seen == before and set(threading.enumerate()) == before
+            # The thread backend's own compute pool still works over a
+            # store, and takes its threads with it.
+            threaded = GraphReduce(
+                shard_store=store,
+                options=GraphReduceOptions(
+                    memory_budget=1, parallel_backend="threads", parallel_shards=2
+                ),
+            ).run(PageRank(tolerance=None, max_iterations=3))
+        assert threaded.prefetch["faults"] > 0
+        assert set(threading.enumerate()) == before
+
+
+# ----------------------------------------------------------------------
+# The out-of-core claim itself, in a fresh interpreter
+# ----------------------------------------------------------------------
+class TestOocProbe:
+    def test_rss_growth_stays_below_the_in_ram_footprint(self, tmp_path):
+        from repro.obs.bench import run_ooc_probe
+
+        g = erdos_renyi(65_536, 1_000_000, seed=7, name="er-probe")
+        store = _store(tmp_path, g, p=16)
+        footprint = footprint_bytes(g)
+        probe = run_ooc_probe(
+            store.path, iterations=4, memory_budget=footprint // 8, rss_cap=footprint
+        )
+        assert probe["ok"], probe
+        assert 0 < probe["rss_delta_bytes"] < footprint
+        assert probe["prefetch"]["evictions"] > 0
+        assert probe["prefetch"]["released_bytes"] > 0
+        # The same run under a cap it cannot meet fails, with the reason.
+        capped = run_ooc_probe(
+            store.path, iterations=4, memory_budget=footprint // 8, rss_cap=1
+        )
+        assert not capped["ok"] and "cap" in capped["error"]
+        assert capped["rss_delta_bytes"] > 1

@@ -272,12 +272,12 @@ def test_leaked_thread_detection_respects_baseline():
     wd = Watchdog(reg)
     release = threading.Event()
     leak = threading.Thread(
-        target=release.wait, name="shard-prefetch-leaked", daemon=True
+        target=release.wait, name="shard-compute-leaked", daemon=True
     )
     leak.start()
     try:
         flagged = wd.check_threads()
-        assert [i.component for i in flagged] == ["shard-prefetch-leaked"]
+        assert [i.component for i in flagged] == ["shard-compute-leaked"]
         assert flagged[0].kind == "leaked-thread"
         # A pre-existing thread captured in the baseline is exempt.
         assert wd.check_threads(baseline={leak.ident}) == []
