@@ -375,13 +375,11 @@ class ComputeEngine:
         plan = self.plans.out_plan(shard, full=self.program.has_scatter)
         n_edges = shard.num_out_edges if count_full else plan.n_edges
         if plan.n_edges:
-            if plan.targets is not None:
-                # Dense plan: OR in the deduplicated target mask; the
-                # resulting frontier is identical (idempotent writes)
-                # and the recorded count stays per-out-edge.
-                self.frontier.activate_next_mask(plan.targets, count=plan.n_edges)
-            else:
-                self.frontier.activate_next(plan.indices)
+            # A dense plan carries its deduplicated targets: the
+            # resulting frontier is identical (idempotent writes) and
+            # the recorded count stays per-out-edge.
+            targets = plan.indices if plan.targets is None else plan.targets
+            self.frontier.activate_next(targets, count=plan.n_edges)
         return WorkItems(edge_items=n_edges)
 
     def _fused_activate(self, shard: Shard, count_full: bool) -> WorkItems | None:

@@ -223,19 +223,13 @@ class FrontierManager:
         self.obs.add("frontier.activations", len(vids) if count is None else count)
 
     def activate_next_mask(self, mask: np.ndarray, count: int) -> None:
-        """Mask-form FrontierActivate used by the dense fast path.
+        """:meth:`activate_next` over a bool mask's set vids.
 
-        Sets ``next`` wherever a precomputed bool target mask is set --
-        identical to ``activate_next`` over the mask's set vids, one
-        vectorized masked store instead of one write per out-edge. A
-        masked store writes *only* the selected positions (no
-        read-modify-write of the rest), so it composes with concurrent
-        ``activate_next`` scatters from parallel shard compute exactly
-        like the vids form does. ``count`` is the per-out-edge
-        activation total the slow path would report.
+        No engine path calls this (dense plans carry their target vids);
+        it stays because ``benchmarks/e2e/layers.py`` wraps it by name
+        and that directory is frozen. Delete it with that entry.
         """
-        self.next[mask] = True
-        self.obs.add("frontier.activations", count)
+        self.activate_next(np.flatnonzero(mask), count=count)
 
     def activate_all(self) -> None:
         """The whole vertex set is this iteration's frontier.

@@ -11,13 +11,17 @@ our NumPy kernels):
 
 * **Dense fast path** -- when a mask covers a shard's whole interval
   (the steady state of PageRank/SpMV and every ``always_active``
-  program), the plan is a function of topology alone: ``seg``/``starts``
-  come from :func:`~repro.graph.csr.dense_gather` and the per-edge
-  arrays are the shard's flat CSR/CSC arrays *by reference*, no fancy
-  gather at all. Dense plans are built once per shard and reused for the
-  rest of the run; the one O(E) array they would own, the per-edge
-  ``row_ids``, is derived on first read (only the generic gather_map /
-  scatter read it), so a retained dense plan costs O(V).
+  program), the plan is a function of topology alone: ``starts``/
+  ``verts`` come from :func:`~repro.graph.csr.dense_segments` and the
+  per-edge arrays are the shard's flat CSR/CSC arrays *by reference*, no
+  fancy gather at all. Dense plans are built once per shard and reused
+  for the rest of the run; the one O(E) array they would own, the
+  per-edge ``row_ids`` (:func:`~repro.graph.csr.dense_rows`), is derived
+  on first read (only the generic gather_map / scatter read it), so
+  building and retaining a dense plan costs O(V). A dense out plan also
+  carries ``targets``, the shard's deduplicated out-neighbor vids, so
+  FrontierActivate writes each next-frontier position once instead of
+  once per out-edge.
 * **Plan cache** -- sparse plans are keyed on a cheap frontier
   fingerprint: :class:`~repro.core.frontier.FrontierManager` bumps a
   per-(mask, interval) epoch on every mutation, so an epoch match proves
@@ -58,7 +62,7 @@ import numpy as np
 
 from repro.core.frontier import FrontierManager
 from repro.core.partition import Shard, ShardedGraph
-from repro.graph.csr import dense_gather, ragged_gather
+from repro.graph.csr import dense_rows, dense_segments, ragged_gather
 from repro.obs.span import NULL_OBSERVER
 
 #: Sparse-plan bypass threshold: a frontier covering at most 1/8 of a
@@ -82,7 +86,7 @@ class _LazyRowIds:
     def row_ids(self) -> np.ndarray | None:
         if self._row_source is not None:
             indptr, start = self._row_source
-            self._row_ids = _row_ids(dense_gather(indptr)[0], start, self.indices.dtype)
+            self._row_ids = _row_ids(dense_rows(indptr), start, self.indices.dtype)
             self._row_source = None
         return self._row_ids
 
@@ -133,10 +137,10 @@ class OutPlan(_LazyRowIds):
     #: frontier_activate only needs ``indices``; scatter needs the per-
     #: edge identity/weight columns too. A full plan serves both.
     full: bool
-    #: bool mask over the global vertex set with ``indices`` deduplicated
-    #: (dense plans only): ``next[...] = True`` is idempotent, so
-    #: frontier_activate may OR this mask in instead of issuing one
-    #: write per out-edge. None on sparse plans.
+    #: ``indices`` deduplicated: the sorted unique out-neighbor vids (vid
+    #: dtype, dense plans only). ``next[...] = True`` is idempotent, so
+    #: frontier_activate writes these instead of one position per
+    #: out-edge. None on sparse plans.
     targets: np.ndarray | None = None
     #: ``(indptr, interval start)`` a dense full plan derives ``row_ids`` from
     _row_source: tuple | None = None
@@ -145,15 +149,17 @@ class OutPlan(_LazyRowIds):
 def _build_gather_plan(shard: Shard, rows, dense: bool, epoch: int) -> GatherPlan:
     csc = shard.csc
     if dense:
-        seg, starts, verts_local = dense_gather(csc.indptr)
+        starts, verts_local = dense_segments(csc.indptr)
         indices = csc.indices
         eids = csc.edge_ids
         weights = shard.csc_weights
+        row_ids = None
     else:
         pos, seg = ragged_gather(csc.indptr, rows - shard.start)
         indices = csc.indices[pos]
         eids = csc.edge_ids[pos]
         weights = None if shard.csc_weights is None else shard.csc_weights[pos]
+        row_ids = _row_ids(seg, shard.start, csc.indices.dtype)
         if len(seg):
             starts = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
             verts_local = seg[starts]
@@ -165,10 +171,10 @@ def _build_gather_plan(shard: Shard, rows, dense: bool, epoch: int) -> GatherPla
         indices=indices,
         eids=eids,
         weights=weights,
-        _row_ids=None if dense else _row_ids(seg, shard.start, csc.indices.dtype),
+        _row_ids=row_ids,
         starts=starts,
         verts=verts_local + shard.start,
-        n_edges=len(seg),
+        n_edges=len(indices),
         dense=dense,
         epoch=epoch,
         _row_source=(csc.indptr, shard.start) if dense else None,
@@ -179,14 +185,16 @@ def _build_out_plan(
     shard: Shard, rows, dense: bool, epoch: int, full: bool, num_vertices: int = 0
 ) -> OutPlan:
     csr = shard.csr
-    targets = None
+    targets = row_ids = None
     if dense:
-        seg, _starts, _verts = dense_gather(csr.indptr)
         indices = csr.indices
         eids = csr.edge_ids
         weights = shard.csr_weights
-        targets = np.zeros(num_vertices, dtype=bool)
-        targets[csr.indices] = True
+        # == np.unique(indices), by presence mask instead of an O(E log E)
+        # sort: a PlanCache lives for one run, so builds are on the clock.
+        present = np.zeros(num_vertices, dtype=bool)
+        present[indices] = True
+        targets = np.flatnonzero(present).astype(indices.dtype)
     else:
         pos, seg = ragged_gather(csr.indptr, rows - shard.start)
         indices = csr.indices[pos]
@@ -194,13 +202,15 @@ def _build_out_plan(
         weights = None
         if full and shard.csr_weights is not None:
             weights = shard.csr_weights[pos]
+        if full:
+            row_ids = _row_ids(seg, shard.start, csr.indices.dtype)
     return OutPlan(
         rows=None if dense else rows,
         indices=indices,
         eids=eids if full else None,
         weights=weights if full else None,
-        _row_ids=_row_ids(seg, shard.start, csr.indices.dtype) if full and not dense else None,
-        n_edges=len(seg),
+        _row_ids=row_ids,
+        n_edges=len(indices),
         dense=dense,
         epoch=epoch,
         full=full,

@@ -206,11 +206,6 @@ class _WorkerFrontier:
     def activate_next(self, vids: np.ndarray, count: int | None = None) -> None:
         self.deltas.append(("an", vids, count))
 
-    def activate_next_mask(self, mask: np.ndarray, count: int) -> None:
-        # packbits shrinks the V-bool target mask 8x for the IPC hop;
-        # the main process unpacks and ORs it in, same as serial.
-        self.deltas.append(("am", np.packbits(mask), count))
-
 
 class _WorkerEngine(ComputeEngine):
     """Compute engine whose mutable-state writes become deltas.
@@ -638,7 +633,6 @@ class ProcessPool:
         self._frontier = frontier
         self._compute = compute
         self._obs = obs if obs is not None else NULL_OBSERVER
-        self._num_vertices = sharded.num_vertices
         self.num_workers = max(1, min(int(workers), sharded.num_partitions))
         self.task_timeout = task_timeout
         # Health-watchdog hookup (repro.obs.telemetry.RunTelemetry):
@@ -927,9 +921,6 @@ class ProcessPool:
                 frontier.mark_changed(d[1])
             elif kind == "an":
                 frontier.activate_next(d[1], count=d[2])
-            elif kind == "am":
-                mask = np.unpackbits(d[1], count=self._num_vertices).view(bool)
-                frontier.activate_next_mask(mask, count=d[2])
             elif kind == "es":
                 compute.edge_state[d[1]] = d[2]
         self.lane.append((worker_id, shard_index, t_start, t_end))

@@ -31,7 +31,14 @@ from repro.core.api import GASProgram
 from repro.core.fusion import build_plan
 from repro.core.partition import PartitionEngine
 from repro.core.runtime import GraphReduce, GraphReduceOptions, RuntimeContext
-from repro.graph.csr import build_csc, build_csr, dense_gather, ragged_gather, segment_reduce
+from repro.graph.csr import (
+    build_csc,
+    build_csr,
+    dense_rows,
+    dense_segments,
+    ragged_gather,
+    segment_reduce,
+)
 from repro.graph.edgelist import EdgeList
 from repro.obs.span import NULL_OBSERVER, Observer
 from repro.sim.specs import HostSpec, MachineSpec, default_machine
@@ -194,7 +201,7 @@ class AdaptiveEngine:
             if program.has_gather:
                 if len(active) == n:
                     if dense_in is None:
-                        dense_in = dense_gather(csc.indptr)
+                        dense_in = (dense_rows(csc.indptr), *dense_segments(csc.indptr))
                     seg, starts, seg_verts = dense_in
                     n_sel = len(seg)
                     src = csc.indices
@@ -221,7 +228,7 @@ class AdaptiveEngine:
             changed_ids = active[changed]
             if len(changed_ids) == n:
                 if dense_out_seg is None:
-                    dense_out_seg = dense_gather(csr.indptr)[0]
+                    dense_out_seg = dense_rows(csr.indptr)
                 seg = dense_out_seg
                 out_indices = csr.indices
                 eids = csr.edge_ids

@@ -121,29 +121,36 @@ def ragged_gather(indptr: np.ndarray, rows: np.ndarray):
     return edge_pos, seg_rows
 
 
-def dense_gather(indptr: np.ndarray):
-    """The :func:`ragged_gather` answer when *every* row is selected.
+def dense_segments(indptr: np.ndarray):
+    """Segment layout of :func:`ragged_gather` when *every* row is selected.
 
     With ``rows == arange(num_rows)`` the edge positions are just
     ``arange(num_edges)`` (the flat arrays in order), so only the
-    per-edge row ids and the segment boundaries carry information.
-    Returns ``(seg_rows, seg_starts, rows_with_edges)`` where
-    ``seg_rows`` repeats each row id by its degree (int64, local ids),
-    ``seg_starts`` are the offsets of the non-empty rows' runs and
-    ``rows_with_edges`` the corresponding local row ids -- exactly the
-    segment layout the Compute Engine's reduceat consumes.
+    segment boundaries carry information. Returns ``(seg_starts,
+    rows_with_edges)``: the offsets of the non-empty rows' runs and the
+    corresponding local row ids (int64) -- exactly the segment layout
+    the Compute Engine's reduceat consumes, in O(rows) without touching
+    the per-edge arrays (see :func:`dense_rows` for those).
 
     >>> import numpy as np
-    >>> seg, starts, rows = dense_gather(np.array([0, 2, 2, 5]))
-    >>> seg.tolist(), starts.tolist(), rows.tolist()
-    ([0, 0, 2, 2, 2], [0, 2], [0, 2])
+    >>> starts, rows = dense_segments(np.array([0, 2, 2, 5]))
+    >>> starts.tolist(), rows.tolist()
+    ([0, 2], [0, 2])
+    """
+    nonempty = np.flatnonzero(indptr[1:] > indptr[:-1])
+    return indptr[:-1][nonempty].astype(np.int64, copy=False), nonempty
+
+
+def dense_rows(indptr: np.ndarray) -> np.ndarray:
+    """Per-edge row ids when every row is selected: each local row id
+    (int64) repeated by its degree, the O(E) half of the dense layout.
+
+    >>> import numpy as np
+    >>> dense_rows(np.array([0, 2, 2, 5])).tolist()
+    [0, 0, 2, 2, 2]
     """
     degrees = np.diff(indptr)
-    all_rows = np.arange(len(degrees), dtype=np.int64)
-    seg_rows = np.repeat(all_rows, degrees)
-    nonempty = degrees > 0
-    seg_starts = indptr[:-1][nonempty].astype(np.int64, copy=False)
-    return seg_rows, seg_starts, all_rows[nonempty]
+    return np.repeat(np.arange(len(degrees), dtype=np.int64), degrees)
 
 
 def segment_reduce(ufunc: np.ufunc, values: np.ndarray, seg_starts: np.ndarray):

@@ -18,11 +18,18 @@ from hypothesis import strategies as st
 
 from tests.fixture_graphs import build
 from repro.algorithms import SSSP, BFSGather, ConnectedComponents, PageRank
-from repro.core.batch import BatchRunner, _BatchLedger, _validate_sources
+from repro.core.batch import (
+    BatchedTraversal,
+    BatchRunner,
+    BitParallelBFS,
+    _BatchLedger,
+    _validate_sources,
+)
 from repro.core.kernels import numba_available
 from repro.core.partition import PartitionEngine
 from repro.core.runtime import GraphReduce, GraphReduceOptions
 from repro.core.shardstore import ShardStore
+from repro.graph.edgelist import EdgeList
 
 SOURCES = [0, 7, 33, 150]
 DAMPINGS = [0.7, 0.85, 0.9]
@@ -274,14 +281,177 @@ def test_ledger_retires_on_zero_out_degree_frontier():
     degrees = np.array([2, 0, 1])
     # Query 0 changed a vertex with out-edges: stays live. Query 1
     # changed only a sink: its solo frontier empties, retire at t+1.
-    rows = {0: np.array([0]), 1: np.array([1])}
-    ledger.observe(lambda k: rows[k], degrees, iteration=3)
+    rows = np.array([0, 1])
+    bits = np.array([[True, False], [False, True]])
+    ledger.observe(rows, bits, degrees, iteration=3)
     assert ledger.retired_at.tolist() == [-1, 4]
     assert ledger.alive.tolist() == [True, False]
     # A retired query is never revisited; an empty changed set retires.
-    ledger.observe(lambda k: np.empty(0, dtype=np.int64), degrees, iteration=5)
+    ledger.observe(np.empty(0, dtype=np.int64), np.empty((0, 2), dtype=bool), degrees, 5)
     assert ledger.retired_at.tolist() == [6, 4]
     assert ledger.stats()["retired"] == 2
+
+
+def test_ledger_seeds_retire_sink_sources():
+    ledger = _BatchLedger(3)
+    # Duplicate sources are separate queries; a sink source retires at 1.
+    ledger.observe_seeds(np.array([2, 1, 2]), np.array([2, 0, 1]))
+    assert ledger.retired_at.tolist() == [-1, 1, -1]
+
+
+# ----------------------------------------------------------------------
+# Vectorised ledger vs the per-query loop it replaced (kept here as the
+# oracle): same retirement iterations, depths and handed-out values
+# ----------------------------------------------------------------------
+
+_EMPTY_ROWS = np.empty(0, dtype=np.int64)
+
+
+class _LoopLedger(_BatchLedger):
+    """The pre-vectorisation ledger: one Python pass per live query."""
+
+    def observe(self, col_rows_fn, out_degrees, iteration, seeds=None):
+        for k in np.flatnonzero(self.alive):
+            col_rows = seeds[k : k + 1] if seeds is not None else col_rows_fn(k)
+            if col_rows.size and int(out_degrees[col_rows].sum()) > 0:
+                continue
+            self.retired_at[k] = iteration + 1
+
+
+class _LoopBitBFS(BitParallelBFS):
+    """MS-BFS with the former bookkeeping: vertex-major depths stamped by
+    ``np.nonzero`` + fancy scatter, per-query ledger loop, column copies."""
+
+    def __init__(self, sources):
+        super().__init__(sources)
+        self.ledger = _LoopLedger(self.num_queries)
+
+    def init_vertices(self, ctx):
+        vals = super().init_vertices(ctx)
+        cols = np.arange(self.num_queries)
+        self.depths = np.full((ctx.num_vertices, self.num_queries), np.inf, np.float32)
+        self.depths[self.sources, cols] = 0.0
+        return vals
+
+    def end_iteration(self, ctx, values, changed, iteration):
+        rows = np.flatnonzero(changed)
+        bits = None
+        if rows.size:
+            cur = values[rows]
+            newly = cur & ~self._prev[rows]
+            self._prev[rows] = cur
+            bits = np.unpackbits(
+                np.ascontiguousarray(newly).view(np.uint8), axis=1, bitorder="little"
+            )[:, : self.num_queries].astype(bool)
+            r_idx, q_idx = np.nonzero(bits)
+            self.depths[rows[r_idx], q_idx] = np.float32(iteration)
+
+        def col_rows(k):
+            return rows[bits[:, k]] if bits is not None else _EMPTY_ROWS
+
+        seeds = self.sources if iteration == 0 else None
+        self.ledger.observe(col_rows, ctx.out_degrees, iteration, seeds=seeds)
+
+    def query_values(self, vertex_values, k):
+        return np.ascontiguousarray(self.depths[:, k])
+
+
+class _LoopTraversal(BatchedTraversal):
+    def __init__(self, mode, sources=None, count=None):
+        super().__init__(mode, sources=sources, count=count)
+        self.ledger = _LoopLedger(self.num_queries)
+
+    def end_iteration(self, ctx, values, changed, iteration):
+        rows = np.flatnonzero(changed)
+        diff = None
+        if rows.size:
+            cur = values[rows]
+            diff = cur != self._prev[rows]
+            self._prev[rows] = cur
+
+        def col_rows(k):
+            return rows[diff[:, k]] if diff is not None else _EMPTY_ROWS
+
+        seeds = self.sources if iteration == 0 and self.mode != "cc" else None
+        self.ledger.observe(col_rows, ctx.out_degrees, iteration, seeds=seeds)
+
+
+def _assert_ledger_matches_loop(graph, sources, layout, partitions=3):
+    if layout == "bits":
+        program, oracle = BitParallelBFS(sources), _LoopBitBFS(sources)
+    else:
+        program = BatchedTraversal("bfs", sources=sources)
+        oracle = _LoopTraversal("bfs", sources=sources)
+    options = GraphReduceOptions(num_partitions=partitions)
+    run = GraphReduce(graph, options=options).run(program)
+    ref = GraphReduce(graph, options=options).run(oracle)
+    assert run.iterations == ref.iterations
+    assert run.frontier_history == ref.frontier_history
+    assert run.batch == ref.batch
+    assert np.array_equal(program.ledger.retired_at, oracle.ledger.retired_at)
+    assert (program.ledger.retired_at > 0).all()  # every query retired
+    if layout == "bits":
+        assert np.array_equal(program.depths, oracle.depths.T)
+    for k in range(len(sources)):
+        got = program.query_values(run.vertex_values, k)
+        assert got.dtype == np.float32 and got.flags.c_contiguous
+        assert got.shape == (graph.num_vertices,)
+        assert np.array_equal(got, oracle.query_values(ref.vertex_values, k)), k
+    return program, run
+
+
+def _sink_graph():
+    """Directed: 0 -> 1 -> 2 -> 3 and 0 -> 4; 3, 4 and the isolated 5, 6
+    have no out-edge, and nothing reaches 5, 6 or (from 1) 4."""
+    return EdgeList.from_pairs(
+        [(0, 1), (1, 2), (2, 3), (0, 4)], num_vertices=7, name="sinks"
+    )
+
+
+@pytest.mark.parametrize("layout", ["bits", "columns"])
+@pytest.mark.parametrize("num_queries", [1, 63, 64, 65, 130])
+def test_vectorised_ledger_matches_loop_oracle(num_queries, layout):
+    # One and several uint64 words; er_sparse is directed and mostly
+    # disconnected (unreachable vertices, sink sources), and cycling a
+    # short source list makes most queries duplicates of another.
+    g = build("er_sparse")
+    rng = np.random.default_rng(num_queries)
+    sources = rng.choice(g.num_vertices, size=min(num_queries, 40), replace=False)
+    sources = np.resize(sources, num_queries)
+    _assert_ledger_matches_loop(g, sources, layout)
+
+
+@pytest.mark.parametrize("layout", ["bits", "columns"])
+def test_ledger_sink_sources_and_unreachable_vertices(layout):
+    g = _sink_graph()
+    sources = [0, 3, 5, 1, 3, 0]  # sinks, an isolated vertex, duplicates
+    program, run = _assert_ledger_matches_loop(g, sources, layout, partitions=2)
+    assert program.ledger.retired_at.tolist() == [4, 1, 1, 3, 1, 4]
+    for k, s in enumerate(sources):
+        solo = GraphReduce(g, options=GraphReduceOptions(num_partitions=2)).run(
+            BFSGather(source=s)
+        )
+        assert solo.iterations == program.ledger.retired_at[k], s
+        assert np.array_equal(program.query_values(run.vertex_values, k), solo.vertex_values)
+    from_one = program.query_values(run.vertex_values, 3)
+    assert from_one.tolist() == [np.inf, 0.0, 1.0, 2.0, np.inf, np.inf, np.inf]
+
+
+@given(
+    st.integers(2, 24).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=60),
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=70),
+        )
+    ),
+    st.sampled_from(["bits", "columns"]),
+)
+@settings(max_examples=25, deadline=None)
+def test_ledger_matches_loop_on_random_graphs(case, layout):
+    n, pairs, sources = case
+    g = EdgeList.from_pairs(pairs, num_vertices=n, name="hyp")
+    _assert_ledger_matches_loop(g, sources, layout, partitions=2)
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,7 @@ from repro.core.partition import PartitionEngine
 from repro.core.plans import PlanCache
 from repro.core.runtime import GraphReduce, GraphReduceOptions, RuntimeContext
 from repro.graph.edgelist import EdgeList
+from repro.obs.span import Observer
 
 
 class EdgeStampingSSSP(SSSP):
@@ -239,18 +240,45 @@ def test_dense_plans_are_reused_by_identity():
     np.testing.assert_array_equal(rows, np.arange(shard.start, shard.stop))
 
 
-def test_dense_out_plan_targets_mask():
+def test_dense_out_plan_targets_are_unique_vids():
     sharded, frontier, plans = _make(PAIRS, 4, p=2)
     frontier.changed[:] = True
     frontier.invalidate_plans()
     for shard in sharded.shards:
         plan = plans.out_plan(shard, full=True)
         assert plan.dense and plan.full
-        expected = np.zeros(sharded.num_vertices, dtype=bool)
-        expected[shard.csr.indices] = True
-        np.testing.assert_array_equal(plan.targets, expected)
+        np.testing.assert_array_equal(plan.targets, np.unique(shard.csr.indices))
+        assert plan.targets.dtype == shard.csr.indices.dtype
+        assert plan.n_edges == shard.num_out_edges
         # A later lite query is served by the same full plan.
         assert plans.out_plan(shard, full=False) is plan
+
+
+def _activations(frontier):
+    return frontier.obs.metrics.counters["frontier.activations"].value
+
+
+@pytest.mark.parametrize("graph_name", FIXTURE_NAMES)
+def test_dense_activation_matches_per_out_edge_form(graph_name):
+    """Writing a dense plan's deduplicated targets leaves the same
+    ``next`` mask and the same ``frontier.activations`` total as the
+    slow path's one write per out-edge."""
+    sharded = PartitionEngine().partition(build(graph_name), 3)
+    init = np.ones(sharded.num_vertices, dtype=bool)
+    fast = FrontierManager(sharded, init, obs=Observer())
+    slow = FrontierManager(sharded, init, obs=Observer())
+    fast.changed[:] = True
+    plans = PlanCache(sharded, fast)
+    for shard in sharded.shards:
+        plan = plans.out_plan(shard)
+        if shard.num_interval_vertices:
+            assert plan.dense
+            np.testing.assert_array_equal(plan.targets, np.unique(shard.csr.indices))
+        if plan.n_edges:
+            fast.activate_next(plan.targets, count=plan.n_edges)
+        slow.activate_next(shard.csr.indices)
+        np.testing.assert_array_equal(fast.next, slow.next)
+    assert _activations(fast) == _activations(slow)
 
 
 def test_disabled_cache_never_counts():
@@ -292,20 +320,19 @@ def test_shards_of_single_and_multi_interval():
     np.testing.assert_array_equal(fm._shards_of(np.array([5])), [4])
 
 
-def test_activate_next_mask_equals_vids_form():
+def test_activate_next_deduplicated_equals_per_edge_form():
     init = np.ones(6, dtype=bool)
-    a = FrontierManager(_Intervals([0, 3, 6]), init)
-    b = FrontierManager(_Intervals([0, 3, 6]), init)
-    vids = np.array([1, 4, 5])
-    mask = np.zeros(6, dtype=bool)
-    mask[vids] = True
-    a.activate_next(vids)
-    b.activate_next_mask(mask, count=7)
+    a = FrontierManager(_Intervals([0, 3, 6]), init, obs=Observer())
+    b = FrontierManager(_Intervals([0, 3, 6]), init, obs=Observer())
+    per_edge = np.array([4, 1, 5, 1, 4, 4, 5])
+    a.activate_next(per_edge)
+    b.activate_next(np.unique(per_edge), count=len(per_edge))
     np.testing.assert_array_equal(a.next, b.next)
-    # Concurrent-composition shape: a masked store only writes True
-    # positions, so a prior scatter survives.
+    assert _activations(a) == _activations(b) == 7
+    # Concurrent-composition shape: a scatter only writes the listed
+    # positions, so another shard's earlier activation survives.
     b.activate_next(np.array([0]))
-    b.activate_next_mask(mask, count=7)
+    b.activate_next(np.unique(per_edge), count=len(per_edge))
     assert b.next[0]
 
 

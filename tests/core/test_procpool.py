@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from tests.core.test_fastpath import PROGRAMS, _kernel_items
-from tests.fixture_graphs import build
+from tests.fixture_graphs import FIXTURE_NAMES, build
 from repro.algorithms import PageRank
 from repro.core.kernels import numba_available
 from repro.core.partition import PartitionEngine
@@ -69,6 +69,24 @@ def test_process_backend_matches_serial_in_ram():
         ).run(make())
         _assert_identical(algo, pool, serial)
     assert _shm_entries() == before  # every segment unlinked on exit
+
+
+@pytest.mark.parametrize("graph_name", FIXTURE_NAMES)
+def test_process_backend_dense_activation_matches_slow_path(graph_name):
+    """Workers ship a dense plan's deduplicated target vids as an
+    ordinary ``activate_next`` delta: same frontier trajectory and
+    per-out-edge ``frontier.activations`` as the serial slow path."""
+    g = build(graph_name)
+    make = PROGRAMS["pagerank_power"]
+    slow = GraphReduce(
+        g,
+        options=GraphReduceOptions(
+            num_partitions=3, dense_fast_path=False, plan_cache=False
+        ),
+    ).run(make())
+    pool = GraphReduce(g, options=GraphReduceOptions(num_partitions=3, **POOL)).run(make())
+    _assert_identical(graph_name, pool, slow)
+    assert _kernel_items(pool)["frontier.activations"] > 0
 
 
 def test_process_backend_matches_serial_store_backed(tmp_path):
