@@ -60,8 +60,9 @@ def test_multigpu_scaling(once):
     for policy in ("replicated", "partitioned"):
         rows = data[policy]
         assert rows[2]["sim_time"] < rows[1]["sim_time"]
-        # The committed 1->8 scaling floor (also gated by
-        # cluster_pagerank_wallclock in repro bench-wallclock).
+        # The committed 1->8 scaling floor (also a tier-1 assert:
+        # tests/core/test_cluster.py::
+        # test_multigpu_scales_from_one_to_eight_devices).
         assert rows[1]["sim_time"] / rows[8]["sim_time"] >= 2.0
         # Diminishing returns: 8 devices do not give 8x.
         assert rows[1]["sim_time"] / rows[8]["sim_time"] < 8

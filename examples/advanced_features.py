@@ -1,19 +1,15 @@
 #!/usr/bin/env python
-"""The future-work extensions in one tour: multi-GPU scaling, evolving
+"""The future-work extensions in one tour: multi-GPU scaling, adaptive
 
-graphs with incremental warm starts, adaptive CPU/GPU placement, and
-energy accounting.
+CPU/GPU placement, and energy accounting.
 
 Run:  python examples/advanced_features.py
 """
-
-import numpy as np
 
 from repro.algorithms import BFSGather, PageRank
 from repro.core import GraphReduce, GraphReduceOptions
 from repro.core.multigpu import MultiGPUGraphReduce
 from repro.core.scheduler import AdaptiveEngine
-from repro.graph.dynamic import DynamicGraphStream, EdgeBatch, incremental_program
 from repro.graph.generators import rmat, road_network
 from repro.sim.energy import EnergyModel
 
@@ -28,26 +24,6 @@ def demo_multigpu(graph) -> None:
         )
         base = base or r.sim_time
         print(f"  {n} device(s): {r.sim_time:8.4f}s  ({base / r.sim_time:.2f}x)")
-
-
-def demo_dynamic(graph) -> None:
-    print("--- evolving graph, incremental warm start (future work 3) ---")
-    rng = np.random.default_rng(42)
-    batch = EdgeBatch(
-        rng.integers(0, graph.num_vertices, 500),
-        rng.integers(0, graph.num_vertices, 500),
-    )
-    stream = DynamicGraphStream(graph, [batch])
-    base = GraphReduce(stream.snapshot(0)).run(BFSGather(source=1))
-    updated = stream.snapshot(1)
-    scratch = GraphReduce(updated).run(BFSGather(source=1))
-    warm = GraphReduce(updated).run(
-        incremental_program(BFSGather(source=1), base.vertex_values, batch)
-    )
-    assert np.array_equal(warm.vertex_values, scratch.vertex_values)
-    print(f"  +500 edges: from-scratch {scratch.iterations} iterations "
-          f"({scratch.sim_time * 1e3:.2f} ms) vs warm start {warm.iterations} "
-          f"iterations ({warm.sim_time * 1e3:.2f} ms) -- identical results")
 
 
 def demo_adaptive() -> None:
@@ -81,7 +57,6 @@ def main() -> None:
     graph = rmat(13, 300_000, seed=11)
     print(f"input: {graph}\n")
     demo_multigpu(graph)
-    demo_dynamic(graph)
     demo_adaptive()
     demo_energy(graph)
 

@@ -159,7 +159,7 @@ def _fastpath_options(args) -> dict:
         workers = 0
     elif workers <= 0:
         # A parallel backend was requested without a worker count.
-        workers = 2 if backend in ("processes", "cluster") else 0
+        workers = 2 if backend == "cluster" else 0
     opts = {
         "dense_fast_path": not args.no_dense_path,
         "plan_cache": not args.no_plan_cache,
@@ -939,19 +939,18 @@ def _add_fastpath_args(p) -> None:
     )
     p.add_argument(
         "--parallel-backend",
-        choices=("serial", "threads", "processes", "cluster"),
+        choices=("serial", "threads", "cluster"),
         default="threads",
         help="how parallel shard workers execute: GIL-releasing threads "
-             "(default), a spawn-safe process pool attaching the shard "
-             "arrays zero-copy (processes), or partitioned-ownership "
-             "workers that each attach only their owned shard slice and "
-             "exchange sparse boundary deltas through shared-memory "
-             "mailboxes (cluster); 'serial' disables shard parallelism",
+             "(default) or a spawn-safe process pool whose workers each "
+             "attach only their owned shard slice zero-copy and receive "
+             "sparse boundary deltas through shared-memory mailboxes "
+             "(cluster); 'serial' disables shard parallelism",
     )
     p.add_argument(
         "--workers", type=int, default=None,
         help="alias for --parallel-shards (with --parallel-backend "
-             "processes or cluster, defaults to 2 when neither is given)",
+             "cluster, defaults to 2 when neither is given)",
     )
     p.add_argument(
         "--frontier-policy", choices=("replicated", "partitioned"),
@@ -967,14 +966,12 @@ def _add_fastpath_args(p) -> None:
              "(default 256 MiB; 0 = unbounded)",
     )
     p.add_argument(
-        "--kernel-backend", choices=("auto", "numpy", "numba", "off"),
-        default="auto",
-        help="fused gather/apply/activate kernel backend: whole-array "
-             "NumPy primitives (numpy), compiled single-pass @njit "
-             "kernels (numba; falls back to numpy with a warning when "
-             "Numba is not installed), pick numba when importable "
-             "(auto, default), or disable the kernel layer (off); "
-             "results are bit-identical across backends",
+        "--kernel-backend", choices=("numpy", "off"),
+        default="numpy",
+        help="fused gather/apply/activate kernel layer: whole-array "
+             "NumPy primitives over arena-reused scratch (numpy, "
+             "default) or the generic path only (off); results are "
+             "bit-identical either way",
     )
 
 

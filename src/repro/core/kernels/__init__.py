@@ -1,32 +1,25 @@
-"""Kernel registry: interchangeable gather/apply backend selection.
+"""Kernel registry: the arena-backed NumPy fused-kernel layer.
 
-Two backends implement the same fused-kernel interface:
-
-* ``numpy`` -- the existing primitives refactored behind the interface
-  (:mod:`~repro.core.kernels.numpy_backend`), always available;
-* ``numba`` -- compiled single-pass kernels
-  (:mod:`~repro.core.kernels.numba_backend`), opt-in, only importable
-  when Numba is installed.
+One backend implements the fused gather/apply/activate interface:
+``numpy`` (:mod:`~repro.core.kernels.numpy_backend`) runs the fused
+shapes with whole-array primitives over scratch buffers reused through
+the :mod:`~repro.core.kernels.arena`.
 
 :func:`resolve_backend` maps the ``--kernel-backend`` option to an
 instance:
 
-* ``"auto"`` picks ``numba`` when importable, else ``numpy`` silently;
-* ``"numba"`` without Numba degrades to ``numpy`` with a single
-  :class:`RuntimeWarning` -- never an error;
-* ``"off"`` returns ``None`` (the engine runs the generic path only;
-  used by tests to pin fused-vs-generic equivalence);
+* ``"numpy"`` returns a fresh :class:`NumpyKernels`;
+* ``"off"`` returns ``None`` (the engine runs the generic path only --
+  the reference the fused-vs-generic equivalence tests compare against);
 * anything else raises ``ValueError``.
 
-Process-pool workers resolve their backend locally from the option
-string, so compiled kernels compose with ``--parallel-backend
-processes`` without pickling compiled state.
+Pool workers resolve their backend locally from the same option string,
+so each worker process owns its own arena.
 """
 
 from __future__ import annotations
 
 import importlib.util
-import warnings
 
 from repro.core.kernels.numpy_backend import NumpyKernels
 from repro.core.kernels.specs import ApplySpec, GatherSpec
@@ -39,19 +32,17 @@ __all__ = [
     "resolve_backend",
 ]
 
-#: Names accepted by ``--kernel-backend`` (``"off"`` is test-only).
-BACKEND_CHOICES = ("auto", "numpy", "numba")
+#: Names accepted by ``--kernel-backend``.
+BACKEND_CHOICES = ("numpy", "off")
 
 
 def numba_available() -> bool:
-    """True when the Numba package is importable."""
+    """True when the Numba package is importable.
+
+    No kernel uses Numba; kept only because ``benchmarks/e2e/run.py``
+    (frozen) records it in the machine profile.
+    """
     return importlib.util.find_spec("numba") is not None
-
-
-def _make_numba():
-    from repro.core.kernels.numba_backend import NumbaKernels
-
-    return NumbaKernels()
 
 
 def resolve_backend(name: str):
@@ -59,18 +50,6 @@ def resolve_backend(name: str):
     if name == "off":
         return None
     if name == "numpy":
-        return NumpyKernels()
-    if name == "auto":
-        return _make_numba() if numba_available() else NumpyKernels()
-    if name == "numba":
-        if numba_available():
-            return _make_numba()
-        warnings.warn(
-            "kernel backend 'numba' requested but Numba is not installed; "
-            "falling back to the NumPy backend",
-            RuntimeWarning,
-            stacklevel=2,
-        )
         return NumpyKernels()
     raise ValueError(
         f"unknown kernel backend {name!r}; expected one of {BACKEND_CHOICES}"

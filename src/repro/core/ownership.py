@@ -2,10 +2,10 @@
 
 One abstraction shared by the two scale-out layers:
 
-* the ``cluster`` procpool backend (:mod:`repro.core.procpool`), where
-  each worker *process* attaches only its owned shard slice and the main
-  process ships sparse boundary-vertex deltas through fixed-slot
-  shared-memory mailboxes, and
+* the worker pool (:mod:`repro.core.procpool`, ``parallel_backend=
+  "cluster"``), where each worker *process* attaches only its owned
+  shard slice and the main process ships sparse boundary-vertex deltas
+  through fixed-slot shared-memory mailboxes, and
 * the simulated multi-device scheduler (:mod:`repro.core.multigpu`),
   where each *device* owns its shards for the whole run and the
   iteration-end replication exchanges only the changed vertices each
@@ -24,7 +24,7 @@ Both layers need the same three answers, which live here:
 3. **frontier policy**: ``"replicated"`` keeps full frontier bitmaps
    everywhere (the classic multi-GPU GAS design, and what the paper's
    single-device engine assumes); ``"partitioned"`` ships only the
-   owned-interval slice (cluster) or the pairwise boundary bits
+   owned-interval slice (pool) or the pairwise boundary bits
    (multi-device), trading bitmap traffic for the bookkeeping.
 """
 
@@ -66,8 +66,8 @@ class OwnershipMap:
         """Block assignment: owner ``w`` gets a contiguous run of shards.
 
         Contiguous runs keep each owner's vertex intervals contiguous
-        too (shard intervals are sorted), which is what lets the cluster
-        backend describe an owner's vertex range as one ``[lo, hi)``
+        too (shard intervals are sorted), which is what lets the worker
+        pool describe an owner's vertex range as one ``[lo, hi)``
         slice -- the partitioned frontier policy ships exactly that
         slice of the bitmaps.
         """
@@ -198,7 +198,7 @@ def estimate_shard_bytes(
 ) -> int:
     """Host bytes of one shard's CSC+CSR arrays, from counts alone.
 
-    Pure count math so the cluster pool can report per-worker resident
+    Pure count math so the worker pool can report per-worker resident
     footprints for store-backed shards without faulting their pages
     (edge ids ride with each layout at ``IDX_BYTES`` apiece).
     """

@@ -1,34 +1,54 @@
-"""Process-parallel shard compute with zero-copy shared arrays.
+"""Process-parallel shard compute over partitioned shard ownership.
 
 The ``--parallel-shards`` thread path scales poorly for the NumPy-light
 phases (gatherReduce, apply, frontier activation) because the workers
 serialize on the GIL between kernels. This module provides the
-``processes`` backend: a persistent, spawn-safe ``multiprocessing``
-worker pool in which every worker holds a **zero-copy** view of the
-shard CSC/CSR sub-arrays --
+``cluster`` backend: a persistent, spawn-safe ``multiprocessing`` worker
+pool in which every worker owns a contiguous block of shards
+(:class:`repro.core.ownership.OwnershipMap`) and holds a **zero-copy**
+view of just those shards' CSC/CSR sub-arrays --
 
-* in-RAM runs export the shard arrays once into a read-only
-  ``multiprocessing.shared_memory`` segment that each worker maps, and
+* in-RAM runs export each owner's shard arrays once into a read-only
+  ``multiprocessing.shared_memory`` segment that only that worker maps,
+  and
 * shard-store runs let each worker open the
   :class:`~repro.core.shardstore.ShardStore` itself -- one read-only
-  mapping of the packed shard file per worker -- and touch only its own
-  shards (the OS page cache dedupes the physical pages between workers,
-  so nobody re-reads a shard another worker already paged in).
+  mapping of the packed shard file per worker -- and bind only its owned
+  shards (the others stay manifest entries whose pages it never
+  touches),
+
+so per-worker resident bytes shrink with the worker count instead of
+staying at the full-graph footprint.
 
 Determinism is preserved by construction, not by luck: workers never
-write shared state. Each task runs the phase kernels against a
-*published snapshot* of the mutable arrays (vertex values, frontier
-masks, edge state) and returns only **deltas** -- per-interval
-``vertex_update_array`` slices, changed-row ids, packed frontier target
-bitmaps, scattered edge-state writes -- through a result queue. The main
-process replays those deltas in the fixed shard order the serial path
-uses, so vertex values, frontier history, observer counters and the
+write shared state. Each worker keeps *private* copies of the mutable
+arrays (vertex values, frontier masks, edge state), bootstrapped once
+from a state segment at attach. Between phase groups the main process
+diffs the live state against its shadow of what was shipped and packs,
+per tasked worker, only the **pending rows that worker can read** (its
+owned intervals plus its in-boundary source vertices) into a fixed-slot
+shared-memory mailbox -- sparse ``(indices, values)`` records plus
+packed activation bitmaps (full under the ``replicated`` frontier
+policy, the owned slice under ``partitioned``). Each task runs the phase
+kernels against the worker's synced copy and returns only **deltas** --
+per-interval ``vertex_update_array`` slices, changed-row ids, frontier
+target vids, scattered edge-state writes -- through a result queue. The
+main process replays those deltas in the fixed shard order the serial
+path uses, so vertex values, frontier history, observer counters and the
 simulated timeline are bit-identical to serial execution.
 
-Shards are pinned to workers (``shard.index % num_workers``) so the
-worker-local ``gather_temp`` scratch keeps exactly the stale values the
-serial engine would hold, and the parked gatherMap output of the
-unfused plan is popped by the same worker's gatherReduce.
+Mailboxes are filled in fixed owner order and each worker's tasks are
+enqueued right after its mailbox write, so the first owner is already
+computing while later owners' deltas are still being packed. Slots are
+sized to the worker's full readable set, so a publish can never
+overflow; a publish whose vertex slot fills completely is counted as a
+*mailbox stall* (the sparse exchange degenerated to a full replication
+for that worker).
+
+Shards are pinned to their owner so the worker-local ``gather_temp``
+scratch keeps exactly the stale values the serial engine would hold, and
+the parked gatherMap output of the unfused plan is popped by the same
+worker's gatherReduce.
 
 Crash safety: if a worker dies (or a task raises, or times out), the
 pool raises :class:`WorkerCrashed`; the runtime catches it, emits a
@@ -48,6 +68,7 @@ from time import perf_counter
 import numpy as np
 
 from repro.core.compute import ComputeEngine, WorkItems
+from repro.core.kernels import resolve_backend
 from repro.core.plans import PlanCache
 from repro.graph.csr import CSR
 from repro.obs.span import NULL_OBSERVER
@@ -127,22 +148,65 @@ def _segment_views(shm, toc: dict, writable: bool) -> dict:
     return views
 
 
+def _shard_arrays(shard) -> dict:
+    """One shard's CSC/CSR sub-arrays under segment-unique names."""
+    pre = f"s{shard.index}."
+    arrays = {
+        pre + "csc.indptr": shard.csc.indptr,
+        pre + "csc.indices": shard.csc.indices,
+        pre + "csc.edge_ids": shard.csc.edge_ids,
+        pre + "csr.indptr": shard.csr.indptr,
+        pre + "csr.indices": shard.csr.indices,
+        pre + "csr.edge_ids": shard.csr.edge_ids,
+    }
+    if shard.csc_weights is not None:
+        arrays[pre + "csc.weights"] = shard.csc_weights
+    if shard.csr_weights is not None:
+        arrays[pre + "csr.weights"] = shard.csr_weights
+    return arrays
+
+
+def _shard_from_views(views: dict, index: int, start: int, stop: int):
+    """Inverse of :func:`_shard_arrays` over an attached segment."""
+    from repro.core.partition import Shard
+
+    pre = f"s{index}."
+    return Shard(
+        index=index,
+        start=start,
+        stop=stop,
+        csc=CSR(
+            views[pre + "csc.indptr"],
+            views[pre + "csc.indices"],
+            views[pre + "csc.edge_ids"],
+        ),
+        csr=CSR(
+            views[pre + "csr.indptr"],
+            views[pre + "csr.indices"],
+            views[pre + "csr.edge_ids"],
+        ),
+        csc_weights=views.get(pre + "csc.weights"),
+        csr_weights=views.get(pre + "csr.weights"),
+    )
+
+
 # ----------------------------------------------------------------------
 # Worker-side shims
 # ----------------------------------------------------------------------
 class _WorkerFrontier:
-    """Frontier facade over the published snapshot masks.
+    """Frontier facade over the worker's synced frontier masks.
 
-    Read queries serve the shm snapshot; mutations are *captured* as
-    replay deltas instead of applied. The one read-after-write the
-    serial engine relies on -- a fused ``apply``+``frontier_activate``
-    group reading the changed rows its own apply just marked -- is
-    honored through a task-local overlay copy of the changed mask.
+    Read queries serve the masks as of the last mailbox ingest;
+    mutations are *captured* as replay deltas instead of applied. The
+    one read-after-write the serial engine relies on -- a fused
+    ``apply``+``frontier_activate`` group reading the changed rows its
+    own apply just marked -- is honored through a task-local overlay
+    copy of the changed mask.
     """
 
     def __init__(self, num_partitions: int, current, changed):
-        self._shm_current = current
-        self._shm_changed = changed
+        self.current = current
+        self._synced_changed = changed
         # Per-shard plan epochs. Main-sent epochs are >= 0; local bumps
         # (mark_changed inside a task) come from a strictly negative,
         # monotonically decreasing namespace so a stale local epoch can
@@ -155,15 +219,13 @@ class _WorkerFrontier:
         self.deltas: list | None = None
 
     @property
-    def current(self):
-        return self._shm_current
-
-    @property
     def changed(self):
-        return self._local_changed if self._local_changed is not None else self._shm_changed
+        if self._local_changed is not None:
+            return self._local_changed
+        return self._synced_changed
 
     def begin_sync(self) -> None:
-        """A new snapshot was published: drop the task-local overlay."""
+        """A new publish was ingested: drop the task-local overlay."""
         self._local_changed = None
 
     def begin_task(self, shard_index: int, active_epoch: int, changed_epoch: int) -> None:
@@ -198,7 +260,7 @@ class _WorkerFrontier:
         self.deltas.append(("mc", vids))
         if len(vids):
             if self._local_changed is None:
-                self._local_changed = self._shm_changed.copy()
+                self._local_changed = self._synced_changed.copy()
             self._local_changed[vids] = True
             self.changed_epochs[:] = self._local_epoch
             self._local_epoch -= 1
@@ -210,10 +272,11 @@ class _WorkerFrontier:
 class _WorkerEngine(ComputeEngine):
     """Compute engine whose mutable-state writes become deltas.
 
-    ``vertex_values``/``edge_state`` are read-only views of the
-    published snapshot; ``gather_temp``/``gather_has`` are worker-local
-    (correct under shard pinning: only this worker's shards ever read
-    or write its intervals, mirroring the serial engine's buffer).
+    ``vertex_values``/``edge_state`` are the runner's private copies,
+    written only by its mailbox ingest; ``gather_temp``/``gather_has``
+    are worker-local (correct under shard pinning: only this worker's
+    shards ever read or write its intervals, mirroring the serial
+    engine's buffer).
     """
 
     def __init__(self, program, ctx, frontier, plans, vertex_values, edge_state,
@@ -282,174 +345,39 @@ class _WorkerSharded:
 # Worker process
 # ----------------------------------------------------------------------
 class _WorkerRunner:
-    def __init__(self, spec, segments: list):
-        from repro.core.partition import Shard
-
-        self.worker_id = spec["worker_id"]
-        self.t0 = spec["t0"]
-        num_vertices = spec["num_vertices"]
-        mode = spec["graph"][0]
-        if mode == "shm":
-            _, seg_name, toc = spec["graph"]
-            shm = _attach_segment(seg_name)
-            segments.append(shm)
-            views = _segment_views(shm, toc, writable=False)
-            shards = []
-            for index, start, stop, _num_in, _num_out in spec["shards"]:
-                pre = f"s{index}."
-                shards.append(
-                    Shard(
-                        index=index,
-                        start=start,
-                        stop=stop,
-                        csc=CSR(
-                            views[pre + "csc.indptr"],
-                            views[pre + "csc.indices"],
-                            views[pre + "csc.edge_ids"],
-                        ),
-                        csr=CSR(
-                            views[pre + "csr.indptr"],
-                            views[pre + "csr.indices"],
-                            views[pre + "csr.edge_ids"],
-                        ),
-                        csc_weights=views.get(pre + "csc.weights"),
-                        csr_weights=views.get(pre + "csr.weights"),
-                    )
-                )
-            ctx = _SharedContext(
-                num_vertices,
-                spec["num_edges"],
-                views["out_degrees"],
-                views["in_degrees"],
-            )
-        else:
-            from repro.core.runtime import RuntimeContext
-            from repro.core.shardstore import ShardStore
-
-            _, path, unit_weights = spec["graph"]
-            store = ShardStore.open(path)
-            # One mapping of the whole store per worker; each faults in
-            # only its *own* pinned shards on first touch, and the page
-            # cache shares the physical pages between workers.
-            shards = store.sharded_graph(unit_weights=unit_weights).shards
-            ctx = RuntimeContext(store.edgelist())
-        state_name, state_toc = spec["state"]
-        state_shm = _attach_segment(state_name)
-        segments.append(state_shm)
-        state = _segment_views(state_shm, state_toc, writable=False)
-
-        self.shards = {s.index: s for s in shards}
-        self.frontier = _WorkerFrontier(len(shards), state["current"], state["changed"])
-        sharded = _WorkerSharded(num_vertices, spec["boundaries"], shards)
-        self.plans = PlanCache(
-            sharded,
-            self.frontier,
-            dense=spec["dense"],
-            cache=spec["cache"],
-            budget=spec["plan_budget"],
-            sparse=spec.get("sparse", True),
-        )
-        # Each worker resolves its kernel backend locally: Numba
-        # dispatchers are not picklable, and the on-disk JIT cache
-        # (``cache=True``) makes the per-worker warm-up a cache load,
-        # not a recompile. The main process ships the *resolved* name,
-        # so a missing-Numba warning is emitted once, not per worker.
-        from repro.core.kernels import resolve_backend
-
-        kernels = resolve_backend(spec.get("kernel_backend", "off"))
-        self.engine = _WorkerEngine(
-            spec["program"],
-            ctx,
-            self.frontier,
-            self.plans,
-            state["vertex_values"],
-            state.get("edge_state"),
-            kernels=kernels,
-        )
-        self._sync_id = -1
-        self._iteration_seen = False
-
-    def _on_sync(self) -> None:
-        """Hook before ``begin_sync`` on a new publish; cluster workers
-        ingest their mailbox here."""
-
-    def run_task(self, msg):
-        _, sync_id, iteration, phases, shard_index, count_full, a_epoch, c_epoch = msg
-        t_start = perf_counter() - self.t0
-        if sync_id != self._sync_id:
-            self._sync_id = sync_id
-            self._on_sync()
-            self.frontier.begin_sync()
-        self.frontier.begin_task(shard_index, a_epoch, c_epoch)
-        if not self._iteration_seen or iteration != self.engine.iteration:
-            self.engine.begin_iteration(iteration)
-            self._iteration_seen = True
-        deltas: list = []
-        self.engine.deltas = deltas
-        self.frontier.deltas = deltas
-        shard = self.shards[shard_index]
-        per_phase = []
-        for phase in phases:
-            w = getattr(self.engine, "_" + phase)(shard, count_full)
-            per_phase.append((phase, w.edge_items, w.vertex_items))
-        t_end = perf_counter() - self.t0
-        return ("ok", shard_index, self.worker_id, per_phase, deltas, t_start, t_end)
-
-
-class _ClusterWorkerRunner(_WorkerRunner):
-    """Partitioned-ownership worker: owned shards only + delta mailbox.
-
-    Differences from the replicated runner:
+    """One pool worker: its owned shards, private run state, mailbox.
 
     * **Graph**: only the worker's *owned* shards are attached -- the
       per-worker shm segment holds just their arrays, and store-backed
       runs bind just the owned lazy shards (the others are never
       faulted). Per-worker resident bytes scale down with ownership.
-    * **State**: instead of read-only views of a full published
-      snapshot, the worker keeps *private writable copies* of the
+    * **State**: the worker keeps *private writable copies* of the
       vertex values, frontier masks and edge state, bootstrapped once
       from the state segment at attach.
-    * **Sync**: on each new publish the worker ingests its fixed-slot
-      mailbox -- sparse ``(indices, values)`` vertex records, packed
-      frontier bitmaps (full or owned-slice, per the frontier policy)
-      and sparse edge-state records -- written by the main process
-      before the first task of the phase was enqueued.
+    * **Sync**: before the first task of each phase group the worker
+      ingests its fixed-slot mailbox -- sparse ``(indices, values)``
+      vertex records, packed frontier bitmaps (full or owned-slice, per
+      the frontier policy) and sparse edge-state records -- written by
+      the main process before that task was enqueued.
     """
 
     def __init__(self, spec, segments: list):
-        from repro.core.partition import Shard
-
         self.worker_id = spec["worker_id"]
         self.t0 = spec["t0"]
         num_vertices = spec["num_vertices"]
-        mode = spec["graph"][0]
-        if mode == "shm":
-            _, seg_name, toc = spec["graph"]
-            shm = _attach_segment(seg_name)
+
+        def attach(name, toc):
+            shm = _attach_segment(name)
             segments.append(shm)
-            views = _segment_views(shm, toc, writable=False)
-            shards = []
-            for index, start, stop, _num_in, _num_out in spec["shards"]:
-                pre = f"s{index}."
-                shards.append(
-                    Shard(
-                        index=index,
-                        start=start,
-                        stop=stop,
-                        csc=CSR(
-                            views[pre + "csc.indptr"],
-                            views[pre + "csc.indices"],
-                            views[pre + "csc.edge_ids"],
-                        ),
-                        csr=CSR(
-                            views[pre + "csr.indptr"],
-                            views[pre + "csr.indices"],
-                            views[pre + "csr.edge_ids"],
-                        ),
-                        csc_weights=views.get(pre + "csc.weights"),
-                        csr_weights=views.get(pre + "csr.weights"),
-                    )
-                )
+            return _segment_views(shm, toc, writable=False)
+
+        if spec["graph"][0] == "shm":
+            _, seg_name, toc = spec["graph"]
+            views = attach(seg_name, toc)
+            shards = [
+                _shard_from_views(views, index, start, stop)
+                for index, start, stop in spec["shards"]
+            ]
         else:
             from repro.core.shardstore import ShardStore
 
@@ -458,19 +386,16 @@ class _ClusterWorkerRunner(_WorkerRunner):
             lazy = store.sharded_graph(unit_weights=unit_weights).shards
             # Bind only the owned shards: the others stay manifest
             # entries whose pages this process never touches.
-            shards = [lazy[index] for index, *_rest in spec["shards"]]
-        state_name, state_toc = spec["state"]
-        state_shm = _attach_segment(state_name)
-        segments.append(state_shm)
-        state = _segment_views(state_shm, state_toc, writable=False)
+            shards = [lazy[index] for index, _start, _stop in spec["shards"]]
+        state = attach(*spec["state"])
         # Private writable copies: the mailbox ingest below is the only
         # writer, so the worker's view of the run state advances exactly
-        # one publish at a time, like the replicated snapshot -- but the
-        # full-state segment is touched once (bootstrap), not per phase.
-        self.vertex_values = np.array(state["vertex_values"])
-        current = np.array(state["current"])
-        changed = np.array(state["changed"])
-        edge_state = (
+        # one publish at a time, and the full-state segment is touched
+        # once (bootstrap), not per phase.
+        self._vertex_values = np.array(state["vertex_values"])
+        self._current = np.array(state["current"])
+        self._changed = np.array(state["changed"])
+        self._edge_state = (
             np.array(state["edge_state"]) if "edge_state" in state else None
         )
         ctx = _SharedContext(
@@ -479,21 +404,17 @@ class _ClusterWorkerRunner(_WorkerRunner):
             state["out_degrees"],
             state["in_degrees"],
         )
-        mbox_name, mbox_toc = spec["mailbox"]
-        mbox_shm = _attach_segment(mbox_name)
-        segments.append(mbox_shm)
-        self._mbox = _segment_views(mbox_shm, mbox_toc, writable=False)
+        self._mbox = attach(*spec["mailbox"])
         self._mbox_seen = 0
         self._mask_lo, self._mask_hi = spec["mask_range"]
-        self._current = current
-        self._changed = changed
-        self._edge_state = edge_state
 
         self.shards = {s.index: s for s in shards}
         # Plan epochs are indexed by *global* shard index -- the worker
         # holds a subset of the shards but must size the epoch arrays
         # for all of them.
-        self.frontier = _WorkerFrontier(spec["num_partitions"], current, changed)
+        self.frontier = _WorkerFrontier(
+            spec["num_partitions"], self._current, self._changed
+        )
         sharded = _WorkerSharded(num_vertices, spec["boundaries"], shards)
         self.plans = PlanCache(
             sharded,
@@ -501,24 +422,21 @@ class _ClusterWorkerRunner(_WorkerRunner):
             dense=spec["dense"],
             cache=spec["cache"],
             budget=spec["plan_budget"],
-            sparse=spec.get("sparse", True),
+            sparse=spec["sparse"],
         )
-        from repro.core.kernels import resolve_backend
-
-        kernels = resolve_backend(spec.get("kernel_backend", "off"))
         self.engine = _WorkerEngine(
             spec["program"],
             ctx,
             self.frontier,
             self.plans,
-            self.vertex_values,
-            edge_state,
-            kernels=kernels,
+            self._vertex_values,
+            self._edge_state,
+            kernels=resolve_backend(spec["kernel_backend"]),
         )
         self._sync_id = -1
         self._iteration_seen = False
 
-    def _on_sync(self) -> None:
+    def _ingest_mailbox(self) -> None:
         """Apply the mailbox the main process wrote for this publish.
 
         The header sequence number decouples mailbox freshness from the
@@ -537,7 +455,7 @@ class _ClusterWorkerRunner(_WorkerRunner):
         k = int(header[1])
         if k:
             rows = self._mbox["vidx"][:k]
-            self.vertex_values[rows] = self._mbox["vvals"][:k]
+            self._vertex_values[rows] = self._mbox["vvals"][:k]
         lo, hi = self._mask_lo, self._mask_hi
         span = hi - lo
         self._current[lo:hi] = np.unpackbits(
@@ -552,13 +470,34 @@ class _ClusterWorkerRunner(_WorkerRunner):
                 eids = self._mbox["eidx"][:m]
                 self._edge_state[eids] = self._mbox["evals"][:m]
 
+    def run_task(self, msg):
+        _, sync_id, iteration, phases, shard_index, count_full, a_epoch, c_epoch = msg
+        t_start = perf_counter() - self.t0
+        if sync_id != self._sync_id:
+            self._sync_id = sync_id
+            self._ingest_mailbox()
+            self.frontier.begin_sync()
+        self.frontier.begin_task(shard_index, a_epoch, c_epoch)
+        if not self._iteration_seen or iteration != self.engine.iteration:
+            self.engine.begin_iteration(iteration)
+            self._iteration_seen = True
+        deltas: list = []
+        self.engine.deltas = deltas
+        self.frontier.deltas = deltas
+        shard = self.shards[shard_index]
+        per_phase = []
+        for phase in phases:
+            w = getattr(self.engine, "_" + phase)(shard, count_full)
+            per_phase.append((phase, w.edge_items, w.vertex_items))
+        t_end = perf_counter() - self.t0
+        return ("ok", shard_index, self.worker_id, per_phase, deltas, t_start, t_end)
+
 
 def _worker_main(spec, task_q, result_q):  # pragma: no cover - child process
     os.environ[ENV_WORKER_FLAG] = str(spec["worker_id"])
     segments: list = []
-    runner_cls = _ClusterWorkerRunner if spec.get("cluster") else _WorkerRunner
     try:
-        runner = runner_cls(spec, segments)
+        runner = _WorkerRunner(spec, segments)
     except Exception:
         result_q.put(("init_error", spec["worker_id"], traceback.format_exc()))
         return
@@ -594,18 +533,20 @@ def _worker_main(spec, task_q, result_q):  # pragma: no cover - child process
 # Main-process pool
 # ----------------------------------------------------------------------
 class ProcessPool:
-    """Persistent spawn-based worker pool for one GraphReduce run.
+    """Persistent spawn-based, ownership-partitioned worker pool for one
+    GraphReduce run.
 
-    Construction exports the graph (in-RAM runs) and the mutable-state
-    snapshot buffer to shared memory, spawns the workers and waits for
-    their attach handshake. :meth:`phase_run` publishes the current
-    state, fans one phase group's shard tasks out to the pinned workers
-    and returns a per-shard collector the Data Movement Engine calls in
-    shard order -- which is where the deltas are replayed, keeping the
-    merge deterministic. :meth:`shutdown` (idempotent, always called
-    from the runtime's ``finally``) stops the workers and closes +
-    unlinks every segment, so nothing survives in ``/dev/shm`` on
-    normal exit or crash.
+    Construction assigns every shard one owner, exports each owner's
+    shard arrays (in-RAM runs), the bootstrap state and a per-worker
+    mailbox to shared memory, spawns the workers and waits for their
+    attach handshake. :meth:`phase_run` ships each tasked worker the
+    rows that changed since its last publish, fans one phase group's
+    shard tasks out to the owners and returns a per-shard collector the
+    Data Movement Engine calls in shard order -- which is where the
+    deltas are replayed, keeping the merge deterministic.
+    :meth:`shutdown` (idempotent, always called from the runtime's
+    ``finally``) stops the workers and closes + unlinks every segment,
+    so nothing survives in ``/dev/shm`` on normal exit or crash.
     """
 
     def __init__(
@@ -623,6 +564,7 @@ class ProcessPool:
         sparse: bool = True,
         plan_budget: int | None = None,
         kernel_backend: str = "off",
+        frontier_policy: str = "replicated",
         store=None,
         unit_weights: bool = False,
         task_timeout: float = 300.0,
@@ -630,6 +572,9 @@ class ProcessPool:
     ):
         import multiprocessing as mp
 
+        from repro.core.ownership import check_frontier_policy
+
+        self._policy = check_frontier_policy(frontier_policy)
         self._frontier = frontier
         self._compute = compute
         self._obs = obs if obs is not None else NULL_OBSERVER
@@ -651,6 +596,10 @@ class ProcessPool:
         self.max_inflight = 0
         self.publish_seconds = 0.0
         self.wait_seconds = 0.0
+        self.boundary_bytes_sent = 0
+        self.delta_bytes_merged = 0
+        self.mailbox_stalls = 0
+        self.mailbox_publishes = 0
         self.lane: list[tuple] = []
         self.worker_plan_stats: list[dict] = []
         self.worker_kernel_stats: list[dict] = []
@@ -678,38 +627,50 @@ class ProcessPool:
         self, mp, sharded, program, ctx, store, unit_weights, dense, cache,
         sparse, plan_budget, kernel_backend,
     ):
-        spawn = mp.get_context("spawn")
-        shard_manifest = [
-            (s.index, s.start, s.stop, s.num_in_edges, s.num_out_edges)
-            for s in sharded.shards
-        ]
-        if store is not None:
-            graph_spec = ("store", str(store.path), bool(unit_weights))
-        else:
-            arrays = {
-                "out_degrees": np.asarray(ctx.out_degrees),
-                "in_degrees": np.asarray(ctx.in_degrees),
-            }
-            for s in sharded.shards:
-                pre = f"s{s.index}."
-                arrays[pre + "csc.indptr"] = s.csc.indptr
-                arrays[pre + "csc.indices"] = s.csc.indices
-                arrays[pre + "csc.edge_ids"] = s.csc.edge_ids
-                arrays[pre + "csr.indptr"] = s.csr.indptr
-                arrays[pre + "csr.indices"] = s.csr.indices
-                arrays[pre + "csr.edge_ids"] = s.csr.edge_ids
-                if s.csc_weights is not None:
-                    arrays[pre + "csc.weights"] = s.csc_weights
-                if s.csr_weights is not None:
-                    arrays[pre + "csr.weights"] = s.csr_weights
-            graph_shm, graph_toc = _create_segment(arrays, "graph")
-            self._segments.append(graph_shm)
-            graph_spec = ("shm", graph_shm.name, graph_toc)
+        from repro.core.ownership import (
+            OwnershipMap,
+            boundary_sets,
+            estimate_shard_bytes,
+        )
 
+        spawn = mp.get_context("spawn")
+        n = sharded.num_vertices
+        num_edges = getattr(ctx, "num_edges", 0)
+        ownership = OwnershipMap.contiguous(sharded.num_partitions, self.num_workers)
+        ownership.validate()
+        self._ownership = ownership
+        self._owner_of = ownership.owner_of
+        in_bounds, out_bounds = boundary_sets(sharded, ownership)
+        self.boundary_in_sizes = [len(b) for b in in_bounds]
+        self.boundary_out_sizes = [len(b) for b in out_bounds]
+
+        if store is not None:
+            # Count math only -- never fault the store's pages.
+            with_weights = bool(store.weighted or unit_weights)
+            shard_bytes = {
+                s.index: estimate_shard_bytes(
+                    s.stop - s.start, s.num_in_edges, s.num_out_edges, with_weights
+                )
+                for s in sharded.shards
+            }
+        else:
+            # In-RAM shards are already materialized: use the actual
+            # array footprints so worker/single comparisons share units
+            # (the per-worker segment holds exactly these arrays).
+            shard_bytes = {
+                s.index: sum(a.nbytes for a in _shard_arrays(s).values())
+                for s in sharded.shards
+            }
+
+        # --- bootstrap state segment (doubles as the main-side shadow) --
+        out_deg = np.asarray(ctx.out_degrees)
+        in_deg = np.asarray(ctx.in_degrees)
         state_arrays = {
             "vertex_values": self._compute.vertex_values,
             "current": self._frontier.current,
             "changed": self._frontier.changed,
+            "out_degrees": out_deg,
+            "in_degrees": in_deg,
         }
         if self._compute.edge_state is not None:
             state_arrays["edge_state"] = self._compute.edge_state
@@ -717,14 +678,40 @@ class ProcessPool:
         self._segments.append(state_shm)
         self._state_views = _segment_views(state_shm, state_toc, writable=True)
 
+        vv = self._compute.vertex_values
+        self._vrow_bytes = vv.nbytes // max(n, 1)
+        es = self._compute.edge_state
+        self._erow_bytes = es.nbytes // max(num_edges, 1) if es is not None else 0
+        # Worker-side run state: values + gather scratch (same shape),
+        # bool masks + gather_has, edge state, degree arrays.
+        state_bytes = (
+            2 * vv.nbytes
+            + 3 * n
+            + (es.nbytes if es is not None else 0)
+            + out_deg.nbytes
+            + in_deg.nbytes
+        )
+
+        self._pending_v = [np.zeros(n, dtype=bool) for _ in range(self.num_workers)]
+        self._readable_v = []
+        self._pending_e = (
+            [np.zeros(num_edges, dtype=bool) for _ in range(self.num_workers)]
+            if es is not None
+            else None
+        )
+        self._mask_range = []
+        self._mailboxes = []
+        self._mbox_seq = [0] * self.num_workers
+        self.worker_resident_bytes = []
+        self.single_process_bytes = sum(shard_bytes.values()) + state_bytes
+
         spec_base = {
             "t0": self._t0,
             "program": program,
-            "num_vertices": sharded.num_vertices,
-            "num_edges": getattr(ctx, "num_edges", 0),
+            "num_vertices": n,
+            "num_edges": num_edges,
+            "num_partitions": sharded.num_partitions,
             "boundaries": np.asarray(sharded.boundaries),
-            "shards": shard_manifest,
-            "graph": graph_spec,
             "state": (state_shm.name, state_toc),
             "dense": dense,
             "cache": cache,
@@ -734,8 +721,69 @@ class ProcessPool:
         }
         self._result_q = spawn.Queue()
         for w in range(self.num_workers):
+            owned = [sharded.shards[i] for i in ownership.shards_of(w)]
+            # Contiguous ownership: the owned vertex set is one range.
+            lo = min(s.start for s in owned)
+            hi = max(s.stop for s in owned)
+
+            if store is not None:
+                graph_spec = ("store", str(store.path), bool(unit_weights))
+                # Store workers fault in their owned shards (count math).
+                graph_bytes = sum(shard_bytes[s.index] for s in owned)
+            else:
+                arrays = {}
+                for s in owned:
+                    arrays.update(_shard_arrays(s))
+                graph_shm, graph_toc = _create_segment(arrays, f"graph{w}")
+                self._segments.append(graph_shm)
+                graph_spec = ("shm", graph_shm.name, graph_toc)
+                # Mapped zero-copy, so the segment's size *is* the
+                # worker's shard footprint.
+                graph_bytes = graph_shm.size
+
+            readable = np.zeros(n, dtype=bool)
+            readable[lo:hi] = True
+            readable[in_bounds[w]] = True
+            self._readable_v.append(readable)
+            mask_lo, mask_hi = (lo, hi) if self._policy == "partitioned" else (0, n)
+            self._mask_range.append((mask_lo, mask_hi))
+
+            # Fixed mailbox slots sized to the worker's full readable
+            # set -- the sparse exchange can never overflow them.
+            cap_v = (hi - lo) + len(in_bounds[w])
+            packed = (mask_hi - mask_lo + 7) // 8
+            mbox_arrays = {
+                "header": np.zeros(4, dtype=np.int64),
+                "vidx": np.zeros(cap_v, dtype=np.int64),
+                "vvals": np.zeros((cap_v,) + vv.shape[1:], dtype=vv.dtype),
+                "cur": np.zeros(packed, dtype=np.uint8),
+                "chg": np.zeros(packed, dtype=np.uint8),
+            }
+            if es is not None:
+                mbox_arrays["eidx"] = np.zeros(num_edges, dtype=np.int64)
+                mbox_arrays["evals"] = np.zeros(num_edges, dtype=es.dtype)
+            mbox_shm, mbox_toc = _create_segment(mbox_arrays, f"mbox{w}")
+            self._segments.append(mbox_shm)
+            self._mailboxes.append(
+                {
+                    "views": _segment_views(mbox_shm, mbox_toc, writable=True),
+                    "cap_v": cap_v,
+                    "packed": packed,
+                }
+            )
+            self.worker_resident_bytes.append(
+                graph_bytes + state_bytes + mbox_shm.size
+            )
+
+            spec = dict(
+                spec_base,
+                worker_id=w,
+                shards=[(s.index, s.start, s.stop) for s in owned],
+                graph=graph_spec,
+                mailbox=(mbox_shm.name, mbox_toc),
+                mask_range=(mask_lo, mask_hi),
+            )
             task_q = spawn.SimpleQueue()
-            spec = dict(spec_base, worker_id=w)
             proc = spawn.Process(
                 target=_worker_main,
                 args=(spec, task_q, self._result_q),
@@ -771,59 +819,119 @@ class ProcessPool:
                 raise WorkerCrashed(f"worker {w} died (exit code {proc.exitcode})")
 
     # ------------------------------------------------------------------
-    def _worker_for(self, shard_index: int) -> int:
-        """Worker pinned to a shard (round-robin; ownership in cluster)."""
-        return shard_index % self.num_workers
+    def _accumulate_pending(self) -> None:
+        """Diff live state vs the shadow; fold dirty rows into pending.
 
-    # ------------------------------------------------------------------
-    def _publish(self) -> None:
-        """Copy the mutable state into the snapshot segment.
-
-        Called between phase groups, when every worker is idle (the
-        previous group's results were all consumed), so the write is
-        race-free by construction.
+        An O(n) compare instead of tracking every mutation site: robust
+        to any write path (delta replay, ``frontier.advance``, reseeds,
+        the direction controller's ``activate_all``). The shadow then
+        catches up, so each row is shipped to each worker at most once
+        per change.
         """
         t0 = perf_counter()
         views = self._state_views
-        views["vertex_values"][...] = self._compute.vertex_values
-        views["current"][...] = self._frontier.current
-        views["changed"][...] = self._frontier.changed
-        if self._compute.edge_state is not None:
-            views["edge_state"][...] = self._compute.edge_state
+        live = self._compute.vertex_values
+        shadow = views["vertex_values"]
+        dirty = live != shadow
+        if dirty.ndim > 1:
+            dirty = dirty.any(axis=1)
+        if dirty.any():
+            rows = np.flatnonzero(dirty)
+            shadow[rows] = live[rows]
+            for w in range(self.num_workers):
+                readable = self._readable_v[w]
+                self._pending_v[w][rows[readable[rows]]] = True
+        es = self._compute.edge_state
+        if es is not None:
+            e_shadow = views["edge_state"]
+            e_dirty = es != e_shadow
+            if e_dirty.ndim > 1:
+                e_dirty = e_dirty.any(axis=1)
+            if e_dirty.any():
+                eids = np.flatnonzero(e_dirty)
+                e_shadow[eids] = es[eids]
+                for w in range(self.num_workers):
+                    self._pending_e[w][eids] = True
         self.publish_seconds += perf_counter() - t0
 
-    def phase_run(self, group, shards, iteration: int, count_full: bool):
-        """Publish + dispatch one phase group; returns the collector.
+    def _fill_mailbox(self, w: int) -> None:
+        """Pack worker ``w``'s pending rows + fresh bitmaps; bump seq."""
+        mb = self._mailboxes[w]
+        views = mb["views"]
+        pend = self._pending_v[w]
+        rows = np.flatnonzero(pend)
+        k = len(rows)
+        if k:
+            views["vidx"][:k] = rows
+            views["vvals"][:k] = self._compute.vertex_values[rows]
+            pend[:] = False
+        lo, hi = self._mask_range[w]
+        views["cur"][...] = np.packbits(self._frontier.current[lo:hi])
+        views["chg"][...] = np.packbits(self._frontier.changed[lo:hi])
+        m = 0
+        if self._pending_e is not None:
+            pe = self._pending_e[w]
+            eids = np.flatnonzero(pe)
+            m = len(eids)
+            if m:
+                views["eidx"][:m] = eids
+                views["evals"][:m] = self._compute.edge_state[eids]
+                pe[:] = False
+        self._mbox_seq[w] += 1
+        header = views["header"]
+        header[1] = k
+        header[2] = m
+        # The sequence number is written last: a worker acts on the
+        # payload only after seeing the new seq (and only after the
+        # task-queue message that itself follows this write).
+        header[0] = self._mbox_seq[w]
+        self.mailbox_publishes += 1
+        if k >= mb["cap_v"]:
+            self.mailbox_stalls += 1
+        self.boundary_bytes_sent += (
+            k * (8 + self._vrow_bytes) + 2 * mb["packed"] + m * (8 + self._erow_bytes)
+        )
 
-        The returned callable is handed to ``DataMovementEngine.
-        run_phase`` as the per-shard compute function: it blocks for
-        that shard's result and replays its deltas. ``run_phase``
-        consumes shards in their original order, so the replay -- and
-        with it every frontier/vertex write and observer count -- lands
-        in exactly the serial order.
+    def phase_run(self, group, shards, iteration: int, count_full: bool):
+        """Mailbox publish + dispatch, one owner at a time; returns the
+        collector.
+
+        Owner ``w``'s tasks are enqueued immediately after its mailbox
+        write, so its compute overlaps the packing of every later
+        owner's deltas. The returned callable is handed to
+        ``DataMovementEngine.run_phase`` as the per-shard compute
+        function: it blocks for that shard's result and replays its
+        deltas. ``run_phase`` consumes shards in their original order,
+        so the replay -- and with it every frontier/vertex write and
+        observer count -- lands in exactly the serial order.
         """
-        self._publish()
+        self._accumulate_pending()
         self._sync_id += 1
         fr = self._frontier
+        by_worker: dict[int, list] = {}
         for shard in shards:
-            self._task_qs[self._worker_for(shard.index)].put(
-                (
-                    _TASK,
-                    self._sync_id,
-                    iteration,
-                    tuple(group.phases),
-                    shard.index,
-                    count_full,
-                    int(fr.active_epochs[shard.index]),
-                    int(fr.changed_epochs[shard.index]),
+            by_worker.setdefault(self._owner_of[shard.index], []).append(shard)
+        for w in sorted(by_worker):
+            self._fill_mailbox(w)
+            for shard in by_worker[w]:
+                self._task_qs[w].put(
+                    (
+                        _TASK,
+                        self._sync_id,
+                        iteration,
+                        tuple(group.phases),
+                        shard.index,
+                        count_full,
+                        int(fr.active_epochs[shard.index]),
+                        int(fr.changed_epochs[shard.index]),
+                    )
                 )
-            )
         self.tasks += len(shards)
         self.max_inflight = max(self.max_inflight, len(shards))
         self._obs.add("procpool.tasks", len(shards))
         if self._heartbeats is not None:
             for shard in shards:
-                w = self._worker_for(shard.index)
+                w = self._owner_of[shard.index]
                 self._outstanding[w] += 1
                 self._heartbeats.busy(f"worker-{w}", True)
         pending: dict[int, tuple] = {}
@@ -872,7 +980,7 @@ class ProcessPool:
         """
         if self._heartbeats is None or not self._stall_timeout:
             return
-        w = self._worker_for(index)
+        w = self._owner_of[index]
         if self._outstanding[w] <= 0:
             return
         name = f"worker-{w}"
@@ -912,6 +1020,9 @@ class ProcessPool:
             work.edge_items += edge_items
             work.vertex_items += vertex_items
         for d in deltas:
+            self.delta_bytes_merged += sum(
+                part.nbytes for part in d[1:] if isinstance(part, np.ndarray)
+            )
             kind = d[0]
             if kind == "vd":
                 compute.vertex_values[d[1] : d[2]] = d[3]
@@ -993,7 +1104,6 @@ class ProcessPool:
                     s.get(key, 0) for s in self.worker_kernel_stats
                 )
         return {
-            "backend": "processes",
             "workers": self.num_workers,
             "tasks": self.tasks,
             "max_inflight": self.max_inflight,
@@ -1002,405 +1112,16 @@ class ProcessPool:
             "plan_cache": plans,
             "kernels": kernels,
             "lane": list(self.lane),
+            "frontier_policy": self._policy,
+            "owned_shards": [
+                len(self._ownership.shards_of(w)) for w in range(self.num_workers)
+            ],
+            "boundary_in_sizes": list(self.boundary_in_sizes),
+            "boundary_out_sizes": list(self.boundary_out_sizes),
+            "worker_resident_bytes": list(self.worker_resident_bytes),
+            "single_process_bytes": self.single_process_bytes,
+            "boundary_bytes_sent": self.boundary_bytes_sent,
+            "delta_bytes_merged": self.delta_bytes_merged,
+            "mailbox_publishes": self.mailbox_publishes,
+            "mailbox_stalls": self.mailbox_stalls,
         }
-
-
-# ----------------------------------------------------------------------
-# Cluster pool: partitioned ownership + boundary-delta mailboxes
-# ----------------------------------------------------------------------
-class ClusterPool(ProcessPool):
-    """Partitioned-ownership variant of the process pool.
-
-    Where :class:`ProcessPool` replicates the whole graph into every
-    worker and re-publishes the full mutable state every phase, the
-    cluster pool assigns each worker a contiguous block of shards
-    (:class:`repro.core.ownership.OwnershipMap`) and ships only what
-    crosses the ownership boundary:
-
-    * each worker attaches **only its owned shards** (a per-worker shm
-      segment for in-RAM runs; owned-only lazy-shard binding for
-      store-backed runs), so per-worker resident bytes shrink with the
-      worker count instead of staying at the full-graph footprint;
-    * between phases the main process diffs the live state against its
-      shadow copy and packs, per tasked worker, only the **pending rows
-      that worker can read** (its owned intervals plus its in-boundary
-      source vertices) into a fixed-slot shared-memory mailbox --
-      ``(indices, values)`` records plus packed activation bitmaps
-      (full under the ``replicated`` frontier policy, the owned slice
-      under ``partitioned``);
-    * mailboxes are filled in fixed owner order and each worker's tasks
-      are enqueued right after its mailbox write, so the first owner is
-      already computing while later owners' deltas are still being
-      packed -- the exchange overlaps the next shard's compute.
-
-    Results stay bit-identical to serial execution: workers still
-    return deltas, and :meth:`ProcessPool._replay` merges them in the
-    serial shard order. Mailbox slots are sized to the worker's full
-    readable set, so a publish can never overflow; a publish whose
-    vertex slot fills completely is counted as a *mailbox stall* (the
-    sparse exchange degenerated to a full replication for that worker).
-    """
-
-    def __init__(self, *, frontier_policy: str = "replicated", **kw):
-        from repro.core.ownership import check_frontier_policy
-
-        self._policy = check_frontier_policy(frontier_policy)
-        self.boundary_bytes_sent = 0
-        self.delta_bytes_merged = 0
-        self.mailbox_stalls = 0
-        self.mailbox_publishes = 0
-        super().__init__(**kw)
-
-    # ------------------------------------------------------------------
-    def _worker_for(self, shard_index: int) -> int:
-        return self._owner_of[shard_index]
-
-    def _start(
-        self, mp, sharded, program, ctx, store, unit_weights, dense, cache,
-        sparse, plan_budget, kernel_backend,
-    ):
-        from repro.core.ownership import (
-            OwnershipMap,
-            boundary_sets,
-            estimate_shard_bytes,
-        )
-
-        spawn = mp.get_context("spawn")
-        n = sharded.num_vertices
-        num_edges = getattr(ctx, "num_edges", 0)
-        ownership = OwnershipMap.contiguous(sharded.num_partitions, self.num_workers)
-        ownership.validate()
-        self._ownership = ownership
-        self._owner_of = ownership.owner_of
-        in_bounds, out_bounds = boundary_sets(sharded, ownership)
-        self.boundary_in_sizes = [len(b) for b in in_bounds]
-        self.boundary_out_sizes = [len(b) for b in out_bounds]
-
-        if store is not None:
-            with_weights = bool(store.weighted or unit_weights)
-        else:
-            with_weights = any(
-                s.csc_weights is not None for s in sharded.shards
-            )
-        shard_manifest = {
-            s.index: (s.index, s.start, s.stop, s.num_in_edges, s.num_out_edges)
-            for s in sharded.shards
-        }
-        if store is not None:
-            # Count math only -- never fault the store's pages.
-            shard_bytes = {
-                i: estimate_shard_bytes(row[2] - row[1], row[3], row[4], with_weights)
-                for i, row in shard_manifest.items()
-            }
-        else:
-            # In-RAM shards are already materialized: use the actual
-            # array footprints so worker/single comparisons share units
-            # (the per-worker segment holds exactly these arrays).
-            shard_bytes = {}
-            for s in sharded.shards:
-                total = (
-                    s.csc.indptr.nbytes + s.csc.indices.nbytes
-                    + s.csc.edge_ids.nbytes + s.csr.indptr.nbytes
-                    + s.csr.indices.nbytes + s.csr.edge_ids.nbytes
-                )
-                if s.csc_weights is not None:
-                    total += s.csc_weights.nbytes
-                if s.csr_weights is not None:
-                    total += s.csr_weights.nbytes
-                shard_bytes[s.index] = total
-
-        # --- bootstrap state segment (doubles as the main-side shadow) --
-        out_deg = np.asarray(ctx.out_degrees)
-        in_deg = np.asarray(ctx.in_degrees)
-        state_arrays = {
-            "vertex_values": self._compute.vertex_values,
-            "current": self._frontier.current,
-            "changed": self._frontier.changed,
-            "out_degrees": out_deg,
-            "in_degrees": in_deg,
-        }
-        if self._compute.edge_state is not None:
-            state_arrays["edge_state"] = self._compute.edge_state
-        state_shm, state_toc = _create_segment(state_arrays, "state")
-        self._segments.append(state_shm)
-        self._state_views = _segment_views(state_shm, state_toc, writable=True)
-
-        vv = self._compute.vertex_values
-        self._vrow_bytes = vv.nbytes // max(n, 1)
-        es = self._compute.edge_state
-        self._erow_bytes = es.nbytes // max(num_edges, 1) if es is not None else 0
-        # Worker-side run state: values + gather scratch (same shape),
-        # bool masks + gather_has, edge state, degree arrays.
-        state_bytes = (
-            2 * vv.nbytes
-            + 3 * n
-            + (es.nbytes if es is not None else 0)
-            + out_deg.nbytes
-            + in_deg.nbytes
-        )
-
-        self._pending_v = [np.zeros(n, dtype=bool) for _ in range(self.num_workers)]
-        self._readable_v = []
-        self._pending_e = (
-            [np.zeros(num_edges, dtype=bool) for _ in range(self.num_workers)]
-            if es is not None
-            else None
-        )
-        self._mask_range = []
-        self._mailboxes = []
-        self._mbox_seq = [0] * self.num_workers
-        self.worker_resident_bytes = []
-        self.single_process_bytes = sum(shard_bytes.values()) + state_bytes
-
-        spec_base = {
-            "t0": self._t0,
-            "cluster": True,
-            "program": program,
-            "num_vertices": n,
-            "num_edges": num_edges,
-            "num_partitions": sharded.num_partitions,
-            "boundaries": np.asarray(sharded.boundaries),
-            "state": (state_shm.name, state_toc),
-            "dense": dense,
-            "cache": cache,
-            "sparse": sparse,
-            "plan_budget": plan_budget,
-            "kernel_backend": kernel_backend,
-        }
-        self._result_q = spawn.Queue()
-        for w in range(self.num_workers):
-            owned_ids = ownership.shards_of(w)
-            owned = [shard_manifest[i] for i in owned_ids]
-            # Contiguous ownership: the owned vertex set is one range.
-            lo = min(row[1] for row in owned)
-            hi = max(row[2] for row in owned)
-
-            if store is not None:
-                graph_spec = ("store", str(store.path), bool(unit_weights))
-                graph_nbytes = 0
-            else:
-                arrays = {}
-                for i in owned_ids:
-                    s = sharded.shards[i]
-                    pre = f"s{s.index}."
-                    arrays[pre + "csc.indptr"] = s.csc.indptr
-                    arrays[pre + "csc.indices"] = s.csc.indices
-                    arrays[pre + "csc.edge_ids"] = s.csc.edge_ids
-                    arrays[pre + "csr.indptr"] = s.csr.indptr
-                    arrays[pre + "csr.indices"] = s.csr.indices
-                    arrays[pre + "csr.edge_ids"] = s.csr.edge_ids
-                    if s.csc_weights is not None:
-                        arrays[pre + "csc.weights"] = s.csc_weights
-                    if s.csr_weights is not None:
-                        arrays[pre + "csr.weights"] = s.csr_weights
-                graph_shm, graph_toc = _create_segment(arrays, f"graph{w}")
-                self._segments.append(graph_shm)
-                graph_spec = ("shm", graph_shm.name, graph_toc)
-                graph_nbytes = graph_shm.size
-
-            readable = np.zeros(n, dtype=bool)
-            readable[lo:hi] = True
-            readable[in_bounds[w]] = True
-            self._readable_v.append(readable)
-            mask_lo, mask_hi = (lo, hi) if self._policy == "partitioned" else (0, n)
-            self._mask_range.append((mask_lo, mask_hi))
-
-            # Fixed mailbox slots sized to the worker's full readable
-            # set -- the sparse exchange can never overflow them.
-            cap_v = (hi - lo) + len(in_bounds[w])
-            packed = (mask_hi - mask_lo + 7) // 8
-            mbox_arrays = {
-                "header": np.zeros(4, dtype=np.int64),
-                "vidx": np.zeros(cap_v, dtype=np.int64),
-                "vvals": np.zeros((cap_v,) + vv.shape[1:], dtype=vv.dtype),
-                "cur": np.zeros(packed, dtype=np.uint8),
-                "chg": np.zeros(packed, dtype=np.uint8),
-            }
-            if es is not None:
-                mbox_arrays["eidx"] = np.zeros(num_edges, dtype=np.int64)
-                mbox_arrays["evals"] = np.zeros(num_edges, dtype=es.dtype)
-            mbox_shm, mbox_toc = _create_segment(mbox_arrays, f"mbox{w}")
-            self._segments.append(mbox_shm)
-            self._mailboxes.append(
-                {
-                    "views": _segment_views(mbox_shm, mbox_toc, writable=True),
-                    "cap_v": cap_v,
-                    "packed": packed,
-                }
-            )
-
-            # In-RAM runs map the per-worker graph segment zero-copy, so
-            # its size *is* the worker's shard footprint; store-backed
-            # workers fault in their owned shards (count math here).
-            graph_bytes = (
-                graph_nbytes
-                if store is None
-                else sum(shard_bytes[i] for i in owned_ids)
-            )
-            self.worker_resident_bytes.append(
-                graph_bytes + state_bytes + mbox_shm.size
-            )
-
-            spec = dict(
-                spec_base,
-                worker_id=w,
-                shards=owned,
-                graph=graph_spec,
-                mailbox=(mbox_shm.name, mbox_toc),
-                mask_range=(mask_lo, mask_hi),
-            )
-            task_q = spawn.SimpleQueue()
-            proc = spawn.Process(
-                target=_worker_main,
-                args=(spec, task_q, self._result_q),
-                name=f"repro-cluster-{w}",
-                daemon=True,
-            )
-            proc.start()
-            self._task_qs.append(task_q)
-            self._procs.append(proc)
-        self._await_ready()
-
-    # ------------------------------------------------------------------
-    def _accumulate_pending(self) -> None:
-        """Diff live state vs the shadow; fold dirty rows into pending.
-
-        An O(n) compare instead of tracking every mutation site: robust
-        to any write path (delta replay, ``frontier.advance``, reseeds,
-        the direction controller's ``activate_all``). The shadow then
-        catches up, so each row is shipped to each worker at most once
-        per change.
-        """
-        t0 = perf_counter()
-        views = self._state_views
-        live = self._compute.vertex_values
-        shadow = views["vertex_values"]
-        dirty = live != shadow
-        if dirty.ndim > 1:
-            dirty = dirty.any(axis=1)
-        if dirty.any():
-            rows = np.flatnonzero(dirty)
-            shadow[rows] = live[rows]
-            for w in range(self.num_workers):
-                readable = self._readable_v[w]
-                self._pending_v[w][rows[readable[rows]]] = True
-        es = self._compute.edge_state
-        if es is not None:
-            e_shadow = views["edge_state"]
-            e_dirty = es != e_shadow
-            if e_dirty.ndim > 1:
-                e_dirty = e_dirty.any(axis=1)
-            if e_dirty.any():
-                eids = np.flatnonzero(e_dirty)
-                e_shadow[eids] = es[eids]
-                for w in range(self.num_workers):
-                    self._pending_e[w][eids] = True
-        self.publish_seconds += perf_counter() - t0
-
-    def _fill_mailbox(self, w: int) -> None:
-        """Pack worker ``w``'s pending rows + fresh bitmaps; bump seq."""
-        mb = self._mailboxes[w]
-        views = mb["views"]
-        pend = self._pending_v[w]
-        rows = np.flatnonzero(pend)
-        k = len(rows)
-        if k:
-            views["vidx"][:k] = rows
-            views["vvals"][:k] = self._compute.vertex_values[rows]
-            pend[:] = False
-        lo, hi = self._mask_range[w]
-        views["cur"][...] = np.packbits(self._frontier.current[lo:hi])
-        views["chg"][...] = np.packbits(self._frontier.changed[lo:hi])
-        m = 0
-        if self._pending_e is not None:
-            pe = self._pending_e[w]
-            eids = np.flatnonzero(pe)
-            m = len(eids)
-            if m:
-                views["eidx"][:m] = eids
-                views["evals"][:m] = self._compute.edge_state[eids]
-                pe[:] = False
-        self._mbox_seq[w] += 1
-        header = views["header"]
-        header[1] = k
-        header[2] = m
-        # The sequence number is written last: a worker acts on the
-        # payload only after seeing the new seq (and only after the
-        # task-queue message that itself follows this write).
-        header[0] = self._mbox_seq[w]
-        self.mailbox_publishes += 1
-        if k >= mb["cap_v"]:
-            self.mailbox_stalls += 1
-        self.boundary_bytes_sent += (
-            k * (8 + self._vrow_bytes) + 2 * mb["packed"] + m * (8 + self._erow_bytes)
-        )
-
-    def phase_run(self, group, shards, iteration: int, count_full: bool):
-        """Mailbox publish + dispatch, one owner at a time.
-
-        Owner ``w``'s tasks are enqueued immediately after its mailbox
-        write, so its compute overlaps the packing of every later
-        owner's deltas; the collector (and with it the deterministic
-        owner-order merge) is identical to the base pool's.
-        """
-        self._accumulate_pending()
-        self._sync_id += 1
-        fr = self._frontier
-        by_worker: dict[int, list] = {}
-        for shard in shards:
-            by_worker.setdefault(self._worker_for(shard.index), []).append(shard)
-        for w in sorted(by_worker):
-            self._fill_mailbox(w)
-            for shard in by_worker[w]:
-                self._task_qs[w].put(
-                    (
-                        _TASK,
-                        self._sync_id,
-                        iteration,
-                        tuple(group.phases),
-                        shard.index,
-                        count_full,
-                        int(fr.active_epochs[shard.index]),
-                        int(fr.changed_epochs[shard.index]),
-                    )
-                )
-        self.tasks += len(shards)
-        self.max_inflight = max(self.max_inflight, len(shards))
-        self._obs.add("procpool.tasks", len(shards))
-        if self._heartbeats is not None:
-            for shard in shards:
-                w = self._worker_for(shard.index)
-                self._outstanding[w] += 1
-                self._heartbeats.busy(f"worker-{w}", True)
-        pending: dict[int, tuple] = {}
-
-        def collect(shard):
-            payload = self._await_result(shard.index, pending)
-            return self._replay(payload)
-
-        return collect
-
-    def _replay(self, payload: tuple) -> WorkItems:
-        for delta in payload[4]:
-            for part in delta[1:]:
-                if isinstance(part, np.ndarray):
-                    self.delta_bytes_merged += part.nbytes
-        return super()._replay(payload)
-
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict:
-        snap = super().snapshot()
-        snap["backend"] = "cluster"
-        snap["frontier_policy"] = self._policy
-        snap["owned_shards"] = [
-            len(self._ownership.shards_of(w)) for w in range(self.num_workers)
-        ]
-        snap["boundary_in_sizes"] = list(self.boundary_in_sizes)
-        snap["boundary_out_sizes"] = list(self.boundary_out_sizes)
-        snap["worker_resident_bytes"] = list(self.worker_resident_bytes)
-        snap["single_process_bytes"] = self.single_process_bytes
-        snap["boundary_bytes_sent"] = self.boundary_bytes_sent
-        snap["delta_bytes_merged"] = self.delta_bytes_merged
-        snap["mailbox_publishes"] = self.mailbox_publishes
-        snap["mailbox_stalls"] = self.mailbox_stalls
-        return snap

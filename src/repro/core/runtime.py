@@ -102,14 +102,12 @@ class GraphReduceOptions:
     #: Kernel backend for the fused gather/apply/activate inner loops
     #: (see :mod:`repro.core.kernels`): ``"numpy"`` runs the fused
     #: shapes with whole-array primitives and arena-reused scratch
-    #: buffers; ``"numba"`` compiles them into single-pass ``@njit``
-    #: kernels (falls back to ``"numpy"`` with a warning when Numba is
-    #: not installed); ``"auto"`` picks numba when importable; ``"off"``
-    #: disables the kernel layer entirely (generic path, test hook).
-    #: Like the other host fast paths this changes wall-clock only:
-    #: results, frontier history and the simulated timeline are
-    #: bit-identical across backends.
-    kernel_backend: str = "auto"
+    #: buffers; ``"off"`` disables the kernel layer entirely (the
+    #: generic path the equivalence tests compare against). Like the
+    #: other host fast paths this changes wall-clock only: results,
+    #: frontier history and the simulated timeline are bit-identical
+    #: either way.
+    kernel_backend: str = "numpy"
     #: Traversal direction: ``"push"`` executes the natural change-
     #: driven frontier (the paper's model); ``"pull"`` runs every
     #: iteration bottom-up with all vertices active, which the dense
@@ -123,15 +121,14 @@ class GraphReduceOptions:
     direction_beta: float = 24.0
     parallel_shards: int = 0
     #: How ``parallel_shards`` workers execute: ``"threads"`` (PR 3's
-    #: ThreadPoolExecutor; NumPy kernels release the GIL), or
-    #: ``"processes"`` (a spawn-safe worker pool attaching the shard
-    #: arrays zero-copy -- shared memory for in-RAM runs, the store's
-    #: own mapping for shard-store runs -- see :mod:`repro.core.procpool`).
-    #: or ``"cluster"`` (partitioned ownership: each worker attaches
-    #: only its owned shard slice and the main process ships sparse
-    #: boundary-vertex deltas through fixed-slot shared-memory
-    #: mailboxes -- per-worker resident bytes scale down with the
-    #: worker count; see :class:`repro.core.procpool.ClusterPool`).
+    #: ThreadPoolExecutor; NumPy kernels release the GIL) or
+    #: ``"cluster"`` (a spawn-safe process pool with partitioned
+    #: ownership: each worker attaches only its owned shard slice
+    #: zero-copy -- shared memory for in-RAM runs, the store's own
+    #: mapping for shard-store runs -- and the main process ships
+    #: sparse boundary-vertex deltas through fixed-slot shared-memory
+    #: mailboxes, so per-worker resident bytes scale down with the
+    #: worker count; see :class:`repro.core.procpool.ProcessPool`).
     #: ``"serial"`` ignores ``parallel_shards`` entirely. All parallel
     #: backends are bit-identical to serial: results, frontier history
     #: and the simulated timeline are merged in fixed shard order. If a
@@ -288,7 +285,8 @@ class GraphReduceResult:
     #: host prefetcher totals: hits, faults, evictions, bytes loaded
     #: and released (shard-store runs only; None for in-RAM runs)
     prefetch: dict | None = None
-    #: process-pool totals + per-worker wall-clock lane (``processes``
+    #: process-pool totals (tasks, ownership, per-worker resident bytes,
+    #: boundary traffic) + per-worker wall-clock lane (``cluster``
     #: backend only; None otherwise)
     procpool: dict | None = None
     #: telemetry summary (records emitted, incidents, flight-recorder
@@ -370,26 +368,22 @@ class GraphReduce:
     # ------------------------------------------------------------------
     @staticmethod
     def _pool_engaged(opts: GraphReduceOptions) -> bool:
-        """Whether this configuration runs through a worker pool.
+        """Whether this configuration runs through the worker pool.
 
-        The ``processes`` backend needs at least two workers to be
-        worth a pool; ``cluster`` engages from one worker up -- a
-        single-owner cluster still exercises the partitioned-ownership
-        attach and the mailbox exchange, and is the degenerate point of
-        the scaling curve.
+        The pool engages from one worker up -- a single owner still
+        exercises the owned-shard attach and the mailbox exchange, and
+        is the degenerate point of the scaling curve.
         """
-        if opts.execution_mode != "bsp":
-            return False
-        if opts.parallel_backend == "processes":
-            return opts.parallel_shards > 1
-        if opts.parallel_backend == "cluster":
-            return opts.parallel_shards >= 1
-        return False
+        return (
+            opts.execution_mode == "bsp"
+            and opts.parallel_backend == "cluster"
+            and opts.parallel_shards >= 1
+        )
 
     def run(self, program: GASProgram, max_iterations: int | None = None) -> GraphReduceResult:
         """Execute ``program`` to convergence on the simulated machine."""
         opts = self.options
-        if opts.parallel_backend not in ("serial", "threads", "processes", "cluster"):
+        if opts.parallel_backend not in ("serial", "threads", "cluster"):
             raise ValueError(f"unknown parallel_backend {opts.parallel_backend!r}")
         if self._pool_engaged(opts):
             from repro.core.procpool import WorkerCrashed
@@ -400,7 +394,7 @@ class GraphReduce:
                 # The run is deterministic, so a clean serial re-run
                 # produces exactly the result the pool would have.
                 warnings.warn(
-                    f"{opts.parallel_backend} pool backend failed ({exc}); "
+                    f"worker pool failed ({exc}); "
                     "falling back to serial execution",
                     RuntimeWarning,
                     stacklevel=2,
@@ -462,8 +456,9 @@ class GraphReduce:
         if use_pool and not program.process_safe:
             raise ValueError(
                 f"{type(program).__name__} carries mutable per-run Python "
-                "state (process_safe=False); the processes backend would "
-                "silently diverge per worker -- use serial or threads"
+                "state (process_safe=False); the worker pool (cluster "
+                "backend) would silently diverge per worker -- use serial "
+                "or threads"
             )
         keep_state = opts.keep_warm and not use_pool
         if not keep_state:
@@ -528,7 +523,7 @@ class GraphReduce:
                     graph=edges.name,
                     backend=opts.parallel_backend,
                     workers=opts.parallel_shards,
-                    kernel_backend=kernels.name if kernels is not None else "off",
+                    kernel_backend=opts.kernel_backend,
                     num_vertices=edges.num_vertices,
                     num_edges=edges.num_edges,
                     num_shards=sharded.num_partitions,
@@ -638,16 +633,9 @@ class GraphReduce:
             else:
                 raise ValueError(f"unknown execution_mode {opts.execution_mode!r}")
             if use_pool:
-                from repro.core.procpool import ClusterPool, ProcessPool
+                from repro.core.procpool import ProcessPool
 
-                cluster = opts.parallel_backend == "cluster"
-                pool_cls = ProcessPool
-                pool_kwargs = {}
-                if cluster:
-                    pool_cls = ClusterPool
-                    pool_kwargs["frontier_policy"] = opts.frontier_policy
-                pool = pool_cls(
-                    **pool_kwargs,
+                pool = ProcessPool(
                     sharded=sharded,
                     program=program,
                     ctx=ctx,
@@ -659,12 +647,8 @@ class GraphReduce:
                     cache=opts.plan_cache,
                     sparse=opts.sparse_bypass,
                     plan_budget=opts.plan_cache_budget,
-                    # Ship the *resolved* backend name: workers re-resolve
-                    # locally (dispatchers are not picklable) but must not
-                    # re-warn about a missing Numba per worker.
-                    kernel_backend=(
-                        kernels.name if kernels is not None else "off"
-                    ),
+                    kernel_backend=opts.kernel_backend,
+                    frontier_policy=opts.frontier_policy,
                     store=self.shard_store,
                     unit_weights=(
                         self.shard_store is not None
@@ -675,7 +659,7 @@ class GraphReduce:
                 )
                 if telem is not None:
                     telem.add_source(
-                        "cluster" if cluster else "procpool",
+                        "procpool",
                         lambda p=pool: {
                             k: v for k, v in p.snapshot().items() if k != "lane"
                         },

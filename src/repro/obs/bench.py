@@ -134,159 +134,6 @@ class WallclockCase:
     min_variant_ratio: float = 0.0
 
 
-def _procpool_wallclock_case() -> WallclockCase:
-    """Process pool vs thread pool on GIL-bound per-shard host work.
-
-    Both sides run the same shard-parallel PageRank with the dense fast
-    path and plan cache off, so every shard phase rebuilds its sparse
-    gather/scatter plans -- host work dominated by many small NumPy and
-    Python steps that hold the GIL. Threads serialize on that work; the
-    process pool runs it on independent interpreters against zero-copy
-    shared-memory shard arrays, so the ratio isolates the GIL escape.
-
-    The floor applies only on multi-core hosts: on a single core the
-    pool's publish/IPC overhead has no parallelism to buy it back, so
-    the case records the ratio without gating it.
-    """
-    import os
-
-    from repro.algorithms import PageRank
-    from repro.core.runtime import GraphReduce, GraphReduceOptions
-    from repro.graph.generators import erdos_renyi
-
-    cores = os.cpu_count() or 1
-    workers = max(2, min(4, cores))
-    common = dict(
-        cache_policy="never",
-        num_partitions=8,
-        observe=False,
-        trace=False,
-        dense_fast_path=False,
-        plan_cache=False,
-        parallel_shards=workers,
-    )
-    fast = GraphReduceOptions(**common, parallel_backend="processes")
-    slow = GraphReduceOptions(**common, parallel_backend="threads")
-    metrics = GraphReduceOptions(
-        cache_policy="never",
-        num_partitions=8,
-        dense_fast_path=False,
-        plan_cache=False,
-        parallel_shards=workers,
-        parallel_backend="processes",
-    )
-    edges = erdos_renyi(65_536, 1_000_000, seed=7, name="er-wallclock")
-    return WallclockCase(
-        engines={
-            "fast": GraphReduce(edges, options=fast),
-            "slow": GraphReduce(edges, options=slow),
-        },
-        make_program=lambda: PageRank(tolerance=None, max_iterations=25),
-        metrics_engine=GraphReduce(edges, options=metrics),
-        min_speedup=1.5 if cores >= 2 else 0.0,
-    )
-
-
-def _cluster_wallclock_case() -> WallclockCase:
-    """Partitioned-ownership cluster pool vs the replicated process pool.
-
-    Both sides run the same shard-parallel PageRank; the slow side is
-    the PR-5 process pool (every worker attaches the full shard arrays
-    and the main process republishes full state each phase), the fast
-    side is the cluster backend (each worker holds only its owned shard
-    slice and receives sparse boundary deltas through a fixed-slot
-    mailbox). Results are bit-identical by contract; the floor applies
-    only on multi-core hosts, where skipping the full-state publish is
-    the win being gated.
-
-    ``extra`` gates the memory claim -- the peak per-worker resident
-    footprint must sit measurably below the single-process footprint --
-    and the committed 1->8 multi-device scaling floor: the simulated
-    scheduler is deterministic, so the scaling ratio is machine-
-    independent and gated on every run, including ``--update``.
-    """
-    import os
-
-    from repro.algorithms import PageRank
-    from repro.core.runtime import GraphReduce, GraphReduceOptions
-    from repro.graph.generators import erdos_renyi
-
-    cores = os.cpu_count() or 1
-    workers = 2
-    common = dict(
-        cache_policy="never",
-        num_partitions=8,
-        observe=False,
-        trace=False,
-        dense_fast_path=False,
-        plan_cache=False,
-        parallel_shards=workers,
-    )
-    fast = GraphReduceOptions(**common, parallel_backend="cluster")
-    slow = GraphReduceOptions(**common, parallel_backend="processes")
-    metrics = GraphReduceOptions(
-        cache_policy="never",
-        num_partitions=8,
-        dense_fast_path=False,
-        plan_cache=False,
-        parallel_shards=workers,
-        parallel_backend="cluster",
-    )
-    edges = erdos_renyi(65_536, 1_000_000, seed=7, name="er-wallclock")
-    make_program = lambda: PageRank(tolerance=None, max_iterations=25)
-
-    def extra(metrics_result):
-        pp = metrics_result.procpool or {}
-        resident = pp.get("worker_resident_bytes") or []
-        single = pp.get("single_process_bytes", 0)
-        peak = max(resident) if resident else 0
-        if not single or peak >= 0.7 * single:
-            raise AssertionError(
-                f"cluster peak per-worker resident {peak} B is not below "
-                f"70% of the single-process footprint {single} B"
-            )
-        from repro.core.multigpu import MultiGPUGraphReduce
-
-        mg_opts = GraphReduceOptions(
-            cache_policy="never", num_partitions=8, observe=False, trace=False
-        )
-        one = MultiGPUGraphReduce(edges, num_devices=1, options=mg_opts).run(
-            make_program()
-        )
-        eight = MultiGPUGraphReduce(
-            edges, num_devices=8, options=mg_opts, frontier_policy="partitioned"
-        ).run(make_program())
-        scaling = one.sim_time / eight.sim_time if eight.sim_time else 0.0
-        floor = 2.0  # deterministic sim: machine-independent
-        if scaling < floor:
-            raise AssertionError(
-                f"multi-device 1->8 scaling {scaling:.2f}x fell below the "
-                f"{floor:.2f}x floor"
-            )
-        return {
-            "worker_resident_peak_bytes": int(peak),
-            "single_process_bytes": int(single),
-            "boundary_bytes_sent": int(pp.get("boundary_bytes_sent", 0)),
-            "mailbox_stalls": int(pp.get("mailbox_stalls", 0)),
-            "multigpu_scaling_8": scaling,
-            "multigpu_scaling_floor": floor,
-            "multigpu_replication_bytes_8": int(eight.replication_bytes),
-            "multigpu_p2p_bytes_8": int(eight.p2p_bytes),
-            "multigpu_host_staged_bytes_8": int(eight.host_staged_bytes),
-        }
-
-    return WallclockCase(
-        engines={
-            "fast": GraphReduce(edges, options=fast),
-            "slow": GraphReduce(edges, options=slow),
-        },
-        make_program=make_program,
-        metrics_engine=GraphReduce(edges, options=metrics),
-        min_speedup=0.8 if cores >= 2 else 0.0,
-        extra=extra,
-    )
-
-
 def _wallclock_cases() -> dict[str, Callable]:
     """name -> zero-arg factory returning a :class:`WallclockCase`.
 
@@ -342,65 +189,8 @@ def _wallclock_cases() -> dict[str, Callable]:
         "road_sssp_wallclock": _road_sssp_wallclock_case,
         "batch_bfs_wallclock": _batch_bfs_wallclock_case,
         "batch_pagerank_wallclock": _batch_pagerank_wallclock_case,
-        "procpool_pagerank_wallclock": _procpool_wallclock_case,
-        "cluster_pagerank_wallclock": _cluster_wallclock_case,
         "telemetry_pagerank_wallclock": _telemetry_overhead_wallclock_case,
-        "numba_pagerank_wallclock": _numba_wallclock_case,
     }
-
-
-def _numba_wallclock_case() -> WallclockCase:
-    """Compiled kernel backend vs the fused NumPy backend.
-
-    Both sides run the identical serial fast-path configuration (dense
-    plans + plan cache on) on power-iteration PageRank; the only
-    difference is the kernel backend. The fast side's fused ``@njit``
-    kernels do the whole gather (take + degree-divide + segment-reduce
-    + has-mark) in one parallel pass over the CSC sub-arrays where the
-    NumPy backend makes several whole-array passes through arena
-    buffers -- that pass fusion plus compilation is what the >=2x floor
-    measures.
-
-    JIT compilation happens in the harness's *untimed* warm-up pass
-    (:func:`run_wallclock_suite` runs every engine once before timing,
-    and ``@njit(cache=True)`` persists the machine code on disk), so
-    measured repeats contain no compilation --
-    ``tests/core/test_kernels.py`` pins that invariant via the
-    dispatchers' signature sets.
-
-    Without Numba the fast side requests ``"numpy"`` directly (asking
-    for ``"numba"`` would just degrade to it with a RuntimeWarning --
-    noise on every Numba-free ``bench-check``, which reruns this suite
-    for its simulated metrics) and the floor drops to 0.0: the ratio is
-    recorded as ~1.0 informational context and never gated. CI's
-    ``numba-kernels`` job installs Numba and enforces the floor.
-    """
-    from repro.algorithms import PageRank
-    from repro.core.kernels import numba_available
-    from repro.core.runtime import GraphReduce, GraphReduceOptions
-    from repro.graph.generators import erdos_renyi
-
-    edges = erdos_renyi(65_536, 1_000_000, seed=7, name="er-wallclock")
-    common = dict(cache_policy="never", num_partitions=4, observe=False, trace=False)
-    fast = GraphReduceOptions(
-        **common, kernel_backend="numba" if numba_available() else "numpy"
-    )
-    slow = GraphReduceOptions(**common, kernel_backend="numpy")
-    # Committed sim metrics come from the numpy side so the default
-    # (Numba-free) CI lane reproduces them bit for bit; the timeline is
-    # backend-invariant anyway.
-    metrics = GraphReduceOptions(
-        cache_policy="never", num_partitions=4, kernel_backend="numpy"
-    )
-    return WallclockCase(
-        engines={
-            "fast": GraphReduce(edges, options=fast),
-            "slow": GraphReduce(edges, options=slow),
-        },
-        make_program=lambda: PageRank(tolerance=None, max_iterations=25),
-        metrics_engine=GraphReduce(edges, options=metrics),
-        min_speedup=2.0 if numba_available() else 0.0,
-    )
 
 
 def _telemetry_overhead_wallclock_case() -> WallclockCase:
@@ -751,10 +541,7 @@ def run_wallclock_suite(repeats: int = 3, warmup: int = 1) -> dict:
     Each case runs every engine per repeat -- fast, slow and any
     fixed-direction variants, interleaved so machine drift cancels out
     of the ratios -- after ``warmup`` untimed passes per side, and
-    keeps the best wall time of each. The warm-up pass is also where
-    compiled kernel backends JIT (``numba_pagerank_wallclock``): every
-    ``@njit`` dispatcher specializes during the untimed run, so timed
-    repeats never contain compilation.
+    keeps the best wall time of each.
     Every engine must produce bit-identical ``vertex_values`` (the fast
     paths, direction switching and the out-of-core tier are
     value-preserving by contract; the harness enforces it); cases with

@@ -240,9 +240,9 @@ class ProfileReport:
     plan_cache: dict = field(default_factory=dict)
     #: host shard-prefetch counters of out-of-core runs (repro.core.movement)
     prefetch: dict = field(default_factory=dict)
-    #: process-pool backend counters (repro.core.procpool); when the
-    #: run used ``--parallel-backend cluster`` this carries the
-    #: partitioned-ownership counters too (worker_resident_bytes,
+    #: process-pool counters of ``--parallel-backend cluster`` runs
+    #: (repro.core.procpool): tasks, publish/wait seconds and the
+    #: partitioned-ownership accounting (worker_resident_bytes,
     #: boundary_bytes_sent, mailbox stalls, ...)
     procpool: dict = field(default_factory=dict)
     #: multi-device scaling projection (``repro profile --devices N``):
@@ -313,7 +313,6 @@ class ProfileReport:
             self._kernels_line(),
             self._prefetch_line(),
             self._procpool_line(),
-            self._cluster_line(),
             self._devices_line(),
             "",
             f"bottleneck         : {self.verdict.bottleneck} "
@@ -406,26 +405,18 @@ class ProfileReport:
         pp = self.procpool
         if not pp.get("tasks"):
             return "process pool       : n/a (serial or thread backend)"
-        return (
-            f"process pool       : {pp.get('workers', 0)} workers, "
-            f"{pp.get('tasks', 0)} shard tasks "
-            f"(max {pp.get('max_inflight', 0)} in flight), "
-            f"publish {pp.get('publish_seconds', 0.0):.3f} s, "
-            f"wait {pp.get('wait_seconds', 0.0):.3f} s"
-        )
-
-    def _cluster_line(self) -> str:
-        pp = self.procpool
-        if pp.get("backend") != "cluster":
-            return "cluster            : n/a (not the cluster backend)"
         resident = pp.get("worker_resident_bytes") or []
         peak = max(resident) if resident else 0
         single = pp.get("single_process_bytes", 0) or 0
         frac = f" ({100 * peak / single:.0f}% of single-process)" if single else ""
         owned = "/".join(str(c) for c in pp.get("owned_shards", []))
         return (
-            f"cluster            : {pp.get('workers', 0)} owners "
-            f"(shards {owned}), frontier {pp.get('frontier_policy', '?')}, "
+            f"process pool       : {pp.get('workers', 0)} workers "
+            f"(shards {owned}), {pp.get('tasks', 0)} shard tasks "
+            f"(max {pp.get('max_inflight', 0)} in flight), "
+            f"publish {pp.get('publish_seconds', 0.0):.3f} s, "
+            f"wait {pp.get('wait_seconds', 0.0):.3f} s\n"
+            f"                     frontier {pp.get('frontier_policy', '?')}, "
             f"peak resident {peak / 2**20:.2f} MiB{frac}; "
             f"boundary {pp.get('boundary_bytes_sent', 0) / 2**20:.2f} MiB sent, "
             f"deltas {pp.get('delta_bytes_merged', 0) / 2**20:.2f} MiB merged, "

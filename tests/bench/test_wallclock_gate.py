@@ -49,7 +49,7 @@ class TestFloorFailures:
         assert bench.floor_failures(fresh) == [("case", 0.8, 1.0)]
 
     def test_zero_floor_never_fails(self):
-        # Floors of 0 mark ungated cases (e.g. procpool on 1 core).
+        # Floors of 0 mark ungated cases.
         fresh = {"case": _measurement(speedup=0.2, min_speedup=0.0)}
         assert bench.floor_failures(fresh) == []
 

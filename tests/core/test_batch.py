@@ -3,8 +3,8 @@
 The contract under test: every query in a batch is *bit-identical* to
 the solo run it replaces -- same values, same retirement iteration as
 the solo push schedule -- across program families, state layouts,
-storage tiers (in-RAM vs shard store), shard backends (serial, thread
-pool, process pool) and kernel backends. The batch is a pure
+storage tiers (in-RAM vs shard store) and shard backends (serial, thread
+pool, process pool). The batch is a pure
 scan-sharing rewrite; nothing about any individual query's answer may
 change.
 """
@@ -25,7 +25,6 @@ from repro.core.batch import (
     _BatchLedger,
     _validate_sources,
 )
-from repro.core.kernels import numba_available
 from repro.core.partition import PartitionEngine
 from repro.core.runtime import GraphReduce, GraphReduceOptions
 from repro.core.shardstore import ShardStore
@@ -120,17 +119,12 @@ def test_batch_matches_solo(family, layout, placement, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Backend matrix: shard pools and kernel backends
+# Backend matrix: shard pools
 # ----------------------------------------------------------------------
 
 BACKENDS = [
     pytest.param(dict(parallel_shards=2, parallel_backend="threads"), id="threads"),
-    pytest.param(dict(parallel_shards=2, parallel_backend="processes"), id="processes"),
-    pytest.param(
-        dict(kernel_backend="numba"),
-        id="numba",
-        marks=pytest.mark.skipif(not numba_available(), reason="Numba not installed"),
-    ),
+    pytest.param(dict(parallel_shards=2, parallel_backend="cluster"), id="cluster"),
 ]
 
 

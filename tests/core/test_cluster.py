@@ -1,7 +1,7 @@
-"""Cluster-backend and multi-device scheduler tests.
+"""Ownership-partitioned pool and multi-device scheduler tests.
 
 The partitioned-ownership layers (repro.core.ownership feeding both the
-``cluster`` procpool backend and the multi-device scheduler) are pure
+``cluster`` worker pool and the multi-device scheduler) are pure
 performance-plane rewrites: every configuration must stay bit-identical
 to serial execution -- values, frontier trajectory, simulated timeline,
 kernel censuses -- while each worker holds only its owned shard slice.
@@ -12,16 +12,18 @@ a serial re-run with a warning, an unchanged result, and no leaked
 shared memory.
 """
 
-import os
-import signal
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.core.test_fastpath import PROGRAMS, _kernel_items
-from tests.core.test_procpool import MATRIX, _assert_identical, _shm_entries
+from tests.core.test_fastpath import PROGRAMS
+from tests.core.test_procpool import (
+    MATRIX,
+    CrashyPageRank,
+    _assert_identical,
+    _shm_entries,
+)
 from tests.fixture_graphs import build
 from repro.algorithms import PageRank
 from repro.core.multigpu import MultiGPUGraphReduce
@@ -33,7 +35,6 @@ from repro.core.ownership import (
     owned_vertex_mask,
 )
 from repro.core.partition import PartitionEngine
-from repro.core.procpool import ENV_WORKER_FLAG
 from repro.core.runtime import GraphReduce, GraphReduceOptions
 from repro.core.shardstore import ShardStore
 from repro.graph.edgelist import EdgeList
@@ -80,7 +81,6 @@ def test_cluster_matches_serial_in_ram(workers, policy):
         label = f"{algo}/w{workers}/{policy}"
         _assert_identical(label, pool, serial)
         pp = pool.procpool
-        assert pp["backend"] == "cluster", label
         assert pp["frontier_policy"] == policy, label
         assert sum(pp["owned_shards"]) == 4, label
         assert len(pp["worker_resident_bytes"]) == pp["workers"], label
@@ -92,29 +92,31 @@ def test_cluster_matches_serial_in_ram(workers, policy):
 def test_cluster_matches_serial_store_backed(tmp_path):
     g = build("er_mid")
     weighted = g.with_random_weights(seed=33)
-    for workers, label, graph, algo in (
-        (2, "plain", g, "bfs"),
-        (2, "plain", g, "pagerank"),
-        (4, "plain", g, "cc"),
-        (2, "weighted", weighted, "stamping_sssp"),
+    for workers, policy, label, graph, algo in (
+        (2, "replicated", "plain", g, "bfs"),
+        (2, "partitioned", "plain", g, "pagerank"),
+        (4, "partitioned", "plain", g, "cc"),
+        (2, "replicated", "weighted", weighted, "stamping_sssp"),
+        (2, "partitioned", "weighted", weighted, "stamping_sssp"),
     ):
         store = ShardStore.save(
-            PartitionEngine().partition(graph, 4), tmp_path / f"{label}-{algo}-{workers}"
+            PartitionEngine().partition(graph, 4),
+            tmp_path / f"{label}-{algo}-{workers}-{policy}",
         )
         make = PROGRAMS[algo]
         serial = GraphReduce(
             graph, options=GraphReduceOptions(num_partitions=4, parallel_backend="serial")
         ).run(make())
         pool = GraphReduce(
-            shard_store=store, options=_cluster(workers)
+            shard_store=store, options=_cluster(workers, policy)
         ).run(make())
-        _assert_identical(f"store/{algo}/w{workers}", pool, serial)
+        _assert_identical(f"store/{algo}/w{workers}/{policy}", pool, serial)
         # Store workers memmap only their owned shards. On this tiny
         # fixture the per-worker state copies dwarf the shard savings,
         # so the "resident < single-process" claim is gated where it is
-        # meaningful -- the shard-dominated bench/CI scenarios
-        # (cluster_pagerank_wallclock, the cluster-smoke CI job). Here
-        # we pin the accounting shape.
+        # meaningful -- the shard-dominated graph of
+        # test_worker_resident_bytes_scale_down_with_ownership and the
+        # pool-smoke CI job. Here we pin the accounting shape.
         pp = pool.procpool
         assert len(pp["worker_resident_bytes"]) == pp["workers"]
         assert all(b > 0 for b in pp["worker_resident_bytes"])
@@ -132,6 +134,24 @@ def test_partitioned_policy_ships_fewer_boundary_bytes():
     ).run(make())
     assert np.array_equal(rep.vertex_values, par.vertex_values)
     assert par.procpool["boundary_bytes_sent"] < rep.procpool["boundary_bytes_sent"]
+
+
+def test_worker_resident_bytes_scale_down_with_ownership():
+    """The pool's one measured win: on a shard-dominated graph each of
+    two workers holds well under the single-process footprint. Pure
+    byte accounting -- machine-independent, no timing."""
+    from repro.graph.generators import erdos_renyi
+
+    g = erdos_renyi(65_536, 1_000_000, seed=7, name="er-wallclock")
+    result = GraphReduce(
+        g,
+        options=_cluster(
+            2, num_partitions=8, cache_policy="never", observe=False, trace=False
+        ),
+    ).run(PageRank(tolerance=None, max_iterations=2))
+    pp = result.procpool
+    assert pp is not None
+    assert max(pp["worker_resident_bytes"]) < 0.7 * pp["single_process_bytes"]
 
 
 # ----------------------------------------------------------------------
@@ -211,15 +231,6 @@ def test_ownership_rejects_bad_maps():
 # ----------------------------------------------------------------------
 # Worker-crash recovery
 # ----------------------------------------------------------------------
-class CrashyPageRank(PageRank):
-    """Kills the hosting cluster worker dead (SIGKILL) in iteration >= 1."""
-
-    def apply(self, ctx, vertex_ids, old_values, gathered, has_gathered, iteration):
-        if iteration >= 1 and os.environ.get(ENV_WORKER_FLAG):
-            os.kill(os.getpid(), signal.SIGKILL)
-        return super().apply(ctx, vertex_ids, old_values, gathered, has_gathered, iteration)
-
-
 def test_cluster_worker_crash_falls_back_to_serial():
     g = build("er_mid")
     before = _shm_entries()
@@ -292,6 +303,24 @@ def test_multigpu_routes_follow_switch_topology():
     ).run(make())
     assert across.p2p_bytes > 0
     assert across.host_staged_bytes > 0
+
+
+def test_multigpu_scales_from_one_to_eight_devices():
+    """Simulated 1 -> 8 device scaling on the bench-wallclock PageRank
+    graph stays above 2x (deterministic sim: machine-independent)."""
+    from repro.graph.generators import erdos_renyi
+
+    g = erdos_renyi(65_536, 1_000_000, seed=7, name="er-wallclock")
+    opts = GraphReduceOptions(
+        cache_policy="never", num_partitions=8, observe=False, trace=False
+    )
+    make = lambda: PageRank(tolerance=None, max_iterations=25)
+    one = MultiGPUGraphReduce(g, num_devices=1, options=opts).run(make())
+    eight = MultiGPUGraphReduce(
+        g, num_devices=8, options=opts, frontier_policy="partitioned"
+    ).run(make())
+    assert np.array_equal(one.vertex_values, eight.vertex_values)
+    assert one.sim_time / eight.sim_time >= 2.0
 
 
 def test_multigpu_rejects_bad_device_count():

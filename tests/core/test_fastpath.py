@@ -15,7 +15,6 @@ import pytest
 from tests.fixture_graphs import FIXTURE_NAMES, build
 from repro.algorithms import BFS, ConnectedComponents, PageRank, SSSP
 from repro.core.frontier import FrontierManager
-from repro.core.kernels import numba_available
 from repro.core.partition import PartitionEngine
 from repro.core.plans import PlanCache
 from repro.core.runtime import GraphReduce, GraphReduceOptions, RuntimeContext
@@ -48,7 +47,7 @@ PROGRAMS = {
 
 #: every fast path alone, then everything at once; the kernels_* pair
 #: pins the fused-kernel axis explicitly (COMBOS above inherit the
-#: "auto" default, which resolves to the NumPy backend without Numba).
+#: "numpy" default).
 COMBOS = {
     "dense_only": dict(dense_fast_path=True, plan_cache=False, parallel_shards=0),
     "cache_only": dict(dense_fast_path=False, plan_cache=True, parallel_shards=0),
@@ -96,30 +95,6 @@ def test_fastpath_combos_match_slow_path(graph_name):
             # Same simulated kernels: identical edge/vertex censuses and
             # frontier traffic, phase by phase.
             assert _kernel_items(fast) == _kernel_items(slow), label
-
-
-@pytest.mark.skipif(not numba_available(), reason="Numba not installed")
-@pytest.mark.parametrize("graph_name", FIXTURE_NAMES)
-def test_numba_backend_matches_slow_path(graph_name):
-    """The compiled backend is held to the same bit-identity contract."""
-    g = build(graph_name)
-    weighted = g.with_random_weights(seed=33)
-    combo = dict(
-        dense_fast_path=True, plan_cache=True, parallel_shards=0, kernel_backend="numba"
-    )
-    for algo, make_program in PROGRAMS.items():
-        graph = weighted if "sssp" in algo else g
-        slow = _run(graph, make_program, SLOW)
-        fast = _run(graph, make_program, combo)
-        label = f"{algo}/numba"
-        assert np.array_equal(fast.vertex_values, slow.vertex_values), label
-        assert fast.frontier_history == slow.frontier_history, label
-        assert fast.sim_time == slow.sim_time, label
-        assert fast.iterations == slow.iterations, label
-        assert fast.converged == slow.converged, label
-        assert _kernel_items(fast) == _kernel_items(slow), label
-        assert fast.kernels is not None and fast.kernels["backend"] == "numba", label
-        assert fast.kernels["fallbacks"] == 0, label
 
 
 # Out-of-core: the same matrix, but the graph lives in an on-disk shard

@@ -1,12 +1,10 @@
 """Kernel layer unit tests (repro.core.kernels).
 
-Covers the registry contract (backend resolution, missing-Numba
-degradation with a single warning), the scratch arena (aligned,
-grow-only, reuse-counted buffers), the layout helpers, and the
-engine-level guarantees: a backend that *fails at runtime* must fall
+Covers the registry contract (backend resolution), the scratch arena
+(aligned, grow-only, reuse-counted buffers), the layout helpers, and
+the engine-level guarantee: a backend that *fails at runtime* must fall
 back to the generic path with one RuntimeWarning and an unchanged
-result, and (Numba only) the warm-up pass must absorb all JIT
-compilation so timed iterations never compile.
+result.
 """
 
 import warnings
@@ -16,10 +14,9 @@ import pytest
 
 from tests.fixture_graphs import build
 from repro.algorithms import BFS, PageRank
-from repro.core import kernels as registry
 from repro.core.kernels import arena as arena_mod
 from repro.core.kernels import layout
-from repro.core.kernels import numba_available, resolve_backend
+from repro.core.kernels import resolve_backend
 from repro.core.kernels.numpy_backend import NumpyKernels
 from repro.core.runtime import GraphReduce, GraphReduceOptions
 
@@ -38,34 +35,10 @@ def test_resolve_numpy():
 
 
 def test_resolve_unknown_rejected():
-    with pytest.raises(ValueError, match="unknown kernel backend"):
-        resolve_backend("fortran")
-
-
-def test_auto_without_numba_is_silent_numpy(monkeypatch):
-    monkeypatch.setattr(registry, "numba_available", lambda: False)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # any warning fails the test
-        backend = registry.resolve_backend("auto")
-    assert isinstance(backend, NumpyKernels)
-
-
-def test_numba_without_numba_warns_once_and_degrades(monkeypatch):
-    monkeypatch.setattr(registry, "numba_available", lambda: False)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        backend = registry.resolve_backend("numba")
-    assert isinstance(backend, NumpyKernels)
-    relevant = [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert len(relevant) == 1
-    assert "falling back to the NumPy backend" in str(relevant[0].message)
-
-
-@pytest.mark.skipif(not numba_available(), reason="Numba not installed")
-def test_resolve_numba_when_available():
-    backend = resolve_backend("numba")
-    assert backend.name == "numba"
-    assert resolve_backend("auto").name == "numba"
+    # "auto"/"numba" named the deleted compiled backend: unknown now.
+    for name in ("fortran", "auto", "numba"):
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            resolve_backend(name)
 
 
 # ----------------------------------------------------------------------
@@ -183,28 +156,3 @@ def test_int_valued_program_skips_fusion_without_warning():
         warnings.simplefilter("error", RuntimeWarning)
         result = _run(g, BFS(source=0), kernel_backend="numpy")
     assert result.kernels is not None
-
-
-# ----------------------------------------------------------------------
-# Numba: equivalence + warm-up hygiene
-# ----------------------------------------------------------------------
-@pytest.mark.skipif(not numba_available(), reason="Numba not installed")
-def test_numba_identical_and_no_compilation_after_warmup():
-    from repro.core.kernels import numba_backend
-
-    g = build("er_mid")
-    reference = _run(g, PageRank(tolerance=1e-3), kernel_backend="off")
-    warm = _run(g, PageRank(tolerance=1e-3), kernel_backend="numba")
-    assert np.array_equal(warm.vertex_values, reference.vertex_values)
-    assert warm.frontier_history == reference.frontier_history
-    assert warm.sim_time == reference.sim_time
-    assert warm.kernels["backend"] == "numba"
-    assert warm.kernels["fallbacks"] == 0
-    # Warm-up hygiene: the run above compiled every specialization this
-    # workload needs; a repeat run must not trigger new compilation
-    # (same contract bench-wallclock relies on for its timed repeats).
-    signatures = [len(d.signatures) for d in numba_backend.DISPATCHERS]
-    again = _run(g, PageRank(tolerance=1e-3), kernel_backend="numba")
-    assert np.array_equal(again.vertex_values, reference.vertex_values)
-    after = [len(d.signatures) for d in numba_backend.DISPATCHERS]
-    assert after == signatures, "timed-style repeat compiled new kernels"

@@ -1,11 +1,13 @@
-"""Process-pool backend tests (repro.core.procpool).
+"""Worker-pool tests (repro.core.procpool, ``parallel_backend="cluster"``).
 
 The pool is a pure host-side rewrite of shard execution: every run must
 be bit-identical to serial (values, frontier trajectory, simulated
-timeline, kernel censuses) whether the shard arrays are exported through
-shared memory (in-RAM graphs) or mapped per worker from the store (shard
-stores). The failure-handling half covers the hard guarantees: a killed
-worker degrades to a serial re-run with a warning and an unchanged
+timeline, kernel censuses) whether each worker's owned shard arrays are
+exported through shared memory (in-RAM graphs) or mapped per worker from
+the store (shard stores); the ownership, frontier-policy and
+worker-count axes of the same pool are in ``test_cluster.py``. The
+failure-handling half covers the hard guarantees: a killed worker
+degrades to a serial re-run with a warning and an unchanged
 result, shared-memory segments never outlive the run, and a store-backed
 run leaves no thread and no resident shard behind when an iteration
 raises.
@@ -22,13 +24,12 @@ import pytest
 from tests.core.test_fastpath import PROGRAMS, _kernel_items
 from tests.fixture_graphs import FIXTURE_NAMES, build
 from repro.algorithms import PageRank
-from repro.core.kernels import numba_available
 from repro.core.partition import PartitionEngine
 from repro.core.procpool import ENV_WORKER_FLAG, SHM_PREFIX
 from repro.core.runtime import GraphReduce, GraphReduceOptions
 from repro.core.shardstore import ShardStore
 
-POOL = dict(parallel_shards=2, parallel_backend="processes")
+POOL = dict(parallel_shards=2, parallel_backend="cluster")
 
 
 def _shm_entries() -> set:
@@ -110,20 +111,9 @@ def test_process_backend_matches_serial_store_backed(tmp_path):
         _assert_identical(f"store/{algo}", pool, serial)
 
 
-@pytest.mark.parametrize(
-    "kernel_backend",
-    (
-        "numpy",
-        pytest.param(
-            "numba",
-            marks=pytest.mark.skipif(
-                not numba_available(), reason="Numba not installed"
-            ),
-        ),
-    ),
-)
+@pytest.mark.parametrize("kernel_backend", ("off", "numpy"))
 def test_process_backend_kernel_axis(kernel_backend):
-    """Workers resolve the fused backend locally and stay bit-identical.
+    """Workers resolve the kernel layer locally and stay bit-identical.
 
     The pool pickles captured deltas *after* the next task may have
     reused the kernel arena, so this doubles as the regression test for
@@ -146,7 +136,9 @@ def test_process_backend_kernel_axis(kernel_backend):
             ),
         ).run(make())
         _assert_identical(f"{algo}/{kernel_backend}", pool, serial)
-        assert pool.kernels is not None, algo
+        if kernel_backend == "off":
+            assert pool.kernels is None, algo
+            continue
         assert pool.kernels["backend"] == kernel_backend, algo
         assert pool.kernels["fused_calls"] > 0, algo
         assert pool.kernels["fallbacks"] == 0, algo
@@ -283,7 +275,8 @@ def test_pool_snapshot_feeds_profile_and_trace():
     assert report.procpool["workers"] == 2
     assert report.procpool["tasks"] == result.procpool["tasks"]
     assert "lane" not in report.procpool
-    assert "process pool" in report.to_text()
+    assert "process pool       : 2 workers (shards 1/2)" in report.to_text()
+    assert "peak resident" in report.to_text()
     assert "evictions" in report.to_text()
     doc = result_to_chrome_trace(result)
     lanes = [
@@ -312,10 +305,12 @@ def test_serial_backend_ignores_parallel_shards():
 
 def test_unknown_backend_rejected():
     g = build("er_mid")
-    with pytest.raises(ValueError, match="parallel_backend"):
-        GraphReduce(
-            g, options=GraphReduceOptions(parallel_backend="fibers")
-        ).run(PROGRAMS["bfs"]())
+    # "processes" (the deleted replicated pool) is unknown, not an alias.
+    for backend in ("fibers", "processes"):
+        with pytest.raises(ValueError, match="parallel_backend"):
+            GraphReduce(
+                g, options=GraphReduceOptions(parallel_shards=2, parallel_backend=backend)
+            ).run(PROGRAMS["bfs"]())
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,6 @@ from tests.fixture_graphs import FIXTURE_NAMES, build
 from tests.references import bfs_levels, sssp_distances
 from repro.algorithms import BFS, BFSGather, ConnectedComponents, DeltaSSSP, SSSP
 from repro.core.frontier import DirectionController
-from repro.core.kernels import numba_available
 from repro.core.partition import PartitionEngine
 from repro.core.runtime import GraphReduce, GraphReduceOptions
 from repro.core.shardstore import ShardStore
@@ -38,7 +37,7 @@ DIRECTIONS = ("push", "pull", "auto")
 BACKENDS = {
     "serial": dict(parallel_backend="serial"),
     "threads": dict(parallel_shards=3, parallel_backend="threads"),
-    "processes": dict(parallel_shards=2, parallel_backend="processes"),
+    "cluster": dict(parallel_shards=2, parallel_backend="cluster"),
 }
 #: representative subset for the expensive legs (see module docstring)
 CORE_GRAPHS = ("path300", "road10x10", "er_small", "rmat_small")
@@ -101,14 +100,7 @@ def test_direction_matrix_in_ram(graph_name):
             _check_sssp(weighted, s.vertex_values)
 
 
-KERNEL_BACKENDS = (
-    "off",
-    "numpy",
-    pytest.param(
-        "numba",
-        marks=pytest.mark.skipif(not numba_available(), reason="Numba not installed"),
-    ),
-)
+KERNEL_BACKENDS = ("off", "numpy")
 
 
 @pytest.mark.parametrize("kernel_backend", KERNEL_BACKENDS)
@@ -142,10 +134,11 @@ def test_direction_matrix_kernel_backends(graph_name, kernel_backend):
 
 @pytest.mark.parametrize("graph_name", CORE_GRAPHS)
 def test_direction_matrix_processes(graph_name):
+    """Direction switching across the pool's worker processes."""
     g = build(graph_name)
     weighted = g.with_random_weights(seed=33)
     for direction in DIRECTIONS:
-        opts = _options(direction, "processes")
+        opts = _options(direction, "cluster")
         r = GraphReduce(g, options=opts).run(BFSGather(source=0))
         _check_bfs(g, r.vertex_values)
         s = GraphReduce(weighted, options=opts).run(SSSP(source=0))
@@ -159,7 +152,7 @@ def test_direction_matrix_shard_store(graph_name, tmp_path):
         PartitionEngine().partition(g, 3), tmp_path / "store"
     )
     for direction in DIRECTIONS:
-        for backend in ("serial", "threads", "processes"):
+        for backend in BACKENDS:
             opts = GraphReduceOptions(
                 direction=direction, **BACKENDS[backend]
             )
@@ -212,11 +205,13 @@ def test_delta_sssp_defers_out_of_bucket_work():
 
 
 def test_delta_sssp_rejects_processes_backend():
+    """``process_safe=False`` programs may not run in pool worker
+    processes; the error names the pool."""
     g = build("er_small").with_random_weights(seed=1)
     opts = GraphReduceOptions(
-        num_partitions=3, parallel_shards=2, parallel_backend="processes"
+        num_partitions=3, parallel_shards=2, parallel_backend="cluster"
     )
-    with pytest.raises(ValueError, match="process_safe"):
+    with pytest.raises(ValueError, match="process_safe.*worker pool"):
         GraphReduce(g, options=opts).run(DeltaSSSP(source=0))
 
 
@@ -303,7 +298,7 @@ def test_sparse_bypass_leaves_dense_workloads_alone():
 def test_procpool_aggregates_sparse_bypass():
     g = build("path300")
     opts = GraphReduceOptions(
-        num_partitions=3, parallel_shards=2, parallel_backend="processes"
+        num_partitions=3, parallel_shards=2, parallel_backend="cluster"
     )
     r = GraphReduce(g, options=opts).run(BFS(source=0))
     assert r.plan_cache["sparse_bypass"] > 0

@@ -1,13 +1,12 @@
-"""Dynamic graph streams, incremental warm starts, and relabeling."""
+"""Vertex relabeling (repro.graph.relabel)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import BFSGather, ConnectedComponents, PageRank, SSSP
+from repro.algorithms import ConnectedComponents
 from repro.core.runtime import GraphReduce
-from repro.graph.dynamic import DynamicGraphStream, EdgeBatch, incremental_program
 from repro.graph.edgelist import EdgeList
 from repro.graph.generators import erdos_renyi, mesh2d, rmat, road_network
 from repro.graph.relabel import (
@@ -18,106 +17,6 @@ from repro.graph.relabel import (
     random_order,
     unmap_values,
 )
-
-
-class TestDynamicStream:
-    def make_stream(self, seed=0):
-        g = erdos_renyi(100, 400, seed=seed)
-        rng = np.random.default_rng(seed + 1)
-        stream = DynamicGraphStream(g)
-        for _ in range(3):
-            m = 50
-            stream.append(EdgeBatch(rng.integers(0, 100, m), rng.integers(0, 100, m)))
-        return stream
-
-    def test_snapshots_grow(self):
-        stream = self.make_stream()
-        sizes = [stream.snapshot(i).num_edges for i in range(4)]
-        assert sizes == sorted(sizes)
-        assert sizes[0] <= 400  # dedup may trim the base too
-
-    def test_snapshot_bounds(self):
-        stream = self.make_stream()
-        with pytest.raises(IndexError):
-            stream.snapshot(4)
-
-    def test_batch_validation(self):
-        g = erdos_renyi(10, 20, seed=1)
-        stream = DynamicGraphStream(g)
-        with pytest.raises(ValueError):
-            stream.append(EdgeBatch(np.array([3]), np.array([99])))
-        with pytest.raises(ValueError):
-            EdgeBatch(np.array([1, 2]), np.array([1]))
-
-    def test_weighted_stream_requires_weighted_batches(self):
-        g = erdos_renyi(10, 20, seed=2).with_unit_weights()
-        stream = DynamicGraphStream(g)
-        stream.append(EdgeBatch(np.array([1]), np.array([2])))
-        with pytest.raises(ValueError, match="weighted"):
-            stream.snapshot(1)
-
-
-class TestIncrementalWarmStart:
-    @pytest.mark.parametrize("prog_factory", [
-        lambda: BFSGather(source=0),
-        lambda: ConnectedComponents(),
-    ])
-    def test_warm_start_equals_from_scratch(self, prog_factory):
-        g0 = erdos_renyi(200, 600, seed=3)
-        rng = np.random.default_rng(4)
-        batch = EdgeBatch(rng.integers(0, 200, 80), rng.integers(0, 200, 80))
-        stream = DynamicGraphStream(g0, [batch])
-
-        base = GraphReduce(stream.snapshot(0)).run(prog_factory())
-        g1 = stream.snapshot(1)
-        scratch = GraphReduce(g1).run(prog_factory())
-        inc_prog = incremental_program(prog_factory(), base.vertex_values, batch)
-        warm = GraphReduce(g1).run(inc_prog)
-        assert np.array_equal(warm.vertex_values, scratch.vertex_values)
-
-    def test_warm_start_converges_faster(self):
-        g0 = rmat(10, 8000, seed=5)
-        batch = EdgeBatch(np.array([1, 2, 3]), np.array([4, 5, 6]))
-        stream = DynamicGraphStream(g0, [batch])
-        base = GraphReduce(stream.snapshot(0)).run(BFSGather(source=0))
-        g1 = stream.snapshot(1)
-        scratch = GraphReduce(g1).run(BFSGather(source=0))
-        warm = GraphReduce(g1).run(
-            incremental_program(BFSGather(source=0), base.vertex_values, batch)
-        )
-        assert warm.iterations <= scratch.iterations
-        assert np.array_equal(warm.vertex_values, scratch.vertex_values)
-
-    def test_sssp_incremental(self):
-        g0 = erdos_renyi(150, 500, seed=6).with_random_weights(seed=7)
-        rng = np.random.default_rng(8)
-        batch = EdgeBatch(
-            rng.integers(0, 150, 30),
-            rng.integers(0, 150, 30),
-            rng.uniform(1, 10, 30).astype(np.float32),
-        )
-        stream = DynamicGraphStream(g0, [batch])
-        base = GraphReduce(stream.snapshot(0)).run(SSSP(source=0))
-        g1 = stream.snapshot(1)
-        scratch = GraphReduce(g1).run(SSSP(source=0))
-        warm = GraphReduce(g1).run(
-            incremental_program(SSSP(source=0), base.vertex_values, batch)
-        )
-        np.testing.assert_allclose(
-            warm.vertex_values, scratch.vertex_values, rtol=1e-5, atol=1e-5
-        )
-
-    def test_non_monotone_rejected(self):
-        batch = EdgeBatch(np.array([0]), np.array([1]))
-        with pytest.raises(TypeError, match="monotone"):
-            incremental_program(PageRank(), np.zeros(5), batch)
-
-    def test_apply_only_rejected(self):
-        from repro.algorithms import BFS
-
-        batch = EdgeBatch(np.array([0]), np.array([1]))
-        with pytest.raises(TypeError, match="gather"):
-            incremental_program(BFS(source=0), np.zeros(5), batch)
 
 
 class TestRelabel:

@@ -31,7 +31,7 @@ def _rec(kind, **fields):
 
 def _stream():
     return [
-        _rec("run_start", algorithm="pagerank", backend="processes",
+        _rec("run_start", algorithm="pagerank", backend="cluster",
              workers=2, pid=4242, wall_time=10.0),
         _rec("snapshot", iteration=0, frontier=8192, sim_time=0.001,
              iterations_per_sec=100.0, wall_time=10.5,
@@ -154,13 +154,40 @@ def test_render_shows_the_live_view():
     for r in _stream()[:-1]:
         state.ingest(r)
     view = render(state)
-    assert "run: pagerank" in view and "backend=processes" in view
+    assert "run: pagerank" in view and "backend=cluster" in view
     assert "iteration 5" in view and "frontier 4096" in view
     assert "plan-cache hit 0.75" in view
     assert "worker-1" in view and "busy" in view
     assert "incidents: none" in view
     state.ingest(_stream()[-1])
     assert "run ended: converged after 6 iterations" in render(state)
+
+
+def test_render_shows_the_pool_of_a_cluster_run(tmp_path):
+    """The pool registers its telemetry source under the one name the
+    monitor reads, so a real ``cluster`` run renders the pool segment."""
+    from repro.algorithms import PageRank
+    from repro.core.runtime import GraphReduce, GraphReduceOptions
+    from repro.graph.generators import erdos_renyi
+    from repro.obs.telemetry import TelemetryConfig
+
+    stream = tmp_path / "telemetry.jsonl"
+    result = GraphReduce(
+        erdos_renyi(400, 3000, seed=5),
+        options=GraphReduceOptions(
+            num_partitions=4,
+            parallel_shards=2,
+            parallel_backend="cluster",
+            telemetry=TelemetryConfig(out=str(stream), interval=0.0),
+        ),
+    ).run(PageRank(tolerance=None, max_iterations=3))
+    assert result.procpool is not None
+    state = MonitorState()
+    for r in read_records(str(stream)):
+        state.ingest(r)
+    view = render(state)
+    assert "backend=cluster" in view
+    assert f"pool 2w {result.procpool['tasks']} tasks" in view
 
 
 # ----------------------------------------------------------------------
@@ -170,7 +197,7 @@ def test_fold_stream_builds_diffable_report():
     doc = fold_stream(_stream())
     assert doc["telemetry_version"] == 1
     assert doc["run"] == {
-        "algorithm": "pagerank", "backend": "processes", "workers": 2,
+        "algorithm": "pagerank", "backend": "cluster", "workers": 2,
     }
     assert doc["records"] == 4 and doc["snapshots"] == 2
     assert doc["iterations"] == 6 and doc["converged"] is True
@@ -186,7 +213,7 @@ def test_fold_stream_builds_diffable_report():
 def test_metric_table_reads_telemetry_reports():
     table = metric_table(fold_stream(_stream()))
     [(name, row)] = table.items()
-    assert name == "telemetry:pagerank/processes"
+    assert name == "telemetry:pagerank/cluster"
     assert row["iterations"] == 6.0
     assert row["frontier_peak"] == 8192.0
     assert row["incidents"] == 0.0
