@@ -1,6 +1,6 @@
-"""Host fast-path wall-clock ablation: the three execution fast paths
-(dense-frontier kernels, gather-plan cache, parallel shard compute)
-toggled one at a time on power-iteration PageRank, verifying each
+"""Host fast-path wall-clock ablation: the execution fast paths
+(dense-or-rows plans with the fused kernels, then parallel shard compute)
+switched on one at a time on power-iteration PageRank, verifying each
 configuration is bit-identical to the slow path while the fully
 enabled one clears the committed speedup floor. Wall-clock numbers are
 emitted as informational context; the asserted quantities are the
@@ -24,10 +24,7 @@ def _run_ablation():
         cache_policy="never", num_partitions=4, observe=False, trace=False
     )
     configs = {
-        "slow": GraphReduceOptions(
-            **common, dense_fast_path=False, plan_cache=False
-        ),
-        "+dense": GraphReduceOptions(**common, plan_cache=False),
+        "slow": GraphReduceOptions(**common, dense_fast_path=False),
         "+plans": GraphReduceOptions(**common),
         "+parallel": GraphReduceOptions(**common, parallel_shards=4),
     }

@@ -70,6 +70,7 @@ from repro.graph.datasets import DATASETS, load_dataset
 from repro.graph.edgelist import EdgeList
 from repro.graph.io import load_edgelist_txt, load_matrix_market, load_npz
 from repro.graph.properties import footprint_bytes
+from repro.obs.profile import plan_summary
 from repro.sim.specs import DeviceSpec, HostSpec, SCALE
 
 def _parse_id_list(text: str) -> list[int]:
@@ -162,8 +163,6 @@ def _fastpath_options(args) -> dict:
         workers = 2 if backend == "cluster" else 0
     opts = {
         "dense_fast_path": not args.no_dense_path,
-        "plan_cache": not args.no_plan_cache,
-        "sparse_bypass": not args.no_sparse_bypass,
         "direction": args.direction,
         "direction_alpha": args.direction_alpha,
         "direction_beta": args.direction_beta,
@@ -379,10 +378,7 @@ def cmd_run(args) -> int:
           f"{result.stats.kernel_launches} kernels")
     if result.plan_cache is not None:
         pc = result.plan_cache
-        queries = pc["hits"] + pc["misses"]
-        line = (f"plan cache : {pc['hits']}/{queries} hits "
-                f"({100 * pc['hit_rate']:.1f}%), {pc['invalidations']} invalidations, "
-                f"{pc.get('sparse_bypass', 0)} sparse bypasses")
+        line = f"plan cache : {plan_summary(pc)}"
         if pc.get("carried_plans"):
             line += f", {pc['carried_plans']} plans carried warm"
         print(line)
@@ -551,9 +547,7 @@ def _print_batch(args, engine, graph, family, sources=None) -> int:
         print(line)
     if last.plan_cache is not None:
         pc = last.plan_cache
-        queries = pc["hits"] + pc["misses"]
-        print(f"plan cache : {pc['hits']}/{queries} hits "
-              f"({100 * pc['hit_rate']:.1f}%), "
+        print(f"plan cache : {plan_summary(pc)}, "
               f"{pc.get('carried_plans', 0)} plans carried warm")
     _print_prefetch(last)
     finite_counts = [int(np.isfinite(q.values).sum()) for q in report.queries]
@@ -909,14 +903,17 @@ def _add_store_args(p) -> None:
     )
 
 
+def _byte_budget(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0 bytes, got {value}")
+    return value
+
+
 def _add_fastpath_args(p) -> None:
     p.add_argument("--no-dense-path", action="store_true",
-                   help="disable the dense-frontier host fast path")
-    p.add_argument("--no-plan-cache", action="store_true",
-                   help="disable the gather/scatter plan cache")
-    p.add_argument("--no-sparse-bypass", action="store_true",
-                   help="disable the sparse-frontier plan bypass (always "
-                        "consult the epoch-keyed plan cache)")
+                   help="disable the dense-or-rows host fast path (every "
+                        "plan is rebuilt from scratch: the reference path)")
     p.add_argument(
         "--direction", choices=("push", "pull", "auto"), default="push",
         help="traversal direction: natural frontier (push), bottom-up "
@@ -961,8 +958,8 @@ def _add_fastpath_args(p) -> None:
              "bits only (partitioned); results are bit-identical",
     )
     p.add_argument(
-        "--plan-cache-budget", type=int, default=None,
-        help="LRU byte budget for the gather/scatter plan cache "
+        "--plan-cache-budget", type=_byte_budget, default=None,
+        help="LRU byte budget bounding the stored dense plans "
              "(default 256 MiB; 0 = unbounded)",
     )
     p.add_argument(

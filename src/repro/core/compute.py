@@ -18,6 +18,13 @@ Engine turns into kernel cost; with frontier skipping disabled
 active subset, while the *semantic* computation is identical either way
 (inactive vertices are no-ops).
 
+Every phase opens with one :class:`~repro.core.plans.PlanCache` query
+per (shard, mask), answered *dense* (a stored topology-only plan,
+contiguous slices in apply) or *rows* (the sorted active/changed vids,
+consumed directly by the fused kernels or expanded into a one-shot plan
+on the generic path). Both produce the index sets, order and dtypes of
+the from-scratch build, so the censuses below never depend on the route.
+
 CTA load balancing from ModernGPU (which the paper plugs in) is modeled
 by the occupancy term of :class:`repro.sim.stream.Kernel`: work per
 kernel is proportional to *active* items, not to the worst vertex.
@@ -118,12 +125,12 @@ class ComputeEngine:
         self.ctx = ctx
         self.frontier = frontier
         self.obs = obs if obs is not None else NULL_OBSERVER
-        # Default to a disabled cache: every query rebuilds from the
-        # frontier masks, exactly the slow path. The runtime passes an
-        # enabled cache; call sites that mutate masks directly (unit
-        # tests, multi-GPU) keep slow-path semantics untouched.
+        # Default to the fast path off: every query rebuilds from the
+        # frontier masks, exactly the from-scratch reference. The
+        # runtime passes an enabled cache; direct call sites (unit
+        # tests, multi-GPU) keep reference semantics untouched.
         self.plans = plans if plans is not None else PlanCache(
-            sharded, frontier, obs=self.obs, dense=False, cache=False
+            sharded, frontier, obs=self.obs, dense=False
         )
         n = sharded.num_vertices
         cols = getattr(program, "state_cols", None)
@@ -288,13 +295,12 @@ class ComputeEngine:
     def _fused_gather_map(self, shard: Shard, count_full: bool, spec) -> WorkItems | None:
         """Single fused pass: per-edge map + segment reduce + has-mark.
 
-        The sparse-bypass branch reads the shard's CSC sub-arrays
-        directly (no plan at all); the dense/cached branch reuses the
-        plan's index layout but skips the contribution temporaries.
-        Plan-cache counters stay identical to the generic path: the
-        bypass query counts through :meth:`PlanCache.sparse_rows`, and
-        non-bypass queries still go through ``gather_plan``. Returns
-        None on kernel failure (caller reruns the generic path).
+        One dense test (:meth:`PlanCache.sparse_rows`) picks the route:
+        a rows frontier reads the shard's CSC sub-arrays directly (no
+        plan at all); a dense one reuses the stored plan's index layout
+        but skips the contribution temporaries. Plan counters stay
+        identical to the generic path's ``gather_plan``. Returns None on
+        kernel failure (caller reruns the generic path).
         """
         deg = self._deg_table() if spec.kind == "div_degree" else None
         try:
@@ -306,7 +312,7 @@ class ComputeEngine:
                     rows, shard.start, self.gather_temp, self.gather_has,
                 )
             else:
-                plan = self.plans.gather_plan(shard)
+                plan = self.plans.dense_gather_plan(shard)
                 n_edges = plan.n_edges
                 n_segments = len(plan.verts)
                 if n_edges:
@@ -364,15 +370,21 @@ class ComputeEngine:
         return WorkItems(edge_items=n_edges)
 
     def _frontier_activate(self, shard: Shard, count_full: bool) -> WorkItems:
+        plan = None
         if (
             self.kernels is not None
             and not self.program.has_scatter
             and self.plans.enabled
         ):
-            work = self._fused_activate(shard, count_full)
-            if work is not None:
-                return work
-        plan = self.plans.out_plan(shard, full=self.program.has_scatter)
+            rows = self.plans.sparse_rows(shard, "changed")
+            if rows is None:
+                plan = self.plans.dense_out_plan(shard)
+            else:
+                work = self._fused_activate(shard, rows, count_full)
+                if work is not None:
+                    return work
+        if plan is None:
+            plan = self.plans.out_plan(shard, full=self.program.has_scatter)
         n_edges = shard.num_out_edges if count_full else plan.n_edges
         if plan.n_edges:
             # A dense plan carries its deduplicated targets: the
@@ -382,18 +394,14 @@ class ComputeEngine:
             self.frontier.activate_next(targets, count=plan.n_edges)
         return WorkItems(edge_items=n_edges)
 
-    def _fused_activate(self, shard: Shard, count_full: bool) -> WorkItems | None:
-        """Fused activation for bypass-eligible sparse frontiers.
+    def _fused_activate(self, shard: Shard, rows, count_full: bool) -> WorkItems | None:
+        """Fused activation of a rows (non-dense) changed set.
 
         Emits the changed rows' out-neighbors straight off the shard's
         CSR sub-arrays into a scratch buffer and ORs them into the next
-        frontier -- no out plan is built or cached. Dense frontiers
-        (and every scatter program, whose full plan the generic path
-        shares) return None and take the plan route.
+        frontier -- no out plan is built. Returns None on kernel
+        failure (caller reruns the generic path).
         """
-        rows = self.plans.sparse_rows(shard, "changed")
-        if rows is None:
-            return None
         try:
             targets = self.kernels.activate_targets(
                 shard.index, shard.csr.indptr, shard.csr.indices, rows, shard.start

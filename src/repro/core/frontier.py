@@ -8,13 +8,18 @@ Data Movement Engine skip the memcpy and kernel launch for shards with
 no active vertex or edge -- the paper's headline memcpy optimization --
 and feed CTA load balancing in the Compute Engine.
 
+The masks are the whole interface to the plan layer
+(:mod:`repro.core.plans`): every plan query re-reads ``changed`` and the
+compacted copy of ``current``, so a mutation needs no notification --
+the only upkeep is that every write to ``current`` ends in
+``_recompact``.
+
 It also records the per-iteration frontier sizes, which regenerate
 Figures 3, 16 and 17.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,18 +54,6 @@ class FrontierManager:
         self.history: list[int] = [int(initial.sum())]
         self._starts = sharded.boundaries[:-1]
         self._stops = sharded.boundaries[1:]
-        # Write-generation clocks consumed by :mod:`repro.core.plans`:
-        # one per (mask, shard interval). Every mutation of a mask bumps
-        # the epochs of the intervals it may have touched, so a cached
-        # index plan recorded at epoch e for shard i is provably fresh
-        # while ``*_epochs[i] == e`` -- without rescanning the mask. The
-        # lock covers parallel shard compute (mark_changed runs on
-        # worker threads).
-        p = sharded.num_partitions
-        self._plan_epoch = 0
-        self.active_epochs = np.zeros(p, dtype=np.int64)
-        self.changed_epochs = np.zeros(p, dtype=np.int64)
-        self._epoch_lock = threading.Lock()
         self._recompact()
 
     def _recompact(self) -> None:
@@ -142,77 +135,19 @@ class FrontierManager:
             return int(hi - lo) == stop - start
         return bool(self.current[start:stop].all())
 
-    def sparse_count(self, mask: str, start: int, stop: int) -> int | None:
-        """Cheap count of set ``mask`` vids in [start, stop), else None.
-
-        The plan cache's sparse-bypass pre-check: it must cost far less
-        than building the plan it might skip. ``active`` answers from
-        the compacted frontier in O(log F) and reports None when the
-        frontier is too dense to be compacted (no bypass candidate
-        anyway); ``changed`` is one vectorized count over the interval.
-        """
-        if mask == "active":
-            c = self._compact
-            if c is None:
-                return None
-            lo, hi = np.searchsorted(c, (start, stop))
-            return int(hi - lo)
-        return int(np.count_nonzero(self.changed[start:stop]))
-
     def dense_changed_in(self, start: int, stop: int) -> bool:
         """Whether *every* vertex of [start, stop) changed."""
         return bool(self.changed[start:stop].all())
-
-    # ------------------------------------------------------------------
-    # Plan-cache epochs (see repro.core.plans)
-    # ------------------------------------------------------------------
-    def _bump(self, epochs: np.ndarray, shard_ids=None) -> None:
-        with self._epoch_lock:
-            self._plan_epoch += 1
-            if shard_ids is None:
-                epochs[:] = self._plan_epoch
-            else:
-                epochs[shard_ids] = self._plan_epoch
-
-    def _shards_of(self, vids: np.ndarray) -> np.ndarray:
-        """Interval index containing each vid (skipping empty intervals).
-
-        ``vids`` must be sorted ascending (the update methods receive
-        phase row sets, which are). The common call marks rows of a
-        single shard, so first check whether the extremes land in the
-        same interval -- O(log P) -- before bucketing every vid.
-        """
-        ends = np.searchsorted(self._stops, vids[[0, -1]], side="right")
-        if ends[0] == ends[1]:
-            return ends[:1]
-        ids = np.searchsorted(self._stops, vids, side="right")
-        return ids[np.r_[True, ids[1:] != ids[:-1]]]
-
-    def invalidate_plans(self) -> None:
-        """Out-of-band mask mutation: force every cached plan stale.
-
-        Anything that writes ``current``/``changed`` directly instead of
-        going through the update methods below must call this before the
-        next phase runs with a plan cache attached.
-        """
-        self._bump(self.active_epochs)
-        self._bump(self.changed_epochs)
-        self._recompact()
 
     # ------------------------------------------------------------------
     # Updates from the Compute Engine
     # ------------------------------------------------------------------
     def mark_changed(self, vids: np.ndarray) -> None:
         self.changed[vids] = True
-        if len(vids):
-            self._bump(self.changed_epochs, self._shards_of(vids))
         self.obs.add("frontier.changes", len(vids))
 
     def activate_next(self, vids: np.ndarray, count: int | None = None) -> None:
         """FrontierActivate: these vertices are active next iteration.
-
-        ``next`` carries no epochs: it only ever becomes visible to plan
-        queries through :meth:`advance`, which bumps every interval.
 
         ``count`` overrides the recorded activation total: the dense
         fast path activates the *deduplicated* target set (``next[...] =
@@ -241,7 +176,6 @@ class FrontierManager:
         direction rule.
         """
         self.current[:] = True
-        self._bump(self.active_epochs)
         self._recompact()
 
     def set_current(self, mask: np.ndarray) -> None:
@@ -258,7 +192,6 @@ class FrontierManager:
                 f"{len(self.current)}, got shape {mask.shape}"
             )
         self.current[:] = mask
-        self._bump(self.active_epochs)
         self._recompact()
         self.history[-1] = self._size
 
@@ -267,8 +200,6 @@ class FrontierManager:
         self.current, self.next = self.next, self.current
         self.next[:] = False
         self.changed[:] = False
-        self._bump(self.active_epochs)
-        self._bump(self.changed_epochs)
         self.iteration += 1
         self._recompact()
         size = self._size

@@ -48,7 +48,11 @@ for that worker).
 Shards are pinned to their owner so the worker-local ``gather_temp``
 scratch keeps exactly the stale values the serial engine would hold, and
 the parked gatherMap output of the unfused plan is popped by the same
-worker's gatherReduce.
+worker's gatherReduce. Each worker also runs its own
+:class:`~repro.core.plans.PlanCache` (same ``dense`` switch, same LRU
+budget) over its synced masks: plan queries read the masks as of the
+last mailbox ingest, so nothing about plan freshness crosses the process
+boundary -- a task message names a shard and a phase group, no more.
 
 Crash safety: if a worker dies (or a task raises, or times out), the
 pool raises :class:`WorkerCrashed`; the runtime catches it, emits a
@@ -204,18 +208,10 @@ class _WorkerFrontier:
     copy of the changed mask.
     """
 
-    def __init__(self, num_partitions: int, current, changed):
+    def __init__(self, current, changed):
         self.current = current
         self._synced_changed = changed
-        # Per-shard plan epochs. Main-sent epochs are >= 0; local bumps
-        # (mark_changed inside a task) come from a strictly negative,
-        # monotonically decreasing namespace so a stale local epoch can
-        # never collide with a later main-sent value -- the plan cache
-        # then revalidates via the dense check / array_equal path.
-        self.active_epochs = np.zeros(num_partitions, dtype=np.int64)
-        self.changed_epochs = np.zeros(num_partitions, dtype=np.int64)
         self._local_changed = None
-        self._local_epoch = -1
         self.deltas: list | None = None
 
     @property
@@ -227,10 +223,6 @@ class _WorkerFrontier:
     def begin_sync(self) -> None:
         """A new publish was ingested: drop the task-local overlay."""
         self._local_changed = None
-
-    def begin_task(self, shard_index: int, active_epoch: int, changed_epoch: int) -> None:
-        self.active_epochs[shard_index] = active_epoch
-        self.changed_epochs[shard_index] = changed_epoch
 
     # -- mask queries used by the plan cache ---------------------------
     def active_in(self, start: int, stop: int) -> np.ndarray:
@@ -245,16 +237,6 @@ class _WorkerFrontier:
     def dense_changed_in(self, start: int, stop: int) -> bool:
         return bool(self.changed[start:stop].all())
 
-    def sparse_count(self, mask: str, start: int, stop: int) -> int:
-        """Sparse-bypass pre-check (see FrontierManager.sparse_count).
-
-        Workers handle one shard per task, so a vectorized interval
-        count is cheap enough without the main process's compacted-
-        frontier cache.
-        """
-        src = self.current if mask == "active" else self.changed
-        return int(np.count_nonzero(src[start:stop]))
-
     # -- captured mutations --------------------------------------------
     def mark_changed(self, vids: np.ndarray) -> None:
         self.deltas.append(("mc", vids))
@@ -262,8 +244,6 @@ class _WorkerFrontier:
             if self._local_changed is None:
                 self._local_changed = self._synced_changed.copy()
             self._local_changed[vids] = True
-            self.changed_epochs[:] = self._local_epoch
-            self._local_epoch -= 1
 
     def activate_next(self, vids: np.ndarray, count: int | None = None) -> None:
         self.deltas.append(("an", vids, count))
@@ -409,20 +389,13 @@ class _WorkerRunner:
         self._mask_lo, self._mask_hi = spec["mask_range"]
 
         self.shards = {s.index: s for s in shards}
-        # Plan epochs are indexed by *global* shard index -- the worker
-        # holds a subset of the shards but must size the epoch arrays
-        # for all of them.
-        self.frontier = _WorkerFrontier(
-            spec["num_partitions"], self._current, self._changed
-        )
+        self.frontier = _WorkerFrontier(self._current, self._changed)
         sharded = _WorkerSharded(num_vertices, spec["boundaries"], shards)
         self.plans = PlanCache(
             sharded,
             self.frontier,
             dense=spec["dense"],
-            cache=spec["cache"],
             budget=spec["plan_budget"],
-            sparse=spec["sparse"],
         )
         self.engine = _WorkerEngine(
             spec["program"],
@@ -471,13 +444,12 @@ class _WorkerRunner:
                 self._edge_state[eids] = self._mbox["evals"][:m]
 
     def run_task(self, msg):
-        _, sync_id, iteration, phases, shard_index, count_full, a_epoch, c_epoch = msg
+        _, sync_id, iteration, phases, shard_index, count_full = msg
         t_start = perf_counter() - self.t0
         if sync_id != self._sync_id:
             self._sync_id = sync_id
             self._ingest_mailbox()
             self.frontier.begin_sync()
-        self.frontier.begin_task(shard_index, a_epoch, c_epoch)
         if not self._iteration_seen or iteration != self.engine.iteration:
             self.engine.begin_iteration(iteration)
             self._iteration_seen = True
@@ -560,8 +532,6 @@ class ProcessPool:
         obs=None,
         workers: int,
         dense: bool,
-        cache: bool,
-        sparse: bool = True,
         plan_budget: int | None = None,
         kernel_backend: str = "off",
         frontier_policy: str = "replicated",
@@ -612,8 +582,8 @@ class ProcessPool:
 
         try:
             self._start(
-                mp, sharded, program, ctx, store, unit_weights, dense, cache,
-                sparse, plan_budget, kernel_backend,
+                mp, sharded, program, ctx, store, unit_weights, dense,
+                plan_budget, kernel_backend,
             )
         except WorkerCrashed:
             self.shutdown()
@@ -624,8 +594,8 @@ class ProcessPool:
 
     # ------------------------------------------------------------------
     def _start(
-        self, mp, sharded, program, ctx, store, unit_weights, dense, cache,
-        sparse, plan_budget, kernel_backend,
+        self, mp, sharded, program, ctx, store, unit_weights, dense,
+        plan_budget, kernel_backend,
     ):
         from repro.core.ownership import (
             OwnershipMap,
@@ -710,12 +680,9 @@ class ProcessPool:
             "program": program,
             "num_vertices": n,
             "num_edges": num_edges,
-            "num_partitions": sharded.num_partitions,
             "boundaries": np.asarray(sharded.boundaries),
             "state": (state_shm.name, state_toc),
             "dense": dense,
-            "cache": cache,
-            "sparse": sparse,
             "plan_budget": plan_budget,
             "kernel_backend": kernel_backend,
         }
@@ -907,7 +874,6 @@ class ProcessPool:
         """
         self._accumulate_pending()
         self._sync_id += 1
-        fr = self._frontier
         by_worker: dict[int, list] = {}
         for shard in shards:
             by_worker.setdefault(self._owner_of[shard.index], []).append(shard)
@@ -922,8 +888,6 @@ class ProcessPool:
                         tuple(group.phases),
                         shard.index,
                         count_full,
-                        int(fr.active_epochs[shard.index]),
-                        int(fr.changed_epochs[shard.index]),
                     )
                 )
         self.tasks += len(shards)
@@ -1089,7 +1053,7 @@ class ProcessPool:
             plans = {
                 key: sum(s.get(key, 0) for s in self.worker_plan_stats)
                 for key in (
-                    "hits", "misses", "invalidations", "evictions", "sparse_bypass",
+                    "hits", "misses", "evictions", "sparse_bypass", "held_bytes",
                 )
             }
             total = plans["hits"] + plans["misses"]

@@ -86,19 +86,15 @@ class GraphReduceOptions:
     max_iterations: int = 100_000
     #: Host-side fast paths (see :mod:`repro.core.plans`). They change
     #: only host wall-clock, never results or the simulated timeline:
-    #: ``dense_fast_path`` skips ragged/fancy gathers when a shard's
-    #: whole interval is active/changed; ``plan_cache`` memoizes sparse
-    #: index plans under frontier-epoch fingerprints; ``parallel_shards``
-    #: > 1 executes independent shards' phase work on that many threads
-    #: (NumPy releases the GIL), bsp mode only -- async sweeps are
-    #: Gauss-Seidel and order-dependent, so they stay sequential.
+    #: ``dense_fast_path`` serves a shard whose whole interval is
+    #: active/changed from a stored topology-only plan and any other
+    #: frontier straight from its row set (fused kernels included);
+    #: ``False`` is the from-scratch reference the equivalence tests
+    #: compare against. ``parallel_shards`` > 1 executes independent
+    #: shards' phase work on that many threads (NumPy releases the
+    #: GIL), bsp mode only -- async sweeps are Gauss-Seidel and
+    #: order-dependent, so they stay sequential.
     dense_fast_path: bool = True
-    plan_cache: bool = True
-    #: build per-frontier gather plans straight from the compacted
-    #: frontier when it is much smaller than a shard's interval, instead
-    #: of consulting (and missing) the epoch-keyed plan cache -- the fix
-    #: for traversal frontiers that never repeat (see repro.core.plans).
-    sparse_bypass: bool = True
     #: Kernel backend for the fused gather/apply/activate inner loops
     #: (see :mod:`repro.core.kernels`): ``"numpy"`` runs the fused
     #: shapes with whole-array primitives and arena-reused scratch
@@ -142,11 +138,11 @@ class GraphReduceOptions:
     #: pairwise boundary bits, for devices). Results are bit-identical
     #: either way; only the modeled/communicated bytes differ.
     frontier_policy: str = "replicated"
-    #: LRU byte budget for the gather/scatter plan cache (counts the
-    #: bytes each cached plan references, including dense plans' aliased
-    #: shard arrays). It alone decides how long a plan lives: evicting a
-    #: store-backed shard's pages under ``memory_budget`` leaves its
-    #: plans in place. ``None`` keeps the pre-PR-5 unbounded behavior.
+    #: LRU byte budget for the stored dense plans (counts the bytes
+    #: each plan references, including its aliased shard arrays). It
+    #: alone decides how long a plan lives: evicting a store-backed
+    #: shard's pages under ``memory_budget`` leaves its plans in place.
+    #: ``None`` is unbounded; a negative budget is rejected.
     plan_cache_budget: int | None = 256 * 1024 * 1024
     #: Out-of-core execution (shard-store-backed runs only; see
     #: :mod:`repro.core.shardstore`). ``memory_budget`` bounds the host
@@ -276,8 +272,9 @@ class GraphReduceResult:
     #: copy engines and SM pool (None when options.trace is off); feeds
     #: the occupancy computation in :mod:`repro.obs.profile`
     engine_snapshots: dict | None = None
-    #: gather-plan cache totals (hits/misses/invalidations/hit_rate) of
-    #: the host fast paths; None when both fast paths were disabled
+    #: plan totals of the host fast path (dense-plan hits/misses/
+    #: hit_rate, row-built ``sparse_bypass``, held bytes); None when
+    #: ``dense_fast_path`` was off
     plan_cache: dict | None = None
     #: kernel-layer totals (backend, fused_calls, fallbacks, arena
     #: reuse); None when ``kernel_backend`` was "off"
@@ -588,17 +585,12 @@ class GraphReduce:
                 sharded, np.asarray(program.init_frontier(ctx), dtype=bool), obs=obs
             )
             plans = None
-            plans_key = (
-                opts.dense_fast_path,
-                opts.plan_cache,
-                opts.plan_cache_budget,
-                opts.sparse_bypass,
-            )
+            plans_key = (opts.dense_fast_path, opts.plan_cache_budget)
             if keep_state and self._warm_plans is not None:
                 warm_plans, warm_sharded, warm_key = self._warm_plans
                 if warm_sharded is sharded and warm_key == plans_key:
-                    # Carried cache: dense plans survive, frontier-keyed
-                    # state is dropped and re-aimed at this run.
+                    # Carried cache: dense plans survive, re-aimed at
+                    # this run's frontier.
                     plans = warm_plans
                     plans.rebind(frontier, obs=obs)
                 else:
@@ -609,9 +601,7 @@ class GraphReduce:
                     frontier,
                     obs=obs,
                     dense=opts.dense_fast_path,
-                    cache=opts.plan_cache,
                     budget=opts.plan_cache_budget,
-                    sparse=opts.sparse_bypass,
                 )
             if kernels is not None:
                 obs.add(f"kernels.backend.{kernels.name}")
@@ -644,8 +634,6 @@ class GraphReduce:
                     obs=obs,
                     workers=opts.parallel_shards,
                     dense=opts.dense_fast_path,
-                    cache=opts.plan_cache,
-                    sparse=opts.sparse_bypass,
                     plan_budget=opts.plan_cache_budget,
                     kernel_backend=opts.kernel_backend,
                     frontier_policy=opts.frontier_policy,

@@ -137,8 +137,8 @@ class WallclockCase:
 def _wallclock_cases() -> dict[str, Callable]:
     """name -> zero-arg factory returning a :class:`WallclockCase`.
 
-    The host fast-path cases differ only in the host fast paths (dense
-    plans + plan cache + parallel shard compute on vs all off), so the
+    The host fast-path cases differ only in the host fast paths
+    (dense-or-rows plans + parallel shard compute on vs all off), so the
     simulated device timeline is identical by construction and the
     wall-clock ratio isolates the host-side win.
 
@@ -148,7 +148,7 @@ def _wallclock_cases() -> dict[str, Callable]:
     target. The traversal cases (``bfs_wallclock``,
     ``road_sssp_wallclock``) run direction-optimizing frontiers where no
     plan repeats across push iterations; the fast-path win there comes
-    from the sparse-plan bypass plus cached dense plans on pull
+    from row-built frontiers plus stored dense plans on pull
     iterations -- see :func:`_bfs_wallclock_case` and
     :func:`_road_sssp_wallclock_case`. The out-of-core tier is measured
     by the ``pr_ooc`` workload of ``benchmarks/e2e``, not here.
@@ -158,7 +158,7 @@ def _wallclock_cases() -> dict[str, Callable]:
 
     common = dict(cache_policy="never", num_partitions=4, observe=False, trace=False)
     fast = GraphReduceOptions(**common, parallel_shards=4)
-    slow = GraphReduceOptions(**common, dense_fast_path=False, plan_cache=False)
+    slow = GraphReduceOptions(**common, dense_fast_path=False)
     metrics = GraphReduceOptions(cache_policy="never", num_partitions=4, parallel_shards=4)
 
     def graph():
@@ -263,13 +263,13 @@ def _telemetry_overhead_wallclock_case() -> WallclockCase:
 def _bfs_wallclock_case() -> WallclockCase:
     """Direction-optimizing BFS vs the push-only slow path.
 
-    BFS frontiers never repeat, so the plan cache alone cannot win this
-    workload (the 0%-hit-rate pathology the sparse bypass fixed). The
-    fast side runs ``direction=auto``: the sparse bypass serves the
-    thin wavefronts and the two near-complete peak iterations of the
-    Erdos-Renyi wave flip to pull, where one cached dense plan replaces
-    a ~45k-row one-shot sparse build per iteration. The slow side is
-    the reference push-only engine with every fast path off.
+    BFS frontiers never repeat, so no stored plan can serve a push
+    iteration. The fast side runs ``direction=auto``: the rows route
+    serves the thin wavefronts and the two near-complete peak
+    iterations of the Erdos-Renyi wave flip to pull, where one stored
+    dense plan replaces a ~45k-row one-shot rows build per iteration.
+    The slow side is the reference push-only engine with every fast
+    path off.
 
     ``same_timeline=False``: pull improves vertices one iteration
     earlier than push (no activation lag), so simulated timelines
@@ -284,7 +284,7 @@ def _bfs_wallclock_case() -> WallclockCase:
     edges = erdos_renyi(65_536, 1_000_000, seed=7, name="er-wallclock")
     common = dict(cache_policy="never", num_partitions=4, observe=False, trace=False)
     fast = GraphReduceOptions(**common, direction="auto")
-    slow = GraphReduceOptions(**common, dense_fast_path=False, plan_cache=False)
+    slow = GraphReduceOptions(**common, dense_fast_path=False)
     metrics = GraphReduceOptions(cache_policy="never", num_partitions=4, direction="auto")
     return WallclockCase(
         engines={
@@ -309,7 +309,7 @@ def _road_sssp_wallclock_case() -> WallclockCase:
     The high-diameter scenario where direction switching matters most:
     highway shortcuts keep rewriting whole regions of the street grid
     (re-relaxation), so the frontier stays broad for many iterations.
-    Fixed push rebuilds a tens-of-thousands-row sparse plan every broad
+    Fixed push expands a tens-of-thousands-row frontier every broad
     iteration; fixed pull drags a full dense sweep across the long
     sparse tail. ``auto`` (tight alpha/beta -- the vectorized pull has
     no per-vertex early exit, so its profitable window is narrower than
@@ -331,7 +331,7 @@ def _road_sssp_wallclock_case() -> WallclockCase:
     common = dict(cache_policy="never", num_partitions=1, observe=False, trace=False)
     auto = dict(direction="auto", direction_alpha=2.0, direction_beta=3.0)
     fast = GraphReduceOptions(**common, **auto)
-    slow = GraphReduceOptions(**common, **auto, dense_fast_path=False, plan_cache=False)
+    slow = GraphReduceOptions(**common, **auto, dense_fast_path=False)
     metrics = GraphReduceOptions(cache_policy="never", num_partitions=1, **auto)
     return WallclockCase(
         engines={

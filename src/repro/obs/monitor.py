@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import time
 
+from repro.obs.profile import plan_summary
 from repro.obs.telemetry import SCHEMA_VERSION
 
 
@@ -177,7 +178,7 @@ def render(state: MonitorState) -> str:
         pool = sources.get("procpool", {})
         parts = []
         if cache:
-            parts.append(f"plan-cache hit {_rate(cache)}")
+            parts.append(plan_summary(cache))
         if prefetch:
             parts.append(
                 f"prefetch hit {_rate(prefetch, 'hits', 'faults')} "

@@ -84,6 +84,18 @@ def clip_intervals(pairs, t0: float, t1: float) -> list[tuple[float, float]]:
 # ----------------------------------------------------------------------
 # Report pieces
 # ----------------------------------------------------------------------
+def plan_summary(pc: dict) -> str:
+    """One-line reading of a ``PlanCache.stats()`` block (or the pool's
+    per-worker sum): dense-plan reuse, row-built queries, pinned bytes."""
+    hits, misses = pc.get("hits", 0), pc.get("misses", 0)
+    rate = 100 * hits / (hits + misses) if hits + misses else 0.0
+    return (
+        f"dense plans: {hits} hits / {misses} misses ({rate:.1f}%) · "
+        f"row-built: {pc.get('sparse_bypass', 0)} · "
+        f"held: {pc.get('held_bytes', 0) / 1e6:.1f} MB"
+    )
+
+
 @dataclass
 class EngineProfile:
     """Busy/idle accounting for one hardware engine."""
@@ -355,16 +367,11 @@ class ProfileReport:
 
     def _plan_cache_line(self) -> str:
         pc = self.plan_cache
-        queries = pc.get("hits", 0) + pc.get("misses", 0)
-        bypass = pc.get("sparse_bypass", 0)
-        if not queries and not bypass:
+        if not (pc.get("hits") or pc.get("misses") or pc.get("sparse_bypass")):
             return "plan cache         : disabled (no plan queries recorded)"
         line = (
-            f"plan cache         : {pc.get('hits', 0)}/{queries} hits "
-            f"({100 * pc.get('hit_rate', 0.0):.1f}%), "
-            f"{pc.get('invalidations', 0)} invalidations, "
-            f"{pc.get('evictions', 0)} evictions, "
-            f"{bypass} sparse bypasses (host fast paths)"
+            f"plan cache         : {plan_summary(pc)}, "
+            f"{pc.get('evictions', 0)} evictions (host fast path)"
         )
         if pc.get("carried_plans"):
             line += f", {pc['carried_plans']} plans carried warm"
@@ -604,7 +611,6 @@ def build_profile(result, machine=None, tolerance: float = MODEL_TOLERANCE) -> P
         plan_cache = {
             "hits": int(hits),
             "misses": int(misses),
-            "invalidations": int(metrics.value("plans.invalidations")),
             "evictions": int(metrics.value("plans.evictions")),
             "sparse_bypass": int(metrics.value("plans.sparse_bypass")),
             "hit_rate": hits / (hits + misses) if hits + misses else 0.0,

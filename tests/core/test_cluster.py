@@ -17,12 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.core.test_fastpath import PROGRAMS
+from tests.core.test_fastpath import PROGRAMS, STABLE_FRONTIER
 from tests.core.test_procpool import (
     MATRIX,
     CrashyPageRank,
     _assert_identical,
     _shm_entries,
+    matrix_cases,
 )
 from tests.fixture_graphs import build
 from repro.algorithms import PageRank
@@ -62,16 +63,12 @@ def _cluster(workers, policy="replicated", **kw):
     ],
 )
 def test_cluster_matches_serial_in_ram(workers, policy):
-    g = build("er_mid")
-    weighted = g.with_random_weights(seed=33)
     # The full program matrix runs at the common 2-worker shape; the
     # 1-worker (degenerate single-owner) and 4-worker (one shard per
     # owner) shapes re-check the traversal + fixpoint corners.
     algos = MATRIX if workers == 2 else ("bfs", "pagerank")
     before = _shm_entries()
-    for algo in algos:
-        graph = weighted if "sssp" in algo else g
-        make = PROGRAMS[algo]
+    for algo, graph, make in matrix_cases(algos):
         serial = GraphReduce(
             graph, options=GraphReduceOptions(num_partitions=4, parallel_backend="serial")
         ).run(make())
@@ -92,12 +89,15 @@ def test_cluster_matches_serial_in_ram(workers, policy):
 def test_cluster_matches_serial_store_backed(tmp_path):
     g = build("er_mid")
     weighted = g.with_random_weights(seed=33)
+    stable = build(STABLE_FRONTIER[0])
     for workers, policy, label, graph, algo in (
         (2, "replicated", "plain", g, "bfs"),
         (2, "partitioned", "plain", g, "pagerank"),
         (4, "partitioned", "plain", g, "cc"),
         (2, "replicated", "weighted", weighted, "stamping_sssp"),
         (2, "partitioned", "weighted", weighted, "stamping_sssp"),
+        (2, "replicated", "stable", stable, STABLE_FRONTIER[1]),
+        (2, "partitioned", "stable", stable, STABLE_FRONTIER[1]),
     ):
         store = ShardStore.save(
             PartitionEngine().partition(graph, 4),

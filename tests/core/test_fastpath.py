@@ -1,16 +1,18 @@
 """Host fast-path equivalence and plan-cache unit tests.
 
-The dense-frontier kernels, the gather-plan cache and parallel shard
+The dense-or-rows plan layer, the fused kernels and parallel shard
 compute are pure host-side rewrites: every combination must produce
 bit-identical vertex values, the same frontier trajectory, the same
 simulated timeline and the same WorkItems censuses as the slow path on
 every fixture graph. The second half unit-tests the PlanCache itself
-(hit/miss/invalidation accounting, epoch freshness, dense plan reuse)
-and the FrontierManager machinery it leans on.
+(dense reuse/build accounting, row-built queries, freshness under mask
+mutation) and the FrontierManager machinery it leans on.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tests.fixture_graphs import FIXTURE_NAMES, build
 from repro.algorithms import BFS, ConnectedComponents, PageRank, SSSP
@@ -46,21 +48,30 @@ PROGRAMS = {
 }
 
 #: every fast path alone, then everything at once; the kernels_* pair
-#: pins the fused-kernel axis explicitly (COMBOS above inherit the
+#: pins the fused-kernel axis explicitly (the others inherit the
 #: "numpy" default).
 COMBOS = {
-    "dense_only": dict(dense_fast_path=True, plan_cache=False, parallel_shards=0),
-    "cache_only": dict(dense_fast_path=False, plan_cache=True, parallel_shards=0),
-    "parallel_only": dict(dense_fast_path=False, plan_cache=False, parallel_shards=3),
-    "all_on": dict(dense_fast_path=True, plan_cache=True, parallel_shards=3),
-    "kernels_off": dict(
-        dense_fast_path=True, plan_cache=True, parallel_shards=0, kernel_backend="off"
-    ),
+    "plans_only": dict(dense_fast_path=True, parallel_shards=0),
+    "parallel_only": dict(dense_fast_path=False, parallel_shards=3),
+    "all_on": dict(dense_fast_path=True, parallel_shards=3),
+    "kernels_off": dict(dense_fast_path=True, parallel_shards=0, kernel_backend="off"),
     "kernels_numpy": dict(
-        dense_fast_path=True, plan_cache=True, parallel_shards=0, kernel_backend="numpy"
+        dense_fast_path=True, parallel_shards=0, kernel_backend="numpy"
     ),
 }
-SLOW = dict(dense_fast_path=False, plan_cache=False, parallel_shards=0)
+SLOW = dict(dense_fast_path=False, parallel_shards=0)
+
+#: The regime the rows route serves without any memo: tolerance-driven
+#: PageRank on an RMAT fixture with isolated vertices settles on "every
+#: vertex with an in-edge" -- non-dense, and unchanged for many
+#: iterations. The pool matrices take it as one more input.
+STABLE_FRONTIER = ("rmat_mid", "pagerank")
+
+
+def _assert_stable_nondense(result, num_vertices):
+    sizes = result.frontier_history[1:-1]
+    stable = max(sizes.count(s) for s in set(sizes))
+    assert stable >= 5 and max(sizes) < num_vertices, result.frontier_history
 
 
 def _run(g, make_program, fastpath):
@@ -83,10 +94,15 @@ def test_fastpath_combos_match_slow_path(graph_name):
     for algo, make_program in PROGRAMS.items():
         graph = weighted if "sssp" in algo else g
         slow = _run(graph, make_program, SLOW)
-        assert slow.plan_cache is None  # fully disabled cache reports nothing
+        assert slow.plan_cache is None  # fast path off reports nothing
+        stable = (graph_name, algo) == STABLE_FRONTIER
+        if stable:
+            _assert_stable_nondense(slow, g.num_vertices)
         for combo, fastpath in COMBOS.items():
             fast = _run(graph, make_program, fastpath)
             label = f"{algo}/{combo}"
+            if stable and fastpath["dense_fast_path"]:
+                assert fast.plan_cache["sparse_bypass"] > 0, label
             assert np.array_equal(fast.vertex_values, slow.vertex_values), label
             assert fast.frontier_history == slow.frontier_history, label
             assert fast.sim_time == slow.sim_time, label
@@ -103,7 +119,7 @@ def test_fastpath_combos_match_slow_path(graph_name):
 # acquisition evicts and releases the previous shard's pages) must both
 # be bit-identical to the in-RAM slow path.
 STORE_COMBOS = {
-    "prefetch_on": dict(dense_fast_path=True, plan_cache=True, parallel_shards=3),
+    "prefetch_on": dict(dense_fast_path=True, parallel_shards=3),
     "cold_budget1": dict(memory_budget=1, host_prefetch=False),
 }
 
@@ -139,27 +155,29 @@ def test_power_iteration_pagerank_stays_dense():
     g = build("er_mid")
     result = _run(
         g, lambda: PageRank(tolerance=None, max_iterations=10),
-        dict(dense_fast_path=True, plan_cache=True, parallel_shards=0),
+        dict(dense_fast_path=True, parallel_shards=0),
     )
     n = g.num_vertices
     # always_active: the frontier is the whole vertex set every round,
-    # so after the compulsory first builds every plan query hits.
+    # so after the compulsory first builds (one gather plan, one out
+    # plan and one vid range per shard) every query reuses them.
     assert result.iterations == 10
     assert all(size == n for size in result.frontier_history[:-1])
     stats = result.plan_cache
-    assert stats["invalidations"] == 0
-    assert stats["hit_rate"] > 0.9, stats
+    assert stats["sparse_bypass"] == 0
+    assert stats["misses"] == 3 * 3, stats
+    assert stats["hits"] == 9 * stats["misses"], stats
 
 
 # ----------------------------------------------------------------------
 # PlanCache unit tests on a hand-built sharded graph
 # ----------------------------------------------------------------------
-def _make(pairs, n, p=2, dense=True, cache=True, initial=None):
+def _make(pairs, n, p=2, dense=True, initial=None):
     edges = EdgeList.from_pairs(pairs, num_vertices=n)
     sharded = PartitionEngine().partition(edges, p)
     init = np.ones(n, dtype=bool) if initial is None else initial
     frontier = FrontierManager(sharded, init)
-    plans = PlanCache(sharded, frontier, dense=dense, cache=cache)
+    plans = PlanCache(sharded, frontier, dense=dense)
     return sharded, frontier, plans
 
 
@@ -168,7 +186,7 @@ PAIRS = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 0), (1, 3)]
 
 def test_gather_plan_matches_slow_path_build():
     sharded, frontier, plans = _make(PAIRS, 4, p=2)
-    _, _, off = _make(PAIRS, 4, p=2, dense=False, cache=False)
+    _, _, off = _make(PAIRS, 4, p=2, dense=False)
     for shard in sharded.shards:
         fast, slow = plans.gather_plan(shard), off.gather_plan(shard)
         assert fast.dense and not slow.dense
@@ -181,33 +199,49 @@ def test_gather_plan_matches_slow_path_build():
 
 
 def test_hit_miss_invalidation_accounting():
-    sharded, frontier, plans = _make(
-        PAIRS, 4, p=1, initial=np.array([True, False, True, False])
-    )
+    sharded, frontier, plans = _make(PAIRS, 4, p=1)
     shard = sharded.shards[0]
-    plans.gather_plan(shard)  # compulsory build
-    plans.gather_plan(shard)  # same epoch -> hit
-    assert (plans.hits, plans.misses, plans.invalidations) == (1, 1, 0)
-    # An epoch bump with an unchanged row set revalidates (array_equal)
-    # and counts as a hit; the entry is reused by identity afterwards.
-    frontier.invalidate_plans()
-    plans.gather_plan(shard)
-    assert (plans.hits, plans.misses, plans.invalidations) == (2, 1, 0)
-    # Growing the frontier rebuilds and retires the stale plan.
-    frontier.current[1] = True
-    frontier.invalidate_plans()
-    plans.gather_plan(shard)
-    assert (plans.hits, plans.misses, plans.invalidations) == (2, 2, 1)
+
+    def counts():
+        return plans.hits, plans.misses, plans.sparse_bypass
+
+    plans.gather_plan(shard)  # dense build
+    plans.gather_plan(shard)  # dense reuse
+    assert counts() == (1, 1, 0)
+    # A non-dense frontier is row-built: neither hit nor miss, and
+    # nothing is kept -- the next query builds again.
+    frontier.set_current(np.array([True, False, True, False]))
+    first = plans.gather_plan(shard)
+    assert not first.dense and plans.gather_plan(shard) is not first
+    assert counts() == (1, 1, 2)
+    # Growing the frontier is seen by the very next query.
+    frontier.set_current(np.array([True, True, True, False]))
+    np.testing.assert_array_equal(plans.gather_plan(shard).rows, [0, 1, 2])
+    assert counts() == (1, 1, 3)
+    # Back to dense: the stored plan is still there.
+    frontier.activate_all()
+    assert plans.gather_plan(shard).dense
+    assert counts() == (2, 1, 3)
     stats = plans.stats()
-    assert stats["hits"] == 2 and stats["misses"] == 2
-    assert stats["hit_rate"] == pytest.approx(0.5)
+    assert stats["hits"] == 2 and stats["misses"] == 1
+    assert stats["sparse_bypass"] == 3 and "invalidations" not in stats
+    assert stats["hit_rate"] == pytest.approx(2 / 3)
+
+
+def test_negative_budget_is_rejected():
+    sharded, frontier, _ = _make(PAIRS, 4, p=1)
+    with pytest.raises(ValueError, match="budget"):
+        PlanCache(sharded, frontier, budget=-1)
+    opts = GraphReduceOptions(num_partitions=3, plan_cache_budget=-1)
+    with pytest.raises(ValueError, match="budget"):
+        GraphReduce(build("er_small"), options=opts).run(BFS(source=0))
 
 
 def test_dense_plans_are_reused_by_identity():
     sharded, frontier, plans = _make(PAIRS, 4, p=2)
     shard = sharded.shards[0]
     first = plans.gather_plan(shard)
-    frontier.advance()  # epoch bump; mask re-densified by activate_all
+    frontier.advance()  # frontier emptied, then re-densified
     frontier.activate_all()
     assert plans.gather_plan(shard) is first  # topology-static plan
     rows, dense = plans.active_rows(shard)
@@ -217,8 +251,7 @@ def test_dense_plans_are_reused_by_identity():
 
 def test_dense_out_plan_targets_are_unique_vids():
     sharded, frontier, plans = _make(PAIRS, 4, p=2)
-    frontier.changed[:] = True
-    frontier.invalidate_plans()
+    frontier.mark_changed(np.arange(4))
     for shard in sharded.shards:
         plan = plans.out_plan(shard, full=True)
         assert plan.dense and plan.full
@@ -257,14 +290,131 @@ def test_dense_activation_matches_per_out_edge_form(graph_name):
 
 
 def test_disabled_cache_never_counts():
-    sharded, frontier, plans = _make(PAIRS, 4, p=1, dense=False, cache=False)
+    sharded, frontier, plans = _make(PAIRS, 4, p=1, dense=False)
     shard = sharded.shards[0]
     assert not plans.enabled
     for _ in range(3):
-        plans.gather_plan(shard)
+        assert not plans.gather_plan(shard).dense  # all-active, still from scratch
         plans.out_plan(shard)
         plans.active_rows(shard)
-    assert (plans.hits, plans.misses, plans.invalidations) == (0, 0, 0)
+    assert (plans.hits, plans.misses, plans.sparse_bypass) == (0, 0, 0)
+
+
+# ----------------------------------------------------------------------
+# Property: every query equals the from-scratch build, whatever the masks
+# ----------------------------------------------------------------------
+SHAPES = ("empty", "one", "eighth", "all_but_one", "full", "random")
+_PROP_P = 3
+
+
+def _prop_sharded():
+    from repro.graph.generators import erdos_renyi
+
+    edges = erdos_renyi(96, 700, seed=5).with_random_weights(seed=3)
+    sharded = PartitionEngine().partition(edges, _PROP_P)
+    # "eighth" must be exactly 1/8 of every interval.
+    assert all(s.num_interval_vertices == 32 for s in sharded.shards)
+    return sharded
+
+
+def _mask_from_shapes(sharded, shapes, rng):
+    mask = np.zeros(sharded.num_vertices, dtype=bool)
+    for shard, shape in zip(sharded.shards, shapes):
+        n = shard.num_interval_vertices
+        if shape == "random":
+            local = rng.random(n) < 0.5
+        else:
+            count = {
+                "empty": 0, "one": 1, "eighth": n // 8, "all_but_one": n - 1, "full": n,
+            }[shape]
+            local = np.zeros(n, dtype=bool)
+            local[rng.choice(n, size=count, replace=False)] = True
+        mask[shard.start : shard.stop] = local
+    return mask
+
+
+def _same(label, got, want):
+    if got is None or want is None:
+        assert got is want, label
+        return
+    assert got.dtype == want.dtype, label
+    np.testing.assert_array_equal(got, want, err_msg=label)
+
+
+def _assert_queries_match_reference(sharded, frontier, fast, ref):
+    """All four query kinds against the ``dense=False`` build; returns
+    the dense plan objects served, keyed for the identity check."""
+    served = {}
+    for shard in sharded.shards:
+        lo, hi = shard.start, shard.stop
+        for mask, bits in (("active", frontier.current), ("changed", frontier.changed)):
+            rows = fast.sparse_rows(shard, mask)
+            if bits[lo:hi].all():
+                assert rows is None, (shard.index, mask)
+            else:
+                _same(f"sparse_rows/{mask}", rows, lo + np.flatnonzero(bits[lo:hi]))
+        rows, dense = fast.active_rows(shard)
+        ref_rows, _ = ref.active_rows(shard)
+        _same("active_rows", rows, ref_rows)
+        assert dense == bool(frontier.current[lo:hi].all())
+
+        got, want = fast.gather_plan(shard), ref.gather_plan(shard)
+        for name in ("indices", "eids", "weights", "row_ids", "starts", "verts"):
+            _same(f"gather.{name}", getattr(got, name), getattr(want, name))
+        assert got.n_edges == want.n_edges
+        if got.dense:
+            assert fast.gather_plan(shard) is got
+            served["gather", shard.index] = got
+
+        for full in (False, True):
+            got, want = fast.out_plan(shard, full=full), ref.out_plan(shard, full=full)
+            # A stored full dense plan also serves lite queries, so a
+            # lite answer is pinned on the one column lite callers read.
+            names = ("indices", "eids", "weights", "row_ids") if full else ("indices",)
+            for name in names:
+                _same(f"out.{name}/full={full}", getattr(got, name), getattr(want, name))
+            assert got.n_edges == want.n_edges
+            if got.dense:
+                _same("out.targets", got.targets, np.unique(want.indices))
+                assert fast.out_plan(shard, full=full) is got
+                served["out", full, shard.index] = got
+    return served
+
+
+_shapes = st.tuples(*[st.sampled_from(SHAPES)] * _PROP_P)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a1=_shapes, c1=_shapes, a2=_shapes, c2=_shapes, seed=st.integers(0, 2**16))
+@example(
+    a1=("empty", "one", "eighth"), c1=("all_but_one", "full", "random"),
+    a2=("full", "all_but_one", "empty"), c2=("eighth", "one", "full"), seed=0,
+)
+@example(
+    a1=("full", "full", "full"), c1=("full", "full", "full"),
+    a2=("full", "eighth", "full"), c2=("full", "full", "empty"), seed=1,
+)
+def test_queries_reproduce_from_scratch_build(a1, c1, a2, c2, seed):
+    sharded = _prop_sharded()
+    rng = np.random.default_rng(seed)
+    frontier = FrontierManager(sharded, np.zeros(sharded.num_vertices, dtype=bool))
+    fast = PlanCache(sharded, frontier, dense=True)
+    ref = PlanCache(sharded, frontier, dense=False)
+
+    frontier.set_current(_mask_from_shapes(sharded, a1, rng))
+    frontier.mark_changed(np.flatnonzero(_mask_from_shapes(sharded, c1, rng)))
+    before = _assert_queries_match_reference(sharded, frontier, fast, ref)
+
+    # Rewrite both masks through the public mutators only: the second
+    # round must see them (nothing stale), and a shard that is dense in
+    # both rounds must get the very same plan object back.
+    frontier.activate_next(np.flatnonzero(_mask_from_shapes(sharded, a2, rng)))
+    frontier.advance()
+    frontier.mark_changed(np.flatnonzero(_mask_from_shapes(sharded, c2, rng)))
+    after = _assert_queries_match_reference(sharded, frontier, fast, ref)
+    for key in before.keys() & after.keys():
+        if key[0] == "gather" or key[1]:
+            assert after[key] is before[key], key
 
 
 # ----------------------------------------------------------------------
@@ -286,15 +436,6 @@ def test_counts_per_shard_with_empty_intervals():
     np.testing.assert_array_equal(fm.counts_per_shard(np.zeros(6, bool)), [0] * 5)
 
 
-def test_shards_of_single_and_multi_interval():
-    fm = FrontierManager(_Intervals([0, 2, 2, 5, 5, 6]), np.ones(6, dtype=bool))
-    # All vids inside one interval: the O(log P) early exit.
-    np.testing.assert_array_equal(fm._shards_of(np.array([2, 4])), [2])
-    # Spanning intervals, skipping the empty ones.
-    np.testing.assert_array_equal(fm._shards_of(np.array([0, 3, 5])), [0, 2, 4])
-    np.testing.assert_array_equal(fm._shards_of(np.array([5])), [4])
-
-
 def test_activate_next_deduplicated_equals_per_edge_form():
     init = np.ones(6, dtype=bool)
     a = FrontierManager(_Intervals([0, 3, 6]), init, obs=Observer())
@@ -309,17 +450,3 @@ def test_activate_next_deduplicated_equals_per_edge_form():
     b.activate_next(np.array([0]))
     b.activate_next(np.unique(per_edge), count=len(per_edge))
     assert b.next[0]
-
-
-def test_epoch_bumps_on_mask_mutations():
-    sharded, frontier, _ = _make(PAIRS, 4, p=2)
-    before = frontier.changed_epochs.copy()
-    frontier.mark_changed(np.array([3]))  # second shard only
-    assert frontier.changed_epochs[1] > before[1]
-    assert frontier.changed_epochs[0] == before[0]
-    a_before = frontier.active_epochs.copy()
-    frontier.advance()
-    assert (frontier.active_epochs > a_before).all()
-    assert (frontier.changed_epochs > before).all()
-    frontier.activate_all()
-    assert frontier.current.all()

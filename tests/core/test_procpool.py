@@ -21,7 +21,12 @@ import warnings
 import numpy as np
 import pytest
 
-from tests.core.test_fastpath import PROGRAMS, _kernel_items
+from tests.core.test_fastpath import (
+    PROGRAMS,
+    STABLE_FRONTIER,
+    _assert_stable_nondense,
+    _kernel_items,
+)
 from tests.fixture_graphs import FIXTURE_NAMES, build
 from repro.algorithms import PageRank
 from repro.core.partition import PartitionEngine
@@ -55,13 +60,20 @@ def _assert_identical(label, pool, serial):
 MATRIX = ("bfs", "sssp", "pagerank", "cc", "stamping_sssp")
 
 
-def test_process_backend_matches_serial_in_ram():
+def matrix_cases(algos=MATRIX):
+    """(label, graph, make_program): ``algos`` on er_mid, then the
+    stable non-dense frontier input (see ``STABLE_FRONTIER``)."""
     g = build("er_mid")
     weighted = g.with_random_weights(seed=33)
+    for algo in algos:
+        yield algo, (weighted if "sssp" in algo else g), PROGRAMS[algo]
+    name, algo = STABLE_FRONTIER
+    yield f"{name}/{algo}", build(name), PROGRAMS[algo]
+
+
+def test_process_backend_matches_serial_in_ram():
     before = _shm_entries()
-    for algo in MATRIX:
-        graph = weighted if "sssp" in algo else g
-        make = PROGRAMS[algo]
+    for algo, graph, make in matrix_cases():
         serial = GraphReduce(
             graph, options=GraphReduceOptions(num_partitions=3, parallel_backend="serial")
         ).run(make())
@@ -69,6 +81,9 @@ def test_process_backend_matches_serial_in_ram():
             graph, options=GraphReduceOptions(num_partitions=3, **POOL)
         ).run(make())
         _assert_identical(algo, pool, serial)
+        if algo.startswith(STABLE_FRONTIER[0]):
+            _assert_stable_nondense(serial, graph.num_vertices)
+            assert pool.plan_cache["sparse_bypass"] > 0
     assert _shm_entries() == before  # every segment unlinked on exit
 
 
@@ -81,9 +96,7 @@ def test_process_backend_dense_activation_matches_slow_path(graph_name):
     make = PROGRAMS["pagerank_power"]
     slow = GraphReduce(
         g,
-        options=GraphReduceOptions(
-            num_partitions=3, dense_fast_path=False, plan_cache=False
-        ),
+        options=GraphReduceOptions(num_partitions=3, dense_fast_path=False),
     ).run(make())
     pool = GraphReduce(g, options=GraphReduceOptions(num_partitions=3, **POOL)).run(make())
     _assert_identical(graph_name, pool, slow)
@@ -97,6 +110,7 @@ def test_process_backend_matches_serial_store_backed(tmp_path):
         ("plain", g, "bfs"),
         ("plain", g, "pagerank"),
         ("weighted", weighted, "stamping_sssp"),
+        ("stable", build(STABLE_FRONTIER[0]), STABLE_FRONTIER[1]),
     ):
         store = ShardStore.save(
             PartitionEngine().partition(graph, 3), tmp_path / f"{label}-{algo}"

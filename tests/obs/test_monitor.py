@@ -47,7 +47,9 @@ def _stream():
         _rec("snapshot", iteration=5, frontier=4096, sim_time=0.002,
              iterations_per_sec=200.0, wall_time=11.0,
              counters={"runtime.iterations": 6},
-             sources={"plan_cache": {"hits": 3, "misses": 1}},
+             sources={"plan_cache": {"hits": 3, "misses": 1,
+                                     "sparse_bypass": 40,
+                                     "held_bytes": 1_500_000}},
              heartbeats={
                  "worker-0": {"age": 0.1, "busy": False, "kind": "worker",
                               "beats": 9},
@@ -156,7 +158,10 @@ def test_render_shows_the_live_view():
     view = render(state)
     assert "run: pagerank" in view and "backend=cluster" in view
     assert "iteration 5" in view and "frontier 4096" in view
-    assert "plan-cache hit 0.75" in view
+    assert (
+        "dense plans: 3 hits / 1 misses (75.0%) · row-built: 40 · held: 1.5 MB"
+        in view
+    )
     assert "worker-1" in view and "busy" in view
     assert "incidents: none" in view
     state.ingest(_stream()[-1])

@@ -91,6 +91,17 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
+def test_plan_cache_budget_flag_refuses_negative(capsys):
+    run = ["run", "--graph", "delaunay_n13", "--algorithm", "bfs"]
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(run + ["--plan-cache-budget", "-5"])
+    assert "must be >= 0 bytes" in capsys.readouterr().err
+    assert build_parser().parse_args(run + ["--plan-cache-budget", "0"]).plan_cache_budget == 0
+    for removed in ("--no-plan-cache", "--no-sparse-bypass"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(run + [removed])
+
+
 class TestPartition:
     def test_partition_then_run_from_store(self, tmp_path, capsys):
         g = erdos_renyi(60, 240, seed=4)
