@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.bfs import BFS
-from repro.core.api import GASProgram
+from repro.core.api import GASProgram, source_frontier
 from repro.core.runtime import GraphReduce
 from repro.graph.edgelist import EdgeList
 
@@ -47,9 +47,7 @@ class SigmaPhase(GASProgram):
         return sigma
 
     def init_frontier(self, ctx):
-        frontier = np.zeros(ctx.num_vertices, dtype=bool)
-        frontier[self.source] = True
-        return frontier
+        return source_frontier(ctx, self.source)
 
     def gather_map(self, ctx, src_ids, dst_ids, src_vals, weights, edge_states):
         # Only DAG edges (parent one level up) contribute path counts.

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.api import GASProgram
+from repro.core.api import GASProgram, source_frontier
 from repro.core.kernels import ApplySpec, GatherSpec
 
 #: Depth marker for vertices not yet reached.
@@ -49,9 +49,7 @@ class BFS(GASProgram):
         return np.full(ctx.num_vertices, UNREACHED, dtype=self.vertex_dtype)
 
     def init_frontier(self, ctx):
-        frontier = np.zeros(ctx.num_vertices, dtype=bool)
-        frontier[self.source] = True
-        return frontier
+        return source_frontier(ctx, self.source)
 
     def apply(self, ctx, vids, old_vals, gathered, has_gather, iteration):
         # A vertex enters the frontier only via FrontierActivate from a
@@ -85,9 +83,7 @@ class BFSGather(GASProgram):
         return vals
 
     def init_frontier(self, ctx):
-        frontier = np.zeros(ctx.num_vertices, dtype=bool)
-        frontier[self.source] = True
-        return frontier
+        return source_frontier(ctx, self.source)
 
     def gather_map(self, ctx, src_ids, dst_ids, src_vals, weights, edge_states):
         return src_vals + np.float32(1.0)

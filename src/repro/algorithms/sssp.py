@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.api import GASProgram
+from repro.core.api import GASProgram, source_frontier
 from repro.core.kernels import ApplySpec, GatherSpec
 
 UNREACHED = np.float32(np.inf)
@@ -38,9 +38,7 @@ class SSSP(GASProgram):
         return vals
 
     def init_frontier(self, ctx):
-        frontier = np.zeros(ctx.num_vertices, dtype=bool)
-        frontier[self.source] = True
-        return frontier
+        return source_frontier(ctx, self.source)
 
     def gather_map(self, ctx, src_ids, dst_ids, src_vals, weights, edge_states):
         return src_vals + weights
@@ -113,9 +111,7 @@ class DeltaSSSP(GASProgram):
         return vals
 
     def init_frontier(self, ctx):
-        frontier = np.zeros(ctx.num_vertices, dtype=bool)
-        frontier[self.source] = True
-        return frontier
+        return source_frontier(ctx, self.source)
 
     def gather_map(self, ctx, src_ids, dst_ids, src_vals, weights, edge_states):
         return src_vals + weights

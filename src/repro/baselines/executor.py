@@ -99,8 +99,8 @@ class HostGASExecutor:
     def run(self, max_iterations: int = 100_000) -> ExecutionTrace:
         prog, ctx = self.program, self.ctx
         n = self.edges.num_vertices
-        values = np.asarray(prog.init_vertices(ctx)).astype(prog.vertex_dtype, copy=False)
         frontier = np.asarray(prog.init_frontier(ctx), dtype=bool)
+        values = np.asarray(prog.init_vertices(ctx)).astype(prog.vertex_dtype, copy=False)
         edge_state = prog.init_edge_state(ctx)
         profiles: list[IterationProfile] = []
         converged = False

@@ -86,6 +86,14 @@ def _parse_id_list(text: str) -> list[int]:
     return ids
 
 
+def _source_spec(text: str) -> str:
+    """argparse type of ``--source``: refuses a negative id up front
+    (NumPy would wrap it) instead of after the graph has loaded."""
+    if any(i < 0 for i in _parse_id_list(text)):
+        raise argparse.ArgumentTypeError(f"vertex ids are >= 0, got {text!r}")
+    return text
+
+
 def _source_ids(args, default=(0,)) -> list[int]:
     """Every source id the flags name: ``--sources-file`` lines first,
     then the ``--source``/``--sources`` comma list; ``default`` when
@@ -387,6 +395,8 @@ def cmd_run(args) -> int:
         print(f"kernels    : {k['backend']} backend, "
               f"{k.get('fused_calls', 0)} fused calls, "
               f"{k.get('fallbacks', 0)} fallbacks, "
+              f"{k.get('premaps', 0)} premaps, "
+              f"{k.get('merged_groups', 0)} merged groups, "
               f"arena {k.get('reuses', 0)} reuses")
     if result.direction_decisions is not None:
         pulls = sum(1 for d in result.direction_decisions if d.direction == "pull")
@@ -897,7 +907,7 @@ def _add_store_args(p) -> None:
              "(see `repro partition`); --graph is then ignored",
     )
     p.add_argument(
-        "--memory-budget", type=int, default=None,
+        "--memory-budget", type=_byte_budget, default=None,
         help="host RAM budget (bytes) for the out-of-core shard cache; "
              "sets the resident-set size via the Eq. (1)/(2) formula",
     )
@@ -1017,7 +1027,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--algorithm", required=True, choices=sorted(ALGORITHMS))
         p.add_argument(
-            "--source", default=None,
+            "--source", default=None, type=_source_spec,
             help="BFS/SSSP source vertex (default 0); `repro run` also "
                  "accepts a comma-separated list, which executes the "
                  "sources as one batched traversal (see `repro batch`)",

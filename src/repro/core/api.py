@@ -221,6 +221,20 @@ class GASProgram:
             )
 
 
+def source_frontier(ctx: "RuntimeContext", source: int) -> np.ndarray:
+    """A single-source traversal's initial frontier; a ``source`` outside
+    the graph is refused (a negative id would wrap, not fail)."""
+    n = ctx.num_vertices
+    if not 0 <= source < n:
+        raise ValueError(
+            f"source {source} out of range for a graph with "
+            f"{n} vertices (valid ids: 0..{n - 1})"
+        )
+    frontier = np.zeros(n, dtype=bool)
+    frontier[source] = True
+    return frontier
+
+
 @dataclass(frozen=True)
 class UserInfoTuple:
     """<gather(), apply(), scatter(), VertexDataType, EdgeDataType>

@@ -25,6 +25,11 @@ consumed directly by the fused kernels or expanded into a one-shot plan
 on the generic path). Both produce the index sets, order and dtypes of
 the from-scratch build, so the censuses below never depend on the route.
 
+Two things are done per *iteration*, not per shard: a ``source_only``
+gather map is applied once over the vertex state (:meth:`ComputeEngine.
+begin_group`), and a frontier that fills no shard's interval runs each
+phase group once over all its rows (:meth:`ComputeEngine.run_merged`).
+
 CTA load balancing from ModernGPU (which the paper plugs in) is modeled
 by the occupancy term of :class:`repro.sim.stream.Kernel`: work per
 kernel is proportional to *active* items, not to the worst vertex.
@@ -40,6 +45,7 @@ import numpy as np
 from repro.core.api import GASProgram
 from repro.core.frontier import FrontierManager
 from repro.core.kernels import layout
+from repro.core.kernels.specs import GatherSpec
 from repro.core.partition import Shard, ShardedGraph
 from repro.core.plans import PlanCache
 from repro.graph.csr import segment_reduce
@@ -173,6 +179,13 @@ class ComputeEngine:
         self._deg32 = None
         self.fused_calls = 0
         self.fallbacks = 0
+        # Pre-map (see begin_group): the spec shards gather it with, the
+        # mapped vertex state, and whether it matches vertex_values.
+        self._copy_spec = None
+        self._premap = None
+        self._premap_valid = False
+        self.premaps = 0
+        self.merged_groups = 0
         if kernels is None:
             return
         f32 = np.dtype(np.float32)
@@ -198,6 +211,9 @@ class ComputeEngine:
         if self._gather_spec is None and self._apply_spec is None:
             self.fallbacks += 1
             self.obs.add("kernels.fallbacks")
+        spec = self._gather_spec
+        if spec and spec.source_only and self.edge_state is None and self.plans.enabled:
+            self._copy_spec = GatherSpec("copy", spec.reduce)
 
     def _deg_table(self) -> np.ndarray:
         """float32 out-degree table (clamped to 1) for div_degree gathers."""
@@ -212,6 +228,8 @@ class ComputeEngine:
         self.kernels = None
         self._gather_spec = None
         self._apply_spec = None
+        self._copy_spec = None
+        self._premap_valid = False
         self.fallbacks += 1
         self.obs.add("kernels.fallbacks")
         warnings.warn(
@@ -221,10 +239,10 @@ class ComputeEngine:
             stacklevel=3,
         )
 
-    def _count_fused(self) -> None:
-        self.fused_calls += 1
+    def _count_fused(self, n: int = 1) -> None:
+        self.fused_calls += n
         if self.obs.enabled:
-            self.obs.add("kernels.fused_calls")
+            self.obs.add("kernels.fused_calls", n)
 
     def kernel_stats(self) -> dict | None:
         """Backend name + fused/fallback counters (None: no backend)."""
@@ -234,6 +252,8 @@ class ComputeEngine:
             "backend": self._backend_name,
             "fused_calls": self.fused_calls,
             "fallbacks": self.fallbacks,
+            "premaps": self.premaps,
+            "merged_groups": self.merged_groups,
         }
         if self.kernels is not None:
             stats.update(self.kernels.arena.stats())
@@ -244,19 +264,130 @@ class ComputeEngine:
         self.iteration = iteration
         self.gather_has[:] = False
         self._pending.clear()
+        self._premap_valid = False
+
+    def invalidate_premap(self) -> None:
+        """``vertex_values`` was written from outside the engine."""
+        self._premap_valid = False
+
+    def begin_group(self, phases: tuple[str, ...]) -> None:
+        """Map the vertex state once for this iteration's fused gathers.
+
+        Called before a group's shards run, so before any fan-out to
+        threads. A group that also applies (the async sweep) writes
+        ``vertex_values`` between shards and keeps mapping per edge.
+        """
+        gathers = "gather_map" in phases and "apply" not in phases
+        if self._copy_spec is None or self._premap_valid or not gathers:
+            return
+        values, spec = self.vertex_values, self._gather_spec
+        if self._premap is None:
+            self._premap = layout.aligned_empty(values.size, values.dtype).reshape(values.shape)
+        deg = self._deg_table() if spec.kind == "div_degree" else None
+        self.kernels.premap(spec, values, deg, self._premap)
+        self._premap_valid = True
+        self.premaps += 1
+        self.obs.add("kernels.premaps")
 
     def run_group(self, phases: tuple[str, ...], shard: Shard, count_full: bool) -> WorkItems:
         """Execute the given (possibly fused) phases on one shard."""
         work = WorkItems()
         record = self.obs.enabled
+        merged = shard is self.sharded.span  # entered through run_merged
         for phase in phases:
             fn = getattr(self, "_" + phase)
+            fused0 = self.fused_calls
             w = fn(shard, count_full)
+            if merged:
+                self._split_census(phase, fused0)
             if record:
                 self.obs.add(f"compute.{phase}.edge_items", w.edge_items)
                 self.obs.add(f"compute.{phase}.vertex_items", w.vertex_items)
             work += w
         return work
+
+    # ------------------------------------------------------------------
+    # One rows pass per phase group (iterations with no dense shard)
+    # ------------------------------------------------------------------
+    def can_merge(self, plan) -> bool:
+        """Whether every group of ``plan`` may run through
+        :meth:`run_merged` (given in-process, unthreaded compute): fused
+        gather and apply over the in-RAM flat arrays, no scatter or edge
+        state (so no group holds a scatter phase), frontier-selected."""
+        return (
+            self.sharded.span is not None
+            and self.plans.enabled
+            and self._apply_spec is not None
+            and (self._gather_spec is not None or not self.program.has_gather)
+            and not self.program.has_scatter
+            and self.edge_state is None
+            and all(
+                g.selector != "all"
+                # the async sweep's later shards read earlier shards' applies
+                and not ("gather_map" in g.phases and "apply" in g.phases)
+                for g in plan
+            )
+        )
+
+    def run_merged(self, phases: tuple[str, ...], shards: list[Shard]) -> dict:
+        """Run one phase group once over all the selected shards' rows.
+
+        The whole graph is one more shard (``sharded.span``), so the
+        phases run unchanged and every vertex reduces the same segment
+        in the same order. Returns the per-shard path's census,
+        ``{shard index: WorkItems}``, and counts plans and fused calls
+        as that path would have.
+        """
+        if not shards:
+            return {}
+        self._merged = [s.index for s in shards]
+        self._split = np.zeros((2, self.sharded.num_partitions), dtype=np.int64)
+        asked = self.plans.sparse_bypass
+        self.run_group(phases, self.sharded.span, False)
+        # one rows query per selected shard, not one for the span
+        self.plans.count_bypass((self.plans.sparse_bypass - asked) * (len(shards) - 1))
+        self.merged_groups += 1
+        self.obs.add("kernels.merged_groups")
+        edge, vertex = self._split.tolist()
+        return {i: WorkItems(edge[i], vertex[i]) for i in self._merged}
+
+    def _split_census(self, phase: str, fused0: int) -> None:
+        """Per-shard items of the merged ``phase`` just run: one
+        ``searchsorted`` of its rows and sums of their degrees."""
+        fr = self.frontier
+        if phase == "gather_reduce":
+            items = self._segments  # parked by gather_map, like _pending
+        else:
+            rows = fr.active_in(0, self.sharded.num_vertices)
+            degrees = self.ctx.in_degrees
+            if phase == "frontier_activate":
+                # apply marks active rows only, so the changed rows are
+                # among them: O(frontier), where the mask scan is O(V)
+                rows, degrees = rows[fr.changed[rows]], self.ctx.out_degrees
+            at = np.searchsorted(rows, self.sharded.boundaries)
+            items = at[1:] - at[:-1]  # apply: one item per row
+            if phase != "apply":  # the edge phases: one per incident edge
+                runs = np.flatnonzero(items)  # reduceat cannot take an empty run
+                degree = np.take(degrees, rows)
+
+                def per_run(per_row):
+                    sums = np.zeros_like(items)
+                    if len(runs):
+                        sums[runs] = np.add.reduceat(per_row, at[runs], dtype=np.int64)
+                    return sums
+
+                if phase == "gather_map":  # for the reduce: one per non-empty segment
+                    self._segments = per_run(degree > 0)
+                items = per_run(degree)
+        self._split[int(phase in ("gather_reduce", "apply"))] += items
+        counted = self.fused_calls - fused0
+        if counted:
+            # per shard: one fused call on each selected shard, for a
+            # gather only on those with an active in-edge
+            n = len(self._merged)
+            if phase == "gather_map":
+                n = int(np.count_nonzero(items[self._merged]))
+            self._count_fused(n - counted)
 
     # ------------------------------------------------------------------
     # Edge-centric phases
@@ -302,12 +433,15 @@ class ComputeEngine:
         identical to the generic path's ``gather_plan``. Returns None on
         kernel failure (caller reruns the generic path).
         """
+        values = self.vertex_values
         deg = self._deg_table() if spec.kind == "div_degree" else None
+        if self._premap_valid:
+            spec, values, deg = self._copy_spec, self._premap, None
         try:
             rows = self.plans.sparse_rows(shard, "active")
             if rows is not None:
                 n_edges, n_segments = self.kernels.gather_rows(
-                    shard.index, spec, self.vertex_values, deg,
+                    shard.index, spec, values, deg,
                     shard.csc.indptr, shard.csc.indices, shard.csc_weights,
                     rows, shard.start, self.gather_temp, self.gather_has,
                 )
@@ -317,7 +451,7 @@ class ComputeEngine:
                 n_segments = len(plan.verts)
                 if n_edges:
                     self.kernels.gather_segments(
-                        shard.index, spec, self.vertex_values, deg,
+                        shard.index, spec, values, deg,
                         plan.indices, plan.weights, plan.starts, plan.verts,
                         self.gather_temp, self.gather_has,
                     )
@@ -498,6 +632,7 @@ class ComputeEngine:
     # shard order, so parallel workers never race on shared state.
     # ------------------------------------------------------------------
     def _write_vertex_values(self, shard: Shard, rows, dense: bool, out) -> None:
+        self._premap_valid = False
         if dense:
             self.vertex_values[shard.start : shard.stop] = out
         else:

@@ -112,6 +112,16 @@ class FrontierManager:
             return np.flatnonzero(per[1:] > per[:-1])
         return np.flatnonzero(self.counts_per_shard(self.current) > 0)
 
+    def sparse_everywhere(self) -> bool:
+        """Whether the frontier is compacted and leaves every shard's
+        interval partly inactive -- each (shard, mask) query of the
+        iteration would take the rows route."""
+        c = self._compact
+        if c is None:
+            return False
+        per = np.diff(np.searchsorted(c, self.sharded.boundaries))
+        return not np.any((per > 0) & (per == self._stops - self._starts))
+
     def changed_shards(self) -> np.ndarray:
         """Shards with at least one *changed* vertex (scatter/FA work)."""
         return np.flatnonzero(self.counts_per_shard(self.changed) > 0)

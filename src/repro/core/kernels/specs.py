@@ -44,6 +44,9 @@ CHANGED_MODES = {"all": 0, "tol": 1, "none": 2}
 
 #: Gather kinds whose per-edge value reads the edge weight.
 WEIGHTED_KINDS = frozenset({"mul_weight", "add_weight"})
+#: Gather kinds whose per-edge value is a function of the source vertex
+#: alone, so it can be mapped once per vertex instead of once per edge.
+SOURCE_ONLY_KINDS = frozenset({"div_degree", "add_one"})
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,10 @@ class GatherSpec:
     @property
     def needs_weights(self) -> bool:
         return self.kind in WEIGHTED_KINDS
+
+    @property
+    def source_only(self) -> bool:
+        return self.kind in SOURCE_ONLY_KINDS
 
 
 @dataclass(frozen=True)

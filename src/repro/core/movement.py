@@ -274,6 +274,9 @@ class DataMovementEngine:
         self._cached = False  # all shards resident (in-memory mode)
         self._lru: "OrderedDict[int, int] | None" = None  # shard -> bytes
         self._lru_touch: dict[int, int] = {}  # shard -> last iteration
+        #: (group name, shard index) -> its (h2d, d2h) copy recipes; both
+        #: depend on nothing else, so they are built on first visit
+        self._recipes: dict[tuple[str, int], tuple] = {}
         self.current_iteration = 0
 
         max_shard = sharded.max_shard_bytes(with_weights, with_edge_state)
@@ -366,9 +369,8 @@ class DataMovementEngine:
             self._issue_copies(
                 self.streams[stream_i % self.k],
                 stream_i % self.k,
-                shard.sub_array_bytes(self.with_weights, self.with_edge_state),
+                self._recipe(shard, f"cache:{shard.index}"),
                 "h2d",
-                f"cache:{shard.index}",
             )
             stream_i += 1
         self.device.synchronize()
@@ -431,9 +433,8 @@ class DataMovementEngine:
         self._issue_copies(
             stream,
             stream_i,
-            shard.sub_array_bytes(self.with_weights, self.with_edge_state),
+            self._recipe(shard, f"lrufill:{shard.index}"),
             "h2d",
-            f"lrufill:{shard.index}",
         )
         return True
 
@@ -483,16 +484,17 @@ class DataMovementEngine:
             ) as shard_span:
                 resident = self._cached or self._lru_acquire(shard, stream, stream_i)
                 if not resident:
-                    h2d = shard.expand_buffers(
-                        group.h2d_buffers, self.with_weights, self.with_edge_state
-                    )
-                    self._issue_copies(stream, stream_i, h2d, "h2d", f"{group.name}:{shard.index}")
+                    recipes = self._recipes.get((group.name, shard.index))
+                    if recipes is None:
+                        label = f"{group.name}:{shard.index}"
+                        recipes = self._recipes[group.name, shard.index] = (
+                            self._recipe(shard, label, group.h2d_buffers),
+                            self._recipe(shard, label, group.d2h_buffers),
+                        )
+                    self._issue_copies(stream, stream_i, recipes[0], "h2d")
                 self._issue_kernel(stream, group, shard, work)
                 if not resident:
-                    d2h = shard.expand_buffers(
-                        group.d2h_buffers, self.with_weights, self.with_edge_state
-                    )
-                    self._issue_copies(stream, stream_i, d2h, "d2h", f"{group.name}:{shard.index}")
+                    self._issue_copies(stream, stream_i, recipes[1], "d2h")
                 shard_span.set(resident=resident, items=work.total)
                 self.stats.shards_processed += 1
                 self.obs.add("movement.shards.processed")
@@ -517,22 +519,35 @@ class DataMovementEngine:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _issue_copies(self, stream, stream_i: int, buffers: dict[str, int], direction: str, label: str) -> None:
-        buffers = {k: v for k, v in buffers.items() if v > 0}
-        if not buffers:
+    def _recipe(self, shard: Shard, label: str, names=None) -> tuple:
+        """The static part of one copy batch: ``(label, total bytes,
+        [(bytes, copy label)])`` over the non-empty sub-arrays of the
+        logical buffers ``names`` (None: the whole shard)."""
+        flags = (self.with_weights, self.with_edge_state)
+        if names is None:
+            sizes = shard.sub_array_bytes(*flags)
+        else:
+            sizes = shard.expand_buffers(names, *flags)
+        copies = [(n, f"{label}:{name}") for name, n in sizes.items() if n > 0]
+        return label, sum(n for n, _ in copies), copies
+
+    def _issue_copies(self, stream, stream_i: int, recipe: tuple, direction: str) -> None:
+        label, nbytes, copies = recipe
+        if not copies:
             return
-        nbytes = sum(buffers.values())
         if direction == "h2d":
-            self.stats.h2d_count += len(buffers)
+            self.stats.h2d_count += len(copies)
             self.stats.h2d_bytes += nbytes
         else:
-            self.stats.d2h_count += len(buffers)
+            self.stats.d2h_count += len(copies)
             self.stats.d2h_bytes += nbytes
         self.obs.add(f"movement.{direction}.bytes", nbytes)
-        self.obs.add(f"movement.{direction}.copies", len(buffers))
+        self.obs.add(f"movement.{direction}.copies", len(copies))
         agg = self.stats.per_group_bytes
-        agg[label.split(":")[0]] = agg.get(label.split(":")[0], 0) + sum(buffers.values())
-        def ssd_fetch(target_stream, name: str, nbytes: int) -> None:
+        group = label.split(":")[0]
+        agg[group] = agg.get(group, 0) + nbytes
+
+        def ssd_fetch(target_stream, copy_label: str, nbytes: int) -> None:
             """The spilled fraction of a host buffer lives on flash;
 
             fetch it (contending with every other stream's reads) on the
@@ -542,12 +557,12 @@ class DataMovementEngine:
             resource, spill = self.ssd
             if spill > 0:
                 target_stream.enqueue(
-                    ResourceOp(resource, nbytes * spill, label=f"ssd:{label}:{name}")
+                    ResourceOp(resource, nbytes * spill, label=f"ssd:{copy_label}")
                 )
 
-        if self.config.spray and len(buffers) > 1:
+        if self.config.spray and len(copies) > 1:
             self.obs.add("movement.spray.batches")
-            self.obs.add("movement.spray.copies", len(buffers))
+            self.obs.add("movement.spray.copies", len(copies))
             # Deep copies sprayed over dynamically created streams; the
             # issuing stream joins them via events (Figure 11(b)). D2H
             # sprays additionally gate on the issuing stream (the kernel
@@ -558,22 +573,22 @@ class DataMovementEngine:
                 gate = StreamEvent(f"{label}:gate")
                 stream.record_event(gate)
             joins = []
-            for j, (name, nbytes) in enumerate(buffers.items()):
+            for j, (nbytes, copy_label) in enumerate(copies):
                 while j >= len(pool):
                     pool.append(self.device.create_stream(f"spray{stream_i}.{len(pool)}"))
-                ev = StreamEvent(f"{label}:{name}")
+                ev = StreamEvent(copy_label)
                 if gate is not None:
                     pool[j].wait_event(gate)
-                ssd_fetch(pool[j], name, nbytes)
-                pool[j].enqueue(Memcpy(nbytes, direction, f"{label}:{name}"))
+                ssd_fetch(pool[j], copy_label, nbytes)
+                pool[j].enqueue(Memcpy(nbytes, direction, copy_label))
                 pool[j].record_event(ev)
                 joins.append(ev)
             for ev in joins:
                 stream.wait_event(ev)
         else:
-            for name, nbytes in buffers.items():
-                ssd_fetch(stream, name, nbytes)
-                stream.enqueue(Memcpy(nbytes, direction, f"{label}:{name}"))
+            for nbytes, copy_label in copies:
+                ssd_fetch(stream, copy_label, nbytes)
+                stream.enqueue(Memcpy(nbytes, direction, copy_label))
 
     def _issue_kernel(self, stream, group: PhaseGroup, shard: Shard, work: WorkItems) -> None:
         spec = self.device.spec

@@ -224,8 +224,10 @@ class ShardedGraph:
     boundaries: np.ndarray
     shards: list[Shard]
     logic: str = "edge_balanced"
-    full_csc: CSR = field(repr=False, default=None)
-    full_csr: CSR = field(repr=False, default=None)
+    #: the whole graph as one more shard (index P): ``[0, V)`` over the
+    #: flat CSC/CSR and weight arrays the shards are views of; None for
+    #: store-backed views, which have no flat arrays
+    span: Shard | None = field(repr=False, default=None)
 
     @property
     def num_partitions(self) -> int:
@@ -270,19 +272,21 @@ class PartitionEngine:
         self._check_boundaries(boundaries, edges.num_vertices, num_partitions)
         csc = build_csc(edges)
         csr = build_csr(edges)
+        # One flat weight array per layout; each shard's is a view of it.
+        csc_w = csr_w = None
+        if edges.weights is not None:
+            csc_w = edges.weights[csc.edge_ids]
+            csr_w = edges.weights[csr.edge_ids]
         shards = []
         for i in range(num_partitions):
             start, stop = int(boundaries[i]), int(boundaries[i + 1])
-            shard_csc = csc.row_slice(start, stop)
-            shard_csr = csr.row_slice(start, stop)
-            csc_w = csr_w = None
-            if edges.weights is not None:
-                csc_w = edges.weights[shard_csc.edge_ids]
-                csr_w = edges.weights[shard_csr.edge_ids]
-            shards.append(
-                Shard(i, start, stop, shard_csc, shard_csr, csc_w, csr_w)
-            )
-        return ShardedGraph(edges, boundaries, shards, logic, csc, csr)
+            shard = Shard(i, start, stop, csc.row_slice(start, stop), csr.row_slice(start, stop))
+            if csc_w is not None:
+                shard.csc_weights = csc_w[csc.indptr[start] : csc.indptr[stop]]
+                shard.csr_weights = csr_w[csr.indptr[start] : csr.indptr[stop]]
+            shards.append(shard)
+        span = Shard(num_partitions, 0, edges.num_vertices, csc, csr, csc_w, csr_w)
+        return ShardedGraph(edges, boundaries, shards, logic, span)
 
     @staticmethod
     def choose_num_partitions(

@@ -222,8 +222,6 @@ def _plan_nbytes(plan) -> int:
     return total
 
 
-
-
 class PlanCache:
     """Dense-or-rows plan queries over one frontier, per shard.
 
@@ -403,10 +401,16 @@ class PlanCache:
         if self.enabled:
             if shard.num_interval_vertices and dense_q(shard.start, shard.stop):
                 return None
-            with self._lock:
-                self.sparse_bypass += 1
-            self.obs.add("plans.sparse_bypass")
+            self.count_bypass(1)
         return rows_q(shard.start, shard.stop)
+
+    def count_bypass(self, n: int) -> None:
+        """Count ``n`` row-built queries (the merged rows pass answers
+        one per selected shard with a single read)."""
+        if n:
+            with self._lock:
+                self.sparse_bypass += n
+            self.obs.add("plans.sparse_bypass", n)
 
     def sparse_rows(self, shard: Shard, mask: str):
         """Rows query for the fused kernel paths (fast path on only).

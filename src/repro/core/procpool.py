@@ -429,6 +429,7 @@ class _WorkerRunner:
         if k:
             rows = self._mbox["vidx"][:k]
             self._vertex_values[rows] = self._mbox["vvals"][:k]
+            self.engine.invalidate_premap()
         lo, hi = self._mask_lo, self._mask_hi
         span = hi - lo
         self._current[lo:hi] = np.unpackbits(
@@ -457,6 +458,7 @@ class _WorkerRunner:
         self.engine.deltas = deltas
         self.frontier.deltas = deltas
         shard = self.shards[shard_index]
+        self.engine.begin_group(phases)
         per_phase = []
         for phase in phases:
             w = getattr(self.engine, "_" + phase)(shard, count_full)
@@ -990,8 +992,10 @@ class ProcessPool:
             kind = d[0]
             if kind == "vd":
                 compute.vertex_values[d[1] : d[2]] = d[3]
+                compute.invalidate_premap()
             elif kind == "vr":
                 compute.vertex_values[d[1]] = d[2]
+                compute.invalidate_premap()
             elif kind == "mc":
                 frontier.mark_changed(d[1])
             elif kind == "an":
@@ -1062,7 +1066,8 @@ class ProcessPool:
         if self.worker_kernel_stats:
             kernels = {"backend": self.worker_kernel_stats[0].get("backend")}
             for key in (
-                "fused_calls", "fallbacks", "allocations", "reuses", "held_bytes",
+                "fused_calls", "fallbacks", "premaps", "merged_groups",
+                "allocations", "reuses", "held_bytes",
             ):
                 kernels[key] = sum(
                     s.get(key, 0) for s in self.worker_kernel_stats

@@ -610,6 +610,8 @@ class GraphReduce:
             )
             if telem is not None and plans.enabled:
                 telem.add_source("plan_cache", plans.stats)
+            if telem is not None and kernels is not None and not use_pool:
+                telem.add_source("kernels", compute.kernel_stats)
             if telem is not None and hasattr(program, "batch_stats"):
                 # Per-query lanes for the monitor: retirement progress
                 # rides the same snapshot stream as the other sources.
@@ -711,6 +713,17 @@ class GraphReduce:
                 proc0, skip0 = movement.stats.shards_processed, movement.stats.shards_skipped
                 compute.begin_iteration(iteration)
                 movement.current_iteration = iteration
+                # In-process, unthreaded compute over in-RAM shards runs
+                # each group of an iteration whose frontier fills no shard
+                # interval as one rows pass; anything else, shard by shard.
+                rows_pass = (
+                    pool is None
+                    and executor is None
+                    and prefetcher is None
+                    and opts.frontier_skipping
+                    and compute.can_merge(plan)
+                    and frontier.sparse_everywhere()
+                )
                 with obs.span(
                     "iteration",
                     category="iteration",
@@ -727,11 +740,16 @@ class GraphReduce:
                             # store themselves; the main process never
                             # touches the arrays at all.)
                             prefetcher.schedule([s.index for s in shards])
+                        if pool is None and shards:
+                            compute.begin_group(group.phases)
                         if pool is not None:
                             run_shard = pool.phase_run(
                                 group, shards, iteration,
                                 count_full=not opts.frontier_skipping,
                             )
+                        elif rows_pass:
+                            census = compute.run_merged(group.phases, shards)
+                            run_shard = lambda shard, w=census: w[shard.index]
                         elif prefetcher is None:
                             run_shard = (
                                 lambda shard, g=group: compute.run_group(
@@ -919,6 +937,10 @@ class GraphReduce:
             raise ValueError(
                 f"options request {opts.num_partitions} partitions but the "
                 f"shard store was built with {store.num_partitions}"
+            )
+        if opts.memory_budget is not None and opts.memory_budget < 0:
+            raise ValueError(
+                f"memory_budget must be >= 0 bytes or None, got {opts.memory_budget}"
             )
         unit_weights = with_weights and not store.weighted
         carried = self._warm_prefetch

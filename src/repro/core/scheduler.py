@@ -128,8 +128,8 @@ class AdaptiveEngine:
         bounds = np.linspace(0, n, p + 1).astype(np.int64)
         partition_of = np.searchsorted(bounds, np.arange(n), side="right") - 1
         total_stream_bytes = edges.num_edges * bytes_per_edge
-        values = np.asarray(program.init_vertices(ctx)).astype(program.vertex_dtype, copy=False)
         frontier = np.asarray(program.init_frontier(ctx), dtype=bool)
+        values = np.asarray(program.init_vertices(ctx)).astype(program.vertex_dtype, copy=False)
         edge_state = program.init_edge_state(ctx)
 
         placement: list[str] = []

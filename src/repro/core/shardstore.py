@@ -432,7 +432,7 @@ class ShardStore:
             LazyShard(m["index"], m["start"], m["stop"], m["in_edges"], m["out_edges"], source)
             for m in self.shard_meta
         ]
-        return ShardedGraph(edges, self.boundaries, shards, self.logic, None, None)
+        return ShardedGraph(edges, self.boundaries, shards, self.logic)
 
     def edgelist(self) -> StoreEdgeList:
         return StoreEdgeList(self, weighted=self.weighted)

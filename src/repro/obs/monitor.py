@@ -176,9 +176,16 @@ def render(state: MonitorState) -> str:
         cache = sources.get("plan_cache", {})
         prefetch = sources.get("prefetch", {})
         pool = sources.get("procpool", {})
+        kernels = sources.get("kernels", {})
         parts = []
         if cache:
             parts.append(plan_summary(cache))
+        if kernels:
+            parts.append(
+                f"kernels {kernels.get('fused_calls', 0)} fused "
+                f"{kernels.get('premaps', 0)} premaps "
+                f"{kernels.get('merged_groups', 0)} merged"
+            )
         if prefetch:
             parts.append(
                 f"prefetch hit {_rate(prefetch, 'hits', 'faults')} "

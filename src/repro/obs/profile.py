@@ -385,6 +385,8 @@ class ProfileReport:
             f"kernels            : {k.get('backend')} backend, "
             f"{k.get('fused_calls', 0)} fused calls, "
             f"{k.get('fallbacks', 0)} fallbacks, "
+            f"{k.get('premaps', 0)} premaps, "
+            f"{k.get('merged_groups', 0)} merged groups, "
             f"arena {k.get('reuses', 0)} reuses / "
             f"{k.get('allocations', 0)} allocations "
             f"({k.get('held_bytes', 0) / 2**20:.2f} MiB held)"

@@ -6,10 +6,23 @@ import pytest
 
 from repro.algorithms import MaximalIndependentSet, betweenness_centrality
 from repro.algorithms.betweenness import SigmaPhase
-from repro.algorithms.bfs import BFS
+from repro.algorithms.bfs import BFS, BFSGather
+from repro.algorithms.sssp import SSSP, DeltaSSSP
 from repro.core.runtime import GraphReduce
 from repro.graph.edgelist import EdgeList
 from repro.graph.generators import erdos_renyi, mesh2d, path_graph, star_graph
+
+
+@pytest.mark.parametrize("source", (-1, 6))
+@pytest.mark.parametrize(
+    "make",
+    (BFS, BFSGather, SSSP, DeltaSSSP, lambda source: SigmaPhase(source, np.zeros(6))),
+)
+def test_solo_source_outside_the_graph_is_rejected(make, source):
+    # -1 used to wrap in init_vertices/init_frontier and "converge"
+    # after one iteration; 6 raised a bare IndexError.
+    with pytest.raises(ValueError, match=f"source {source} out of range .* 6 vertices"):
+        GraphReduce(path_graph(6)).run(make(source=source))
 
 
 class TestSigmaPhase:

@@ -15,8 +15,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tests.fixture_graphs import FIXTURE_NAMES, build
-from repro.algorithms import BFS, ConnectedComponents, PageRank, SSSP
+from repro.algorithms import BFS, BFSGather, ConnectedComponents, PageRank, SSSP
+from repro.core.compute import ComputeEngine
 from repro.core.frontier import FrontierManager
+from repro.core.fusion import build_plan
+from repro.core.kernels import resolve_backend
 from repro.core.partition import PartitionEngine
 from repro.core.plans import PlanCache
 from repro.core.runtime import GraphReduce, GraphReduceOptions, RuntimeContext
@@ -74,6 +77,21 @@ def _assert_stable_nondense(result, num_vertices):
     assert stable >= 5 and max(sizes) < num_vertices, result.frontier_history
 
 
+#: Inputs on which the serial fused leg must take the iteration-scoped
+#: routes, so the matrices compare them against the per-shard path: a
+#: road-grid traversal's waves fill no interval (merged rows pass, the
+#: ``apply_fa`` group included) and PageRank's gather is source-only
+#: (pre-map) over a frontier that turns non-dense.
+MERGED_INPUTS = (("road10x10", "bfs"), ("road10x10", "sssp"), STABLE_FRONTIER)
+
+
+def assert_iteration_scoped_routes_engaged(label, graph_name, algo, serial):
+    if (graph_name, algo) in MERGED_INPUTS:
+        assert serial.kernels["merged_groups"] > 0, label
+    if algo == "pagerank":
+        assert 0 < serial.kernels["premaps"] <= serial.iterations, label
+
+
 def _run(g, make_program, fastpath):
     opts = GraphReduceOptions(num_partitions=3, **fastpath)
     return GraphReduce(g, options=opts).run(make_program())
@@ -103,6 +121,8 @@ def test_fastpath_combos_match_slow_path(graph_name):
             label = f"{algo}/{combo}"
             if stable and fastpath["dense_fast_path"]:
                 assert fast.plan_cache["sparse_bypass"] > 0, label
+            if combo in ("plans_only", "kernels_numpy"):
+                assert_iteration_scoped_routes_engaged(label, graph_name, algo, fast)
             assert np.array_equal(fast.vertex_values, slow.vertex_values), label
             assert fast.frontier_history == slow.frontier_history, label
             assert fast.sim_time == slow.sim_time, label
@@ -415,6 +435,136 @@ def test_queries_reproduce_from_scratch_build(a1, c1, a2, c2, seed):
     for key in before.keys() & after.keys():
         if key[0] == "gather" or key[1]:
             assert after[key] is before[key], key
+
+
+# ----------------------------------------------------------------------
+# Property: the merged rows pass equals the per-shard path, shard by shard
+# ----------------------------------------------------------------------
+MERGE_SHAPES = ("empty", "one", "all_but_one", "random")
+MERGE_PROGRAMS = {
+    "bfs": lambda: BFS(source=0),  # the apply_fa group
+    "bfs_gather": lambda: BFSGather(source=0),  # pre-mapped add_one / min
+    "sssp": lambda: SSSP(source=0),
+    "pagerank": lambda: PageRank(tolerance=1e-3),  # pre-mapped div_degree / add
+}
+
+
+def _partial_mask(sharded, shapes, rng, full_at=None):
+    """Per-shard masks that never fill an interval, except ``full_at``."""
+    mask = np.zeros(sharded.num_vertices, dtype=bool)
+    for shard, shape in zip(sharded.shards, shapes):
+        n = shard.num_interval_vertices
+        if shard.index == full_at:
+            local = np.ones(n, dtype=bool)
+        elif shape == "random":
+            local = rng.random(n) < 0.5
+            local[:1] = False
+        else:
+            count = {"empty": 0, "one": min(1, n - 1), "all_but_one": n - 1}[shape]
+            local = np.zeros(n, dtype=bool)
+            local[rng.choice(n, size=max(count, 0), replace=False)] = True
+        mask[shard.start : shard.stop] = local
+    return mask
+
+
+def _mid_run_engine(sharded, make_program, mask, seed):
+    obs = Observer()
+    frontier = FrontierManager(sharded, mask, obs=obs)
+    program = make_program()
+    engine = ComputeEngine(
+        sharded, program, RuntimeContext(sharded.edges), frontier, obs=obs,
+        plans=PlanCache(sharded, frontier, obs=obs), kernels=resolve_backend("numpy"),
+    )
+    rng = np.random.default_rng(seed)
+    values = (10 * rng.random(sharded.num_vertices)).astype(np.float32)
+    values[rng.random(sharded.num_vertices) < 0.3] = np.inf
+    engine.vertex_values[:] = values
+    return engine, build_plan(program)
+
+
+def _run_iteration(engine, plan, iteration, merged):
+    """One iteration as the runtime drives it; per-group, per-shard items."""
+    frontier, shards = engine.frontier, engine.sharded.shards
+    engine.begin_iteration(iteration)
+    census = []
+    for group in plan:
+        ids = frontier.active_shards() if group.selector == "active" else frontier.changed_shards()
+        selected = [shards[i] for i in ids]
+        if selected:
+            engine.begin_group(group.phases)
+        if merged:
+            work = engine.run_merged(group.phases, selected)
+        else:
+            work = {s.index: engine.run_group(group.phases, s, False) for s in selected}
+        census.append({i: (w.edge_items, w.vertex_items) for i, w in work.items()})
+    return census
+
+
+@pytest.mark.parametrize("graph_name", FIXTURE_NAMES)
+@settings(max_examples=8, deadline=None)
+@given(
+    shapes=st.tuples(*[st.sampled_from(MERGE_SHAPES)] * 3),
+    iteration=st.sampled_from([0, 3]),
+    seed=st.integers(0, 2**16),
+)
+def test_merged_pass_matches_per_shard_path(graph_name, shapes, iteration, seed):
+    sharded = PartitionEngine().partition(build(graph_name).with_random_weights(seed=33), 3)
+    for name, make_program in MERGE_PROGRAMS.items():
+        mask = _partial_mask(sharded, shapes, np.random.default_rng(seed))
+        per_shard, plan = _mid_run_engine(sharded, make_program, mask, seed)
+        merged, _ = _mid_run_engine(sharded, make_program, mask, seed)
+        assert merged.can_merge(plan), name
+        with np.errstate(invalid="ignore"):  # PageRank's |inf - inf| on unreached rows
+            want = _run_iteration(per_shard, plan, iteration, merged=False)
+            assert _run_iteration(merged, plan, iteration, merged=True) == want, name
+        assert merged.merged_groups == sum(1 for c in want if c), name
+        assert per_shard.merged_groups == 0 and merged.premaps == per_shard.premaps
+        assert merged.plans.stats() == per_shard.plans.stats(), name
+        assert merged.fused_calls == per_shard.fused_calls, name
+        for attr in ("vertex_values", "gather_temp", "gather_has"):
+            got, ref = getattr(merged, attr), getattr(per_shard, attr)
+            assert got.tobytes() == ref.tobytes(), (name, attr)
+        for attr in ("changed", "next"):
+            got, ref = getattr(merged.frontier, attr), getattr(per_shard.frontier, attr)
+            np.testing.assert_array_equal(got, ref, err_msg=f"{name}/{attr}")
+        counters = [
+            {
+                k: c.value
+                for k, c in e.obs.metrics.counters.items()
+                if k != "kernels.merged_groups"
+            }
+            for e in (merged, per_shard)
+        ]
+        assert counters[0] == counters[1], name
+
+
+def test_one_full_interval_sends_the_iteration_down_the_per_shard_path():
+    """Five equal intervals keep a one-interval frontier compacted, so
+    the dense test alone decides; the engine reads it off the frontier."""
+    g = build("er_mid").with_random_weights(seed=33)
+    sharded = PartitionEngine().partition(g, 5, "vertex_balanced")
+    rng = np.random.default_rng(0)
+    wide = ("all_but_one", "all_but_one", "empty", "empty", "empty")
+    partial = FrontierManager(sharded, _partial_mask(sharded, wide, rng))
+    assert partial.compact_indices is None and not partial.sparse_everywhere()
+    sparse = _partial_mask(sharded, ("one", "empty", "one", "empty", "one"), rng)
+    assert FrontierManager(sharded, sparse).sparse_everywhere()
+    full = _partial_mask(sharded, ("one", "empty", "one", "empty", "one"), rng, full_at=3)
+    fm = FrontierManager(sharded, full)
+    assert fm.compact_indices is not None and not fm.sparse_everywhere()
+
+    class Seeded(SSSP):
+        seed_mask = sparse
+
+        def init_frontier(self, ctx):
+            return self.seed_mask.copy()
+
+    opts = GraphReduceOptions(num_partitions=5, partition_logic="vertex_balanced")
+    run = GraphReduce(g, options=opts).run(Seeded(source=0), max_iterations=1)
+    assert run.kernels["merged_groups"] >= 3  # every group with a selected shard
+    Seeded.seed_mask = full
+    run = GraphReduce(g, options=opts).run(Seeded(source=0), max_iterations=1)
+    assert run.kernels["merged_groups"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -1,24 +1,34 @@
 """Kernel layer unit tests (repro.core.kernels).
 
 Covers the registry contract (backend resolution), the scratch arena
-(aligned, grow-only, reuse-counted buffers), the layout helpers, and
-the engine-level guarantee: a backend that *fails at runtime* must fall
+(aligned, grow-only, reuse-counted buffers), the layout helpers, the
+engine-level guarantee that a backend that *fails at runtime* falls
 back to the generic path with one RuntimeWarning and an unchanged
-result.
+result, and the pre-map: bit-identical to the per-edge map, and never
+read stale.
 """
 
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tests.fixture_graphs import build
 from repro.algorithms import BFS, PageRank
+from repro.core.compute import ComputeEngine
+from repro.core.frontier import FrontierManager
+from repro.core.kernels import GatherSpec
 from repro.core.kernels import arena as arena_mod
 from repro.core.kernels import layout
 from repro.core.kernels import resolve_backend
 from repro.core.kernels.numpy_backend import NumpyKernels
-from repro.core.runtime import GraphReduce, GraphReduceOptions
+from repro.core.partition import PartitionEngine
+from repro.core.plans import PlanCache
+from repro.core.runtime import GraphReduce, GraphReduceOptions, RuntimeContext
+from repro.graph.csr import build_csc, dense_segments
+from repro.graph.edgelist import EdgeList
 
 
 # ----------------------------------------------------------------------
@@ -156,3 +166,145 @@ def test_int_valued_program_skips_fusion_without_warning():
         warnings.simplefilter("error", RuntimeWarning)
         result = _run(g, BFS(source=0), kernel_backend="numpy")
     assert result.kernels is not None
+
+
+# ----------------------------------------------------------------------
+# Pre-map: a source_only gather mapped once per vertex, gathered as copy
+# ----------------------------------------------------------------------
+_SPECIALS = [np.inf, 0.0, -0.0, 1e-45, -1e-45, 1.1754942e-38, 1.0, 3.0, 0.1, 1e30]
+_f32 = st.one_of(
+    st.sampled_from(_SPECIALS),
+    st.floats(min_value=0, max_value=1e6, width=32),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(["div_degree", "add_one"]),
+    reduce=st.sampled_from(["add", "min"]),
+    cols=st.sampled_from([None, 1, 3]),
+    seed=st.integers(0, 2**16),
+    pool=st.lists(_f32, min_size=1, max_size=12),
+)
+def test_premapped_gather_is_bit_identical_to_per_edge(kind, reduce, cols, seed, pool):
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(2, 40)), int(rng.integers(1, 160))
+    g = EdgeList(n, rng.integers(0, n, m), rng.integers(0, n, m))  # multi-edges, loops
+    csc = build_csc(g)
+    shape = (n,) if cols is None else (n, cols)
+    values = rng.choice(np.array(pool, dtype=np.float32), size=shape)
+    deg = np.maximum(g.out_degrees().astype(np.float32), 1.0)
+    spec, copy = GatherSpec(kind, reduce), GatherSpec("copy", reduce)
+    kernels = NumpyKernels()
+    mapped = np.empty_like(values)
+    kernels.premap(spec, values, deg, mapped)
+    rows = np.flatnonzero(rng.random(n) < 0.6)
+    starts, verts = dense_segments(csc.indptr)
+
+    def gather(how, spec, values, deg):
+        temp = np.full(shape, 7.0, dtype=np.float32)
+        has = np.zeros(n, dtype=bool)
+        if how == "segments":
+            if len(csc.indices):
+                kernels.gather_segments(
+                    how, spec, values, deg, csc.indices, None, starts, verts, temp, has
+                )
+        else:
+            kernels.gather_rows(
+                how, spec, values, deg, csc.indptr, csc.indices, None, rows, 0, temp, has
+            )
+        return temp.tobytes(), has.tobytes()  # bytes: -0.0 != 0.0, nan == nan
+
+    with np.errstate(all="ignore"):
+        for how in ("segments", "rows"):
+            assert gather(how, copy, mapped, None) == gather(how, spec, values, deg), how
+
+
+def _premap_engine(engine_cls=ComputeEngine):
+    """A PageRank engine over a 2-shard graph, kernels and plans on."""
+    g = build("er_small")
+    sharded = PartitionEngine().partition(g, 2)
+    frontier = FrontierManager(sharded, np.ones(g.num_vertices, dtype=bool))
+    plans = PlanCache(sharded, frontier, dense=True)
+    program, ctx = PageRank(tolerance=1e-3), RuntimeContext(g)
+    if engine_cls is ComputeEngine:
+        engine = ComputeEngine(
+            sharded, program, ctx, frontier, plans=plans, kernels=resolve_backend("numpy")
+        )
+    else:
+        engine = engine_cls(
+            program, ctx, frontier, plans, np.ones(g.num_vertices, dtype=np.float32),
+            None, kernels=resolve_backend("numpy"),
+        )
+    return sharded, frontier, engine
+
+
+def _assert_gather_is_fresh(sharded, engine):
+    """The next gathering group reads the *current* vertex values."""
+    engine.begin_group(("gather_map",))
+    for shard in sharded.shards:
+        engine._gather_map(shard, False)
+    fresh = ComputeEngine(
+        sharded, engine.program, engine.ctx, engine.frontier,
+        plans=engine.plans, kernels=resolve_backend("numpy"),
+    )
+    fresh.vertex_values[:] = engine.vertex_values
+    for shard in sharded.shards:  # no begin_group: maps per edge
+        fresh._gather_map(shard, False)
+    assert fresh.premaps == 0
+    assert engine.gather_temp.tobytes() == fresh.gather_temp.tobytes()
+
+
+def test_premap_is_refilled_after_every_vertex_values_write():
+    from types import SimpleNamespace
+
+    from repro.core.procpool import ProcessPool, _WorkerEngine, _WorkerRunner
+    from repro.obs.span import NULL_OBSERVER
+
+    sharded, frontier, engine = _premap_engine()
+    n = sharded.num_vertices
+    rng = np.random.default_rng(0)
+    engine.begin_iteration(0)
+    _assert_gather_is_fresh(sharded, engine)
+    assert engine.premaps == 1
+    # serial apply (_write_vertex_values), same iteration
+    for shard in sharded.shards:
+        engine._gather_reduce(shard, False)
+    for shard in sharded.shards:
+        engine._apply(shard, False)
+    _assert_gather_is_fresh(sharded, engine)
+    assert engine.premaps == 2
+    # a write between iterations (end_iteration hook, reseed): begin_iteration
+    engine.vertex_values[:] = rng.random(n, dtype=np.float32)
+    engine.begin_iteration(1)
+    _assert_gather_is_fresh(sharded, engine)
+    # the pool's delta replay, dense and rows records
+    pool = SimpleNamespace(
+        _obs=NULL_OBSERVER, _compute=engine, _frontier=frontier,
+        delta_bytes_merged=0, lane=[],
+    )
+    lo, hi = sharded.shards[0].start, sharded.shards[0].stop
+    for delta in (
+        ("vd", lo, hi, rng.random(hi - lo, dtype=np.float32)),
+        ("vr", np.array([0, n - 1]), np.array([5.0, 9.0], dtype=np.float32)),
+    ):
+        ProcessPool._replay(pool, ("ok", 0, 0, [], [delta], 0.0, 0.0))
+        _assert_gather_is_fresh(sharded, engine)
+    assert engine.premaps == 5
+    # a worker's mailbox ingest
+    _, wfrontier, wengine = _premap_engine(_WorkerEngine)
+    wengine.begin_iteration(0)
+    wengine.begin_group(("gather_map",))
+    runner = _WorkerRunner.__new__(_WorkerRunner)
+    runner.engine, runner._vertex_values = wengine, wengine.vertex_values
+    runner._current, runner._changed = wfrontier.current, wfrontier.changed
+    runner._edge_state, runner._mbox_seen = None, 0
+    runner._mask_lo, runner._mask_hi = 0, n
+    bits = np.packbits(np.ones(n, dtype=bool))
+    runner._mbox = {
+        "header": np.array([1, 2, 0, 0]), "vidx": np.array([1, 3]),
+        "vvals": np.array([4.0, 6.0], dtype=np.float32), "cur": bits, "chg": bits,
+    }
+    runner._ingest_mailbox()
+    _assert_gather_is_fresh(sharded, wengine)
+    assert wengine.premaps == 2 and wengine.vertex_values[3] == 6.0

@@ -26,6 +26,7 @@ from tests.core.test_fastpath import (
     STABLE_FRONTIER,
     _assert_stable_nondense,
     _kernel_items,
+    assert_iteration_scoped_routes_engaged,
 )
 from tests.fixture_graphs import FIXTURE_NAMES, build
 from repro.algorithms import PageRank
@@ -62,13 +63,17 @@ MATRIX = ("bfs", "sssp", "pagerank", "cc", "stamping_sssp")
 
 def matrix_cases(algos=MATRIX):
     """(label, graph, make_program): ``algos`` on er_mid, then the
-    stable non-dense frontier input (see ``STABLE_FRONTIER``)."""
+    stable non-dense frontier input (see ``STABLE_FRONTIER``) and, with
+    ``sssp`` among them, SSSP on the road grid (serial merges its waves
+    into one rows pass per group; the pool goes shard by shard)."""
     g = build("er_mid")
     weighted = g.with_random_weights(seed=33)
     for algo in algos:
         yield algo, (weighted if "sssp" in algo else g), PROGRAMS[algo]
     name, algo = STABLE_FRONTIER
     yield f"{name}/{algo}", build(name), PROGRAMS[algo]
+    if "sssp" in algos:
+        yield "road10x10/sssp", build("road10x10").with_random_weights(seed=33), PROGRAMS["sssp"]
 
 
 def test_process_backend_matches_serial_in_ram():
@@ -81,6 +86,8 @@ def test_process_backend_matches_serial_in_ram():
             graph, options=GraphReduceOptions(num_partitions=3, **POOL)
         ).run(make())
         _assert_identical(algo, pool, serial)
+        assert_iteration_scoped_routes_engaged(algo, *algo.rpartition("/")[::2], serial)
+        assert pool.kernels["merged_groups"] == 0, algo
         if algo.startswith(STABLE_FRONTIER[0]):
             _assert_stable_nondense(serial, graph.num_vertices)
             assert pool.plan_cache["sparse_bypass"] > 0

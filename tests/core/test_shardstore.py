@@ -463,6 +463,15 @@ class TestRuntimeIntegration:
         assert pf["bytes_loaded"] > 0
         assert pf["released_bytes"] >= pf["bytes_loaded"]  # all of it handed back
 
+    def test_negative_budget_is_rejected(self, tmp_path):
+        # It used to clamp to capacity 1 and thrash silently.
+        store = _store(tmp_path, build("er_mid"), p=4)
+        opts = GraphReduceOptions(memory_budget=-1)
+        with pytest.raises(ValueError, match="memory_budget must be >= 0"):
+            GraphReduce(shard_store=store, options=opts).run(
+                PageRank(tolerance=None, max_iterations=3)
+            )
+
     def test_unbudgeted_store_run_caches_everything(self, tmp_path):
         store = _store(tmp_path, build("er_mid"), p=4)
         result = GraphReduce(shard_store=store).run(

@@ -49,7 +49,9 @@ def _stream():
              counters={"runtime.iterations": 6},
              sources={"plan_cache": {"hits": 3, "misses": 1,
                                      "sparse_bypass": 40,
-                                     "held_bytes": 1_500_000}},
+                                     "held_bytes": 1_500_000},
+                      "kernels": {"fused_calls": 90, "premaps": 6,
+                                  "merged_groups": 12}},
              heartbeats={
                  "worker-0": {"age": 0.1, "busy": False, "kind": "worker",
                               "beats": 9},
@@ -162,6 +164,7 @@ def test_render_shows_the_live_view():
         "dense plans: 3 hits / 1 misses (75.0%) · row-built: 40 · held: 1.5 MB"
         in view
     )
+    assert "kernels 90 fused 6 premaps 12 merged" in view
     assert "worker-1" in view and "busy" in view
     assert "incidents: none" in view
     state.ingest(_stream()[-1])

@@ -304,11 +304,15 @@ class TestProfileDocument:
         doc = json.loads(path.read_text())
         assert doc["profile_version"] == 1
 
-    def test_to_text_renders(self, report):
+    def test_to_text_renders(self, report, result):
         text = report.to_text()
         assert "bottleneck" in text
         assert "model validation" in text
         assert "[ok ]" in text and "FAIL" not in text
+        # the kernels line carries the two iteration-scoped decisions
+        k = result.kernels
+        assert 0 < k["premaps"] <= result.iterations
+        assert f"{k['premaps']} premaps, {k['merged_groups']} merged groups" in text
 
     def test_metric_table_accepts_profile_doc(self, report):
         table = bench.metric_table(report.to_dict())

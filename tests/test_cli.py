@@ -102,6 +102,19 @@ def test_plan_cache_budget_flag_refuses_negative(capsys):
             build_parser().parse_args(run + [removed])
 
 
+def test_negative_source_and_memory_budget_are_refused_at_parse_time(capsys):
+    run = ["run", "--graph", "delaunay_n13", "--algorithm", "pagerank"]
+    for flag, message in (
+        ("--source", "vertex ids are >= 0"),
+        ("--memory-budget", "must be >= 0 bytes"),
+    ):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(run + [flag, "-1"])
+        assert message in capsys.readouterr().err
+    args = build_parser().parse_args(run + ["--source", "0,3", "--memory-budget", "0"])
+    assert (args.source, args.memory_budget) == ("0,3", 0)
+
+
 class TestPartition:
     def test_partition_then_run_from_store(self, tmp_path, capsys):
         g = erdos_renyi(60, 240, seed=4)
