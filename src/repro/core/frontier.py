@@ -51,7 +51,7 @@ class FrontierManager:
         self.changed = np.zeros(n, dtype=bool)
         self.iteration = 0
         #: frontier size per completed iteration (Figures 3/16)
-        self.history: list[int] = [int(initial.sum())]
+        self.history: list[int] = [int(np.count_nonzero(initial))]
         self._starts = sharded.boundaries[:-1]
         self._stops = sharded.boundaries[1:]
         self._recompact()
@@ -65,7 +65,7 @@ class FrontierManager:
         Every method that rewrites ``current`` must end here.
         """
         n = len(self.current)
-        size = int(self.current.sum())
+        size = int(np.count_nonzero(self.current))
         self._size = size
         if 0 < size <= int(n * COMPACT_MAX_FRACTION):
             self._compact = np.flatnonzero(self.current)

@@ -25,6 +25,7 @@ with synchronous full-shard copies -- the Figure 15 baseline.
 from __future__ import annotations
 
 import threading
+from copy import copy
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -59,6 +60,8 @@ class MovementStats:
     cache_hits: int = 0
     cache_misses: int = 0
     cache_evictions: int = 0
+    spray_batches: int = 0
+    spray_copies: int = 0
     kernel_launches: int = 0
     kernel_items: int = 0
     shards_processed: int = 0
@@ -363,16 +366,20 @@ class DataMovementEngine:
         if total > self.device.memory.free_bytes:
             return False
         stream_i = 0
-        for shard in self.sharded.shards:
-            nbytes = shard.total_bytes(self.with_weights, self.with_edge_state)
-            self.device.memory.alloc(f"shardcache:{shard.index}", nbytes)
-            self._issue_copies(
-                self.streams[stream_i % self.k],
-                stream_i % self.k,
-                self._recipe(shard, f"cache:{shard.index}"),
-                "h2d",
-            )
-            stream_i += 1
+        before = copy(self.stats)
+        try:
+            for shard in self.sharded.shards:
+                nbytes = shard.total_bytes(self.with_weights, self.with_edge_state)
+                self.device.memory.alloc(f"shardcache:{shard.index}", nbytes)
+                self._issue_copies(
+                    self.streams[stream_i % self.k],
+                    stream_i % self.k,
+                    self._recipe(shard, f"cache:{shard.index}"),
+                    "h2d",
+                )
+                stream_i += 1
+        finally:
+            self._report_since(before)
         self.device.synchronize()
         self._cached = True
         return True
@@ -471,35 +478,39 @@ class DataMovementEngine:
         if executor is not None and len(shards) > 1:
             futures = [executor.submit(compute, shard) for shard in shards[1:]]
             results = [compute(shards[0])] + [f.result() for f in futures]
-        for i, shard in enumerate(shards):
-            stream_i = i % self.k
-            stream = self.streams[stream_i]
-            work = results[i] if results is not None else compute(shard)
-            with self.obs.span(
-                "shard",
-                category="shard",
-                shard=shard.index,
-                group=group.name,
-                stream=stream_i,
-            ) as shard_span:
-                resident = self._cached or self._lru_acquire(shard, stream, stream_i)
-                if not resident:
-                    recipes = self._recipes.get((group.name, shard.index))
-                    if recipes is None:
-                        label = f"{group.name}:{shard.index}"
-                        recipes = self._recipes[group.name, shard.index] = (
-                            self._recipe(shard, label, group.h2d_buffers),
-                            self._recipe(shard, label, group.d2h_buffers),
-                        )
-                    self._issue_copies(stream, stream_i, recipes[0], "h2d")
-                self._issue_kernel(stream, group, shard, work)
-                if not resident:
-                    self._issue_copies(stream, stream_i, recipes[1], "d2h")
-                shard_span.set(resident=resident, items=work.total)
-                self.stats.shards_processed += 1
-                self.obs.add("movement.shards.processed")
-                if not self.config.async_streams:
-                    self.device.synchronize()  # fully synchronous baseline
+        before = copy(self.stats)
+        try:
+            for i, shard in enumerate(shards):
+                stream_i = i % self.k
+                stream = self.streams[stream_i]
+                work = results[i] if results is not None else compute(shard)
+                with self.obs.span(
+                    "shard",
+                    category="shard",
+                    shard=shard.index,
+                    group=group.name,
+                    stream=stream_i,
+                ) as shard_span:
+                    resident = self._cached or self._lru_acquire(shard, stream, stream_i)
+                    if not resident:
+                        recipes = self._recipes.get((group.name, shard.index))
+                        if recipes is None:
+                            label = f"{group.name}:{shard.index}"
+                            recipes = self._recipes[group.name, shard.index] = (
+                                self._recipe(shard, label, group.h2d_buffers),
+                                self._recipe(shard, label, group.d2h_buffers),
+                            )
+                        self._issue_copies(stream, stream_i, recipes[0], "h2d")
+                    self._issue_kernel(stream, group, shard, work)
+                    if not resident:
+                        self._issue_copies(stream, stream_i, recipes[1], "d2h")
+                    shard_span.set(resident=resident, items=work.total)
+                    self.stats.shards_processed += 1
+                    if not self.config.async_streams:
+                        self.device.synchronize()  # fully synchronous baseline
+        finally:
+            # A phase whose compute raised still reports what it issued.
+            self._report_since(before)
         if barrier:
             # BSP barrier between phases. Multi-device callers pass
             # barrier=False, issue every device's work, then synchronize
@@ -519,6 +530,27 @@ class DataMovementEngine:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _report_since(self, before: MovementStats) -> None:
+        """Emit the copies and kernels issued since ``before`` (a copy of
+        ``stats``) as one counter increment per name: the issue paths
+        only touch ``stats``, so a phase costs a handful of ``obs.add``
+        calls instead of several per shard."""
+        now, add = self.stats, self.obs.add
+        if now.h2d_count != before.h2d_count:
+            add("movement.h2d.bytes", now.h2d_bytes - before.h2d_bytes)
+            add("movement.h2d.copies", now.h2d_count - before.h2d_count)
+        if now.d2h_count != before.d2h_count:
+            add("movement.d2h.bytes", now.d2h_bytes - before.d2h_bytes)
+            add("movement.d2h.copies", now.d2h_count - before.d2h_count)
+        if now.spray_batches != before.spray_batches:
+            add("movement.spray.batches", now.spray_batches - before.spray_batches)
+            add("movement.spray.copies", now.spray_copies - before.spray_copies)
+        if now.kernel_launches != before.kernel_launches:
+            add("movement.kernel.launches", now.kernel_launches - before.kernel_launches)
+            add("movement.kernel.items", now.kernel_items - before.kernel_items)
+        if now.shards_processed != before.shards_processed:
+            add("movement.shards.processed", now.shards_processed - before.shards_processed)
+
     def _recipe(self, shard: Shard, label: str, names=None) -> tuple:
         """The static part of one copy batch: ``(label, total bytes,
         [(bytes, copy label)])`` over the non-empty sub-arrays of the
@@ -541,8 +573,6 @@ class DataMovementEngine:
         else:
             self.stats.d2h_count += len(copies)
             self.stats.d2h_bytes += nbytes
-        self.obs.add(f"movement.{direction}.bytes", nbytes)
-        self.obs.add(f"movement.{direction}.copies", len(copies))
         agg = self.stats.per_group_bytes
         group = label.split(":")[0]
         agg[group] = agg.get(group, 0) + nbytes
@@ -561,8 +591,8 @@ class DataMovementEngine:
                 )
 
         if self.config.spray and len(copies) > 1:
-            self.obs.add("movement.spray.batches")
-            self.obs.add("movement.spray.copies", len(copies))
+            self.stats.spray_batches += 1
+            self.stats.spray_copies += len(copies)
             # Deep copies sprayed over dynamically created streams; the
             # issuing stream joins them via events (Figure 11(b)). D2H
             # sprays additionally gate on the issuing stream (the kernel
@@ -606,5 +636,3 @@ class DataMovementEngine:
         )
         self.stats.kernel_launches += 1
         self.stats.kernel_items += work.total
-        self.obs.add("movement.kernel.launches")
-        self.obs.add("movement.kernel.items", work.total)

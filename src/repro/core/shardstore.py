@@ -58,7 +58,7 @@ from repro.core.partition import (
     edge_balanced_from_loads,
 )
 from repro.graph.edgelist import VID_DTYPE, WEIGHT_DTYPE
-from repro.graph.csr import CSR
+from repro.graph.csr import CSR, stable_order
 from repro.graph.io import edgelist_metadata, iter_edge_chunks
 
 FORMAT = "graphreduce-shard-store"
@@ -646,8 +646,7 @@ def build_store_streaming(
                 if weighted:
                     recs["w"] = w
                 owner = np.searchsorted(boundaries, keys, side="right") - 1
-                order = np.argsort(owner, kind="stable")
-                recs = recs[order]
+                recs = recs[stable_order(owner)]
                 counts = np.bincount(owner, minlength=num_partitions)
                 offset = 0
                 for i in range(num_partitions):
@@ -665,7 +664,7 @@ def build_store_streaming(
         # Records arrive in original edge order; a stable sort by key
         # therefore preserves per-row original order -- the layout
         # the in-RAM _compress + row_slice pipeline produces.
-        recs = recs[np.argsort(recs["key"], kind="stable")]
+        recs = recs[stable_order(recs["key"])]
         counts = np.bincount(recs["key"] - start, minlength=stop - start)
         indptr = np.zeros(stop - start + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])

@@ -35,26 +35,29 @@ class EdgeList:
     name: str = field(default="graph")
 
     def __post_init__(self) -> None:
-        vid_dtype = VID_DTYPE
-        if self.num_vertices > np.iinfo(VID_DTYPE).max:
-            vid_dtype = np.int64
-        self.src = np.ascontiguousarray(self.src, dtype=vid_dtype)
-        self.dst = np.ascontiguousarray(self.dst, dtype=vid_dtype)
-        if self.src.shape != self.dst.shape or self.src.ndim != 1:
+        src, dst = np.asarray(self.src), np.asarray(self.dst)
+        if src.shape != dst.shape or src.ndim != 1:
             raise ValueError("src and dst must be 1-D arrays of equal length")
         if self.weights is not None:
             self.weights = np.ascontiguousarray(self.weights, dtype=WEIGHT_DTYPE)
-            if self.weights.shape != self.src.shape:
+            if self.weights.shape != src.shape:
                 raise ValueError("weights must match the edge arrays")
         if self.num_vertices < 0:
             raise ValueError(f"negative vertex count {self.num_vertices!r}")
-        if self.num_edges:
-            lo = min(self.src.min(), self.dst.min())
-            hi = max(self.src.max(), self.dst.max())
+        if src.size:
+            # On the ids as given: narrowing first would wrap an
+            # out-of-range int64 id into range and pass the check.
+            lo = min(src.min(), dst.min())
+            hi = max(src.max(), dst.max())
             if lo < 0 or hi >= self.num_vertices:
                 raise ValueError(
                     f"edge endpoints [{lo}, {hi}] outside [0, {self.num_vertices})"
                 )
+        vid_dtype = VID_DTYPE
+        if self.num_vertices > np.iinfo(VID_DTYPE).max:
+            vid_dtype = np.int64
+        self.src = np.ascontiguousarray(src, dtype=vid_dtype)
+        self.dst = np.ascontiguousarray(dst, dtype=vid_dtype)
 
     # ------------------------------------------------------------------
     @property

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.csr import build_csr
+from repro.graph.csr import build_csr, stable_order
 from repro.graph.edgelist import EdgeList, VID_DTYPE
 
 
@@ -53,7 +53,7 @@ def bfs_order(edges: EdgeList, source: int = 0) -> np.ndarray:
 def degree_order(edges: EdgeList, descending: bool = True) -> np.ndarray:
     """Vertices sorted by total degree (hubs first by default)."""
     deg = edges.out_degrees() + edges.in_degrees()
-    order = np.argsort(deg, kind="stable")
+    order = stable_order(deg)
     return order[::-1].copy() if descending else order
 
 

@@ -9,8 +9,7 @@ aggregates can be regenerated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 #: Interval categories recorded by the device.
 CATEGORIES = ("h2d", "d2h", "kernel", "storage")
@@ -34,9 +33,9 @@ def union_length(spans) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class Interval:
-    """One completed operation on the simulated device."""
+class Interval(NamedTuple):
+    """One completed operation on the simulated device (a tuple: tens of
+    thousands are built per traced query)."""
 
     start: float
     end: float

@@ -11,12 +11,13 @@ from repro.core.fusion import PhaseGroup
 from repro.core.partition import PartitionEngine
 from repro.core.compute import WorkItems
 from repro.graph.generators import erdos_renyi
+from repro.obs.span import Observer
 from repro.sim.device import GPUDevice
 from repro.sim.engine import Simulator
 from repro.sim.specs import DeviceSpec
 
 
-def make_engine(p=4, async_streams=True, spray=True, memory=None, n=60, m=400):
+def make_engine(p=4, async_streams=True, spray=True, memory=None, n=60, m=400, obs=None):
     g = erdos_renyi(n, m, seed=1)
     sharded = PartitionEngine().partition(g, p)
     sim = Simulator()
@@ -28,6 +29,7 @@ def make_engine(p=4, async_streams=True, spray=True, memory=None, n=60, m=400):
         MovementConfig(async_streams=async_streams, spray=spray),
         with_weights=False,
         with_edge_state=False,
+        obs=obs,
     )
     return engine, sharded, device
 
@@ -123,6 +125,47 @@ class TestEngine:
         assert engine.stats.kernel_launches == 1
         assert engine.stats.shards_skipped == 3
         assert engine.stats.shards_processed == 1
+
+    @pytest.mark.parametrize("raise_on", [None, 1])
+    def test_phase_counters_equal_stats(self, raise_on):
+        """The ``movement.*`` counters are emitted once per phase, in a
+        ``finally``: a phase whose compute raises on the second shard
+        still reports the copies and kernel the first one issued."""
+        obs = Observer()
+        engine, sharded, _ = make_engine(obs=obs)
+        group = PhaseGroup(
+            "gather",
+            ("gather_map",),
+            "active",
+            ("in_topology", "vertex_update_array"),
+            ("edge_update_array", "vertex_update_array"),
+        )
+        done = []
+
+        def compute(shard):
+            if len(done) == raise_on:
+                raise RuntimeError("compute failed")
+            done.append(shard.index)
+            return WorkItems(10, 5)
+
+        if raise_on is None:
+            engine.run_phase(group, list(sharded.shards), 2, compute)
+        else:
+            with pytest.raises(RuntimeError, match="compute failed"):
+                engine.run_phase(group, list(sharded.shards), 2, compute)
+        stats, value = engine.stats, obs.metrics.value
+        assert stats.shards_processed == len(done) > 0
+        assert value("movement.shards.processed") == stats.shards_processed
+        assert value("movement.shards.skipped") == stats.shards_skipped == 2
+        assert value("movement.kernel.launches") == stats.kernel_launches == len(done)
+        assert value("movement.kernel.items") == stats.kernel_items == 15 * len(done)
+        assert value("movement.h2d.bytes") == stats.h2d_bytes > 0
+        assert value("movement.h2d.copies") == stats.h2d_count
+        assert value("movement.d2h.bytes") == stats.d2h_bytes > 0
+        assert value("movement.d2h.copies") == stats.d2h_count
+        # Every batch here has several sub-arrays, so all of them spray.
+        assert value("movement.spray.batches") == 2 * len(done)
+        assert value("movement.spray.copies") == stats.h2d_count + stats.d2h_count
 
     def test_run_phase_cached_moves_nothing(self):
         engine, sharded, device = make_engine()

@@ -11,7 +11,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.csr import build_csc, build_csr, ragged_gather, segment_reduce
+from repro.graph.csr import (
+    build_csc,
+    build_csr,
+    ragged_gather,
+    segment_reduce,
+    stable_order,
+)
 from repro.graph.edgelist import EdgeList
 
 
@@ -62,6 +68,35 @@ class TestRoundTrip:
         assert np.array_equal(csc.indptr, csr_t.indptr)
         assert np.array_equal(csc.indices, csr_t.indices)
         assert np.array_equal(csc.edge_ids, csr_t.edge_ids)
+
+
+class TestStableOrder:
+    """The one sort behind every layout: element for element the
+    permutation of the indirect stable sort it replaced."""
+
+    @settings(max_examples=300)
+    @given(
+        data=st.data(),
+        dtype=st.sampled_from([np.int32, np.int64]),
+        # Largest key: either side of 2**16, and of the 2**31 size guard
+        # past which (int64 only) the helper falls back to the argsort.
+        top=st.sampled_from([0, 2, 2**16 - 1, 2**16, 2**31 - 1, 2**31, 2**40]),
+        lowest=st.sampled_from([0, 0, -3]),  # a negative key also falls back
+        n=st.integers(min_value=0, max_value=150),
+    )
+    def test_equals_stable_argsort(self, data, dtype, top, lowest, n):
+        top = min(top, np.iinfo(dtype).max)
+        # A handful of distinct values, so nearly every key is a duplicate.
+        pool = [top] + data.draw(
+            st.lists(st.integers(lowest, top), min_size=0, max_size=3)
+        )
+        keys = np.array(
+            data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)),
+            dtype=dtype,
+        )
+        order = stable_order(keys)
+        assert order.dtype == np.int64
+        assert np.array_equal(order, np.argsort(keys, kind="stable"))
 
 
 class TestSortInvariants:

@@ -25,6 +25,21 @@ def test_out_of_range_endpoint_rejected():
         EdgeList(2, np.array([-1]), np.array([0]))
 
 
+def test_wide_id_is_range_checked_before_narrowing():
+    # 2**32 + 1 wraps to 1 under an int32 cast: checked after narrowing
+    # it would pass as the edge 1 -> 2.
+    with pytest.raises(ValueError, match=rf"\[0, {2**32 + 1}\]"):
+        EdgeList(3, np.array([0, 2**32 + 1]), np.array([1, 2]))
+    with pytest.raises(ValueError, match=rf"\[0, {2**31}\]"):
+        EdgeList(3, np.array([0, 1]), np.array([1, 2**31]))
+
+
+def test_in_range_int64_ids_are_narrowed():
+    g = EdgeList(3, np.array([0, 2], dtype=np.int64), np.array([1, 2], dtype=np.int64))
+    assert g.src.dtype == g.dst.dtype == np.int32
+    assert g.src.tolist() == [0, 2] and g.dst.tolist() == [1, 2]
+
+
 def test_mismatched_arrays_rejected():
     with pytest.raises(ValueError):
         EdgeList(3, np.array([0, 1]), np.array([1]))
