@@ -14,7 +14,9 @@ prints markdown in the ``results/ab/PR-<n>.md`` format; every run lasts the
 0``: a summary table -- median [q1-q3] per side, change/parent, pairs won,
 a verdict against the ``BENCHMARK.json`` bound, bit-identity of the
 simulated clocks and of the values hash -- then every run. ``--trace 1``:
-the per-layer metrics of each pair side by side.
+the per-layer metrics of each pair side by side; the counters (unit
+``count``), the bytes moved and the simulated kernel seconds repeat
+exactly per seed, so one that differs between the sides fails the run.
 
 Verdicts: *better* = the change wins at least 9/10 of the pairs (ties
 count for neither side) and the medians differ by more than the parent's
@@ -39,6 +41,10 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 END_TO_END = {m["name"]: m for m in SPEC["end_to_end"]}
 #: simulated seconds repeat exactly per seed; everything else is host time
 EXACT = ("sim_time_s", "sim_memcpy_s")
+#: per-layer metrics that repeat exactly too: a difference is a finding
+EXACT_LAYERS = {m["name"] for m in SPEC["per_layer"] if m["unit"] == "count"} | {
+    "movement.h2d_mb", "movement.d2h_mb", "sim.kernel_s",
+}
 SIDES = ("parent", "change")
 
 
@@ -162,8 +168,9 @@ def runs_table(rows: list[dict], workload: str, seed: int) -> list[str]:
     return lines
 
 
-def traced_tables(rows: list[dict], workload: str, seed: int) -> list[str]:
-    lines = []
+def traced_tables(rows: list[dict], workload: str, seed: int) -> tuple[list[str], set[str]]:
+    """The tables, and the :data:`EXACT_LAYERS` metrics that differ in a pair."""
+    lines, moved = [], set()
     for pair in sorted({r["pair"] for r in rows}):
         parent, change = (
             next(r["record"] for r in rows if r["pair"] == pair and r["side"] == side)
@@ -180,8 +187,10 @@ def traced_tables(rows: list[dict], workload: str, seed: int) -> list[str]:
         for name, metric in parent["metrics"].items():
             p, c = metric["value"], change["metrics"][name]["value"]
             lines.append(f"| {name} | {p:.6g} | {'=' if c == p else format(c, '.6g')} |")
+            if c != p and name in EXACT_LAYERS:
+                moved.add(name)
         lines.append("")
-    return lines
+    return lines, moved
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -205,7 +214,11 @@ def main(argv: list[str] | None = None) -> int:
         )
         title = f"### {workload}, seed {args.seed}, {args.pairs} pairs, `--trace {args.trace}`"
         if args.trace:
-            lines = [title, ""] + traced_tables(rows, workload, args.seed)
+            tables, moved = traced_tables(rows, workload, args.seed)
+            lines = [title, ""] + tables
+            for name in sorted(moved):
+                lines.append(f"**{name} differs between the sides**")
+                clean = False
         else:
             lines = (
                 [title, ""] + summary_table(rows, workload, args.seed)

@@ -70,7 +70,7 @@ from repro.graph.datasets import DATASETS, load_dataset
 from repro.graph.edgelist import EdgeList
 from repro.graph.io import load_edgelist_txt, load_matrix_market, load_npz
 from repro.graph.properties import footprint_bytes
-from repro.obs.profile import plan_summary
+from repro.obs.profile import kernel_summary, plan_summary
 from repro.sim.specs import DeviceSpec, HostSpec, SCALE
 
 def _parse_id_list(text: str) -> list[int]:
@@ -391,13 +391,7 @@ def cmd_run(args) -> int:
             line += f", {pc['carried_plans']} plans carried warm"
         print(line)
     if result.kernels is not None:
-        k = result.kernels
-        print(f"kernels    : {k['backend']} backend, "
-              f"{k.get('fused_calls', 0)} fused calls, "
-              f"{k.get('fallbacks', 0)} fallbacks, "
-              f"{k.get('premaps', 0)} premaps, "
-              f"{k.get('merged_groups', 0)} merged groups, "
-              f"arena {k.get('reuses', 0)} reuses")
+        print(f"kernels    : {kernel_summary(result.kernels)}")
     if result.direction_decisions is not None:
         pulls = sum(1 for d in result.direction_decisions if d.direction == "pull")
         print(f"direction  : {args.direction} "

@@ -28,7 +28,9 @@ the from-scratch build, so the censuses below never depend on the route.
 Two things are done per *iteration*, not per shard: a ``source_only``
 gather map is applied once over the vertex state (:meth:`ComputeEngine.
 begin_group`), and a frontier that fills no shard's interval runs each
-phase group once over all its rows (:meth:`ComputeEngine.run_merged`).
+phase group once over all its rows (:meth:`ComputeEngine.run_merged`),
+consecutive ones of a ``min`` / ``min_improve`` program relaying the
+out-edges FrontierActivate expanded to the next gather (``_relay_for``).
 
 CTA load balancing from ModernGPU (which the paper plugs in) is modeled
 by the occupancy term of :class:`repro.sim.stream.Kernel`: work per
@@ -186,6 +188,12 @@ class ComputeEngine:
         self._premap_valid = False
         self.premaps = 0
         self.merged_groups = 0
+        # Rows pass (run_merged): the selected shard indices while one runs, the
+        # per-row edge counts its last kernel call expanded, the relay parked by
+        # FrontierActivate, the last check's outcome (and whether it still holds).
+        self._merged = self._counts = self._relay = self.relay_verified = None
+        self._relays = self._relaxed = False
+        self.relayed_gathers = 0
         if kernels is None:
             return
         f32 = np.dtype(np.float32)
@@ -211,9 +219,16 @@ class ComputeEngine:
         if self._gather_spec is None and self._apply_spec is None:
             self.fallbacks += 1
             self.obs.add("kernels.fallbacks")
-        spec = self._gather_spec
+        spec, apply_spec = self._gather_spec, self._apply_spec
         if spec and spec.source_only and self.edge_state is None and self.plans.enabled:
             self._copy_spec = GatherSpec("copy", spec.reduce)
+        # A min over a monotone map, kept only where it improves, with no
+        # hook writing the state between iterations: may be relayed.
+        self._relays = bool(
+            spec and apply_spec and apply_spec.kind == "min_improve"
+            and spec.reduce == "min" and spec.kind in ("copy", "add_one", "add_weight")
+            and cols is None and cls.end_iteration is GASProgram.end_iteration
+        )
 
     def _deg_table(self) -> np.ndarray:
         """float32 out-degree table (clamped to 1) for div_degree gathers."""
@@ -254,6 +269,8 @@ class ComputeEngine:
             "fallbacks": self.fallbacks,
             "premaps": self.premaps,
             "merged_groups": self.merged_groups,
+            "relayed_gathers": self.relayed_gathers,
+            "relay_verified": self.relay_verified,
         }
         if self.kernels is not None:
             stats.update(self.kernels.arena.stats())
@@ -265,6 +282,10 @@ class ComputeEngine:
         self.gather_has[:] = False
         self._pending.clear()
         self._premap_valid = False
+        if not self.frontier.natural:
+            # a reseed or the pull expansion: not the parked targets, and only a
+            # superset of them leaves every other edge relaxed (_relay_for)
+            self._relay, self._relaxed = None, False
 
     def invalidate_premap(self) -> None:
         """``vertex_values`` was written from outside the engine."""
@@ -293,7 +314,7 @@ class ComputeEngine:
         """Execute the given (possibly fused) phases on one shard."""
         work = WorkItems()
         record = self.obs.enabled
-        merged = shard is self.sharded.span  # entered through run_merged
+        merged = self._merged is not None  # entered through run_merged
         for phase in phases:
             fn = getattr(self, "_" + phase)
             fused0 = self.fused_calls
@@ -340,16 +361,18 @@ class ComputeEngine:
         """
         if not shards:
             return {}
-        self._merged = [s.index for s in shards]
+        merged = self._merged = [s.index for s in shards]
+        self._counts = None
         self._split = np.zeros((2, self.sharded.num_partitions), dtype=np.int64)
         asked = self.plans.sparse_bypass
         self.run_group(phases, self.sharded.span, False)
+        self._merged = None
         # one rows query per selected shard, not one for the span
         self.plans.count_bypass((self.plans.sparse_bypass - asked) * (len(shards) - 1))
         self.merged_groups += 1
         self.obs.add("kernels.merged_groups")
         edge, vertex = self._split.tolist()
-        return {i: WorkItems(edge[i], vertex[i]) for i in self._merged}
+        return {i: WorkItems(edge[i], vertex[i]) for i in merged}
 
     def _split_census(self, phase: str, fused0: int) -> None:
         """Per-shard items of the merged ``phase`` just run: one
@@ -358,17 +381,19 @@ class ComputeEngine:
         if phase == "gather_reduce":
             items = self._segments  # parked by gather_map, like _pending
         else:
-            rows = fr.active_in(0, self.sharded.num_vertices)
-            degrees = self.ctx.in_degrees
+            n = self.sharded.num_vertices
             if phase == "frontier_activate":
-                # apply marks active rows only, so the changed rows are
-                # among them: O(frontier), where the mask scan is O(V)
-                rows, degrees = rows[fr.changed[rows]], self.ctx.out_degrees
+                rows, degrees = fr.changed_in(0, n), self.ctx.out_degrees
+            else:
+                rows, degrees = fr.active_in(0, n), self.ctx.in_degrees
             at = np.searchsorted(rows, self.sharded.boundaries)
             items = at[1:] - at[:-1]  # apply: one item per row
             if phase != "apply":  # the edge phases: one per incident edge
                 runs = np.flatnonzero(items)  # reduceat cannot take an empty run
-                degree = np.take(degrees, rows)
+                # the kernel's own expansion counted them; a generic rerun did not
+                degree, self._counts = self._counts, None
+                if degree is None:
+                    degree = np.take(degrees, rows)
 
                 def per_run(per_row):
                     sums = np.zeros_like(items)
@@ -440,11 +465,24 @@ class ComputeEngine:
         try:
             rows = self.plans.sparse_rows(shard, "active")
             if rows is not None:
-                n_edges, n_segments = self.kernels.gather_rows(
-                    shard.index, spec, values, deg,
-                    shard.csc.indptr, shard.csc.indices, shard.csc_weights,
-                    rows, shard.start, self.gather_temp, self.gather_has,
-                )
+                relay = self._relay_for()
+                if relay is None:
+                    n_segments, counts = self.kernels.gather_rows(
+                        shard.index, spec, values, deg,
+                        shard.csc.indptr, shard.csc.indices, shard.csc_weights,
+                        rows, shard.start, self.gather_temp, self.gather_has,
+                    )
+                else:
+                    counts = np.take(self.ctx.in_degrees, rows)
+                    n_segments = int(np.count_nonzero(counts))
+                    self.kernels.relay_gather(
+                        spec, values, shard.csr_weights, *relay, rows,
+                        self.gather_temp, self.gather_has,
+                    )
+                    self.relayed_gathers += 1
+                n_edges = int(counts.sum())
+                if self._merged is not None:  # threads share the engine
+                    self._counts = counts
             else:
                 plan = self.plans.dense_gather_plan(shard)
                 n_edges = plan.n_edges
@@ -462,6 +500,39 @@ class ComputeEngine:
             self._pending[shard.index] = _FusedGather(n_segments)
             self._count_fused()
         return WorkItems(edge_items=shard.num_in_edges if count_full else n_edges)
+
+    def _relay_for(self):
+        """The relay this rows gather may run from, or None to pull:
+        ``(rows, counts, pos, targets)``, the previous iteration's changed
+        rows and their out-edges as FrontierActivate expanded them. They
+        stand in for the active rows' in-edges when the frontier is exactly
+        those targets (merged pass, parked one iteration ago, not dropped by
+        ``begin_iteration``) and every *other* edge (u, v) is relaxed,
+        ``value[v] <= map(value[u], w)``: then ``min(old, relayed) == min(old,
+        pulled)``. A monotone apply over the natural frontier keeps that, so
+        it is verified once per stretch of natural iterations."""
+        relay = self._relay
+        if relay is None or self._merged is None or relay[0] != self.iteration - 1:
+            return None
+        if not self._relaxed and self.relay_verified is not False:  # one failure is final
+            self._relaxed = self.relay_verified = self._edges_relaxed(relay[1])
+        return relay[1:] if self._relaxed else None
+
+    def _edges_relaxed(self, changed: np.ndarray) -> bool:
+        """Whether ``value[v] <= map(value[u], w)`` on every edge (u, v)
+        with u outside ``changed``; shard by shard, so the temporaries
+        stay one shard's edges long. A NaN fails it."""
+        spec, values = self._gather_spec, self.vertex_values
+        mapped = values + np.float32(1.0) if spec.kind == "add_one" else values.copy()
+        mapped[changed] = np.inf  # their out-edges are the relay itself
+        for shard in self.sharded.shards:
+            csr = shard.csr
+            cand = np.repeat(mapped[shard.start : shard.stop], np.diff(csr.indptr))
+            if spec.kind == "add_weight":
+                cand += shard.csr_weights
+            if not (np.take(values, csr.indices) <= cand).all():
+                return False
+        return True
 
     def _gather_reduce(self, shard: Shard, count_full: bool) -> WorkItems:
         n_vert = shard.num_interval_vertices if count_full else 0
@@ -537,14 +608,21 @@ class ComputeEngine:
         failure (caller reruns the generic path).
         """
         try:
-            targets = self.kernels.activate_targets(
+            targets, pos, nz, counts = self.kernels.activate_targets(
                 shard.index, shard.csr.indptr, shard.csr.indices, rows, shard.start
             )
         except Exception as exc:  # pragma: no cover - exercised via tests
             self._kernel_fallback("frontier_activate", exc)
             return None
         if len(targets):
-            self.frontier.activate_next(self._capture_targets(targets))
+            self.frontier.activate_next(targets)
+            if self._relays and self._merged is not None:
+                # the edges the next gather would expand again (_relay_for);
+                # only that gather's own pull reuses ``pos``'s arena slot
+                at = slice(None) if nz is None else nz
+                self._relay = self.iteration, rows[at], counts[at], pos, targets
+        if self._merged is not None:
+            self._counts = counts
         self._count_fused()
         return WorkItems(
             edge_items=shard.num_out_edges if count_full else len(targets)
@@ -640,12 +718,3 @@ class ComputeEngine:
 
     def _write_edge_state(self, eids, new_states) -> None:
         self.edge_state[eids] = new_states
-
-    def _capture_targets(self, targets: np.ndarray) -> np.ndarray:
-        """Hand fused-activation targets (an arena view) to the frontier.
-
-        The serial frontier consumes them synchronously, so the view is
-        safe; the pool worker engine overrides this with a copy because
-        its captured deltas are pickled *after* the arena is reused.
-        """
-        return targets

@@ -49,6 +49,12 @@ class FrontierManager:
         self.current = initial.copy()
         self.next = np.zeros(n, dtype=bool)
         self.changed = np.zeros(n, dtype=bool)
+        #: what ``mark_changed`` was handed this iteration, and the sorted
+        #: vids derived from it (None: not derived yet, False: unusable)
+        self._marks, self._marked = [], None
+        #: ``current`` is exactly what ``advance`` promoted: the targets
+        #: FrontierActivate wrote, not a reseed or the pull expansion
+        self.natural = False
         self.iteration = 0
         #: frontier size per completed iteration (Figures 3/16)
         self.history: list[int] = [int(np.count_nonzero(initial))]
@@ -102,15 +108,49 @@ class FrontierManager:
             )
         return counts
 
+    def _shards_of(self, vids, mask) -> np.ndarray:
+        """Shards holding a set vertex of ``mask``: O(P log F) from its
+        sorted ``vids`` when there are any, else an O(V) reduceat."""
+        if vids is None:
+            return np.flatnonzero(self.counts_per_shard(mask) > 0)
+        per = np.searchsorted(vids, self.sharded.boundaries)
+        return np.flatnonzero(per[1:] > per[:-1])
+
+    @staticmethod
+    def _in(vids, mask, start: int, stop: int) -> np.ndarray:
+        """Set vertex ids of ``mask`` inside [start, stop): a slice of its
+        sorted ``vids`` when there are any, else a scan of the interval."""
+        if vids is None:
+            return start + np.flatnonzero(mask[start:stop])
+        lo, hi = np.searchsorted(vids, (start, stop))
+        return vids[lo:hi]
+
+    @classmethod
+    def _dense_in(cls, vids, mask, start: int, stop: int) -> bool:
+        if vids is None:
+            return bool(mask[start:stop].all())
+        return len(cls._in(vids, mask, start, stop)) == stop - start
+
+    def _changed_vids(self) -> np.ndarray | None:
+        """The changed vids, sorted, from what :meth:`mark_changed` was handed:
+        O(changed) where the mask scans are O(V). None when they cannot stand in
+        for the mask -- out of order, duplicated, negative, not every set bit (a
+        test or hook wrote ``changed``) -- or are too many to beat it."""
+        v = self._marked
+        if v is None:
+            v = False
+            if sum(map(len, self._marks)) <= len(self.changed) * COMPACT_MAX_FRACTION:
+                v = np.concatenate(self._marks or [np.empty(0, np.int64)])
+                if v.dtype.kind not in "iu" or (len(v) and v[0] < 0) or not (v[1:] > v[:-1]).all():
+                    v = False
+            self._marked = v
+        if v is False or len(v) != np.count_nonzero(self.changed):
+            return None
+        return v
+
     def active_shards(self) -> np.ndarray:
         """Shards with at least one *active* vertex (gather/apply work)."""
-        c = self._compact
-        if c is not None:
-            # O(P log F) from the compacted frontier instead of an O(V)
-            # reduceat over the mask.
-            per = np.searchsorted(c, self.sharded.boundaries)
-            return np.flatnonzero(per[1:] > per[:-1])
-        return np.flatnonzero(self.counts_per_shard(self.current) > 0)
+        return self._shards_of(self._compact, self.current)
 
     def sparse_everywhere(self) -> bool:
         """Whether the frontier is compacted and leaves every shard's
@@ -124,36 +164,30 @@ class FrontierManager:
 
     def changed_shards(self) -> np.ndarray:
         """Shards with at least one *changed* vertex (scatter/FA work)."""
-        return np.flatnonzero(self.counts_per_shard(self.changed) > 0)
+        return self._shards_of(self._changed_vids(), self.changed)
 
     def active_in(self, start: int, stop: int) -> np.ndarray:
         """Active vertex ids inside [start, stop)."""
-        c = self._compact
-        if c is not None:
-            lo, hi = np.searchsorted(c, (start, stop))
-            return c[lo:hi]
-        return start + np.flatnonzero(self.current[start:stop])
+        return self._in(self._compact, self.current, start, stop)
 
     def changed_in(self, start: int, stop: int) -> np.ndarray:
-        return start + np.flatnonzero(self.changed[start:stop])
+        return self._in(self._changed_vids(), self.changed, start, stop)
 
     def dense_active_in(self, start: int, stop: int) -> bool:
         """Whether *every* vertex of [start, stop) is active."""
-        c = self._compact
-        if c is not None:
-            lo, hi = np.searchsorted(c, (start, stop))
-            return int(hi - lo) == stop - start
-        return bool(self.current[start:stop].all())
+        return self._dense_in(self._compact, self.current, start, stop)
 
     def dense_changed_in(self, start: int, stop: int) -> bool:
         """Whether *every* vertex of [start, stop) changed."""
-        return bool(self.changed[start:stop].all())
+        return self._dense_in(self._changed_vids(), self.changed, start, stop)
 
     # ------------------------------------------------------------------
     # Updates from the Compute Engine
     # ------------------------------------------------------------------
     def mark_changed(self, vids: np.ndarray) -> None:
         self.changed[vids] = True
+        self._marks.append(vids)
+        self._marked = None
         self.obs.add("frontier.changes", len(vids))
 
     def activate_next(self, vids: np.ndarray, count: int | None = None) -> None:
@@ -186,6 +220,7 @@ class FrontierManager:
         direction rule.
         """
         self.current[:] = True
+        self.natural = False
         self._recompact()
 
     def set_current(self, mask: np.ndarray) -> None:
@@ -202,6 +237,7 @@ class FrontierManager:
                 f"{len(self.current)}, got shape {mask.shape}"
             )
         self.current[:] = mask
+        self.natural = False
         self._recompact()
         self.history[-1] = self._size
 
@@ -210,6 +246,8 @@ class FrontierManager:
         self.current, self.next = self.next, self.current
         self.next[:] = False
         self.changed[:] = False
+        self._marks, self._marked = [], None
+        self.natural = True
         self.iteration += 1
         self._recompact()
         size = self._size

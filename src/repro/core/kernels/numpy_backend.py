@@ -5,11 +5,13 @@ the same elementwise ops in the same order, so results are
 bit-identical by construction -- but restructured the way the compiled
 backend wants:
 
-* every temporary lives in a :class:`ScratchArena` buffer keyed by
-  ``(role, shard)``, so steady-state iterations stop allocating;
-* the per-edge map and the segment reduction write through ``out=``
-  into those buffers (``ufunc.reduceat`` supports ``out=``), replacing
-  the gather_map -> segment_reduce -> astype chain of fresh arrays;
+* what a ufunc can write through ``out=`` (edge positions, segment
+  starts, ``reduceat`` results, apply outputs and masks) lives in a
+  :class:`ScratchArena` buffer keyed by ``(role, shard)``; index gathers
+  are plain ``np.take`` calls, because ``take(..., out=)`` under the
+  bounds-checking ``mode="raise"`` gathers into a temporary and copies;
+* the per-edge map runs in place on the gathered values, replacing the
+  gather_map -> segment_reduce -> astype chain of fresh arrays;
 * the sparse-bypass path reads shard CSC/CSR sub-arrays directly
   (indptr + neighbor ids) instead of materializing a cached plan.
 
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kernels.arena import ScratchArena
+from repro.core.kernels.arena import GROWTH_SLACK, ScratchArena
 from repro.core.kernels.specs import ApplySpec, GatherSpec
 
 _F32_ONE = np.float32(1.0)
@@ -51,6 +53,7 @@ class NumpyKernels:
 
     def __init__(self):
         self.arena = ScratchArena()
+        self._ramp = np.arange(0, dtype=np.int64)  # grown on demand by _expand_rows
 
     # -- gather --------------------------------------------------------
 
@@ -62,25 +65,18 @@ class NumpyKernels:
         else:  # add_one
             np.add(values, _F32_ONE, out=out)
 
-    def _edge_values(self, key, spec: GatherSpec, values, deg, indices, weights):
-        """Per-edge contributions into an arena buffer (the fused map).
+    def _edge_values(self, spec: GatherSpec, values, deg, indices, weights):
+        """Per-edge contributions, mapped in place (the fused map).
 
         2-D ``values`` broadcast the per-edge degree/weight factor over
         the query columns -- same elementwise ops per column as the
         scalar path, so per-query results stay bit-identical.
         """
-        n = len(indices)
-        if values.ndim == 2:
-            vals = self.arena.get2d((key, "gv"), n, values.shape[1], values.dtype)
-        else:
-            vals = self.arena.get((key, "gv"), n, values.dtype)
-        np.take(values, indices, axis=0, out=vals)
+        vals = np.take(values, indices, axis=0)
         if spec.kind == "copy":
             return vals
         if spec.kind == "div_degree":
-            dvals = self.arena.get((key, "gd"), n, deg.dtype)
-            np.take(deg, indices, out=dvals)
-            factor = dvals
+            factor = np.take(deg, indices)
             op = np.divide
         elif spec.kind == "mul_weight":
             factor = weights
@@ -101,7 +97,7 @@ class NumpyKernels:
         gather_temp, gather_has,
     ) -> None:
         """Fused gather over a prebuilt plan (map + reduceat + mark)."""
-        vals = self._edge_values(key, spec, values, deg, indices, weights)
+        vals = self._edge_values(spec, values, deg, indices, weights)
         ufunc = _REDUCE_UFUNCS[spec.reduce]
         if vals.ndim == 2:
             red = self.arena.get2d(
@@ -114,43 +110,63 @@ class NumpyKernels:
         gather_has[verts] = True
 
     def _expand_rows(self, key, indptr, loc):
-        """Edge positions + segment starts for a sparse row subset."""
-        counts = indptr[loc + 1] - indptr[loc]
+        """``(pos, starts, nz, counts)`` of a sparse row subset: its edge
+        positions, their segment starts, which rows have an edge (None:
+        all of them) and every row's edge count; ``pos`` None = no edge."""
+        firsts = np.take(indptr, loc)
+        counts = np.take(indptr, loc + 1)
+        counts -= firsts
         total = int(counts.sum())
         if total == 0:
-            return None, None, None, 0
-        nz = counts > 0
-        loc_nz = loc[nz]
-        counts_nz = counts[nz]
-        starts = self.arena.get((key, "rs"), len(loc_nz), np.int64)
+            return None, None, None, counts
+        nz, counts_nz = None, counts
+        if counts.min() == 0:
+            nz = counts > 0
+            firsts, counts_nz = firsts[nz], counts[nz]
+        starts = self.arena.get((key, "rs"), len(counts_nz), np.int64)
         starts[0] = 0
         np.cumsum(counts_nz[:-1], out=starts[1:])
-        firsts = indptr[loc_nz].astype(np.int64)
+        firsts = firsts.astype(np.int64, copy=False)
         np.subtract(firsts, starts, out=firsts)
+        ramp = self._ramp
+        if len(ramp) < total:
+            ramp = self._ramp = np.arange(int(total * GROWTH_SLACK), dtype=np.int64)
         pos = self.arena.get((key, "rp"), total, np.int64)
-        pos[:] = np.arange(total, dtype=np.int64)
-        pos += np.repeat(firsts, counts_nz)
-        return pos, starts, nz, total
+        np.add(ramp[:total], np.repeat(firsts, counts_nz), out=pos)
+        return pos, starts, nz, counts
 
     def gather_rows(
         self, key, spec: GatherSpec, values, deg, indptr, nbr, weights, rows, base,
         gather_temp, gather_has,
     ):
-        """Fused sparse-bypass gather straight off shard CSC arrays."""
-        pos, starts, nz, total = self._expand_rows(key, indptr, rows - base)
-        if total == 0:
-            return 0, 0
-        indices = self.arena.get((key, "ri"), total, nbr.dtype)
-        np.take(nbr, pos, out=indices)
-        w = None
-        if spec.needs_weights:
-            w = self.arena.get((key, "rw"), total, weights.dtype)
-            np.take(weights, pos, out=w)
+        """Fused sparse-bypass gather straight off shard CSC arrays;
+        returns (segments reduced, in-edges per row)."""
+        pos, starts, nz, counts = self._expand_rows(key, indptr, rows - base)
+        if pos is None:
+            return 0, counts
+        w = np.take(weights, pos) if spec.needs_weights else None
         self.gather_segments(
-            key, spec, values, deg, indices, w, starts, rows[nz],
-            gather_temp, gather_has,
+            key, spec, values, deg, np.take(nbr, pos), w, starts,
+            rows if nz is None else rows[nz], gather_temp, gather_has,
         )
-        return total, len(starts)
+        return len(starts), counts
+
+    def relay_gather(
+        self, spec: GatherSpec, values, weights, rows, counts, pos, targets, active,
+        gather_temp, gather_has,
+    ) -> None:
+        """A ``min`` gather over ``active`` from the push side: the
+        out-edges ``pos`` -> ``targets`` of ``rows`` (``counts`` each), as
+        the previous FrontierActivate expanded them. Equals the in-edge
+        gather under ``min_improve`` while every other edge is relaxed."""
+        cand = np.repeat(np.take(values, rows), counts)
+        if spec.kind == "add_weight":
+            np.add(cand, np.take(weights, pos), out=cand)
+        elif spec.kind == "add_one":
+            np.add(cand, _F32_ONE, out=cand)
+        gather_temp[active] = np.inf
+        np.minimum.at(gather_temp, targets, cand)
+        gather_has[active] = True
 
     # -- apply ---------------------------------------------------------
 
@@ -166,12 +182,9 @@ class NumpyKernels:
             has = gather_has[lo:hi]
         else:
             n = len(rows)
-            old = self.arena.get((key, "ao"), n, values.dtype)
-            np.take(values, rows, out=old)
-            g = self.arena.get((key, "ag"), n, gather_temp.dtype)
-            np.take(gather_temp, rows, out=g)
-            has = self.arena.get((key, "ah"), n, bool)
-            np.take(gather_has, rows, out=has)
+            old = np.take(values, rows)
+            g = np.take(gather_temp, rows)
+            has = np.take(gather_has, rows)
         out = self.arena.get((key, "av"), n, values.dtype)
         changed = self.arena.get((key, "ac"), n, bool)
         if spec.kind == "affine":
@@ -208,10 +221,9 @@ class NumpyKernels:
     # -- frontier activation -------------------------------------------
 
     def activate_targets(self, key, indptr, nbr, rows, base):
-        """Concatenated out-neighbors of ``rows`` in CSR row order."""
-        pos, _, _, total = self._expand_rows(key, indptr, rows - base)
-        if total == 0:
-            return nbr[:0]
-        targets = self.arena.get((key, "at"), total, nbr.dtype)
-        np.take(nbr, pos, out=targets)
-        return targets
+        """Concatenated out-neighbors of ``rows`` in CSR row order, and
+        the expansion they came from: ``(targets, pos, nz, counts)`` as
+        :meth:`_expand_rows` returns them. ``pos`` is an arena view that
+        the next :meth:`gather_rows` over the same ``key`` overwrites."""
+        pos, _, nz, counts = self._expand_rows(key, indptr, rows - base)
+        return (nbr[:0] if pos is None else np.take(nbr, pos)), pos, nz, counts

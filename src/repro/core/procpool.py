@@ -208,6 +208,8 @@ class _WorkerFrontier:
     copy of the changed mask.
     """
 
+    natural = False  # workers run shard by shard, never the rows pass that relays
+
     def __init__(self, current, changed):
         self.current = current
         self._synced_changed = changed
@@ -291,11 +293,6 @@ class _WorkerEngine(ComputeEngine):
             self.deltas.append(("vd", shard.start, shard.stop, out))
         else:
             self.deltas.append(("vr", rows, out))
-
-    def _capture_targets(self, targets):
-        # Same arena-reuse race as ``out`` above: the delta list holds
-        # the array until the feeder thread serializes it.
-        return np.array(targets, copy=True)
 
     def _write_edge_state(self, eids, new_states):
         self.deltas.append(("es", eids, np.asarray(new_states)))

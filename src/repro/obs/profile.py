@@ -96,6 +96,21 @@ def plan_summary(pc: dict) -> str:
     )
 
 
+def kernel_summary(k: dict) -> str:
+    """One-line reading of ``ComputeEngine.kernel_stats()`` (or the
+    pool's per-worker sum): calls fused, iteration-scoped routes taken."""
+    verified = {None: "not attempted", True: "true", False: "false"}[k.get("relay_verified")]
+    return (
+        f"{k.get('backend')} backend, "
+        f"{k.get('fused_calls', 0)} fused calls, "
+        f"{k.get('fallbacks', 0)} fallbacks, "
+        f"{k.get('premaps', 0)} premaps, "
+        f"{k.get('merged_groups', 0)} merged groups, "
+        f"{k.get('relayed_gathers', 0)} relayed gathers (relay verified: {verified}), "
+        f"arena {k.get('reuses', 0)} reuses"
+    )
+
+
 @dataclass
 class EngineProfile:
     """Busy/idle accounting for one hardware engine."""
@@ -382,12 +397,7 @@ class ProfileReport:
         if not k.get("backend"):
             return "kernels            : n/a (kernel backend off)"
         return (
-            f"kernels            : {k.get('backend')} backend, "
-            f"{k.get('fused_calls', 0)} fused calls, "
-            f"{k.get('fallbacks', 0)} fallbacks, "
-            f"{k.get('premaps', 0)} premaps, "
-            f"{k.get('merged_groups', 0)} merged groups, "
-            f"arena {k.get('reuses', 0)} reuses / "
+            f"kernels            : {kernel_summary(k)} / "
             f"{k.get('allocations', 0)} allocations "
             f"({k.get('held_bytes', 0) / 2**20:.2f} MiB held)"
         )

@@ -11,7 +11,7 @@ mutation) and the FrontierManager machinery it leans on.
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from tests.fixture_graphs import FIXTURE_NAMES, build
@@ -20,6 +20,7 @@ from repro.core.compute import ComputeEngine
 from repro.core.frontier import FrontierManager
 from repro.core.fusion import build_plan
 from repro.core.kernels import resolve_backend
+from repro.core.kernels.numpy_backend import NumpyKernels
 from repro.core.partition import PartitionEngine
 from repro.core.plans import PlanCache
 from repro.core.runtime import GraphReduce, GraphReduceOptions, RuntimeContext
@@ -568,6 +569,203 @@ def test_one_full_interval_sends_the_iteration_down_the_per_shard_path():
 
 
 # ----------------------------------------------------------------------
+# Relayed rows gather: the merged pass gathers from the push side
+# ----------------------------------------------------------------------
+RELAY_PROGRAMS = {
+    "sssp": lambda: SSSP(source=0),  # add_weight
+    "bfs_gather": lambda: BFSGather(source=0),  # add_one, pre-mapped
+    "cc": lambda: ConnectedComponents(),  # copy
+}
+#: the unmerged routes pull every gather from the CSC side
+PULL_ROUTES = (dict(parallel_shards=3), dict(kernel_backend="off"))
+
+
+def _run_with(g, program, **options):
+    return GraphReduce(g, options=GraphReduceOptions(**options)).run(program)
+
+
+def _assert_same_run(got, want, label):
+    assert got.vertex_values.tobytes() == want.vertex_values.tobytes(), label
+    assert got.frontier_history == want.frontier_history, label
+    assert got.iteration_stats == want.iteration_stats, label
+    assert got.sim_time == want.sim_time, label
+    assert _kernel_items(got) == _kernel_items(want), label
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), partitions=st.integers(1, 5))
+def test_relayed_gather_matches_the_pull_routes(seed, partitions):
+    """Random weighted digraphs: duplicate edges and loops, isolated
+    vertices at the top of the id range, sinks that change and relay
+    nothing."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 80))
+    m, live = int(rng.integers(n // 2, 3 * n)), max(2, int(0.8 * n))
+    g = EdgeList(
+        n, rng.integers(0, live, m), rng.integers(0, live, m),
+        weights=rng.integers(1, 9, m).astype(np.float32),
+    )
+    for name, make_program in RELAY_PROGRAMS.items():
+        relayed = _run_with(g, make_program(), num_partitions=partitions)
+        assert relayed.kernels["relay_verified"] in (None, True), name
+        event(f"{name}: relayed={relayed.kernels['relayed_gathers'] > 0}")
+        for route in PULL_ROUTES:
+            pulled = _run_with(g, make_program(), num_partitions=partitions, **route)
+            assert not (pulled.kernels or {}).get("relayed_gathers"), name
+            _assert_same_run(relayed, pulled, f"{name}/{route}")
+
+
+@pytest.mark.parametrize("algo", sorted(RELAY_PROGRAMS))
+def test_relay_engages_on_the_road_fixture(algo):
+    g = build("road10x10").with_random_weights(seed=33)
+    run = _run_with(g, RELAY_PROGRAMS[algo](), num_partitions=3)
+    k = run.kernels
+    assert k["relay_verified"] is True and 0 < k["relayed_gathers"] < run.iterations
+    threads = _run_with(g, RELAY_PROGRAMS[algo](), num_partitions=3, parallel_shards=3)
+    _assert_same_run(run, threads, algo)
+
+
+class _WarmStartedSSSP(SSSP):
+    """Finite distances outside the initial frontier: their out-edges
+    are unrelaxed and no FrontierActivate will ever relay them."""
+
+    poison = 0.5
+
+    def init_vertices(self, ctx):
+        values = super().init_vertices(ctx)
+        values[ctx.num_vertices // 2 :: 7] = self.poison
+        values[self.source] = 0.0
+        return values
+
+
+@pytest.mark.parametrize("poison", [0.5, np.nan])
+def test_unrelaxed_or_nan_state_fails_the_check_and_keeps_pulling(poison):
+    g = build("road10x10").with_random_weights(seed=33)
+
+    def program():
+        p = _WarmStartedSSSP(source=0)
+        p.poison = poison
+        return p
+
+    run = _run_with(g, program(), num_partitions=3)
+    assert run.kernels["merged_groups"] > 0
+    assert run.kernels["relay_verified"] is False and run.kernels["relayed_gathers"] == 0
+    _assert_same_run(run, _run_with(g, program(), num_partitions=3, parallel_shards=3), poison)
+
+
+ROWS = {"gather_rows", "gather_segments"}  # the first reduces through the second
+DENSE, RELAY = {"gather_segments"}, {"relay_gather"}
+
+
+def _gather_log(monkeypatch):
+    """Which kernels served each iteration's gathers: one set per
+    ``begin_iteration``."""
+    log = []
+    real_begin = ComputeEngine.begin_iteration
+
+    def begin(self, iteration):
+        log.append(set())
+        real_begin(self, iteration)
+
+    monkeypatch.setattr(ComputeEngine, "begin_iteration", begin)
+    for name in ROWS | RELAY:
+        def spy(self, *args, _name=name, _real=getattr(NumpyKernels, name), **kwargs):
+            log[-1].add(_name)
+            return _real(self, *args, **kwargs)
+        monkeypatch.setattr(NumpyKernels, name, spy)
+    return log
+
+
+def test_a_reseeded_frontier_is_pulled(monkeypatch):
+    """DeltaSSSP-style ``set_current``, through a spec'd program."""
+    log = _gather_log(monkeypatch)
+
+    class Reseeding(SSSP):
+        reseeded_at = None
+
+        def reseed_frontier(self, ctx, values):
+            if self.reseeded_at is not None:
+                return None
+            self.reseeded_at = len(log)  # iterations begun before the reseeded one
+            return np.isfinite(values) & (np.arange(len(values)) % 9 == 0)
+
+    g = build("road10x10").with_random_weights(seed=33)
+    program = Reseeding(source=0)
+    run = _run_with(g, program, num_partitions=3)
+    at = program.reseeded_at
+    assert run.kernels["relay_verified"] is True
+    assert log[at - 1 :] == [RELAY, ROWS]
+    threads = _run_with(g, Reseeding(source=0), num_partitions=3, parallel_shards=3)
+    _assert_same_run(run, threads, "reseed")
+
+
+@pytest.mark.parametrize("superset", [True, False])
+def test_set_current_over_a_parked_relay_pulls_and_verifies_again(monkeypatch, superset):
+    """A replaced frontier is not the relay's target set, even when it
+    contains it. One that does not contain it leaves edges of the last
+    changed set unrelaxed: the next natural iteration finds that and the
+    run keeps pulling."""
+    log = _gather_log(monkeypatch)
+    sharded = PartitionEngine().partition(build("road10x10").with_random_weights(seed=33), 3)
+    ctx = RuntimeContext(sharded.edges)
+
+    def engine():
+        obs, program = Observer(), SSSP(source=0)
+        frontier = FrontierManager(sharded, program.init_frontier(ctx), obs=obs)
+        return ComputeEngine(
+            sharded, program, ctx, frontier, obs=obs,
+            plans=PlanCache(sharded, frontier, obs=obs), kernels=resolve_backend("numpy"),
+        )
+
+    relayed, pulled, plan = engine(), engine(), build_plan(SSSP(source=0))
+    relays = {1, 2, 3, 4, 6, 7} if superset else {1, 2, 3, 4}
+    for iteration in range(8):
+        if iteration == 5:
+            for e in (relayed, pulled):
+                mask = e.frontier.current.copy()
+                if superset:
+                    mask[::11] = True
+                else:
+                    mask[np.flatnonzero(mask)[::2]] = False
+                e.frontier.set_current(mask)
+        census = _run_iteration(relayed, plan, iteration, merged=True)
+        assert census == _run_iteration(pulled, plan, iteration, merged=False), iteration
+        assert log[-2:] == [RELAY if iteration in relays else ROWS, ROWS], iteration
+        for e in (relayed, pulled):
+            e.frontier.advance()
+        for attr in ("vertex_values", "gather_has"):
+            assert getattr(relayed, attr).tobytes() == getattr(pulled, attr).tobytes()
+        np.testing.assert_array_equal(relayed.frontier.current, pulled.frontier.current)
+    assert relayed.relayed_gathers == len(relays) and relayed.relay_verified is superset
+    assert pulled.relayed_gathers == 0 and pulled.relay_verified is None
+
+
+def test_the_iteration_after_a_pull_iteration_pulls(monkeypatch):
+    g = build("road10x10")
+    auto = dict(num_partitions=3, direction="auto")
+    log = _gather_log(monkeypatch)
+    run = _run_with(g, BFSGather(source=0), **auto)
+    directions = [d.direction for d in run.direction_decisions]
+    assert directions[:5] == ["push"] * 3 + ["pull"] * 2 and directions[-2:] == ["push", "pull"]
+    # every push iteration here is a rows pass; only one that follows a
+    # push finds a relay stamped with the iteration before it
+    want = [
+        DENSE if d == "pull" else RELAY if i and directions[i - 1] == "push" else ROWS
+        for i, d in enumerate(directions)
+    ]
+    assert log == want
+    assert run.kernels["relayed_gathers"] == want.count(RELAY) == 2
+    del log[:]
+    threads = _run_with(g, BFSGather(source=0), parallel_shards=3, **auto)
+    assert run.direction_decisions == threads.direction_decisions
+    _assert_same_run(run, threads, "auto")
+    push = _run_with(g, BFSGather(source=0), num_partitions=3)
+    assert run.vertex_values.tobytes() == push.vertex_values.tobytes()
+    pull = _run_with(g, BFSGather(source=0), num_partitions=3, direction="pull")
+    assert pull.kernels["relayed_gathers"] == 0 and pull.kernels["relay_verified"] is None
+
+
+# ----------------------------------------------------------------------
 # FrontierManager machinery the cache depends on
 # ----------------------------------------------------------------------
 class _Intervals:
@@ -600,3 +798,44 @@ def test_activate_next_deduplicated_equals_per_edge_form():
     b.activate_next(np.array([0]))
     b.activate_next(np.unique(per_edge), count=len(per_edge))
     assert b.next[0]
+
+
+def _changed_queries(fm, n):
+    return (
+        fm.changed_shards().tolist(), fm.changed_in(0, n).tolist(),
+        fm.changed_in(2, 5).tolist(), fm.dense_changed_in(0, 3), fm.dense_changed_in(3, 6),
+    )
+
+
+@pytest.mark.parametrize(
+    "marks, from_marks",
+    [
+        ([[0, 1, 2], [4]], True),  # one mark per shard, in shard order
+        ([[]], True),
+        ([[4], [0, 1, 2]], False),  # unordered
+        ([[1, 4], [4, 5]], False),  # duplicate
+        ([[-1]], False),  # a negative index names the last vertex
+        ([list(range(11))], False),  # over a quarter of V: the mask scans win
+    ],
+)
+def test_changed_queries_from_marks_agree_with_the_mask(marks, from_marks):
+    fm = FrontierManager(_Intervals([0, 3, 6, 40]), np.ones(40, dtype=bool))
+    for vids in marks:
+        fm.mark_changed(np.array(vids, dtype=np.int64))
+    assert (fm._changed_vids() is not None) == from_marks
+    got = _changed_queries(fm, 40)
+    fm._marked = False  # the mask scans
+    assert got == _changed_queries(fm, 40)
+    fm.advance()
+    assert fm._changed_vids() is not None and _changed_queries(fm, 40)[:2] == ([], [])
+
+
+def test_a_direct_write_to_the_changed_mask_is_noticed():
+    fm = FrontierManager(_Intervals([0, 3, 6, 40]), np.ones(40, dtype=bool))
+    fm.mark_changed(np.array([1]))
+    assert fm.changed_in(0, 40).tolist() == [1]
+    fm.changed[4] = True  # a test or a hook, not mark_changed
+    assert fm._changed_vids() is None
+    assert fm.changed_in(0, 40).tolist() == [1, 4] and fm.changed_shards().tolist() == [0, 1]
+    fm.changed[:] = True
+    assert fm.dense_changed_in(0, 3) and fm.dense_changed_in(3, 6)

@@ -220,6 +220,40 @@ def test_premapped_gather_is_bit_identical_to_per_edge(kind, reduce, cols, seed,
             assert gather(how, copy, mapped, None) == gather(how, spec, values, deg), how
 
 
+def test_plain_take_still_refuses_an_out_of_range_id():
+    """The index gathers dropped ``out=``, not the bounds check a
+    corrupt store relies on (``mode="raise"``, never clip/wrap)."""
+    g = EdgeList(4, np.array([0, 1, 2]), np.array([1, 2, 3]))
+    csc = build_csc(g)
+    kernels, spec = NumpyKernels(), GatherSpec("copy", "min")
+    values = np.zeros(4, dtype=np.float32)
+    temp, has = np.full(4, np.inf, dtype=np.float32), np.zeros(4, dtype=bool)
+    rows = np.arange(4)
+    corrupt = csc.indices.copy()
+    corrupt[1] = 4  # one past the last vertex
+    with pytest.raises(IndexError):
+        kernels.gather_rows(0, spec, values, None, csc.indptr, corrupt, None, rows, 0, temp, has)
+    with pytest.raises(IndexError):
+        kernels.gather_segments(
+            0, spec, values, None, corrupt, None, *dense_segments(csc.indptr), temp, has
+        )
+    torn = csc.indptr.copy()
+    torn[-1] += 5  # row 3 claims edges past the end of the neighbour array
+    with pytest.raises(IndexError):
+        kernels.activate_targets(0, torn, csc.indices, rows, 0)
+    with pytest.raises(IndexError):
+        kernels.relay_gather(
+            spec, values, None, np.array([4]), np.array([1]), None, np.array([0]), rows,
+            temp, has,
+        )
+    from repro.core.kernels import ApplySpec
+
+    with pytest.raises(IndexError):
+        kernels.apply_block(
+            0, ApplySpec("min_improve"), values, temp, has, np.array([1, 4]), 0, 4, 0, -1
+        )
+
+
 def _premap_engine(engine_cls=ComputeEngine):
     """A PageRank engine over a 2-shard graph, kernels and plans on."""
     g = build("er_small")
