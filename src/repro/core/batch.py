@@ -15,7 +15,8 @@ adds O(n) state. This module shares one stream across the batch:
   Each vertex holds ``W = ceil(K/64)`` words whose bit ``k`` means
   "reached by query k"; gather ORs parent words (64 traversals per
   machine word), and per-query depths are recovered exactly by
-  recording the iteration at which each bit first appears.
+  recording, in bit planes, the iteration at which each bit first
+  appears; the ``(K, n)`` float32 depths are built once, when read.
 
 **Union frontier.** The batch drives shard selection and direction
 switching with the union of the per-query frontiers. Correctness rests
@@ -96,11 +97,12 @@ class _BatchLedger:
     would have stopped: a solo run exits at the top of iteration ``t+1``
     when the frontier is empty, i.e. when none of its changed rows at
     iteration ``t`` has an out-edge. The programs hand over each
-    iteration's *change matrix* -- the changed rows and, per row, which
-    columns changed it (value diffs against a kept previous-state copy:
-    improvement-driven programs change a value iff the row changed) --
-    and all columns are tested in one pass, so an iteration costs
-    O(changed rows x K) however many queries are in flight.
+    iteration's changed rows with a bit row each, bit ``k`` set iff
+    column ``k`` changed that row (MS-BFS's newly set words; packed
+    value diffs against a kept previous-state copy for the columns,
+    since improvement-driven programs change a value iff the row
+    changed), and one OR-reduce over the rows with an out-edge tests
+    every column: O(changed rows x words) per iteration.
     """
 
     def __init__(self, num_queries: int):
@@ -111,20 +113,21 @@ class _BatchLedger:
     def alive(self) -> np.ndarray:
         return self.retired_at < 0
 
-    def observe(self, rows, bits, out_degrees, iteration) -> None:
+    def observe(self, rows, changes, out_degrees, iteration) -> None:
         """Retire columns whose solo frontier empties after ``iteration``.
 
-        ``bits[i, k]`` says column ``k`` changed vertex ``rows[i]`` this
-        iteration (shape ``(len(rows), K)``). A column stays live iff it
-        changed some vertex with an out-edge.
+        ``changes[i]`` is vertex ``rows[i]``'s bit row (unsigned words;
+        bit ``k`` of its little-endian bytes is column ``k``). A column
+        stays live iff it changed some vertex with an out-edge.
         """
-        live = bits[out_degrees[rows] > 0].any(axis=0)
-        self.retired_at[self.alive & ~live] = iteration + 1
+        hit = np.bitwise_or.reduce(changes[out_degrees[rows] > 0], axis=0)
+        live = np.unpackbits(hit.view(np.uint8), bitorder="little")[: self.num_queries]
+        self.retired_at[self.alive & (live == 0)] = iteration + 1
 
     def observe_seeds(self, sources, out_degrees) -> None:
         """Iteration 0: each query's source counts as its one changed
         row (solo runs report it changed without a value change)."""
-        self.observe(sources, np.eye(self.num_queries, dtype=bool), out_degrees, 0)
+        self.retired_at[self.alive & (out_degrees[sources] == 0)] = 1
 
     def stats(self) -> dict:
         done = self.retired_at[self.retired_at >= 0]
@@ -140,11 +143,11 @@ class _BatchLedger:
 class _MainOnlyState:
     """Strip main-process-only ledger state when pickling to workers.
 
-    The retirement ledger, previous-state copies, and depth matrices
-    are only read by ``end_iteration`` (a main-process hook); shipping
-    them to process-pool workers would add O(n*K) bytes per worker for
-    no reason. Workers lazily rebuild anything they do touch (the
-    PageRank degree table).
+    The previous-state copies, depth planes and depth matrices are only
+    read by ``end_iteration`` and ``query_values`` (main-process hooks);
+    shipping them to process-pool workers would add O(n*K) bytes per
+    worker for no reason. Workers lazily rebuild anything they do touch
+    (the PageRank degree table).
     """
 
     _main_only: tuple = ()
@@ -254,7 +257,8 @@ class BatchedTraversal(_MainOnlyState, GASProgram):
         cur = values[rows]
         diff = cur != self._prev[rows]
         self._prev[rows] = cur
-        self.ledger.observe(rows, diff, ctx.out_degrees, iteration)
+        packed = np.packbits(diff, axis=1, bitorder="little")
+        self.ledger.observe(rows, packed, ctx.out_degrees, iteration)
 
     def batch_stats(self) -> dict:
         return {"family": self.mode, "layout": "columns", **self.ledger.stats()}
@@ -355,12 +359,15 @@ class BitParallelBFS(_MainOnlyState, GASProgram):
     into the state. Depths are recovered exactly: a bit first appears
     at precisely the solo BFS depth of that vertex (bits propagate one
     hop per iteration from the sources, and iteration 0 is a no-op just
-    like the solo run), so stamping the iteration number at first
-    appearance reproduces :class:`~repro.algorithms.bfs.BFSGather`
-    levels bit-for-bit, unreached vertices staying at +inf.
+    like the solo run), so the iteration number at first appearance
+    reproduces :class:`~repro.algorithms.bfs.BFSGather` levels
+    bit-for-bit, unreached vertices staying at +inf.
 
-    ``depths`` is query-major, ``(K, n)``: query ``k``'s result is the
-    row ``depths[k]``, handed out as is.
+    That number is kept in binary: plane ``j``, an ``(n, W)`` word array
+    allocated when first needed, holds bit ``j`` of every depth, and
+    iteration ``t`` ORs its newly set words into the planes of ``t``'s
+    set bits (O(changed rows x W)). ``depths`` -- ``(K, n)`` float32,
+    query ``k``'s result the row ``depths[k]`` -- is built on first read.
     """
 
     vertex_dtype = np.uint64
@@ -368,6 +375,9 @@ class BitParallelBFS(_MainOnlyState, GASProgram):
     gather_reduce = np.bitwise_or
     gather_identity = 0
     pull_compatible = True
+
+    #: vertices per block of the one-off depth materialisation
+    _BLOCK = 4096
 
     def __init__(self, sources):
         self.sources = np.asarray(sources, dtype=np.int64)
@@ -377,10 +387,11 @@ class BitParallelBFS(_MainOnlyState, GASProgram):
         self.state_cols = (self.num_queries + 63) // 64
         self.name = f"batch-bfs-bits-x{self.num_queries}"
         self.ledger = _BatchLedger(self.num_queries)
-        self.depths = None
         self._prev = None
+        self._planes = None
+        self._depths = None
 
-    _main_only = ("_prev", "depths")
+    _main_only = ("_prev", "_planes", "_depths")
 
     def init_vertices(self, ctx):
         n = ctx.num_vertices
@@ -390,13 +401,9 @@ class BitParallelBFS(_MainOnlyState, GASProgram):
         bits = np.uint64(1) << (cols % 64).astype(np.uint64)
         # ufunc.at: duplicate (source, word) pairs must all land.
         np.bitwise_or.at(vals, (self.sources, cols // 64), bits)
-        # One cache line of row padding: with n a power of two (R-MAT
-        # scales) unpadded rows sit exactly n*4 bytes apart, every
-        # depths[:, v] column lands in one cache set, and the block
-        # scatter in end_iteration runs ~3x slower.
-        self.depths = np.full((self.num_queries, n + 16), np.inf, dtype=np.float32)[:, :n]
-        self.depths[cols, self.sources] = 0.0
         self._prev = vals.copy()
+        self._planes = []  # sources sit at depth 0: no plane bit
+        self._depths = None
         return vals
 
     def init_frontier(self, ctx):
@@ -426,19 +433,52 @@ class BitParallelBFS(_MainOnlyState, GASProgram):
         cur = values[rows]
         newly = cur & ~self._prev[rows]
         self._prev[rows] = cur
-        # Little-endian bit unpack: word w byte b bit i -> query
-        # 64*w + 8*b + i, matching the shift layout above.
-        bits = np.unpackbits(
-            np.ascontiguousarray(newly).view(np.uint8), axis=1, bitorder="little"
-        )[:, : self.num_queries].view(bool)
-        # Stamp first appearances: gather the changed vertices' block
-        # (vertex-major, like ``bits``), set the new bits' cells,
-        # scatter it back.
-        by_vertex = self.depths.T
-        block = by_vertex[rows]
-        np.putmask(block, bits, np.float32(iteration))
-        by_vertex[rows] = block
-        self.ledger.observe(rows, bits, ctx.out_degrees, iteration)
+        planes = self._planes
+        for j in range(int(iteration).bit_length()):
+            if iteration >> j & 1:
+                while len(planes) <= j:
+                    planes.append(np.zeros_like(self._prev))
+                planes[j][rows] |= newly
+        self.ledger.observe(rows, newly, ctx.out_degrees, iteration)
+
+    @property
+    def depths(self) -> np.ndarray | None:
+        """``(K, n)`` float32 depths, built from the planes on first read
+        (None before ``init_vertices`` and in worker copies)."""
+        if self._depths is None and self._prev is not None:
+            self._depths = self._materialise()
+        return self._depths
+
+    def _materialise(self) -> np.ndarray:
+        # A (vertex, query) cell's code is its depth's plane bits, plus
+        # bit ``top`` when the query never reached the vertex. Codes are
+        # built one byte (eight stacked bit arrays) at a time, two arrays
+        # per ``pair`` lookup; the byte from bit ``k`` up turns into
+        # float32 through a table worth ``2^k`` a step, +inf from ``top``.
+        # ``pair[b << 8 | a]``: byte i of the (little-endian) uint64 is
+        # bit i of ``a`` plus twice bit i of ``b``.
+        spread = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+        pair = (spread.view(np.uint64) << np.uint64(1) | spread.view(np.uint64).T).ravel()
+        stack = [*self._planes, ~self._prev]
+        top = len(self._planes)
+        digits = range(0, top + 1, 8)
+        luts = [np.arange(256, dtype=np.float32) * np.float32(1 << k) for k in digits]
+        luts[-1][1 << top % 8 :] = np.inf
+        n, w = self._prev.shape
+        depths = np.empty((self.num_queries, n), dtype=np.float32)
+        for lo in range(0, n, self._BLOCK):
+            hi = min(lo + self._BLOCK, n)
+            for k, lut in zip(digits, luts):
+                code = np.zeros((hi - lo, 8 * w), dtype=np.uint64)
+                for j in range(k, min(k + 8, top + 1), 2):
+                    idx = stack[j][lo:hi].view(np.uint8)
+                    if j < top:
+                        idx = stack[j + 1][lo:hi].view(np.uint8).astype(np.uint16) << 8 | idx
+                    code |= np.take(pair, idx) << np.uint64(j - k)
+                # Little-endian: word w byte b bit i is query 64w + 8b + i.
+                cells = np.take(lut, code.view(np.uint8)[:, : self.num_queries].T)
+                depths[:, lo:hi] = depths[:, lo:hi] + cells if k else cells
+        return depths
 
     def batch_stats(self) -> dict:
         return {

@@ -202,26 +202,32 @@ class GraphReduceOptions:
 
 
 class RuntimeContext:
-    """Graph-level read-only state exposed to user device functions."""
+    """Graph-level read-only state exposed to user device functions.
 
-    def __init__(self, edges: EdgeList):
+    Degree arrays are counted on first use into ``degrees`` (one dict
+    per engine) and handed out read-only, like a store's mapped views."""
+
+    def __init__(self, edges: EdgeList, degrees: dict | None = None):
         self.num_vertices = edges.num_vertices
         self.num_edges = edges.num_edges
         self._edges = edges
-        self._out_degrees: np.ndarray | None = None
-        self._in_degrees: np.ndarray | None = None
+        self._degrees = {} if degrees is None else degrees
+
+    def _degree(self, side: str) -> np.ndarray:
+        arr = self._degrees.get(side)
+        if arr is None:
+            arr = getattr(self._edges, f"{side}_degrees")()
+            arr.flags.writeable = False
+            self._degrees[side] = arr
+        return arr
 
     @property
     def out_degrees(self) -> np.ndarray:
-        if self._out_degrees is None:
-            self._out_degrees = self._edges.out_degrees()
-        return self._out_degrees
+        return self._degree("out")
 
     @property
     def in_degrees(self) -> np.ndarray:
-        if self._in_degrees is None:
-            self._in_degrees = self._edges.in_degrees()
-        return self._in_degrees
+        return self._degree("in")
 
 
 @dataclass(frozen=True)
@@ -339,6 +345,10 @@ class GraphReduce:
         self.options = options or GraphReduceOptions()
         self.partition_engine = partition_engine or PartitionEngine()
         self._sharded_cache: dict[tuple, ShardedGraph] = {}
+        # Once per engine, not per run: the unit-weight view (the cache
+        # above is keyed by its identity) and the degree arrays.
+        self._unit_edges: EdgeList | None = None
+        self._degrees: dict[str, np.ndarray] = {}
         # keep_warm carry-over (see GraphReduceOptions.keep_warm):
         # {"sharded", "prefetcher", "key"} for store-backed runs, and
         # (plans, sharded, key) for the dense-plan cache. Released by
@@ -420,8 +430,10 @@ class GraphReduce:
             )
         edges = self.edges
         if program.needs_weights and edges.weights is None:
-            edges = edges.with_unit_weights()
-        ctx = RuntimeContext(edges)
+            if self._unit_edges is None:
+                self._unit_edges = edges.with_unit_weights()
+            edges = self._unit_edges
+        ctx = RuntimeContext(edges, self._degrees)
 
         # --- Simulated device + observability --------------------------
         sim = Simulator()

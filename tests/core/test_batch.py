@@ -9,6 +9,7 @@ scan-sharing rewrite; nothing about any individual query's answer may
 change.
 """
 
+import pickle
 import types
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.core.partition import PartitionEngine
 from repro.core.runtime import GraphReduce, GraphReduceOptions
 from repro.core.shardstore import ShardStore
 from repro.graph.edgelist import EdgeList
+from repro.graph.generators import path_graph
 
 SOURCES = [0, 7, 33, 150]
 DAMPINGS = [0.7, 0.85, 0.9]
@@ -271,19 +273,22 @@ def test_validate_sources_edge_cases():
 
 
 def test_ledger_retires_on_zero_out_degree_frontier():
-    ledger = _BatchLedger(2)
     degrees = np.array([2, 0, 1])
     # Query 0 changed a vertex with out-edges: stays live. Query 1
     # changed only a sink: its solo frontier empties, retire at t+1.
     rows = np.array([0, 1])
     bits = np.array([[True, False], [False, True]])
-    ledger.observe(rows, bits, degrees, iteration=3)
-    assert ledger.retired_at.tolist() == [-1, 4]
-    assert ledger.alive.tolist() == [True, False]
-    # A retired query is never revisited; an empty changed set retires.
-    ledger.observe(np.empty(0, dtype=np.int64), np.empty((0, 2), dtype=bool), degrees, 5)
-    assert ledger.retired_at.tolist() == [6, 4]
-    assert ledger.stats()["retired"] == 2
+    # Bit rows as the columnar layout packs them (bytes) and as MS-BFS
+    # hands them over (uint64 words).
+    for changes in (np.packbits(bits, axis=1, bitorder="little"), np.array([[1], [2]], np.uint64)):
+        ledger = _BatchLedger(2)
+        ledger.observe(rows, changes, degrees, iteration=3)
+        assert ledger.retired_at.tolist() == [-1, 4]
+        assert ledger.alive.tolist() == [True, False]
+        # A retired query is never revisited; an empty changed set retires.
+        ledger.observe(np.empty(0, dtype=np.int64), changes[:0], degrees, 5)
+        assert ledger.retired_at.tolist() == [6, 4]
+        assert ledger.stats()["retired"] == 2
 
 
 def test_ledger_seeds_retire_sink_sources():
@@ -315,6 +320,8 @@ class _LoopLedger(_BatchLedger):
 class _LoopBitBFS(BitParallelBFS):
     """MS-BFS with the former bookkeeping: vertex-major depths stamped by
     ``np.nonzero`` + fancy scatter, per-query ledger loop, column copies."""
+
+    depths = None  # a plain attribute here, not the planes-built property
 
     def __init__(self, sources):
         super().__init__(sources)
@@ -446,6 +453,34 @@ def test_ledger_matches_loop_on_random_graphs(case, layout):
     n, pairs, sources = case
     g = EdgeList.from_pairs(pairs, num_vertices=n, name="hyp")
     _assert_ledger_matches_loop(g, sources, layout, partitions=2)
+
+
+def test_bits_depth_codes_wider_than_a_byte():
+    # A 300-vertex directed path: depths up to 299 take nine bit planes,
+    # so the codes the depth matrix is built from are wider than a byte.
+    g = path_graph(300)
+    sources = [0, 150, 299, 0]
+    program, run = _assert_ledger_matches_loop(g, sources, "bits", partitions=2)
+    assert len(program._planes) == 9
+    options = GraphReduceOptions(num_partitions=2)
+    for k, s in enumerate(sources):
+        solo = GraphReduce(g, options=options).run(BFSGather(source=s))
+        assert solo.iterations == program.ledger.retired_at[k], s
+        assert np.array_equal(program.query_values(run.vertex_values, k), solo.vertex_values), s
+
+
+def test_bits_pickle_carries_no_plane_or_depth_state():
+    g = _sink_graph()
+    program = BitParallelBFS([0, 1, 0])
+    program.init_vertices(types.SimpleNamespace(num_vertices=g.num_vertices))
+    assert program._prev is not None and program._planes == []
+    clone = pickle.loads(pickle.dumps(program))
+    assert clone._prev is None and clone._planes is None and clone.depths is None
+    GraphReduce(g, options=GraphReduceOptions(num_partitions=2)).run(program)
+    assert program._planes and program.depths is not None
+    clone = pickle.loads(pickle.dumps(program))
+    assert clone._prev is None and clone._planes is None and clone.depths is None
+    assert clone.ledger.retired_at.tolist() == program.ledger.retired_at.tolist()
 
 
 # ----------------------------------------------------------------------

@@ -266,3 +266,43 @@ class TestMetrics:
             g, options=GraphReduceOptions(num_partitions=3, cache_policy="never")
         ).run(BFS(source=0))
         assert 1 <= r.concurrent_shards <= 3
+
+
+class TestEngineReuse:
+    """What an engine derives from its graph is derived once, not per run."""
+
+    def test_unit_weight_view_partitions_once(self, monkeypatch):
+        g = rmat(10, 8000, seed=20)
+        assert g.weights is None
+        engine = GraphReduce(g)
+        calls = []
+        partition = engine.partition_engine.partition
+        monkeypatch.setattr(
+            engine.partition_engine,
+            "partition",
+            lambda *args, **kw: calls.append(args) or partition(*args, **kw),
+        )
+        runs = [engine.run(SSSP(source=1)) for _ in range(6)]
+        assert len(calls) == 1
+        assert len(engine._sharded_cache) == 1
+        for r in runs[1:]:
+            assert np.array_equal(r.vertex_values, runs[0].vertex_values)
+
+    def test_degrees_counted_once_per_engine_and_read_only(self):
+        g = erdos_renyi(100, 600, seed=21)
+        seen = []
+
+        class Probe(PageRank):
+            def init_vertices(self, ctx):
+                seen.append((ctx.out_degrees, ctx.in_degrees))
+                return super().init_vertices(ctx)
+
+        engine = GraphReduce(g)
+        for _ in range(2):
+            engine.run(Probe(tolerance=1e-3))
+        (out0, in0), (out1, in1) = seen
+        assert out0 is out1 and in0 is in1
+        assert np.array_equal(out0, g.out_degrees())
+        assert np.array_equal(in0, g.in_degrees())
+        with pytest.raises(ValueError, match="read-only"):
+            out0[0] = 1
