@@ -120,6 +120,11 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     return f"{c_med / p_med:.3f}", f"{wins}/{len(parent)}", text
 
 
+def _relative(parent: list[float], change: list[float]) -> float:
+    """Largest relative difference between any parent and change value."""
+    return max(abs(c - p) / abs(p) if p else abs(c) for p in parent for c in change)
+
+
 def summary_table(rows: list[dict], workload: str, seed: int) -> list[str]:
     head = f"| {workload} | {seed} | {len(rows) // 2} "
     lines = [
@@ -130,11 +135,11 @@ def summary_table(rows: list[dict], workload: str, seed: int) -> list[str]:
     for metric, spec in END_TO_END.items():
         parent, change = (_values(rows, side, metric) for side in SIDES)
         if metric in EXACT:
-            same = len(set(parent + change)) == 1
-            lines.append(
-                f"{head}| {metric} | {parent[0]!r} | {change[0]!r} | "
-                f"{'bit-identical on every run' if same else 'DIFFERS'} | - | - |"
-            )
+            if len(set(parent + change)) == 1:
+                text = "bit-identical on every run"
+            else:
+                text = f"DIFFERS by {_relative(parent, change):.2g} relative at most"
+            lines.append(f"{head}| {metric} | {parent[0]!r} | {change[0]!r} | {text} | - | - |")
             continue
         cells = [
             "{1:.4g} [{0:.4g}-{2:.4g}]".format(*_quartiles(values)) for values in (parent, change)
@@ -186,9 +191,11 @@ def traced_tables(rows: list[dict], workload: str, seed: int) -> tuple[list[str]
         ]
         for name, metric in parent["metrics"].items():
             p, c = metric["value"], change["metrics"][name]["value"]
-            lines.append(f"| {name} | {p:.6g} | {'=' if c == p else format(c, '.6g')} |")
+            cell = "=" if c == p else format(c, ".6g")
             if c != p and name in EXACT_LAYERS:
                 moved.add(name)
+                cell += f" ({_relative([p], [c]):.2g} relative)"
+            lines.append(f"| {name} | {p:.6g} | {cell} |")
         lines.append("")
     return lines, moved
 

@@ -25,7 +25,6 @@ with synchronous full-shard copies -- the Figure 15 baseline.
 from __future__ import annotations
 
 import threading
-from copy import copy
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -68,6 +67,19 @@ class MovementStats:
     shards_skipped: int = 0
     phase_barriers: int = 0
     per_group_bytes: dict = field(default_factory=dict)
+
+
+#: the MovementStats counters a phase's copy and kernel issue moves, and
+#: the obs counter each feeds
+_ISSUE_COUNTERS = {
+    "h2d_bytes": "movement.h2d.bytes", "h2d_count": "movement.h2d.copies",
+    "d2h_bytes": "movement.d2h.bytes", "d2h_count": "movement.d2h.copies",
+    "spray_batches": "movement.spray.batches", "spray_copies": "movement.spray.copies",
+    "kernel_launches": "movement.kernel.launches", "kernel_items": "movement.kernel.items",
+}
+#: bound on the phase-timeline memo (recorded phases held); 0 turns the
+#: memo off, which the tests use to compare against the event loop
+MEMO_ENTRIES = 256
 
 
 def optimal_concurrent_shards(
@@ -280,6 +292,12 @@ class DataMovementEngine:
         #: (group name, shard index) -> its (h2d, d2h) copy recipes; both
         #: depend on nothing else, so they are built on first visit
         self._recipes: dict[tuple[str, int], tuple] = {}
+        #: phase-timeline memo: phase key -> (simulator phase record,
+        #: issue-counter deltas); off (None) when ``MEMO_ENTRIES`` is 0,
+        #: the tests' hook. Keys seen once are held by hash only: a phase
+        #: is recorded on its second sighting (see :meth:`_barrier`).
+        self._memo: dict | None = {} if MEMO_ENTRIES else None
+        self._seen: set[int] = set()
         self.current_iteration = 0
 
         max_shard = sharded.max_shard_bytes(with_weights, with_edge_state)
@@ -366,7 +384,7 @@ class DataMovementEngine:
         if total > self.device.memory.free_bytes:
             return False
         stream_i = 0
-        before = copy(self.stats)
+        before = self._snapshot()
         try:
             for shard in self.sharded.shards:
                 nbytes = shard.total_bytes(self.with_weights, self.with_edge_state)
@@ -470,6 +488,11 @@ class DataMovementEngine:
         simulated copies/kernels are issued in exactly the sequential
         schedule and the device timeline stays bit-identical. The main
         thread steals the first shard instead of idling on the pool.
+
+        A memoisable phase (:meth:`_memoisable`) issues only once every
+        shard has computed, keyed on (group, residency, ordered
+        ``(shard, edge_items, vertex_items)``): a key recorded before
+        issues nothing and replays its timeline instead.
         """
         self.stats.shards_skipped += skipped
         if skipped:
@@ -478,11 +501,12 @@ class DataMovementEngine:
         if executor is not None and len(shards) > 1:
             futures = [executor.submit(compute, shard) for shard in shards[1:]]
             results = [compute(shards[0])] + [f.result() for f in futures]
-        before = copy(self.stats)
+        key = entry = None
+        pending = [] if barrier and self._memoisable() else None
+        before = self._snapshot()
         try:
             for i, shard in enumerate(shards):
                 stream_i = i % self.k
-                stream = self.streams[stream_i]
                 work = results[i] if results is not None else compute(shard)
                 with self.obs.span(
                     "shard",
@@ -491,65 +515,152 @@ class DataMovementEngine:
                     group=group.name,
                     stream=stream_i,
                 ) as shard_span:
-                    resident = self._cached or self._lru_acquire(shard, stream, stream_i)
-                    if not resident:
-                        recipes = self._recipes.get((group.name, shard.index))
-                        if recipes is None:
-                            label = f"{group.name}:{shard.index}"
-                            recipes = self._recipes[group.name, shard.index] = (
-                                self._recipe(shard, label, group.h2d_buffers),
-                                self._recipe(shard, label, group.d2h_buffers),
-                            )
-                        self._issue_copies(stream, stream_i, recipes[0], "h2d")
-                    self._issue_kernel(stream, group, shard, work)
-                    if not resident:
-                        self._issue_copies(stream, stream_i, recipes[1], "d2h")
+                    resident = self._cached or self._lru_acquire(
+                        shard, self.streams[stream_i], stream_i
+                    )
+                    if pending is None:
+                        self._issue_shard(group, stream_i, shard, work, resident)
+                    else:
+                        pending.append((stream_i, shard, work, resident))
                     shard_span.set(resident=resident, items=work.total)
                     self.stats.shards_processed += 1
                     if not self.config.async_streams:
                         self.device.synchronize()  # fully synchronous baseline
+            if pending is not None:
+                key = (group.name, self._cached, tuple(
+                    (shard.index, work.edge_items, work.vertex_items)
+                    for _, shard, work, _ in pending
+                ))
+                entry = self._memo.get(key)
         finally:
-            # A phase whose compute raised still reports what it issued.
+            # A phase whose compute raised still issues and reports what
+            # its computed shards would have.
+            if entry is None:
+                for args in pending or ():
+                    self._issue_shard(group, *args)
+            else:
+                self._replay_counts(entry)
             self._report_since(before)
         if barrier:
             # BSP barrier between phases. Multi-device callers pass
             # barrier=False, issue every device's work, then synchronize
             # all devices so per-device phases overlap.
-            self.device.synchronize()
+            self._barrier(key, entry, before)
             self.stats.phase_barriers += 1
 
     def iteration_sync(self, frontier_bytes: int) -> None:
-        """Per-iteration frontier copy-back (tiny, vertex-bitmap sized)."""
-        self.streams[0].memcpy_d2h(frontier_bytes, label="frontier")
-        self.stats.d2h_count += 1
-        self.stats.d2h_bytes += frontier_bytes
-        self.obs.add("movement.d2h.bytes", frontier_bytes)
-        self.obs.add("movement.d2h.copies")
-        self.device.synchronize()
+        """Per-iteration frontier copy-back (tiny, vertex-bitmap sized),
+
+        memoised like a phase."""
+        key = ("frontier", frontier_bytes) if self._memoisable() else None
+        entry = None if key is None else self._memo.get(key)
+        before = self._snapshot()
+        if entry is None:
+            self.streams[0].memcpy_d2h(frontier_bytes, label="frontier")
+            self.stats.d2h_count += 1
+            self.stats.d2h_bytes += frontier_bytes
+        else:
+            self._replay_counts(entry)
+        self._report_since(before)
+        self._barrier(key, entry, before)
+
+    # ------------------------------------------------------------------
+    # Phase-timeline memo
+    # ------------------------------------------------------------------
+    def _memoisable(self) -> bool:
+        """Whether a barrier phase issued now is a function of its key.
+
+        The device must be quiescent at a phase start (a non-barrier
+        phase before may have left work in flight), and nothing may
+        carry across phases: LRU fills and SSD spill do, and the
+        synchronous baseline barriers inside the phase.
+        """
+        return (
+            self._memo is not None
+            and self.device.sim.quiescent
+            and self.config.async_streams
+            and self._lru is None
+            and self.ssd is None
+        )
+
+    def _barrier(self, key, entry, before: tuple) -> None:
+        """End a phase at the device barrier: replay ``entry`` when the
+
+        memo had one, else run the event loop. A memoisable ``key`` is
+        recorded on its second sighting, so a run whose phases never
+        repeat (an SSSP's moving frontier) records nothing.
+        """
+        if entry is not None:
+            self.device.sim.replay(entry[0])
+            return
+        record = self.device.synchronize()
+        if key is None:
+            return
+        digest = hash(key)
+        if digest not in self._seen:
+            if len(self._seen) >= 64 * MEMO_ENTRIES:
+                self._seen.clear()
+            self._seen.add(digest)
+        elif len(self._memo) < MEMO_ENTRIES:
+            (counts, _, groups), now = before, self.stats
+            self._memo[key] = (
+                record,
+                tuple(getattr(now, f) - n for f, n in zip(_ISSUE_COUNTERS, counts)),
+                {g: n - groups.get(g, 0) for g, n in now.per_group_bytes.items()
+                 if n != groups.get(g, 0)},
+            )
+
+    def _replay_counts(self, entry) -> None:
+        """Add a recorded phase's issue counters to ``stats``."""
+        _, counts, group_bytes = entry
+        stats = self.stats
+        for name, n in zip(_ISSUE_COUNTERS, counts):
+            setattr(stats, name, getattr(stats, name) + n)
+        for group, n in group_bytes.items():
+            stats.per_group_bytes[group] = stats.per_group_bytes.get(group, 0) + n
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _report_since(self, before: MovementStats) -> None:
-        """Emit the copies and kernels issued since ``before`` (a copy of
-        ``stats``) as one counter increment per name: the issue paths
-        only touch ``stats``, so a phase costs a handful of ``obs.add``
-        calls instead of several per shard."""
-        now, add = self.stats, self.obs.add
-        if now.h2d_count != before.h2d_count:
-            add("movement.h2d.bytes", now.h2d_bytes - before.h2d_bytes)
-            add("movement.h2d.copies", now.h2d_count - before.h2d_count)
-        if now.d2h_count != before.d2h_count:
-            add("movement.d2h.bytes", now.d2h_bytes - before.d2h_bytes)
-            add("movement.d2h.copies", now.d2h_count - before.d2h_count)
-        if now.spray_batches != before.spray_batches:
-            add("movement.spray.batches", now.spray_batches - before.spray_batches)
-            add("movement.spray.copies", now.spray_copies - before.spray_copies)
-        if now.kernel_launches != before.kernel_launches:
-            add("movement.kernel.launches", now.kernel_launches - before.kernel_launches)
-            add("movement.kernel.items", now.kernel_items - before.kernel_items)
-        if now.shards_processed != before.shards_processed:
-            add("movement.shards.processed", now.shards_processed - before.shards_processed)
+    def _snapshot(self) -> tuple:
+        """The issue counters, ``shards_processed`` and a copy of
+        ``per_group_bytes``: what :meth:`_report_since` and the memo's
+        deltas are taken against."""
+        stats = self.stats
+        counts = tuple(getattr(stats, f) for f in _ISSUE_COUNTERS)
+        return counts, stats.shards_processed, dict(stats.per_group_bytes)
+
+    def _report_since(self, before: tuple) -> None:
+        """Emit the copies and kernels issued since ``before`` (a
+        :meth:`_snapshot`) as one counter increment per name: the issue
+        paths only touch ``stats``, so a phase costs a handful of
+        ``obs.add`` calls instead of several per shard."""
+        (counts, processed, _), stats, add = before, self.stats, self.obs.add
+        for (field, metric), was in zip(_ISSUE_COUNTERS.items(), counts):
+            now = getattr(stats, field)
+            if now != was:
+                add(metric, now - was)
+        if stats.shards_processed != processed:
+            add("movement.shards.processed", stats.shards_processed - processed)
+
+    def _issue_shard(self, group: PhaseGroup, stream_i: int, shard: Shard,
+                     work: WorkItems, resident: bool) -> None:
+        """One shard's phase on its stream: H2D, kernel, D2H (copies
+
+        only when the shard is not device-resident)."""
+        stream = self.streams[stream_i]
+        if not resident:
+            recipes = self._recipes.get((group.name, shard.index))
+            if recipes is None:
+                label = f"{group.name}:{shard.index}"
+                recipes = self._recipes[group.name, shard.index] = (
+                    self._recipe(shard, label, group.h2d_buffers),
+                    self._recipe(shard, label, group.d2h_buffers),
+                )
+            self._issue_copies(stream, stream_i, recipes[0], "h2d")
+        self._issue_kernel(stream, group, shard, work)
+        if not resident:
+            self._issue_copies(stream, stream_i, recipes[1], "d2h")
 
     def _recipe(self, shard: Shard, label: str, names=None) -> tuple:
         """The static part of one copy batch: ``(label, total bytes,

@@ -72,7 +72,8 @@ def _span_events(observer) -> list[dict]:
 
 
 def _interval_events(trace) -> list[dict]:
-    streams = sorted({i.stream for i in trace.intervals})
+    intervals = trace.intervals  # built on each read: read once
+    streams = sorted({i.stream for i in intervals})
     tid_of = {name: tid for tid, name in enumerate(streams, start=1)}
     events = [
         {
@@ -84,7 +85,7 @@ def _interval_events(trace) -> list[dict]:
         }
         for name in streams
     ]
-    for iv in trace.intervals:
+    for iv in intervals:
         args = {"amount": iv.amount, "category": iv.category}
         if iv.service_start is not None:
             # Engine-service entry (kernels: SM entry after launch

@@ -497,8 +497,9 @@ def build_profile(result, machine=None, tolerance: float = MODEL_TOLERANCE) -> P
         )
 
     # -- streams --------------------------------------------------------
+    intervals = result.trace.intervals  # built on each read: read once
     per_stream: dict[str, list] = {}
-    for iv in result.trace.intervals:
+    for iv in intervals:
         per_stream.setdefault(iv.stream, []).append(iv)
     streams = {}
     for name, ivs in per_stream.items():
@@ -515,19 +516,13 @@ def build_profile(result, machine=None, tolerance: float = MODEL_TOLERANCE) -> P
 
     # -- overlap --------------------------------------------------------
     transfer_iv = merge_intervals(
-        (iv.service_begin, iv.end)
-        for iv in result.trace.intervals
-        if iv.category in ("h2d", "d2h")
+        (iv.service_begin, iv.end) for iv in intervals if iv.category in ("h2d", "d2h")
     )
     kernel_iv = merge_intervals(
-        (iv.service_begin, iv.end)
-        for iv in result.trace.intervals
-        if iv.category == "kernel"
+        (iv.service_begin, iv.end) for iv in intervals if iv.category == "kernel"
     )
     hidden_iv = intersect_intervals(transfer_iv, kernel_iv)
-    device_iv = merge_intervals(
-        (iv.service_begin, iv.end) for iv in result.trace.intervals
-    )
+    device_iv = merge_intervals((iv.service_begin, iv.end) for iv in intervals)
     overlap = OverlapSummary(
         transfer_busy=total_length(transfer_iv),
         kernel_busy=total_length(kernel_iv),

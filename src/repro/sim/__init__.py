@@ -30,31 +30,14 @@ from repro.sim.engine import Simulator
 from repro.sim.memory import DeviceMemoryAllocator, DeviceOOMError
 from repro.sim.resources import FluidResource
 from repro.sim.specs import (
-    DeviceSpec,
-    HostSpec,
-    MachineSpec,
-    K20C,
-    XEON_E5_2670,
-    default_machine,
+    DeviceSpec, HostSpec, MachineSpec, K20C, XEON_E5_2670, default_machine,
 )
 from repro.sim.device import GPUDevice
 from repro.sim.stream import Kernel, Memcpy, Stream
 from repro.sim.trace import TraceRecorder
 
 __all__ = [
-    "Simulator",
-    "FluidResource",
-    "DeviceMemoryAllocator",
-    "DeviceOOMError",
-    "DeviceSpec",
-    "HostSpec",
-    "MachineSpec",
-    "K20C",
-    "XEON_E5_2670",
-    "default_machine",
-    "GPUDevice",
-    "Stream",
-    "Memcpy",
-    "Kernel",
-    "TraceRecorder",
+    "Simulator", "FluidResource", "DeviceMemoryAllocator", "DeviceOOMError",
+    "DeviceSpec", "HostSpec", "MachineSpec", "K20C", "XEON_E5_2670",
+    "default_machine", "GPUDevice", "Stream", "Memcpy", "Kernel", "TraceRecorder",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.memory import DeviceMemoryAllocator
 from repro.sim.resources import FluidResource
 from repro.sim.specs import DeviceSpec
@@ -33,6 +33,8 @@ class GPUDevice:
         # Note: TraceRecorder has __len__, so an empty recorder is falsy
         # -- must compare against None, not truthiness.
         self.trace = trace if trace is not None else TraceRecorder()
+        self.trace.sim = sim  # records in sim's phase-local time, folds with it
+        sim.attach(self.trace)
         self.memory = DeviceMemoryAllocator(self.spec.memory_bytes)
         # One copy engine per direction: FIFO at link bandwidth.
         self._h2d = FluidResource(
@@ -69,16 +71,22 @@ class GPUDevice:
     def streams(self) -> tuple[Stream, ...]:
         return tuple(self._streams)
 
-    def synchronize(self) -> None:
+    def synchronize(self) -> tuple:
         """Run the simulator until every stream has drained
 
-        (cudaDeviceSynchronize). Simulated time advances accordingly.
+        (cudaDeviceSynchronize). Simulated time advances accordingly, and
+        the drained phase folds into the global clock: returns its
+        record for :meth:`Simulator.replay`. A stream still waiting once
+        no event is left waits on an event nobody will record: raises
+        :class:`SimulationError` naming it.
         """
-        # Streams can enqueue follow-on work from callbacks, so iterate.
-        while True:
-            self.sim.run()
-            if all(s.idle for s in self._streams):
-                break
+        self.sim.run()
+        blocked = [f"{s.name} ({s.current.label})" for s in self._streams if not s.idle]
+        if blocked:
+            raise SimulationError(
+                "synchronize: streams blocked forever: " + ", ".join(blocked)
+            )
+        return self.sim.fold()
 
     def engines(self) -> dict[str, FluidResource]:
         """The shared hardware engines, keyed by profiler name."""

@@ -1,8 +1,15 @@
 """Event loop and simulated clock.
 
 The simulator is a classic discrete-event engine: callbacks are scheduled
-at absolute simulated times on a binary heap and executed in time order.
-Ties are broken by insertion order so runs are fully deterministic.
+on a binary heap and executed in time order. Ties are broken by insertion
+order so runs are fully deterministic.
+
+Event times are *phase-local*. When the device drains at a barrier
+(:meth:`Simulator.fold`), the local clock ``t`` is folded into the global
+``epoch`` and restarts at 0, so a phase's timeline depends only on what
+the phase issues, never on when it started -- which is what lets a
+repeated phase be replayed from a record (:meth:`Simulator.replay`)
+instead of re-simulated. ``now`` is always global: ``epoch + t``.
 
 All other :mod:`repro.sim` components (resources, streams, devices) hang
 off one :class:`Simulator` instance; a GraphReduce run owns exactly one.
@@ -12,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import weakref
 from typing import Callable
 
 
@@ -19,22 +27,10 @@ class SimulationError(RuntimeError):
     """Raised for causality violations or malformed schedules."""
 
 
-class _Event:
-    """A scheduled callback. Cancellation is a tombstone flag so the heap
-
-    never needs re-ordering; cancelled entries are skipped on pop.
-    """
-
-    __slots__ = ("time", "seq", "callback", "cancelled")
-
-    def __init__(self, time: float, seq: int, callback: Callable[[], None]):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = False
-
-    def __lt__(self, other: "_Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+#: A scheduled callback: heap entry ``[time, seq, callback]``, ordered by
+#: time, then insertion. Cancelling clears the callback (a tombstone the
+#: loop skips), so the heap is never re-ordered.
+Event = list
 
 
 class Simulator:
@@ -52,15 +48,27 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self.now: float = 0.0
-        self._heap: list[_Event] = []
+        self.epoch = 0.0  # global time at which the current phase started
+        self.t = 0.0  # phase-local clock
+        self._heap: list[Event] = []
         self._seq = itertools.count()
         self._running = False
+        self._parts: list[weakref.ref] = []
 
-    # ------------------------------------------------------------------
-    # Scheduling
-    # ------------------------------------------------------------------
-    def at(self, time: float, callback: Callable[[], None]) -> _Event:
+    def attach(self, part) -> None:
+        """Fold and replay ``part``'s phase-local state with the clock's:
+
+        it has ``fold_phase(epoch) -> state`` and ``replay_phase(epoch,
+        state)``. Held weakly: observers keep the simulator, and must not
+        keep a finished run's device with it."""
+        self._parts.append(weakref.ref(part))
+
+    @property
+    def now(self) -> float:
+        """Global simulated time."""
+        return self.epoch + self.t if self.t else self.epoch
+
+    def at(self, time: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` at absolute simulated ``time``.
 
         Returns a handle whose :meth:`cancel` removes the event. Scheduling
@@ -70,33 +78,31 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event at t={time!r} before now={self.now!r}"
             )
-        event = _Event(float(time), next(self._seq), callback)
+        event = [max(self.t, float(time) - self.epoch), next(self._seq), callback]
         heapq.heappush(self._heap, event)
         return event
 
-    def after(self, delay: float, callback: Callable[[], None]) -> _Event:
+    def after(self, delay: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` ``delay`` seconds from the current time."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        return self.at(self.now + delay, callback)
+        event = [self.t + delay, next(self._seq), callback]
+        heapq.heappush(self._heap, event)
+        return event
 
     @staticmethod
-    def cancel(event: _Event) -> None:
+    def cancel(event: Event) -> None:
         """Cancel a previously scheduled event (idempotent)."""
-        event.cancelled = True
+        event[2] = None
 
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
     def step(self) -> bool:
         """Run the earliest pending event. Returns False when idle."""
         while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            self.now = event.time
-            event.callback()
-            return True
+            time, _, callback = heapq.heappop(self._heap)
+            if callback is not None:
+                self.t = time
+                callback()
+                return True
         return False
 
     def run(self, until: float | None = None) -> None:
@@ -107,24 +113,63 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
+        if until is not None:
+            until -= self.epoch
+        heap, pop = self._heap, heapq.heappop
         self._running = True
         try:
-            while self._heap:
-                event = self._heap[0]
-                if event.cancelled:
-                    heapq.heappop(self._heap)
-                    continue
-                if until is not None and event.time > until:
+            while heap:
+                if until is not None and heap[0][0] > until and heap[0][2] is not None:
                     break
-                heapq.heappop(self._heap)
-                self.now = event.time
-                event.callback()
-            if until is not None and until > self.now:
-                self.now = until
+                time, _, callback = pop(heap)
+                if callback is not None:
+                    self.t = time
+                    callback()
+            if until is not None and until > self.t:
+                self.t = until
         finally:
             self._running = False
 
     @property
     def pending(self) -> int:
         """Number of live (non-cancelled) queued events."""
-        return sum(1 for e in self._heap if not e.cancelled)
+        return sum(1 for e in self._heap if e[2] is not None)
+
+    @property
+    def quiescent(self) -> bool:
+        """Nothing pending and the local clock at 0: a phase starts here."""
+        return not self._heap and not self.t
+
+    def fold(self) -> tuple:
+        """Close a drained phase: fold the local clock into ``epoch`` and
+
+        each part's phase-local state into its totals. Returns the
+        phase's record -- local duration, each part's closed state --
+        for :meth:`replay`.
+        """
+        if self._heap:
+            raise SimulationError("cannot fold a phase with events pending")
+        duration, self.t = self.t, 0.0
+        states = []
+        for ref in self._parts:
+            part = ref()
+            if part is not None:
+                states.append((ref, part.fold_phase(self.epoch)))
+        self.epoch += duration
+        return duration, states
+
+    def replay(self, record: tuple) -> None:
+        """Apply a phase :meth:`fold` recorded as if it ran again now --
+
+        exact, since a phase's local timeline does not depend on its
+        start. The caller guarantees the phase would issue the same
+        operations on the same parts.
+        """
+        if not self.quiescent:
+            raise SimulationError("replay needs a quiescent simulator")
+        duration, states = record
+        for ref, state in states:
+            part = ref()
+            if part is not None:
+                part.replay_phase(self.epoch, state)
+        self.epoch += duration

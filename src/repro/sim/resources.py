@@ -24,45 +24,27 @@ from collections import deque
 from typing import Callable
 
 from repro.sim.engine import SimulationError, Simulator
+from repro.sim.trace import union_length
 
 
 class _Job:
-    __slots__ = (
-        "work", "remaining", "max_rate", "callback", "on_start", "rate",
-        "start_time", "tag",
-    )
+    __slots__ = ("work", "remaining", "max_rate", "callback", "on_start", "rate")
 
-    def __init__(
-        self,
-        work: float,
-        max_rate: float,
-        callback: Callable[[], None],
-        tag,
-        on_start: Callable[[], None] | None = None,
-    ):
+    def __init__(self, work: float, max_rate: float, callback: Callable[[], None],
+                 on_start: Callable[[], None] | None = None):
         self.work = work
         self.remaining = work
         self.max_rate = max_rate
         self.callback = callback
         self.on_start = on_start
         self.rate = 0.0
-        self.start_time = -1.0
-        self.tag = tag
 
 
 class FluidResource:
-    """A capacity-``C`` resource shared by jobs via water-filling.
+    """A resource of ``capacity`` work units per second shared by jobs
 
-    Parameters
-    ----------
-    sim:
-        Owning simulator.
-    capacity:
-        Total service rate in work units per second.
-    max_concurrent:
-        Maximum jobs in service at once; excess jobs queue FIFO.
-    name:
-        Used in traces and error messages.
+    via water-filling: at most ``max_concurrent`` jobs in service, the
+    excess queued FIFO. ``name`` labels traces and errors.
     """
 
     def __init__(
@@ -82,15 +64,19 @@ class FluidResource:
         self.name = name
         self._active: list[_Job] = []
         self._queue: deque[_Job] = deque()
-        self._last_update = sim.now
+        self._last_update = sim.t  # phase-local, like every time below
         self._completion_event = None
-        self.busy_time = 0.0  # integral of (allocated rate / capacity) dt
-        self.served_work = 0.0
-        #: Utilization timeline: [start, end, fraction-of-capacity]
-        #: segments covering every instant the resource served work.
-        #: Adjacent segments at the same fraction merge, so the list
-        #: length is bounded by the number of rate changes, not events.
-        self.timeline: list[list[float]] = []
+        # Integrals of (allocated rate / capacity) dt and of rate dt; the
+        # current phase's fold into the totals once per phase.
+        self._busy = self._served = self._phase_busy = self._phase_served = 0.0
+        # Utilization timeline: [start, end, fraction-of-capacity]
+        # segments covering every instant the resource served work, kept
+        # per phase in local time as (epoch, segments) blocks (a replayed
+        # phase shares its recorded block). Adjacent segments at the same
+        # fraction merge: a block grows with rate changes, not events.
+        self._blocks: list[tuple[float, list[list[float]]]] = []
+        self._open: list[list[float]] = []
+        sim.attach(self)
 
     # ------------------------------------------------------------------
     def submit(
@@ -98,7 +84,6 @@ class FluidResource:
         work: float,
         callback: Callable[[], None],
         max_rate: float | None = None,
-        tag=None,
         on_start: Callable[[], None] | None = None,
     ) -> None:
         """Submit a job of ``work`` units; ``callback`` fires on completion.
@@ -114,7 +99,7 @@ class FluidResource:
         rate_cap = self.capacity if max_rate is None else float(max_rate)
         if rate_cap <= 0:
             raise ValueError(f"max_rate must be positive, got {max_rate!r}")
-        job = _Job(float(work), rate_cap, callback, tag, on_start)
+        job = _Job(float(work), rate_cap, callback, on_start)
         if work == 0:
             # Completes "immediately" but asynchronously, preserving the
             # invariant that callbacks never run inside submit().
@@ -126,7 +111,6 @@ class FluidResource:
         if self.max_concurrent is not None and len(self._active) >= self.max_concurrent:
             self._queue.append(job)
         else:
-            job.start_time = self.sim.now
             self._active.append(job)
             if job.on_start is not None:
                 job.on_start()
@@ -137,52 +121,67 @@ class FluidResource:
         return len(self._active)
 
     @property
-    def queued_jobs(self) -> int:
-        return len(self._queue)
+    def busy_time(self) -> float:
+        """Integral of (allocated rate / capacity) dt."""
+        return self._busy + self._phase_busy
 
-    def utilization_until(self, t_end: float) -> float:
-        """Average fraction of capacity used from t=0 to ``t_end``."""
-        if t_end <= 0:
-            return 0.0
-        self._sync()
-        return min(1.0, self.busy_time / t_end)
+    @property
+    def served_work(self) -> float:
+        """Work units delivered."""
+        return self._served + self._phase_served
 
-    def busy_intervals(self) -> list[tuple[float, float]]:
-        """Merged (start, end) windows during which any job was served."""
-        merged: list[list[float]] = []
-        for start, end, _frac in self.timeline:
-            if merged and start <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], end)
-            else:
-                merged.append([start, end])
-        return [(s, e) for s, e in merged]
+    @property
+    def timeline(self) -> list[tuple[float, float, float]]:
+        """Utilization segments ``(start, end, fraction)`` in global time."""
+        return [
+            (epoch + start, epoch + end, frac)
+            for epoch, block in self._blocks + [(self.sim.epoch, self._open)]
+            for start, end, frac in block
+        ]
 
-    def busy_seconds(self) -> float:
-        """Length of the union of service windows (occupancy numerator)."""
-        return sum(e - s for s, e in self.busy_intervals())
+    def fold_phase(self, epoch: float) -> tuple:
+        """Close the phase that started at global ``epoch`` (the resource
+
+        is idle); returns its state for :meth:`replay_phase`."""
+        state = (self._open, self._phase_busy, self._phase_served)
+        self._open, self._phase_busy, self._phase_served = [], 0.0, 0.0
+        self._last_update = 0.0
+        self.replay_phase(epoch, state)
+        return state
+
+    def replay_phase(self, epoch: float, state: tuple) -> None:
+        """Add a closed phase's segments and integrals at ``epoch``."""
+        block, busy, served = state
+        if block:
+            self._blocks.append((epoch, block))
+        self._busy += busy
+        self._served += served
 
     def profile_snapshot(self) -> dict:
         """Occupancy data for the profiler, JSON-shaped.
 
-        ``busy_seconds`` is wall time in service (union), ``busy_time``
-        the capacity-weighted integral, ``served_work`` total work units
+        ``busy_seconds`` is wall time in service (the union of the
+        timeline, the occupancy numerator), ``busy_time`` the
+        capacity-weighted integral, ``served_work`` total work units
         delivered -- for a copy engine, exactly the bytes transferred.
         """
+        timeline = self.timeline
         return {
             "name": self.name,
             "capacity": self.capacity,
-            "busy_seconds": self.busy_seconds(),
+            "busy_seconds": union_length((start, end) for start, end, _ in timeline),
             "busy_time": self.busy_time,
             "served_work": self.served_work,
-            "timeline": [list(seg) for seg in self.timeline],
+            "timeline": timeline,
         }
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _sync(self) -> None:
-        """Advance all active jobs' remaining work up to sim.now."""
-        dt = self.sim.now - self._last_update
+        """Advance all active jobs' remaining work up to the local clock."""
+        now = self.sim.t
+        dt = now - self._last_update
         if dt < 0:
             raise SimulationError(f"{self.name}: clock moved backwards")
         if dt > 0:
@@ -190,31 +189,25 @@ class FluidResource:
             for job in self._active:
                 job.remaining -= job.rate * dt
                 # Rounding tolerance: dt is a difference of two clock
-                # values, so its absolute error grows with sim.now; at
-                # rate r that shows up as ~r * now * eps work units.
-                tol = 1e-9 * max(1.0, job.work) + job.rate * (
-                    abs(self.sim.now) + 1.0
-                ) * 1e-11
+                # values, so its absolute error grows with the (local)
+                # clock; at rate r that is ~r * now * eps work units.
+                tol = 1e-9 * max(1.0, job.work) + job.rate * (now + 1.0) * 1e-11
                 if job.remaining < -tol:
                     raise SimulationError(
                         f"{self.name}: job overshot completion by {-job.remaining!r}"
                     )
                 job.remaining = max(job.remaining, 0.0)
                 total_rate += job.rate
-            self.busy_time += (total_rate / self.capacity) * dt
-            self.served_work += total_rate * dt
+            self._phase_busy += (total_rate / self.capacity) * dt
+            self._phase_served += total_rate * dt
             if total_rate > 0.0:
                 frac = total_rate / self.capacity
-                last = self.timeline[-1] if self.timeline else None
-                if (
-                    last is not None
-                    and last[1] >= self._last_update - 1e-15
-                    and abs(last[2] - frac) <= 1e-12
-                ):
-                    last[1] = self.sim.now
+                last = self._open[-1] if self._open else None
+                if last and last[1] >= self._last_update - 1e-15 and abs(last[2] - frac) <= 1e-12:
+                    last[1] = now
                 else:
-                    self.timeline.append([self._last_update, self.sim.now, frac])
-        self._last_update = self.sim.now
+                    self._open.append([self._last_update, now, frac])
+        self._last_update = now
 
     def _water_fill(self) -> None:
         """Assign rates: each job gets min(demand, fair residual share)."""
@@ -242,7 +235,6 @@ class FluidResource:
                     self.max_concurrent is None or len(self._active) < self.max_concurrent
                 ):
                     job = self._queue.popleft()
-                    job.start_time = self.sim.now
                     self._active.append(job)
                     if job.on_start is not None:
                         job.on_start()
@@ -251,7 +243,7 @@ class FluidResource:
                 break
             self._water_fill()
             t_next = min(j.remaining / j.rate for j in self._active)
-            if self.sim.now + t_next > self.sim.now:
+            if self.sim.t + t_next > self.sim.t:
                 self._completion_event = self.sim.after(t_next, self._on_completion)
                 break
             # Residual work too small for the clock to represent its

@@ -19,7 +19,7 @@ diff away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 #: Down-scaling factor applied to device memory and dataset sizes.
 SCALE = 64
@@ -135,10 +135,6 @@ class MachineSpec:
     host: HostSpec = field(default_factory=HostSpec)
     #: inter-device fabric for multi-accelerator configurations
     link: LinkSpec = field(default_factory=LinkSpec)
-
-    def with_device_memory(self, memory_bytes: int) -> "MachineSpec":
-        """A copy of this machine with a different device memory size."""
-        return replace(self, device=replace(self.device, memory_bytes=memory_bytes))
 
 
 #: The paper's GPU at reproduction scale.

@@ -37,12 +37,10 @@ class StreamEvent:
     def __init__(self, name: str = "event"):
         self.name = name
         self.recorded = False
-        self.time: float | None = None
         self._waiters: list[Callable[[], None]] = []
 
-    def _fire(self, now: float) -> None:
+    def _fire(self) -> None:
         self.recorded = True
-        self.time = now
         waiters, self._waiters = self._waiters, []
         for waiter in waiters:
             waiter()
@@ -83,32 +81,24 @@ class Memcpy(_Op):
         # Trace the *DMA service* interval (from entering the copy
         # engine, not from issue), so "memcpy time" counts transfer
         # occupancy rather than queueing behind other streams.
-        state = {"t_service": device.sim.now}
+        sim = device.sim
+        state = {"t_service": sim.t}
 
         def mark_service():
-            state["t_service"] = device.sim.now
+            state["t_service"] = sim.t
 
         def finish():
             device.trace.record(
-                state["t_service"],
-                device.sim.now,
-                self.direction,
-                stream.name,
-                self.nbytes,
-                self.label,
+                state["t_service"], sim.t, self.direction, stream.name, self.nbytes, self.label
             )
             done()
 
         def enqueue_dma():
             engine.submit(
-                float(self.nbytes),
-                finish,
-                max_rate=spec.pcie_bandwidth,
-                tag=self.label,
-                on_start=mark_service,
+                float(self.nbytes), finish, max_rate=spec.pcie_bandwidth, on_start=mark_service
             )
 
-        device.sim.after(spec.memcpy_setup, enqueue_dma)
+        sim.after(spec.memcpy_setup, enqueue_dma)
 
 
 class Kernel(_Op):
@@ -159,34 +149,28 @@ class Kernel(_Op):
             occupancy = self.occupancy
         else:
             occupancy = min(1.0, max(work / spec.kernel_min_time, 1e-6))
-        t_issue = device.sim.now
+        sim = device.sim
+        t_issue = sim.t
         # The SM-service window (entry into the pool after launch
         # overhead and any Hyper-Q queueing) feeds the occupancy
         # profiler; the full issue-to-completion window stays the
         # interval's [start, end] so kernel_time semantics are unchanged.
-        state = {"t_service": device.sim.now}
+        state = {"t_service": t_issue}
 
         def mark_service():
-            state["t_service"] = device.sim.now
+            state["t_service"] = sim.t
 
         def finish():
             device.trace.record(
-                t_issue,
-                device.sim.now,
-                "kernel",
-                stream.name,
-                self.items,
-                self.label,
+                t_issue, sim.t, "kernel", stream.name, self.items, self.label,
                 service_start=state["t_service"],
             )
             done()
 
         def launch():
-            device.sm_pool.submit(
-                work, finish, max_rate=occupancy, tag=self.label, on_start=mark_service
-            )
+            device.sm_pool.submit(work, finish, max_rate=occupancy, on_start=mark_service)
 
-        device.sim.after(spec.kernel_launch_overhead, launch)
+        sim.after(spec.kernel_launch_overhead, launch)
 
 
 class ResourceOp(_Op):
@@ -211,16 +195,15 @@ class ResourceOp(_Op):
         self.record = record
 
     def start(self, device, stream, done):
-        t_issue = device.sim.now
+        sim = device.sim
+        t_issue = sim.t
 
         def finish():
             if self.record:
-                device.trace.record(
-                    t_issue, device.sim.now, "storage", stream.name, self.work, self.label
-                )
+                device.trace.record(t_issue, sim.t, "storage", stream.name, self.work, self.label)
             done()
 
-        self.resource.submit(self.work, finish, max_rate=self.max_rate, tag=self.label)
+        self.resource.submit(self.work, finish, max_rate=self.max_rate)
 
 
 class Callback(_Op):
@@ -245,7 +228,7 @@ class EventRecord(_Op):
         self.label = f"record:{event.name}"
 
     def start(self, device, stream, done):
-        self.event._fire(device.sim.now)
+        self.event._fire()
         done()
 
 
@@ -267,14 +250,14 @@ class Stream:
         self.device = device
         self.name = name
         self._queue: deque[_Op] = deque()
-        self._busy = False
-        self._idle_waiters: list[Callable[[], None]] = []
+        #: the operation in progress (None when the stream is idle)
+        self.current: _Op | None = None
 
     # ------------------------------------------------------------------
     def enqueue(self, op: _Op) -> "Stream":
         """Append an operation; returns self for chaining."""
         self._queue.append(op)
-        if not self._busy:
+        if self.current is None:
             self._dispatch_next()
         return self
 
@@ -298,26 +281,12 @@ class Stream:
 
     @property
     def idle(self) -> bool:
-        return not self._busy and not self._queue
-
-    def on_idle(self, callback: Callable[[], None]) -> None:
-        """Invoke ``callback`` once the stream next drains."""
-        if self.idle:
-            callback()
-        else:
-            self._idle_waiters.append(callback)
+        return self.current is None and not self._queue
 
     # ------------------------------------------------------------------
     def _dispatch_next(self) -> None:
         if not self._queue:
-            self._busy = False
-            waiters, self._idle_waiters = self._idle_waiters, []
-            for waiter in waiters:
-                waiter()
+            self.current = None
             return
-        self._busy = True
-        op = self._queue.popleft()
-        op.start(self.device, self, self._op_done)
-
-    def _op_done(self) -> None:
-        self._dispatch_next()
+        op = self.current = self._queue.popleft()
+        op.start(self.device, self, self._dispatch_next)

@@ -9,7 +9,7 @@ aggregates can be regenerated.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 #: Interval categories recorded by the device.
 CATEGORIES = ("h2d", "d2h", "kernel", "storage")
@@ -60,11 +60,20 @@ class Interval(NamedTuple):
 
 
 class TraceRecorder:
-    """Accumulates :class:`Interval` records and computes aggregates."""
+    """Accumulates :class:`Interval` records and computes aggregates.
+
+    Intervals are recorded in phase-local time and kept per phase as
+    ``(epoch, intervals)`` blocks (see :meth:`Simulator.fold`); a
+    replayed phase shares its recorded block, so repeats cost one tuple.
+    :attr:`intervals` applies the epochs on read; the aggregates work
+    phase by phase in local time.
+    """
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self.intervals: list[Interval] = []
+        self._blocks: list[tuple[float, list[Interval]]] = []
+        self._open: list[Interval] = []
+        self.sim = None  # set by the device: whose phase-local clock is recorded
 
     def record(
         self,
@@ -86,21 +95,47 @@ class TraceRecorder:
             raise ValueError(
                 f"service_start {service_start!r} outside interval {start!r}..{end!r}"
             )
-        self.intervals.append(
+        self._open.append(
             Interval(start, end, category, stream, amount, label, service_start)
         )
+
+    def fold_phase(self, epoch: float) -> list[Interval]:
+        """Close the phase that started at global ``epoch``; returns its
+        intervals for :meth:`replay_phase`."""
+        block, self._open = self._open, []
+        self.replay_phase(epoch, block)
+        return block
+
+    def replay_phase(self, epoch: float, block: list[Interval]) -> None:
+        if block:
+            self._blocks.append((epoch, block))
+
+    def _phases(self) -> list[tuple[float, list[Interval]]]:
+        return self._blocks + [(0.0 if self.sim is None else self.sim.epoch, self._open)]
+
+    @property
+    def intervals(self) -> list[Interval]:
+        """Every interval in global time (built on each read)."""
+        return [
+            Interval(epoch + iv.start, epoch + iv.end, *iv[2:6],
+                     None if iv.service_start is None else epoch + iv.service_start)
+            for epoch, block in self._phases() for iv in block
+        ]
+
+    def _local(self, categories):
+        """Each phase's intervals in ``categories``, in local time."""
+        cats = categories or CATEGORIES
+        return ([iv for iv in block if iv.category in cats] for _, block in self._phases())
 
     # ------------------------------------------------------------------
     # Aggregates
     # ------------------------------------------------------------------
     def total_duration(self, *categories: str) -> float:
         """Sum of interval durations in the given categories."""
-        cats = categories or CATEGORIES
-        return sum(i.duration for i in self.intervals if i.category in cats)
+        return sum(iv.end - iv.start for ivs in self._local(categories) for iv in ivs)
 
     def total_amount(self, *categories: str) -> float:
-        cats = categories or CATEGORIES
-        return sum(i.amount for i in self.intervals if i.category in cats)
+        return sum(iv.amount for ivs in self._local(categories) for iv in ivs)
 
     def busy_span(self, *categories: str) -> float:
         """Length of the union of intervals in the given categories.
@@ -108,12 +143,11 @@ class TraceRecorder:
         Unlike :meth:`total_duration` this does not double-count
         overlapping operations, so ``busy_span('h2d', 'd2h')`` is the time
         during which *any* transfer was in flight -- the paper's "memcpy
-        time" once copies overlap compute.
+        time" once copies overlap compute. Phases are disjoint in time,
+        so the union is taken phase by phase, in local time.
         """
-        cats = categories or CATEGORIES
-        return union_length(
-            (i.start, i.end) for i in self.intervals if i.category in cats
-        )
+        phases = self._local(categories)
+        return sum(union_length((iv.start, iv.end) for iv in ivs) for ivs in phases)
 
     def service_busy_span(self, *categories: str) -> float:
         """Like :meth:`busy_span`, but over engine-*service* windows.
@@ -122,14 +156,12 @@ class TraceRecorder:
         DMA service); for kernels this excludes launch overhead and
         Hyper-Q queueing, so it equals the SM pool's busy time.
         """
-        cats = categories or CATEGORIES
-        return union_length(
-            (i.service_begin, i.end) for i in self.intervals if i.category in cats
-        )
+        phases = self._local(categories)
+        return sum(union_length((iv.service_begin, iv.end) for iv in ivs) for ivs in phases)
 
     def makespan(self) -> float:
         """End time of the last recorded interval (0 when empty)."""
-        return max((i.end for i in self.intervals), default=0.0)
+        return max((epoch + iv.end for epoch, block in self._phases() for iv in block), default=0.0)
 
     def memcpy_time(self) -> float:
         """Total transfer time (sum over both directions, Figure 15)."""
@@ -141,11 +173,9 @@ class TraceRecorder:
     def kernel_time(self) -> float:
         return self.total_duration("kernel")
 
-    def filtered(self, predicate) -> Iterable[Interval]:
-        return (i for i in self.intervals if predicate(i))
-
     def clear(self) -> None:
-        self.intervals.clear()
+        self._blocks.clear()
+        self._open.clear()
 
     def __len__(self) -> int:
-        return len(self.intervals)
+        return sum(len(block) for _, block in self._phases())

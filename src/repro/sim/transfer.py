@@ -129,7 +129,7 @@ class InterconnectModel:
 
     The multi-device scheduler uses :meth:`peer_capable` to decide how
     many link crossings each replication pair enqueues on the simulated
-    streams; the analytic times here serve reporting and benchmarks.
+    streams.
     """
 
     device: DeviceSpec
@@ -139,27 +139,3 @@ class InterconnectModel:
         """True when devices ``a`` and ``b`` share a switch (and differ)."""
         radix = max(self.link.switch_radix, 1)
         return a != b and a // radix == b // radix
-
-    def peer_time(self, nbytes: int) -> float:
-        """One peer DMA crossing."""
-        return self.link.p2p_setup + nbytes / self.link.p2p_bandwidth
-
-    def staged_time(self, nbytes: int) -> float:
-        """D2H into host DRAM plus H2D out of it."""
-        per_leg = self.device.memcpy_setup + nbytes / self.device.pcie_bandwidth
-        return 2 * per_leg
-
-    def transfer_time(self, a: int, b: int, nbytes: int) -> float:
-        """Seconds to move ``nbytes`` from device ``a`` to device ``b``."""
-        if a == b:
-            return 0.0
-        if self.peer_capable(a, b):
-            return self.peer_time(nbytes)
-        return self.staged_time(nbytes)
-
-    def matrix(self, num_devices: int, nbytes: int) -> list[list[float]]:
-        """All-pairs transfer seconds for a ``num_devices`` node."""
-        return [
-            [self.transfer_time(a, b, nbytes) for b in range(num_devices)]
-            for a in range(num_devices)
-        ]

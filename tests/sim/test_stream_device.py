@@ -1,8 +1,10 @@
 """Stream ordering, overlap, spray benefit, and device model tests."""
 
+import threading
+
 import pytest
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.device import GPUDevice
 from repro.sim.specs import DeviceSpec
 from repro.sim.stream import StreamEvent
@@ -176,3 +178,25 @@ def test_analytic_helpers():
     assert dev.kernel_time(spec.edge_rate_seq) == pytest.approx(
         1.0 + spec.kernel_launch_overhead
     )
+
+
+def test_synchronize_raises_on_an_event_never_recorded():
+    """A stream waiting on an event nobody records can never drain:
+    synchronize() names it instead of spinning forever."""
+    sim, dev = make_device()
+    s = dev.create_stream("s0")
+    s.wait_event(StreamEvent("never"))
+    s.memcpy_h2d(100)
+    outcome = {}
+
+    def target():
+        try:
+            dev.synchronize()
+        except SimulationError as exc:
+            outcome["error"] = str(exc)
+
+    worker = threading.Thread(target=target, daemon=True)
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive(), "synchronize() did not return"
+    assert "s0" in outcome["error"] and "wait:never" in outcome["error"]
