@@ -61,7 +61,7 @@ def test_multigpu_scaling(once):
         rows = data[policy]
         assert rows[2]["sim_time"] < rows[1]["sim_time"]
         # The committed 1->8 scaling floor (also a tier-1 assert:
-        # tests/core/test_cluster.py::
+        # tests/core/test_multigpu.py::
         # test_multigpu_scales_from_one_to_eight_devices).
         assert rows[1]["sim_time"] / rows[8]["sim_time"] >= 2.0
         # Diminishing returns: 8 devices do not give 8x.

@@ -57,9 +57,8 @@ class PageRank(GASProgram):
     def gather_map(self, ctx, src_ids, dst_ids, src_vals, weights, edge_states):
         # Convert the out-degree table to float32 once per run instead of
         # per call: max(float32(d), 1) gathered per edge is bit-identical
-        # to gathering d then converting. Rebuilding on a ctx change (and
-        # the benign first-call race under parallel shard compute) both
-        # produce the same table.
+        # to gathering d then converting. Rebuilding on a ctx change
+        # produces the same table.
         deg = self._deg32
         if deg is None or self._deg32_ctx is not ctx:
             deg = np.maximum(ctx.out_degrees.astype(np.float32), 1.0)

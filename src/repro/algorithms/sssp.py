@@ -81,8 +81,6 @@ class DeltaSSSP(GASProgram):
     is the exact SSSP distance vector (bit-identical: both solve the
     same float32 min equations).
 
-    ``process_safe = False``: the propagation ledger is mutable Python
-    state the process-pool workers would each mutate privately.
     ``pull_compatible = False``: propagation depends on the ledger, not
     only on improvement, so superset frontiers would propagate early.
     """
@@ -92,7 +90,6 @@ class DeltaSSSP(GASProgram):
     gather_identity = np.inf
     needs_weights = True
     pull_compatible = False
-    process_safe = False
 
     def __init__(self, source: int = 0, delta: float = 1.0):
         if not delta > 0:

@@ -162,21 +162,11 @@ ALGORITHMS = {
 
 def _fastpath_options(args) -> dict:
     """GraphReduceOptions kwargs from the host fast-path toggles."""
-    backend = args.parallel_backend
-    workers = args.workers if args.workers is not None else args.parallel_shards
-    if backend == "serial":
-        workers = 0
-    elif workers <= 0:
-        # A parallel backend was requested without a worker count.
-        workers = 2 if backend == "cluster" else 0
     opts = {
         "dense_fast_path": not args.no_dense_path,
         "direction": args.direction,
         "direction_alpha": args.direction_alpha,
         "direction_beta": args.direction_beta,
-        "parallel_shards": workers,
-        "parallel_backend": backend,
-        "frontier_policy": getattr(args, "frontier_policy", "replicated"),
         "kernel_backend": args.kernel_backend,
     }
     if args.plan_cache_budget is not None:
@@ -192,15 +182,13 @@ def _telemetry_config(args):
     from repro.obs.telemetry import TelemetryConfig
 
     if args.telemetry_out:
-        # The bus appends (the serial fallback reopens the sink
-        # mid-run); a fresh invocation starts from a clean stream.
+        # The bus appends; a fresh invocation starts from a clean stream.
         Path(args.telemetry_out).write_text("")
     return TelemetryConfig(
         out=args.telemetry_out,
         interval=args.telemetry_interval,
         budget_bytes=args.telemetry_budget,
         flight_recorder=args.flight_recorder,
-        stall_timeout=args.stall_timeout,
     )
 
 
@@ -317,7 +305,8 @@ def _run_multidevice(args, opts) -> int:
             )
     program = ALGORITHMS[args.algorithm](args)
     result = MultiGPUGraphReduce(
-        graph, num_devices=args.devices, options=opts
+        graph, num_devices=args.devices, options=opts,
+        frontier_policy=args.frontier_policy,
     ).run(program, max_iterations=args.max_iterations)
     vals = result.vertex_values
     print(f"graph      : {graph}")
@@ -466,7 +455,8 @@ def cmd_profile(args) -> int:
         from repro.core.multigpu import MultiGPUGraphReduce
 
         mg = MultiGPUGraphReduce(
-            graph, num_devices=args.devices, options=opts
+            graph, num_devices=args.devices, options=opts,
+            frontier_policy=args.frontier_policy,
         ).run(ALGORITHMS[args.algorithm](args), max_iterations=args.max_iterations)
         report.devices = {
             "num_devices": mg.num_devices,
@@ -794,10 +784,7 @@ def cmd_bench_wallclock(args) -> int:
 
 
 def _monitor_problems(args, state) -> int:
-    problems = state.problems(
-        expect_workers=args.expect_workers,
-        fail_on_incident=args.fail_on_incident,
-    )
+    problems = state.problems(fail_on_incident=args.fail_on_incident)
     for problem in problems:
         print(f"problem: {problem}", file=sys.stderr)
     return 1 if problems else 0
@@ -914,6 +901,23 @@ def _byte_budget(text: str) -> int:
     return value
 
 
+def _int_at_least(lo: int):
+    """argparse ``type`` for an integer no smaller than ``lo``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its own errors
+    return parse
+
+
+#: iteration limits (0 runs no iteration) and shard counts
+_ITERATIONS, _PARTITIONS = _int_at_least(0), _int_at_least(1)
+
+
 def _add_fastpath_args(p) -> None:
     p.add_argument("--no-dense-path", action="store_true",
                    help="disable the dense-or-rows host fast path (every "
@@ -935,33 +939,6 @@ def _add_fastpath_args(p) -> None:
              "shrinks below vertices/beta",
     )
     p.add_argument(
-        "--parallel-shards", type=int, default=0,
-        help="workers for parallel shard compute (0 = off; bsp only)",
-    )
-    p.add_argument(
-        "--parallel-backend",
-        choices=("serial", "threads", "cluster"),
-        default="threads",
-        help="how parallel shard workers execute: GIL-releasing threads "
-             "(default) or a spawn-safe process pool whose workers each "
-             "attach only their owned shard slice zero-copy and receive "
-             "sparse boundary deltas through shared-memory mailboxes "
-             "(cluster); 'serial' disables shard parallelism",
-    )
-    p.add_argument(
-        "--workers", type=int, default=None,
-        help="alias for --parallel-shards (with --parallel-backend "
-             "cluster, defaults to 2 when neither is given)",
-    )
-    p.add_argument(
-        "--frontier-policy", choices=("replicated", "partitioned"),
-        default="replicated",
-        help="boundary-exchange policy for the cluster backend and the "
-             "multi-device scheduler: full frontier bitmaps everywhere "
-             "(replicated, default) or owned-slice/pairwise-boundary "
-             "bits only (partitioned); results are bit-identical",
-    )
-    p.add_argument(
         "--plan-cache-budget", type=_byte_budget, default=None,
         help="LRU byte budget bounding the stored dense plans "
              "(default 256 MiB; 0 = unbounded)",
@@ -973,6 +950,18 @@ def _add_fastpath_args(p) -> None:
              "NumPy primitives over arena-reused scratch (numpy, "
              "default) or the generic path only (off); results are "
              "bit-identical either way",
+    )
+
+
+def _add_devices_args(p, devices_help: str) -> None:
+    p.add_argument("--devices", type=int, default=1, help=devices_help)
+    p.add_argument(
+        "--frontier-policy", choices=("replicated", "partitioned"),
+        default="replicated",
+        help="boundary-exchange policy of the multi-device scheduler: "
+             "full frontier bitmaps everywhere (replicated, default) or "
+             "pairwise-boundary bits only (partitioned); results are "
+             "bit-identical",
     )
 
 
@@ -995,11 +984,6 @@ def _add_telemetry_args(p) -> None:
         "--flight-recorder", action="store_true",
         help="record spans into bounded rings (O(budget) memory) instead "
              "of the unbounded observer tree",
-    )
-    p.add_argument(
-        "--stall-timeout", type=float, default=30.0,
-        help="seconds without a heartbeat before the watchdog declares a "
-             "busy worker stalled (default 30)",
     )
 
 
@@ -1032,12 +1016,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="rounds for pagerank-power")
         p.add_argument("--delta", type=float, default=1.0,
                        help="bucket width for sssp-delta")
-        p.add_argument("--max-iterations", type=int, default=100_000)
+        p.add_argument("--max-iterations", type=_ITERATIONS, default=100_000)
     run_p = next(a for a in sub.choices.values() if a.prog.endswith("run"))
     run_p.add_argument("--unoptimized", action="store_true",
                        help="disable every Section-5 optimization (Figure 15 baseline)")
     _add_fastpath_args(run_p)
-    run_p.add_argument("--partitions", type=int, default=None, help="shard count override")
+    run_p.add_argument("--partitions", type=_PARTITIONS, default=None, help="shard count override")
     run_p.add_argument(
         "--cache-policy", choices=("auto", "never", "greedy", "lru"), default="auto"
     )
@@ -1046,11 +1030,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--execution-mode", choices=("bsp", "async"), default="bsp",
         help="bulk-synchronous phases (paper) or asynchronous sweeps",
     )
-    run_p.add_argument(
-        "--devices", type=int, default=1,
-        help="run on N simulated accelerators via the multi-device "
-             "scheduler (in-RAM graphs only; results stay bit-identical "
-             "to one device, only the performance plane changes)",
+    _add_devices_args(
+        run_p,
+        "run on N simulated accelerators via the multi-device "
+        "scheduler (in-RAM graphs only; results stay bit-identical "
+        "to one device, only the performance plane changes)",
     )
     run_p.add_argument(
         "--sources-file", default=None,
@@ -1105,11 +1089,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="carry the prefetcher LRU and dense plans across chunks "
              "(GraphReduceOptions.keep_warm)",
     )
-    batch_p.add_argument("--partitions", type=int, default=None)
+    batch_p.add_argument("--partitions", type=_PARTITIONS, default=None)
     batch_p.add_argument(
         "--cache-policy", choices=("auto", "never", "greedy", "lru"), default="auto"
     )
-    batch_p.add_argument("--max-iterations", type=int, default=100_000)
+    batch_p.add_argument("--max-iterations", type=_ITERATIONS, default=100_000)
     _add_fastpath_args(batch_p)
     _add_store_args(batch_p)
     _add_telemetry_args(batch_p)
@@ -1126,11 +1110,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--once", action="store_true",
         help="render the stream's current state once and exit instead of "
              "tailing until run_end",
-    )
-    mon_p.add_argument(
-        "--expect-workers", type=int, default=None,
-        help="exit 1 unless heartbeats from at least this many workers "
-             "appear in the latest snapshot",
     )
     mon_p.add_argument(
         "--fail-on-incident", action="store_true",
@@ -1158,7 +1137,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     part_p.add_argument("input", help="dataset name or graph file (.txt/.npz/.mtx)")
     part_p.add_argument("--out", required=True, help="store directory to create")
-    part_p.add_argument("--partitions", type=int, default=8,
+    part_p.add_argument("--partitions", type=_PARTITIONS, default=8,
                         help="shard count (default 8)")
     part_p.add_argument(
         "--chunk-edges", type=int, default=1 << 20,
@@ -1184,12 +1163,12 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p.add_argument("--unoptimized", action="store_true",
                          help="trace the Figure-15 baseline configuration")
     _add_fastpath_args(trace_p)
-    trace_p.add_argument("--partitions", type=int, default=None)
+    trace_p.add_argument("--partitions", type=_PARTITIONS, default=None)
     trace_p.add_argument("--source", default=None)
     trace_p.add_argument("--tolerance", type=float, default=1e-3)
     trace_p.add_argument("--k", type=int, default=3)
     trace_p.add_argument("--power-iterations", type=int, default=25)
-    trace_p.add_argument("--max-iterations", type=int, default=100_000)
+    trace_p.add_argument("--max-iterations", type=_ITERATIONS, default=100_000)
 
     prof_p = sub.add_parser(
         "profile",
@@ -1208,7 +1187,7 @@ def build_parser() -> argparse.ArgumentParser:
     prof_p.add_argument("--unoptimized", action="store_true",
                         help="profile the Figure-15 baseline configuration")
     _add_fastpath_args(prof_p)
-    prof_p.add_argument("--partitions", type=int, default=None)
+    prof_p.add_argument("--partitions", type=_PARTITIONS, default=None)
     prof_p.add_argument(
         "--cache-policy", choices=("auto", "never", "greedy", "lru"), default="auto"
     )
@@ -1216,11 +1195,11 @@ def build_parser() -> argparse.ArgumentParser:
     prof_p.add_argument("--tolerance", type=float, default=1e-3)
     prof_p.add_argument("--k", type=int, default=3)
     prof_p.add_argument("--power-iterations", type=int, default=25)
-    prof_p.add_argument("--max-iterations", type=int, default=100_000)
-    prof_p.add_argument(
-        "--devices", type=int, default=1,
-        help="also project the run onto N simulated accelerators and "
-             "report the multi-device scaling row",
+    prof_p.add_argument("--max-iterations", type=_ITERATIONS, default=100_000)
+    _add_devices_args(
+        prof_p,
+        "also project the run onto N simulated accelerators and "
+        "report the multi-device scaling row",
     )
     _add_store_args(prof_p)
 

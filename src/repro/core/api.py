@@ -69,11 +69,6 @@ class GASProgram:
     #: activation itself as information (the apply-only BFS marks every
     #: active unvisited vertex) must leave this False.
     pull_compatible: bool = False
-    #: False for programs carrying mutable Python state across apply
-    #: calls (e.g. delta-stepping's propagation ledger): the process-
-    #: pool backend replicates the program per worker, so such state
-    #: would silently diverge. The runtime rejects the combination.
-    process_safe: bool = True
     name: str = "gas-program"
 
     # ------------------------------------------------------------------
@@ -142,13 +137,12 @@ class GASProgram:
         changed: np.ndarray,
         iteration: int,
     ) -> None:
-        """Main-process hook after one full iteration, before advance.
+        """Hook after one full iteration, before advance.
 
-        Called with the (already delta-replayed) vertex values and the
-        iteration's changed bitmask under every backend, so programs
-        that track cross-iteration state -- the batch executor's
-        per-query retirement ledger and depth capture -- stay
-        process-safe: workers never see or mutate the tracking state.
+        Called with the iteration's final vertex values and changed
+        bitmask, so programs that track cross-iteration state -- the
+        batch executor's per-query retirement ledger and depth capture
+        -- update it once per iteration, outside the per-shard phases.
         """
         return None
 

@@ -140,29 +140,7 @@ class _BatchLedger:
         }
 
 
-class _MainOnlyState:
-    """Strip main-process-only ledger state when pickling to workers.
-
-    The previous-state copies, depth planes and depth matrices are only
-    read by ``end_iteration`` and ``query_values`` (main-process hooks);
-    shipping them to process-pool workers would add O(n*K) bytes per
-    worker for no reason. Workers lazily rebuild anything they do touch
-    (the PageRank degree table).
-    """
-
-    _main_only: tuple = ()
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        for key in self._main_only:
-            state[key] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-
-
-class BatchedTraversal(_MainOnlyState, GASProgram):
+class BatchedTraversal(GASProgram):
     """Columnar multi-query traversal: BFS levels / SSSP / CC labels.
 
     One float32 column per query; gather folds each column over the
@@ -197,8 +175,6 @@ class BatchedTraversal(_MainOnlyState, GASProgram):
         self.name = f"batch-{mode}x{self.num_queries}"
         self.ledger = _BatchLedger(self.num_queries)
         self._prev = None
-
-    _main_only = ("_prev",)
 
     # -- initialization ------------------------------------------------
     def init_vertices(self, ctx):
@@ -267,13 +243,13 @@ class BatchedTraversal(_MainOnlyState, GASProgram):
         return np.ascontiguousarray(vertex_values[:, k])
 
 
-class BatchedPageRank(_MainOnlyState, GASProgram):
+class BatchedPageRank(GASProgram):
     """Columnar power-iteration PageRank: per-query damping + rounds.
 
     Only the ``tolerance=None`` (power iteration) formulation batches:
     its trajectory is a pure function of the iteration index, so
     per-column freezing after ``iterations[k]`` rounds reproduces each
-    solo run exactly and stays deterministic in process-pool workers.
+    solo run exactly.
     Tolerance-driven PageRank is frontier-adaptive and not
     superset-safe; :class:`BatchRunner` rejects it.
     """
@@ -304,8 +280,6 @@ class BatchedPageRank(_MainOnlyState, GASProgram):
         self.ledger = _BatchLedger(self.num_queries)
         self._deg32 = None
         self._deg32_ctx = None
-
-    _main_only = ("_deg32", "_deg32_ctx")
 
     def init_vertices(self, ctx):
         return np.full(
@@ -350,7 +324,7 @@ class BatchedPageRank(_MainOnlyState, GASProgram):
         return np.ascontiguousarray(vertex_values[:, k])
 
 
-class BitParallelBFS(_MainOnlyState, GASProgram):
+class BitParallelBFS(GASProgram):
     """MS-BFS: bit-parallel multi-source BFS, 64 traversals per word.
 
     Vertex state is ``W = ceil(K/64)`` uint64 words; bit ``k`` of the
@@ -390,8 +364,6 @@ class BitParallelBFS(_MainOnlyState, GASProgram):
         self._prev = None
         self._planes = None
         self._depths = None
-
-    _main_only = ("_prev", "_planes", "_depths")
 
     def init_vertices(self, ctx):
         n = ctx.num_vertices
@@ -444,7 +416,7 @@ class BitParallelBFS(_MainOnlyState, GASProgram):
     @property
     def depths(self) -> np.ndarray | None:
         """``(K, n)`` float32 depths, built from the planes on first read
-        (None before ``init_vertices`` and in worker copies)."""
+        (None before ``init_vertices``)."""
         if self._depths is None and self._prev is not None:
             self._depths = self._materialise()
         return self._depths

@@ -287,16 +287,12 @@ class ComputeEngine:
             # superset of them leaves every other edge relaxed (_relay_for)
             self._relay, self._relaxed = None, False
 
-    def invalidate_premap(self) -> None:
-        """``vertex_values`` was written from outside the engine."""
-        self._premap_valid = False
-
     def begin_group(self, phases: tuple[str, ...]) -> None:
         """Map the vertex state once for this iteration's fused gathers.
 
-        Called before a group's shards run, so before any fan-out to
-        threads. A group that also applies (the async sweep) writes
-        ``vertex_values`` between shards and keeps mapping per edge.
+        Called before a group's shards run. A group that also applies
+        (the async sweep) writes ``vertex_values`` between shards and
+        keeps mapping per edge.
         """
         gathers = "gather_map" in phases and "apply" not in phases
         if self._copy_spec is None or self._premap_valid or not gathers:
@@ -332,7 +328,7 @@ class ComputeEngine:
     # ------------------------------------------------------------------
     def can_merge(self, plan) -> bool:
         """Whether every group of ``plan`` may run through
-        :meth:`run_merged` (given in-process, unthreaded compute): fused
+        :meth:`run_merged`: fused
         gather and apply over the in-RAM flat arrays, no scatter or edge
         state (so no group holds a scatter phase), frontier-selected."""
         return (
@@ -481,7 +477,7 @@ class ComputeEngine:
                     )
                     self.relayed_gathers += 1
                 n_edges = int(counts.sum())
-                if self._merged is not None:  # threads share the engine
+                if self._merged is not None:
                     self._counts = counts
             else:
                 plan = self.plans.dense_gather_plan(shard)
@@ -571,7 +567,7 @@ class ComputeEngine:
             states,
         )
         if self.edge_state is not None:
-            self._write_edge_state(plan.eids, new_states)
+            self.edge_state[plan.eids] = new_states
         return WorkItems(edge_items=n_edges)
 
     def _frontier_activate(self, shard: Shard, count_full: bool) -> WorkItems:
@@ -664,16 +660,19 @@ class ComputeEngine:
                 f"of shape {changed.shape}; expected {rows.shape}"
             )
         out = np.asarray(new_vals).astype(self.program.vertex_dtype, copy=False)
-        self._write_vertex_values(shard, rows, dense, out)
+        self._premap_valid = False
+        if dense:
+            self.vertex_values[shard.start : shard.stop] = out
+        else:
+            self.vertex_values[rows] = out
         self.frontier.mark_changed(rows[changed])
         return WorkItems(vertex_items=n_vert)
 
     def _fused_apply(self, shard: Shard, rows, dense: bool) -> bool:
         """Fused apply: update + changed mask in one kernel pass.
 
-        Results land in arena buffers (``out`` is copied by the write
-        hook's consumer before the next reuse; the worker engine's
-        delta capture copies explicitly). The min_improve source seed
+        Results land in arena buffers (``out`` is copied into
+        ``vertex_values`` before the next reuse). The min_improve source seed
         is positional: the generic ``vids == source`` comparison
         reduces to at most one index on iteration 0.
         """
@@ -697,24 +696,13 @@ class ComputeEngine:
         except Exception as exc:  # pragma: no cover - exercised via tests
             self._kernel_fallback("apply", exc)
             return False
-        changed_vids = np.flatnonzero(changed) + lo if dense else rows[changed]
-        self._write_vertex_values(shard, rows, dense, out)
+        self._premap_valid = False
+        if dense:
+            self.vertex_values[lo:hi] = out
+            changed_vids = np.flatnonzero(changed) + lo
+        else:
+            self.vertex_values[rows] = out
+            changed_vids = rows[changed]
         self.frontier.mark_changed(changed_vids)
         self._count_fused()
         return True
-
-    # ------------------------------------------------------------------
-    # Mutable-state write points. The process-pool worker engine
-    # overrides these two hooks to *capture* writes as deltas instead of
-    # applying them -- the main process replays the captured deltas in
-    # shard order, so parallel workers never race on shared state.
-    # ------------------------------------------------------------------
-    def _write_vertex_values(self, shard: Shard, rows, dense: bool, out) -> None:
-        self._premap_valid = False
-        if dense:
-            self.vertex_values[shard.start : shard.stop] = out
-        else:
-            self.vertex_values[rows] = out
-
-    def _write_edge_state(self, eids, new_states) -> None:
-        self.edge_state[eids] = new_states

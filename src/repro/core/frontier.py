@@ -20,6 +20,7 @@ Figures 3, 16 and 17.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -327,8 +328,10 @@ class DirectionController:
     ):
         if mode not in ("push", "pull", "auto"):
             raise ValueError(f"unknown direction {mode!r}")
-        if alpha <= 0 or beta <= 0:
-            raise ValueError("direction alpha/beta must be positive")
+        if not (0 < alpha < math.inf and 0 < beta < math.inf):
+            raise ValueError(
+                f"direction alpha/beta must be finite and positive, got {alpha!r}/{beta!r}"
+            )
         self.mode = mode
         self.alpha = float(alpha)
         self.beta = float(beta)

@@ -12,9 +12,6 @@ instance:
 * ``"off"`` returns ``None`` (the engine runs the generic path only --
   the reference the fused-vs-generic equivalence tests compare against);
 * anything else raises ``ValueError``.
-
-Pool workers resolve their backend locally from the same option string,
-so each worker process owns its own arena.
 """
 
 from __future__ import annotations

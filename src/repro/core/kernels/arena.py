@@ -12,8 +12,7 @@ grow monotonically -- a request larger than the cached capacity
 replaces the buffer (with slack so ragged frontier sizes settle
 quickly). ``get`` returns a length-``n`` *view*; callers must treat it
 as invalid after the next ``get`` with the same key and must copy
-anything that outlives the shard step (the process-pool workers copy
-deltas for exactly this reason).
+anything that outlives the shard step.
 """
 
 from __future__ import annotations

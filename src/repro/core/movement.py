@@ -125,8 +125,8 @@ class HostPrefetcher:
     faulted in -- the paper's shard-skip optimization applied to I/O.
 
     Everything here is wall-clock only and invisible to the simulated
-    timeline. One lock guards all state: :meth:`get` is called from the
-    compute threads under ``parallel_backend="threads"``.
+    timeline. One lock guards all state, so :meth:`snapshot` may be
+    called from any thread.
     """
 
     def __init__(self, store, capacity: int, obs=None, unit_weights: bool = False, advise: bool = True):
@@ -174,8 +174,7 @@ class HostPrefetcher:
     def get(self, index: int):
         """Acquire one shard's arrays for compute (counts hit/fault).
 
-        Called once per (shard, phase) by the runtime's compute wrapper,
-        possibly from worker threads under parallel shard compute.
+        Called once per (shard, phase) by the runtime's compute wrapper.
         """
         with self._lock:
             arrays = self._cache.get(index)
@@ -473,7 +472,6 @@ class DataMovementEngine:
         skipped: int,
         compute,  # Callable[[Shard], WorkItems]
         barrier: bool = True,
-        executor=None,
     ) -> None:
         """Stream the selected shards through the phase, then barrier.
 
@@ -481,13 +479,6 @@ class DataMovementEngine:
         within one phase are independent, so host-side order does not
         matter); the simulator accounts for when the transfers and the
         kernel would have executed.
-
-        With ``executor`` (a ThreadPoolExecutor) the NumPy work of all
-        shards runs concurrently -- the heavy kernels release the GIL --
-        but results are consumed in the original shard order, so the
-        simulated copies/kernels are issued in exactly the sequential
-        schedule and the device timeline stays bit-identical. The main
-        thread steals the first shard instead of idling on the pool.
 
         A memoisable phase (:meth:`_memoisable`) issues only once every
         shard has computed, keyed on (group, residency, ordered
@@ -497,17 +488,13 @@ class DataMovementEngine:
         self.stats.shards_skipped += skipped
         if skipped:
             self.obs.add("movement.shards.skipped", skipped)
-        results = None
-        if executor is not None and len(shards) > 1:
-            futures = [executor.submit(compute, shard) for shard in shards[1:]]
-            results = [compute(shards[0])] + [f.result() for f in futures]
         key = entry = None
         pending = [] if barrier and self._memoisable() else None
         before = self._snapshot()
         try:
             for i, shard in enumerate(shards):
                 stream_i = i % self.k
-                work = results[i] if results is not None else compute(shard)
+                work = compute(shard)
                 with self.obs.span(
                     "shard",
                     category="shard",

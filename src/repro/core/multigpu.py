@@ -1,10 +1,10 @@
 """Multi-device GraphReduce scheduler (the paper's future work, Section 8).
 
 Scales the single-device engine to N simulated accelerators on one
-host. Shard ownership comes from the shared partitioned-ownership
-abstraction (:mod:`repro.core.ownership`): each device owns a
-contiguous block of shards for the whole run, so edge data never
-migrates and each device's vertex intervals form one contiguous range.
+host. Shard ownership is a total, single-owner assignment
+(:class:`OwnershipMap`): each device owns a contiguous block of shards
+for the whole run, so edge data never migrates and each device's vertex
+intervals form one contiguous range.
 
 The resident vertex arrays are logically replicated, but the
 iteration-end exchange is *sparse*: each producer device publishes only
@@ -45,20 +45,107 @@ from repro.core.compute import ComputeEngine
 from repro.core.frontier import FrontierManager
 from repro.core.fusion import build_plan
 from repro.core.movement import DataMovementEngine, MovementConfig
-from repro.core.ownership import (
-    OwnershipMap,
-    boundary_matrix,
-    check_frontier_policy,
-    owned_vertex_mask,
-)
 from repro.core.partition import IDX_BYTES, PartitionEngine
-from repro.core.runtime import GraphReduce, GraphReduceOptions, RuntimeContext
+from repro.core.runtime import (
+    GraphReduce,
+    GraphReduceOptions,
+    RuntimeContext,
+    iteration_limit,
+)
 from repro.graph.edgelist import EdgeList
 from repro.sim.device import GPUDevice
 from repro.sim.engine import Simulator
 from repro.sim.specs import MachineSpec, default_machine
 from repro.sim.trace import TraceRecorder
 from repro.sim.transfer import InterconnectModel
+
+
+#: Recognized frontier exchange policies.
+FRONTIER_POLICIES = ("replicated", "partitioned")
+
+
+def check_frontier_policy(policy: str) -> str:
+    if policy not in FRONTIER_POLICIES:
+        raise ValueError(
+            f"unknown frontier_policy {policy!r}; expected one of "
+            f"{FRONTIER_POLICIES}"
+        )
+    return policy
+
+
+@dataclass(frozen=True)
+class OwnershipMap:
+    """A total shard -> owner assignment (every shard, exactly one owner).
+
+    ``owner_of[i]`` is the owner of shard ``i``. Owners are dense ids
+    ``0..num_owners-1``; an owner may end up with zero shards only when
+    there are more owners than shards.
+    """
+
+    num_owners: int
+    owner_of: tuple
+
+    @classmethod
+    def contiguous(cls, num_partitions: int, num_owners: int) -> "OwnershipMap":
+        """Block assignment: owner ``w`` gets a contiguous run of shards,
+        so its vertex intervals are contiguous too (shard intervals are
+        sorted)."""
+        if num_owners < 1:
+            raise ValueError(f"num_owners must be >= 1, got {num_owners!r}")
+        num_owners = min(num_owners, max(num_partitions, 1))
+        bounds = np.linspace(0, num_partitions, num_owners + 1).astype(np.int64)
+        owner_of = np.repeat(np.arange(num_owners), np.diff(bounds))
+        return cls(num_owners=num_owners, owner_of=tuple(int(o) for o in owner_of))
+
+    def shards_of(self, owner: int) -> list[int]:
+        return [i for i, o in enumerate(self.owner_of) if o == owner]
+
+    def validate(self) -> None:
+        """Every shard has exactly one owner in ``[0, num_owners)``."""
+        if self.num_owners < 1:
+            raise ValueError("ownership needs at least one owner")
+        for i, o in enumerate(self.owner_of):
+            if not isinstance(o, int) or not (0 <= o < self.num_owners):
+                raise ValueError(
+                    f"shard {i} has invalid owner {o!r} "
+                    f"(num_owners={self.num_owners})"
+                )
+
+
+def owned_vertex_mask(sharded, ownership: OwnershipMap, owner: int) -> np.ndarray:
+    """Bool mask of the vertices inside ``owner``'s shard intervals."""
+    mask = np.zeros(sharded.num_vertices, dtype=bool)
+    for i in ownership.shards_of(owner):
+        s = sharded.shards[i]
+        mask[s.start : s.stop] = True
+    return mask
+
+
+def boundary_matrix(sharded, ownership: OwnershipMap) -> dict:
+    """Pairwise boundary sets: ``(consumer, producer) -> vertex ids``.
+
+    ``matrix[(c, p)]`` holds the sorted vertices owned by ``p`` that
+    consumer ``c`` reads -- the CSC source vertices of ``c``'s shards
+    that fall inside ``p``'s intervals -- which is the exact vertex set a
+    partitioned-frontier exchange from ``p`` to ``c`` must cover. Pairs
+    with no crossing edge and the diagonal (an owner never ships to
+    itself) are absent.
+    """
+    owners = range(ownership.num_owners)
+    owned = [owned_vertex_mask(sharded, ownership, w) for w in owners]
+    reads = [np.zeros(sharded.num_vertices, dtype=bool) for _ in owners]
+    for shard in sharded.shards:
+        src = shard.csc.indices
+        if len(src):
+            reads[ownership.owner_of[shard.index]][src] = True
+    matrix = {}
+    for c in owners:
+        for p in owners:
+            if c != p:
+                vids = np.flatnonzero(reads[c] & owned[p])
+                if len(vids):
+                    matrix[(c, p)] = vids
+    return matrix
 
 
 @dataclass
@@ -103,7 +190,7 @@ class MultiGPUGraphReduce:
         num_devices: int = 2,
         machine: MachineSpec | None = None,
         options: GraphReduceOptions | None = None,
-        frontier_policy: str | None = None,
+        frontier_policy: str = "replicated",
     ):
         if num_devices < 1:
             raise ValueError(f"num_devices must be >= 1, got {num_devices!r}")
@@ -111,13 +198,11 @@ class MultiGPUGraphReduce:
         self.num_devices = num_devices
         self.machine = machine or default_machine()
         self.options = options or GraphReduceOptions()
-        self.frontier_policy = check_frontier_policy(
-            frontier_policy if frontier_policy is not None
-            else self.options.frontier_policy
-        )
+        self.frontier_policy = check_frontier_policy(frontier_policy)
 
     def run(self, program: GASProgram, max_iterations: int | None = None) -> MultiGPUResult:
         opts = self.options
+        limit = iteration_limit(max_iterations, opts)
         program.validate()
         edges = self.edges
         if program.needs_weights and edges.weights is None:
@@ -183,7 +268,6 @@ class MultiGPUGraphReduce:
             )
             for d in range(self.num_devices)
         ]
-        limit = max_iterations if max_iterations is not None else opts.max_iterations
         vdt = np.dtype(program.vertex_dtype).itemsize
         full_bitmap_bytes = edges.num_vertices // 8 + 1
         replication_bytes = 0

@@ -230,11 +230,8 @@ class PlanCache:
     exact stand-in for the pre-plan Compute Engine (multi-GPU and
     unit-test call sites rely on that default).
 
-    Thread safety: concurrent queries for *different* shards (the
-    parallel shard compute case) are safe -- per-shard state lives in
-    dict slots only one worker touches, and the shared counters are
-    guarded by a lock. Two concurrent queries for the same shard are
-    never issued by the runtime.
+    The shared counters are guarded by a lock, so :meth:`stats` may be
+    read from any thread while a run queries plans.
     """
 
     def __init__(

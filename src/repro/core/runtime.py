@@ -21,7 +21,6 @@ configuration; the default is everything on.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -90,10 +89,7 @@ class GraphReduceOptions:
     #: active/changed from a stored topology-only plan and any other
     #: frontier straight from its row set (fused kernels included);
     #: ``False`` is the from-scratch reference the equivalence tests
-    #: compare against. ``parallel_shards`` > 1 executes independent
-    #: shards' phase work on that many threads (NumPy releases the
-    #: GIL), bsp mode only -- async sweeps are Gauss-Seidel and
-    #: order-dependent, so they stay sequential.
+    #: compare against.
     dense_fast_path: bool = True
     #: Kernel backend for the fused gather/apply/activate inner loops
     #: (see :mod:`repro.core.kernels`): ``"numpy"`` runs the fused
@@ -115,29 +111,9 @@ class GraphReduceOptions:
     direction: str = "push"
     direction_alpha: float = 14.0
     direction_beta: float = 24.0
+    #: Removed host parallelism; kept only so existing callers passing
+    #: ``0`` still construct. Any other value raises ``ValueError``.
     parallel_shards: int = 0
-    #: How ``parallel_shards`` workers execute: ``"threads"`` (PR 3's
-    #: ThreadPoolExecutor; NumPy kernels release the GIL) or
-    #: ``"cluster"`` (a spawn-safe process pool with partitioned
-    #: ownership: each worker attaches only its owned shard slice
-    #: zero-copy -- shared memory for in-RAM runs, the store's own
-    #: mapping for shard-store runs -- and the main process ships
-    #: sparse boundary-vertex deltas through fixed-slot shared-memory
-    #: mailboxes, so per-worker resident bytes scale down with the
-    #: worker count; see :class:`repro.core.procpool.ProcessPool`).
-    #: ``"serial"`` ignores ``parallel_shards`` entirely. All parallel
-    #: backends are bit-identical to serial: results, frontier history
-    #: and the simulated timeline are merged in fixed shard order. If a
-    #: pool worker crashes or times out mid-run the runtime emits a
-    #: ``RuntimeWarning`` and transparently re-runs serially.
-    parallel_backend: str = "threads"
-    #: Frontier exchange policy for the partitioned-ownership layers
-    #: (the ``cluster`` backend and the multi-device scheduler):
-    #: ``"replicated"`` ships full frontier bitmaps to every owner;
-    #: ``"partitioned"`` ships only each owner's interval slice (or the
-    #: pairwise boundary bits, for devices). Results are bit-identical
-    #: either way; only the modeled/communicated bytes differ.
-    frontier_policy: str = "replicated"
     #: LRU byte budget for the stored dense plans (counts the bytes
     #: each plan references, including its aliased shard arrays). It
     #: alone decides how long a plan lives: evicting a store-backed
@@ -163,9 +139,7 @@ class GraphReduceOptions:
     #: PlanCache's dense plans (topology-only, rebuilt otherwise). The
     #: batch executor's chunked runs and repeated-query workloads are
     #: the intended users. Wall-clock only -- results and the simulated
-    #: timeline are bit-identical either way. Ignored by the process-
-    #: pool backend (workers map the store themselves; the main process
-    #: holds nothing worth keeping). Call :meth:`GraphReduce.close`
+    #: timeline are bit-identical either way. Call :meth:`GraphReduce.close`
     #: (or use the engine as a context manager) to release the kept
     #: cache.
     keep_warm: bool = False
@@ -177,12 +151,25 @@ class GraphReduceOptions:
     #: live telemetry (see :mod:`repro.obs.telemetry`): a
     #: :class:`~repro.obs.telemetry.TelemetryConfig` turns on the
     #: streaming bus (periodic JSONL snapshots a concurrent ``repro
-    #: monitor`` tails), the health watchdog over the main loop and
-    #: pool workers, and -- when its ``flight_recorder``
+    #: monitor`` tails), the health watchdog over the main loop, and --
+    #: when its ``flight_recorder``
     #: flag is set -- the bounded ring-buffer span recorder in place
     #: of the unbounded tree. ``None`` (default) adds nothing: the
     #: NULL_OBSERVER zero-overhead path is untouched.
     telemetry: "TelemetryConfig | None" = None
+
+    def __post_init__(self) -> None:
+        if self.parallel_shards != 0:
+            raise ValueError(
+                f"parallel_shards={self.parallel_shards!r}: host parallelism was "
+                "removed; shards run serially in process (only 0 is accepted)"
+            )
+        if self.num_partitions is not None and self.num_partitions < 1:
+            raise ValueError(
+                f"num_partitions must be >= 1 or None (auto), got {self.num_partitions!r}"
+            )
+        if self.max_iterations < 0:
+            raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations!r}")
 
     @staticmethod
     def unoptimized() -> "GraphReduceOptions":
@@ -199,6 +186,14 @@ class GraphReduceOptions:
 
     def replace(self, **kw) -> "GraphReduceOptions":
         return replace(self, **kw)
+
+
+def iteration_limit(max_iterations: int | None, opts: GraphReduceOptions) -> int:
+    """A run's iteration cap: the ``run()`` argument, else the option."""
+    limit = opts.max_iterations if max_iterations is None else max_iterations
+    if limit < 0:
+        raise ValueError(f"max_iterations must be >= 0, got {limit!r}")
+    return limit
 
 
 class RuntimeContext:
@@ -288,10 +283,6 @@ class GraphReduceResult:
     #: host prefetcher totals: hits, faults, evictions, bytes loaded
     #: and released (shard-store runs only; None for in-RAM runs)
     prefetch: dict | None = None
-    #: process-pool totals (tasks, ownership, per-worker resident bytes,
-    #: boundary traffic) + per-worker wall-clock lane (``cluster``
-    #: backend only; None otherwise)
-    procpool: dict | None = None
     #: telemetry summary (records emitted, incidents, flight-recorder
     #: occupancy); None unless ``options.telemetry`` was set
     telemetry: dict | None = None
@@ -373,49 +364,10 @@ class GraphReduce:
         return False
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _pool_engaged(opts: GraphReduceOptions) -> bool:
-        """Whether this configuration runs through the worker pool.
-
-        The pool engages from one worker up -- a single owner still
-        exercises the owned-shard attach and the mailbox exchange, and
-        is the degenerate point of the scaling curve.
-        """
-        return (
-            opts.execution_mode == "bsp"
-            and opts.parallel_backend == "cluster"
-            and opts.parallel_shards >= 1
-        )
-
     def run(self, program: GASProgram, max_iterations: int | None = None) -> GraphReduceResult:
         """Execute ``program`` to convergence on the simulated machine."""
         opts = self.options
-        if opts.parallel_backend not in ("serial", "threads", "cluster"):
-            raise ValueError(f"unknown parallel_backend {opts.parallel_backend!r}")
-        if self._pool_engaged(opts):
-            from repro.core.procpool import WorkerCrashed
-
-            try:
-                return self._execute(program, max_iterations, opts)
-            except WorkerCrashed as exc:
-                # The run is deterministic, so a clean serial re-run
-                # produces exactly the result the pool would have.
-                warnings.warn(
-                    f"worker pool failed ({exc}); "
-                    "falling back to serial execution",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                return self._execute(
-                    program,
-                    max_iterations,
-                    opts.replace(parallel_backend="serial", parallel_shards=0),
-                )
-        return self._execute(program, max_iterations, opts)
-
-    def _execute(
-        self, program: GASProgram, max_iterations: int | None, opts: GraphReduceOptions
-    ) -> GraphReduceResult:
+        limit = iteration_limit(max_iterations, opts)
         program.validate()
         if opts.direction not in ("push", "pull", "auto"):
             raise ValueError(f"unknown direction {opts.direction!r}")
@@ -461,34 +413,21 @@ class GraphReduce:
         with_weights = program.needs_weights
         with_state = program.edge_dtype is not None
         resident_bytes = self._resident_bytes(program, edges.num_vertices)
-        use_pool = self._pool_engaged(opts)
-        if use_pool and not program.process_safe:
-            raise ValueError(
-                f"{type(program).__name__} carries mutable per-run Python "
-                "state (process_safe=False); the worker pool (cluster "
-                "backend) would silently diverge per worker -- use serial "
-                "or threads"
-            )
-        keep_state = opts.keep_warm and not use_pool
-        if not keep_state:
-            # A non-warm run (or the pool backend, whose workers map
-            # the store themselves) invalidates whatever a previous warm
-            # run left behind.
+        if not opts.keep_warm:
+            # A non-warm run invalidates whatever a previous warm run
+            # left behind.
             self.close()
         prefetcher = None
         prefetch_key = None
-        executor = None
-        pool = None
         telemetry_summary = None
         # Initialized before the try so the telemetry run_end in the
         # finally block has defined values even when setup raises.
         converged = False
         iteration = 0
         run_error = None
-        # One try/finally covers everything from here on: the executor
-        # and pool own threads, processes and shared-memory segments
-        # (and the prefetcher resident pages) that must be released
-        # even when setup or an iteration raises mid-run.
+        # One try/finally covers everything from here on: the prefetcher's
+        # resident pages and the telemetry sink must be released even
+        # when setup or an iteration raises mid-run.
         try:
             with obs.span("partition", category="setup") as part_span:
                 if self.shard_store is not None:
@@ -499,7 +438,7 @@ class GraphReduce:
                         with_state,
                         resident_bytes,
                         obs,
-                        advise=opts.host_prefetch and not use_pool,
+                        advise=opts.host_prefetch,
                         telemetry=telem,
                     )
                     part_span.set(
@@ -530,8 +469,6 @@ class GraphReduce:
                 telem.start(
                     algorithm=program.name,
                     graph=edges.name,
-                    backend=opts.parallel_backend,
-                    workers=opts.parallel_shards,
                     kernel_backend=opts.kernel_backend,
                     num_vertices=edges.num_vertices,
                     num_edges=edges.num_edges,
@@ -598,7 +535,7 @@ class GraphReduce:
             )
             plans = None
             plans_key = (opts.dense_fast_path, opts.plan_cache_budget)
-            if keep_state and self._warm_plans is not None:
+            if opts.keep_warm and self._warm_plans is not None:
                 warm_plans, warm_sharded, warm_key = self._warm_plans
                 if warm_sharded is sharded and warm_key == plans_key:
                     # Carried cache: dense plans survive, re-aimed at
@@ -622,7 +559,7 @@ class GraphReduce:
             )
             if telem is not None and plans.enabled:
                 telem.add_source("plan_cache", plans.stats)
-            if telem is not None and kernels is not None and not use_pool:
+            if telem is not None and kernels is not None:
                 telem.add_source("kernels", compute.kernel_stats)
             if telem is not None and hasattr(program, "batch_stats"):
                 # Per-query lanes for the monitor: retirement progress
@@ -636,37 +573,6 @@ class GraphReduce:
                 )
             else:
                 raise ValueError(f"unknown execution_mode {opts.execution_mode!r}")
-            if use_pool:
-                from repro.core.procpool import ProcessPool
-
-                pool = ProcessPool(
-                    sharded=sharded,
-                    program=program,
-                    ctx=ctx,
-                    frontier=frontier,
-                    compute=compute,
-                    obs=obs,
-                    workers=opts.parallel_shards,
-                    dense=opts.dense_fast_path,
-                    plan_budget=opts.plan_cache_budget,
-                    kernel_backend=opts.kernel_backend,
-                    frontier_policy=opts.frontier_policy,
-                    store=self.shard_store,
-                    unit_weights=(
-                        self.shard_store is not None
-                        and with_weights
-                        and not self.shard_store.weighted
-                    ),
-                    telemetry=telem,
-                )
-                if telem is not None:
-                    telem.add_source(
-                        "procpool",
-                        lambda p=pool: {
-                            k: v for k, v in p.snapshot().items() if k != "lane"
-                        },
-                    )
-
             # --- Iterations --------------------------------------------
             controller = None
             if opts.direction != "push":
@@ -678,24 +584,9 @@ class GraphReduce:
                     alpha=opts.direction_alpha,
                     beta=opts.direction_beta,
                 )
-            limit = max_iterations if max_iterations is not None else opts.max_iterations
             frontier_bytes = edges.num_vertices // 8 + 1
             iteration_stats: list[IterationStat] = []
             end_hook = type(program).end_iteration is not GASProgram.end_iteration
-            if (
-                opts.parallel_shards > 1
-                and opts.execution_mode == "bsp"
-                and opts.parallel_backend == "threads"
-            ):
-                # Shards of one phase are independent in bsp mode and the
-                # heavy NumPy kernels release the GIL; async sweeps are
-                # Gauss-Seidel (later shards read earlier shards' same-sweep
-                # writes) and must stay sequential.
-                from concurrent.futures import ThreadPoolExecutor
-
-                executor = ThreadPoolExecutor(
-                    max_workers=opts.parallel_shards, thread_name_prefix="shard-compute"
-                )
             while iteration < limit:
                 if program.always_active:
                     frontier.activate_all()
@@ -725,13 +616,11 @@ class GraphReduce:
                 proc0, skip0 = movement.stats.shards_processed, movement.stats.shards_skipped
                 compute.begin_iteration(iteration)
                 movement.current_iteration = iteration
-                # In-process, unthreaded compute over in-RAM shards runs
-                # each group of an iteration whose frontier fills no shard
-                # interval as one rows pass; anything else, shard by shard.
+                # Over in-RAM shards, each group of an iteration whose
+                # frontier fills no shard interval runs as one rows pass;
+                # anything else, shard by shard.
                 rows_pass = (
-                    pool is None
-                    and executor is None
-                    and prefetcher is None
+                    prefetcher is None
                     and opts.frontier_skipping
                     and compute.can_merge(plan)
                     and frontier.sparse_everywhere()
@@ -745,21 +634,13 @@ class GraphReduce:
                 ) as it_span:
                     for group in plan:
                         shards, skipped = self._select_shards(group, sharded, frontier, opts)
-                        if prefetcher is not None and pool is None:
+                        if prefetcher is not None:
                             # Only the frontier-selected shards: skipped
                             # shards are neither hinted nor faulted.
-                            # (With the process pool the workers map the
-                            # store themselves; the main process never
-                            # touches the arrays at all.)
                             prefetcher.schedule([s.index for s in shards])
-                        if pool is None and shards:
+                        if shards:
                             compute.begin_group(group.phases)
-                        if pool is not None:
-                            run_shard = pool.phase_run(
-                                group, shards, iteration,
-                                count_full=not opts.frontier_skipping,
-                            )
-                        elif rows_pass:
+                        if rows_pass:
                             census = compute.run_merged(group.phases, shards)
                             run_shard = lambda shard, w=census: w[shard.index]
                         elif prefetcher is None:
@@ -781,13 +662,7 @@ class GraphReduce:
                             shards=len(shards),
                             skipped=skipped,
                         ):
-                            movement.run_phase(
-                                group,
-                                shards,
-                                skipped,
-                                run_shard,
-                                executor=executor,
-                            )
+                            movement.run_phase(group, shards, skipped, run_shard)
                     with obs.span("frontier", category="phase"):
                         movement.iteration_sync(frontier_bytes)
                     it_span.set(
@@ -810,10 +685,8 @@ class GraphReduce:
                 if telem is not None:
                     telem.iteration(iteration, frontier_size, direction=direction)
                 if end_hook:
-                    # After delta replay (the pool applies worker deltas
-                    # inside run_phase) and before advance clears the
-                    # changed mask, so the hook sees the iteration's
-                    # final values under every backend.
+                    # Before advance clears the changed mask, so the
+                    # hook sees the iteration's final values.
                     program.end_iteration(
                         ctx, compute.vertex_values, frontier.changed, iteration
                     )
@@ -823,16 +696,11 @@ class GraphReduce:
                 converged = frontier.size == 0
         except BaseException as exc:
             # Captured explicitly: sys.exc_info() in the finally would
-            # also see an *outer* handled exception (the serial
-            # fallback re-executes inside the WorkerCrashed handler).
+            # also see an *outer* exception the caller is handling.
             run_error = exc
             raise
         finally:
-            if pool is not None:
-                pool.shutdown()
-            if executor is not None:
-                executor.shutdown(wait=True)
-            if prefetcher is not None and not (keep_state and run_error is None):
+            if prefetcher is not None and not (opts.keep_warm and run_error is None):
                 prefetcher.shutdown()
                 if (
                     self._warm_prefetch is not None
@@ -843,16 +711,15 @@ class GraphReduce:
                     self._warm_prefetch = None
                     self._warm_plans = None
             if telem is not None:
-                # After the pools are down so the leaked-thread check
-                # sees the post-shutdown state; emits run_end and
-                # closes the sink even when setup or a phase raised.
+                # Emits run_end and closes the sink even when setup or
+                # a phase raised.
                 telemetry_summary = telem.finish(
                     iteration,
                     converged,
                     error=repr(run_error) if run_error else None,
                 )
 
-        if keep_state:
+        if opts.keep_warm:
             # Reached only on success (errors propagate past the
             # finally): stash the warm state for the next run.
             if prefetcher is not None:
@@ -871,19 +738,6 @@ class GraphReduce:
             engine_snapshots = device.engine_snapshots()
             if movement.ssd is not None:
                 engine_snapshots["ssd"] = movement.ssd[0].profile_snapshot()
-        pool_snapshot = pool.snapshot() if pool is not None else None
-        if pool_snapshot is not None and pool_snapshot.get("plan_cache"):
-            # The plan caches live in the workers under this backend;
-            # surface their aggregate where tooling expects the stats.
-            plan_cache_stats = pool_snapshot["plan_cache"]
-        else:
-            plan_cache_stats = plans.stats() if plans.enabled else None
-        if pool_snapshot is not None and pool_snapshot.get("kernels"):
-            # Same story for the kernel layer: the backends doing the
-            # fused work live in the workers.
-            kernel_stats = pool_snapshot["kernels"]
-        else:
-            kernel_stats = compute.kernel_stats()
         batch_summary = None
         if hasattr(program, "batch_stats"):
             batch_summary = program.batch_stats()
@@ -910,10 +764,9 @@ class GraphReduce:
             iteration_stats=iteration_stats,
             observer=obs if obs.enabled else None,
             engine_snapshots=engine_snapshots,
-            plan_cache=plan_cache_stats,
-            kernels=kernel_stats,
+            plan_cache=plans.stats() if plans.enabled else None,
+            kernels=compute.kernel_stats(),
             prefetch=prefetcher.snapshot() if prefetcher is not None else None,
-            procpool=pool_snapshot,
             telemetry=telemetry_summary,
             direction_decisions=(
                 controller.decisions if controller is not None else None
@@ -940,9 +793,8 @@ class GraphReduce:
         shards (plus their interval's share of vertex staging and the
         resident vertex arrays) fit the budget. No budget -> every
         shard may stay resident, like a host whose RAM fits the graph.
-        ``advise=False`` (``host_prefetch`` off, or the process-pool
-        backend, whose workers touch the shards, not this process)
-        issues no read-ahead hints.
+        ``advise=False`` (``host_prefetch`` off) issues no read-ahead
+        hints.
         """
         store = self.shard_store
         if opts.num_partitions and opts.num_partitions != store.num_partitions:

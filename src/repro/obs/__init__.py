@@ -23,7 +23,7 @@ first-class version of that instrumentation:
 * :mod:`repro.obs.telemetry` -- the live telemetry bus (schema-versioned
   JSONL streaming, bounded flight recorder) behind ``--telemetry-out``;
 * :mod:`repro.obs.health` -- heartbeat registry and stall watchdog for
-  long-lived runs (workers, the main loop);
+  long-lived runs (the main loop);
 * :mod:`repro.obs.monitor` -- the ``repro monitor`` live view and the
   ``repro telemetry-report`` stream folder.
 """

@@ -138,7 +138,7 @@ def _wallclock_cases() -> dict[str, Callable]:
     """name -> zero-arg factory returning a :class:`WallclockCase`.
 
     The host fast-path cases differ only in the host fast paths
-    (dense-or-rows plans + parallel shard compute on vs all off), so the
+    (dense-or-rows plans with the fused kernels on vs all off), so the
     simulated device timeline is identical by construction and the
     wall-clock ratio isolates the host-side win.
 
@@ -157,9 +157,9 @@ def _wallclock_cases() -> dict[str, Callable]:
     from repro.core.runtime import GraphReduce, GraphReduceOptions
 
     common = dict(cache_policy="never", num_partitions=4, observe=False, trace=False)
-    fast = GraphReduceOptions(**common, parallel_shards=4)
+    fast = GraphReduceOptions(**common)
     slow = GraphReduceOptions(**common, dense_fast_path=False)
-    metrics = GraphReduceOptions(cache_policy="never", num_partitions=4, parallel_shards=4)
+    metrics = GraphReduceOptions(cache_policy="never", num_partitions=4)
 
     def graph():
         from repro.graph.generators import erdos_renyi
@@ -834,10 +834,7 @@ def metric_table(doc: dict) -> dict[str, dict[str, float]]:
                 f"{doc['telemetry_version']!r} (this build reads version 1)"
             )
         run = doc.get("run", {})
-        name = (
-            f"telemetry:{run.get('algorithm', '?')}/"
-            f"{run.get('backend') or 'serial'}"
-        )
+        name = f"telemetry:{run.get('algorithm', '?')}"
         row = {
             k: float(doc[k])
             for k in (

@@ -24,11 +24,6 @@ US = 1e6
 
 RUNTIME_PID = 1
 DEVICE_PID = 2
-#: Process-pool runs add one more process: one row per pool worker,
-#: showing which shard task each worker executed and when. Its
-#: timestamps are *wall-clock* seconds since the pool started, not
-#: simulated seconds -- a separate pid keeps the two clocks apart.
-POOL_PID = 4
 
 
 def _json_safe(value):
@@ -107,54 +102,11 @@ def _interval_events(trace) -> list[dict]:
     return events
 
 
-def _procpool_events(procpool) -> list[dict]:
-    """The process-pool lanes: one wall-clock row per worker.
-
-    ``procpool`` is a :meth:`ProcessPool.snapshot` dict whose ``"lane"``
-    entry lists ``(worker_id, shard, t0, t1)`` tuples -- wall-clock
-    seconds since the pool started, measured inside the worker around
-    one shard task.
-    """
-    lane = (procpool or {}).get("lane") or []
-    if not lane:
-        return []
-    workers = sorted({int(w) for w, _, _, _ in lane})
-    events: list[dict] = [
-        {"ph": "M", "pid": POOL_PID, "name": "process_name", "args": {"name": "pool"}},
-    ]
-    for w in workers:
-        events.append(
-            {
-                "ph": "M",
-                "pid": POOL_PID,
-                "tid": w + 1,
-                "name": "thread_name",
-                "args": {"name": f"pool worker {w} (wall clock)"},
-            }
-        )
-    for worker, shard, t0, t1 in lane:
-        events.append(
-            {
-                "ph": "X",
-                "pid": POOL_PID,
-                "tid": int(worker) + 1,
-                "ts": float(t0) * US,
-                "dur": (float(t1) - float(t0)) * US,
-                "name": f"shard {int(shard)}",
-                "cat": "procpool.task",
-                "args": {"shard": int(shard), "worker": int(worker)},
-            }
-        )
-    return events
-
-
-def to_chrome_trace(observer=None, trace=None, procpool=None) -> dict:
+def to_chrome_trace(observer=None, trace=None) -> dict:
     """Merge an observer's spans and a device trace into one document.
 
     Either source may be None. The result is a valid trace_event JSON
     object; extra top-level keys (``metrics``) are ignored by viewers.
-    ``procpool`` (a ProcessPool snapshot) adds per-worker wall-clock
-    lanes as a third process.
     """
     events: list[dict] = [
         {"ph": "M", "pid": RUNTIME_PID, "name": "process_name", "args": {"name": "runtime"}},
@@ -167,7 +119,6 @@ def to_chrome_trace(observer=None, trace=None, procpool=None) -> dict:
         doc["metrics"] = observer.metrics.snapshot()
     if trace is not None:
         events.extend(_interval_events(trace))
-    events.extend(_procpool_events(procpool))
     return doc
 
 
@@ -176,7 +127,6 @@ def result_to_chrome_trace(result) -> dict:
     return to_chrome_trace(
         observer=getattr(result, "observer", None),
         trace=getattr(result, "trace", None),
-        procpool=getattr(result, "procpool", None),
     )
 
 

@@ -1,33 +1,27 @@
 """Health watchdog: heartbeats, stall detection, incident events.
 
-Long-lived runs (and the planned query daemon) need to know that every
-moving part is still moving: the main iteration loop and the procpool
-workers. Each component registers a
-**heartbeat** in a :class:`HeartbeatRegistry` and beats it whenever it
-makes progress; the :class:`Watchdog` periodically inspects the
-registry and raises a structured :class:`Incident` when a *busy*
-component has not beaten within the stall timeout.
+Long-lived runs need to know that every moving part is still moving:
+the main iteration loop, and any other component that registers. Each
+component registers a **heartbeat** in a :class:`HeartbeatRegistry`
+and beats it whenever it makes progress; the :class:`Watchdog`
+periodically inspects the registry and raises a structured
+:class:`Incident` when a *busy* component has not beaten within the
+stall timeout.
 
 Two design points keep false positives out:
 
 * A component is only eligible for stall detection while its ``busy``
-  flag is set. Idle pool workers block on their task queue and beat
-  nothing -- that is healthy, not a hang -- so the pool marks a worker
-  busy at dispatch and idle when its result arrives. Clean shutdown
-  unregisters the component entirely.
+  flag is set. An idle component blocked on its input beats nothing --
+  that is healthy, not a hang. Clean shutdown unregisters the component
+  entirely.
 * Incidents are edge-triggered: one ``stall`` incident when a component
   crosses the timeout, one ``recovered`` when it beats again. A stalled
-  worker does not spam one incident per poll.
+  component does not spam one incident per poll.
 
 The watchdog publishes every incident to the telemetry bus (when one is
 attached) as an ``incident`` record, keeps them all in ``incidents``
 for post-hoc inspection, and exposes :meth:`Watchdog.check` so tests
 can drive detection with a fake clock instead of sleeping.
-
-Escalation is the caller's job: the process pool performs its own
-stall check at the one place it can act on it (the blocking result
-wait), raising :class:`~repro.core.procpool.WorkerCrashed` so the
-runtime's existing serial-fallback path takes over.
 """
 
 from __future__ import annotations
@@ -149,10 +143,9 @@ class HeartbeatRegistry:
             }
 
 
-#: Thread-name prefixes the leak check knows about: every thread the
-#: runtime spawns uses one of these (ThreadPoolExecutor prefixes and
-#: the watchdog's own poll thread).
-OWNED_THREAD_PREFIXES = ("shard-compute", "repro-watchdog")
+#: Thread-name prefixes the leak check knows about: the only thread the
+#: runtime spawns is the watchdog's own poll thread.
+OWNED_THREAD_PREFIXES = ("repro-watchdog",)
 
 
 class Watchdog:
@@ -227,9 +220,9 @@ class Watchdog:
     def check_threads(self, baseline: set[int] | None = None) -> list[Incident]:
         """Flag still-running runtime-owned threads (leak detection).
 
-        Call after the run's pools have shut down: any
-        surviving thread whose name carries one of the known prefixes
-        (minus ``baseline`` idents, captured before the run) leaked.
+        Call after the run's watchdog has shut down: any surviving
+        thread whose name carries one of the known prefixes (minus
+        ``baseline`` idents, captured before the run) leaked.
         """
         now = self.registry.clock()
         fresh = [
@@ -242,7 +235,7 @@ class Watchdog:
                 details="thread still alive after shutdown",
             )
             for t in threading.enumerate()
-            if t.name.startswith(OWNED_THREAD_PREFIXES[:1])
+            if t.name.startswith(OWNED_THREAD_PREFIXES)
             and t.is_alive()
             and (baseline is None or t.ident not in baseline)
         ]
@@ -261,13 +254,6 @@ class Watchdog:
             fields = inc.to_dict()
             fields["incident_kind"] = fields.pop("kind")
             self.bus.emit("incident", **fields)
-
-    def incident(self, incident: Incident) -> None:
-        """Record (and publish) an externally detected incident --
-        the process pool's escalation path reports through this."""
-        with self._lock:
-            self.incidents.append(incident)
-        self._publish([incident])
 
     # -- background polling --------------------------------------------
     def start(self) -> "Watchdog":

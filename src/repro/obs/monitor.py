@@ -8,8 +8,8 @@ records (see :mod:`repro.obs.telemetry`); this module reads them back:
   writer may be mid-append when we read).
 * :class:`MonitorState` -- folds records into the latest view of the
   run (iterations/sec, frontier, plan-cache and prefetch rates,
-  per-worker heartbeat age, incident log) and checks health
-  expectations for CI (``--expect-workers``, ``--fail-on-incident``).
+  heartbeat ages, incident log) and checks health expectations for CI
+  (``--fail-on-incident``).
 * :func:`render` -- the terminal view ``repro monitor`` repaints.
 * :func:`fold_stream` -- reduce a finished stream to a report document
   (``telemetry_version`` 1) that ``repro bench-diff`` can diff.
@@ -114,27 +114,11 @@ class MonitorState:
     def heartbeats(self) -> dict:
         return self.last_snapshot.get("heartbeats", {})
 
-    def workers(self) -> dict:
-        """``{name: age}`` for heartbeat components of kind 'worker'."""
-        return {
-            name: hb.get("age", 0.0)
-            for name, hb in self.heartbeats.items()
-            if hb.get("kind") == "worker"
-        }
-
-    def problems(self, expect_workers: int | None = None,
-                 fail_on_incident: bool = False) -> list[str]:
+    def problems(self, fail_on_incident: bool = False) -> list[str]:
         """Health-expectation violations, empty when all is well."""
         out = []
         if not self.run and not self.last_snapshot:
             out.append("no telemetry records seen")
-        if expect_workers is not None:
-            seen = self.workers()
-            if len(seen) < expect_workers:
-                out.append(
-                    f"expected heartbeats from {expect_workers} workers, "
-                    f"saw {len(seen)}: {sorted(seen) or 'none'}"
-                )
         if fail_on_incident:
             real = [
                 i for i in self.incidents
@@ -159,11 +143,9 @@ def render(state: MonitorState) -> str:
     lines = []
     run = state.run
     snap = state.last_snapshot
-    name = run.get("algorithm", "?")
-    backend = run.get("backend", "?")
     lines.append(
-        f"run: {name}  backend={backend}  workers={run.get('workers', '-')}  "
-        f"pid={run.get('pid', '-')}"
+        f"run: {run.get('algorithm', '?')}  "
+        f"kernels={run.get('kernel_backend', '?')}  pid={run.get('pid', '-')}"
     )
     if snap:
         lines.append(
@@ -175,7 +157,6 @@ def render(state: MonitorState) -> str:
         sources = snap.get("sources", {})
         cache = sources.get("plan_cache", {})
         prefetch = sources.get("prefetch", {})
-        pool = sources.get("procpool", {})
         kernels = sources.get("kernels", {})
         parts = []
         if cache:
@@ -190,11 +171,6 @@ def render(state: MonitorState) -> str:
             parts.append(
                 f"prefetch hit {_rate(prefetch, 'hits', 'faults')} "
                 f"evictions {prefetch.get('evictions', 0)}"
-            )
-        if pool:
-            parts.append(
-                f"pool {pool.get('workers', '-')}w "
-                f"{pool.get('tasks', 0)} tasks"
             )
         if parts:
             lines.append("  ".join(parts))
@@ -253,11 +229,7 @@ def fold_stream(records: list[dict]) -> dict:
     doc = {
         "schema": SCHEMA_VERSION,
         "telemetry_version": 1,
-        "run": {
-            "algorithm": state.run.get("algorithm"),
-            "backend": state.run.get("backend"),
-            "workers": state.run.get("workers"),
-        },
+        "run": {"algorithm": state.run.get("algorithm")},
         "records": state.records,
         "snapshots": state.snapshots,
         "iterations": state.end.get("iterations", 0),
@@ -283,9 +255,7 @@ def report_text(doc: dict) -> str:
     """Human-readable rendering of :func:`fold_stream` output."""
     run = doc.get("run", {})
     lines = [
-        f"telemetry report: {run.get('algorithm', '?')} "
-        f"[{run.get('backend', '?')}"
-        + (f", {run['workers']} workers]" if run.get("workers") else "]"),
+        f"telemetry report: {run.get('algorithm', '?')}",
         f"  records   {doc['records']} ({doc['snapshots']} snapshots)",
         f"  iterations {doc['iterations']} "
         f"({'converged' if doc['converged'] else 'not converged'})",

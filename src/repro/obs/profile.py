@@ -85,8 +85,8 @@ def clip_intervals(pairs, t0: float, t1: float) -> list[tuple[float, float]]:
 # Report pieces
 # ----------------------------------------------------------------------
 def plan_summary(pc: dict) -> str:
-    """One-line reading of a ``PlanCache.stats()`` block (or the pool's
-    per-worker sum): dense-plan reuse, row-built queries, pinned bytes."""
+    """One-line reading of a ``PlanCache.stats()`` block: dense-plan
+    reuse, row-built queries, pinned bytes."""
     hits, misses = pc.get("hits", 0), pc.get("misses", 0)
     rate = 100 * hits / (hits + misses) if hits + misses else 0.0
     return (
@@ -97,8 +97,8 @@ def plan_summary(pc: dict) -> str:
 
 
 def kernel_summary(k: dict) -> str:
-    """One-line reading of ``ComputeEngine.kernel_stats()`` (or the
-    pool's per-worker sum): calls fused, iteration-scoped routes taken."""
+    """One-line reading of ``ComputeEngine.kernel_stats()``: calls
+    fused, iteration-scoped routes taken."""
     verified = {None: "not attempted", True: "true", False: "false"}[k.get("relay_verified")]
     return (
         f"{k.get('backend')} backend, "
@@ -267,11 +267,6 @@ class ProfileReport:
     plan_cache: dict = field(default_factory=dict)
     #: host shard-prefetch counters of out-of-core runs (repro.core.movement)
     prefetch: dict = field(default_factory=dict)
-    #: process-pool counters of ``--parallel-backend cluster`` runs
-    #: (repro.core.procpool): tasks, publish/wait seconds and the
-    #: partitioned-ownership accounting (worker_resident_bytes,
-    #: boundary_bytes_sent, mailbox stalls, ...)
-    procpool: dict = field(default_factory=dict)
     #: multi-device scaling projection (``repro profile --devices N``):
     #: the same run re-executed on the simulated multi-device scheduler
     devices: dict = field(default_factory=dict)
@@ -303,7 +298,6 @@ class ProfileReport:
             "histograms": self.histograms,
             "plan_cache": self.plan_cache,
             "prefetch": self.prefetch,
-            "procpool": self.procpool,
             "devices": self.devices,
             "kernels": self.kernels,
             "verdict": self.verdict.to_dict(),
@@ -339,7 +333,6 @@ class ProfileReport:
             self._plan_cache_line(),
             self._kernels_line(),
             self._prefetch_line(),
-            self._procpool_line(),
             self._devices_line(),
             "",
             f"bottleneck         : {self.verdict.bottleneck} "
@@ -419,29 +412,6 @@ class ProfileReport:
         if pf.get("runs", 1) > 1:
             line += f", kept warm across {pf['runs']} runs"
         return line
-
-    def _procpool_line(self) -> str:
-        pp = self.procpool
-        if not pp.get("tasks"):
-            return "process pool       : n/a (serial or thread backend)"
-        resident = pp.get("worker_resident_bytes") or []
-        peak = max(resident) if resident else 0
-        single = pp.get("single_process_bytes", 0) or 0
-        frac = f" ({100 * peak / single:.0f}% of single-process)" if single else ""
-        owned = "/".join(str(c) for c in pp.get("owned_shards", []))
-        return (
-            f"process pool       : {pp.get('workers', 0)} workers "
-            f"(shards {owned}), {pp.get('tasks', 0)} shard tasks "
-            f"(max {pp.get('max_inflight', 0)} in flight), "
-            f"publish {pp.get('publish_seconds', 0.0):.3f} s, "
-            f"wait {pp.get('wait_seconds', 0.0):.3f} s\n"
-            f"                     frontier {pp.get('frontier_policy', '?')}, "
-            f"peak resident {peak / 2**20:.2f} MiB{frac}; "
-            f"boundary {pp.get('boundary_bytes_sent', 0) / 2**20:.2f} MiB sent, "
-            f"deltas {pp.get('delta_bytes_merged', 0) / 2**20:.2f} MiB merged, "
-            f"{pp.get('mailbox_stalls', 0)}/{pp.get('mailbox_publishes', 0)} "
-            "mailbox stalls"
-        )
 
     def _devices_line(self) -> str:
         d = self.devices
@@ -640,14 +610,6 @@ def build_profile(result, machine=None, tolerance: float = MODEL_TOLERANCE) -> P
                 "hit_rate": hits / acquired,
             }
 
-    # -- process pool (repro.core.procpool) ----------------------------
-    procpool = getattr(result, "procpool", None)
-    if procpool is not None:
-        # The wall-clock worker lane belongs in the Chrome trace.
-        procpool = {k: v for k, v in procpool.items() if k != "lane"}
-    else:
-        procpool = {}
-
     # -- fused kernel layer (repro.core.kernels) -----------------------
     kernels = getattr(result, "kernels", None)
     if kernels is None:
@@ -683,7 +645,6 @@ def build_profile(result, machine=None, tolerance: float = MODEL_TOLERANCE) -> P
         validation=validation,
         plan_cache=plan_cache,
         prefetch=prefetch,
-        procpool=procpool,
         kernels=kernels,
     )
 

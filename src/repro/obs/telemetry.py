@@ -170,7 +170,6 @@ class TelemetryConfig:
     sim_interval: float = 0.0
     budget_bytes: int = 1 << 20
     flight_recorder: bool = False
-    stall_timeout: float = 30.0
     watchdog_poll: float = 1.0
 
 
@@ -229,7 +228,7 @@ class RunTelemetry:
     ``snapshot`` record when one is due), and :meth:`finish` from its
     ``finally`` block -- so even a failed setup emits ``run_end`` and
     closes the sink. Components that expose a ``snapshot()`` dict
-    (process pool, prefetcher, plan cache) register as *sources* and
+    (prefetcher, plan cache, kernels) register as *sources* and
     get polled into every snapshot record.
     """
 
@@ -242,11 +241,9 @@ class RunTelemetry:
         )
         self.heartbeats = self.bus.heartbeats
         self.watchdog = Watchdog(
-            self.heartbeats,
-            bus=self.bus,
-            stall_timeout=config.stall_timeout,
-            poll=config.watchdog_poll,
+            self.heartbeats, bus=self.bus, stall_timeout=30.0, poll=config.watchdog_poll
         )
+        self._threads_before: set[int] = set()
         self._sources: dict = {}
         self._last_wall = 0.0
         self._last_sim = 0.0
@@ -261,6 +258,9 @@ class RunTelemetry:
 
     def start(self, **run_fields) -> None:
         self.heartbeats.register("main-loop", kind="loop", busy=True)
+        # Threads alive before this run (another run's watchdog, say)
+        # are not this run's leaks.
+        self._threads_before = {t.ident for t in threading.enumerate()}
         self.watchdog.start()
         now = time.monotonic()
         self._last_wall = self._rate_wall = now
@@ -272,7 +272,6 @@ class RunTelemetry:
                 "sim_interval": self.config.sim_interval,
                 "budget_bytes": self.config.budget_bytes,
                 "flight_recorder": self.config.flight_recorder,
-                "stall_timeout": self.config.stall_timeout,
             },
             **run_fields,
         )
@@ -338,7 +337,7 @@ class RunTelemetry:
         self._finished = True
         self.heartbeats.unregister("main-loop")
         self.watchdog.shutdown()
-        self.watchdog.check_threads()
+        self.watchdog.check_threads(self._threads_before)
         flight = (
             self.obs.snapshot()
             if isinstance(self.obs, FlightRecorder)

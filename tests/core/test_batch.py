@@ -3,13 +3,11 @@
 The contract under test: every query in a batch is *bit-identical* to
 the solo run it replaces -- same values, same retirement iteration as
 the solo push schedule -- across program families, state layouts,
-storage tiers (in-RAM vs shard store) and shard backends (serial, thread
-pool, process pool). The batch is a pure
-scan-sharing rewrite; nothing about any individual query's answer may
-change.
+storage tiers (in-RAM vs shard store) and traversal directions. The
+batch is a pure scan-sharing rewrite; nothing about any individual
+query's answer may change.
 """
 
-import pickle
 import types
 
 import numpy as np
@@ -118,25 +116,6 @@ def test_batch_matches_solo(family, layout, placement, tmp_path):
     report = _batch_sweep(make_engine, family, layout=layout)
     _assert_matches_solo(report, solo, f"{family}/{layout}/{placement}")
     assert report.stats["queries"] == len(solo)
-
-
-# ----------------------------------------------------------------------
-# Backend matrix: shard pools
-# ----------------------------------------------------------------------
-
-BACKENDS = [
-    pytest.param(dict(parallel_shards=2, parallel_backend="threads"), id="threads"),
-    pytest.param(dict(parallel_shards=2, parallel_backend="cluster"), id="cluster"),
-]
-
-
-@pytest.mark.parametrize("extra_opts", BACKENDS)
-@pytest.mark.parametrize("family", ["bfs", "pagerank"])
-def test_batch_backends_match_serial_solo(family, extra_opts):
-    g = build("er_mid")
-    solo = _solo_sweep(lambda: _engine(g), family)
-    report = _batch_sweep(lambda: _engine(g, **extra_opts), family)
-    _assert_matches_solo(report, solo, f"{family}/{sorted(extra_opts)}")
 
 
 def test_batch_pull_direction_keeps_push_schedule():
@@ -467,20 +446,6 @@ def test_bits_depth_codes_wider_than_a_byte():
         solo = GraphReduce(g, options=options).run(BFSGather(source=s))
         assert solo.iterations == program.ledger.retired_at[k], s
         assert np.array_equal(program.query_values(run.vertex_values, k), solo.vertex_values), s
-
-
-def test_bits_pickle_carries_no_plane_or_depth_state():
-    g = _sink_graph()
-    program = BitParallelBFS([0, 1, 0])
-    program.init_vertices(types.SimpleNamespace(num_vertices=g.num_vertices))
-    assert program._prev is not None and program._planes == []
-    clone = pickle.loads(pickle.dumps(program))
-    assert clone._prev is None and clone._planes is None and clone.depths is None
-    GraphReduce(g, options=GraphReduceOptions(num_partitions=2)).run(program)
-    assert program._planes and program.depths is not None
-    clone = pickle.loads(pickle.dumps(program))
-    assert clone._prev is None and clone._planes is None and clone.depths is None
-    assert clone.ledger.retired_at.tolist() == program.ledger.retired_at.tolist()
 
 
 # ----------------------------------------------------------------------

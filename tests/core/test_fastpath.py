@@ -1,7 +1,7 @@
 """Host fast-path equivalence and plan-cache unit tests.
 
-The dense-or-rows plan layer, the fused kernels and parallel shard
-compute are pure host-side rewrites: every combination must produce
+The dense-or-rows plan layer and the fused kernels are pure host-side
+rewrites: every combination must produce
 bit-identical vertex values, the same frontier trajectory, the same
 simulated timeline and the same WorkItems censuses as the slow path on
 every fixture graph. The second half unit-tests the PlanCache itself
@@ -55,20 +55,16 @@ PROGRAMS = {
 #: pins the fused-kernel axis explicitly (the others inherit the
 #: "numpy" default).
 COMBOS = {
-    "plans_only": dict(dense_fast_path=True, parallel_shards=0),
-    "parallel_only": dict(dense_fast_path=False, parallel_shards=3),
-    "all_on": dict(dense_fast_path=True, parallel_shards=3),
-    "kernels_off": dict(dense_fast_path=True, parallel_shards=0, kernel_backend="off"),
-    "kernels_numpy": dict(
-        dense_fast_path=True, parallel_shards=0, kernel_backend="numpy"
-    ),
+    "plans_only": dict(dense_fast_path=True),
+    "kernels_off": dict(dense_fast_path=True, kernel_backend="off"),
+    "kernels_numpy": dict(dense_fast_path=True, kernel_backend="numpy"),
 }
-SLOW = dict(dense_fast_path=False, parallel_shards=0)
+SLOW = dict(dense_fast_path=False)
 
 #: The regime the rows route serves without any memo: tolerance-driven
 #: PageRank on an RMAT fixture with isolated vertices settles on "every
 #: vertex with an in-edge" -- non-dense, and unchanged for many
-#: iterations. The pool matrices take it as one more input.
+#: iterations.
 STABLE_FRONTIER = ("rmat_mid", "pagerank")
 
 
@@ -140,7 +136,7 @@ def test_fastpath_combos_match_slow_path(graph_name):
 # acquisition evicts and releases the previous shard's pages) must both
 # be bit-identical to the in-RAM slow path.
 STORE_COMBOS = {
-    "prefetch_on": dict(dense_fast_path=True, parallel_shards=3),
+    "prefetch_on": dict(dense_fast_path=True),
     "cold_budget1": dict(memory_budget=1, host_prefetch=False),
 }
 
@@ -176,7 +172,7 @@ def test_power_iteration_pagerank_stays_dense():
     g = build("er_mid")
     result = _run(
         g, lambda: PageRank(tolerance=None, max_iterations=10),
-        dict(dense_fast_path=True, parallel_shards=0),
+        dict(dense_fast_path=True),
     )
     n = g.num_vertices
     # always_active: the frontier is the whole vertex set every round,
@@ -319,6 +315,52 @@ def test_disabled_cache_never_counts():
         plans.out_plan(shard)
         plans.active_rows(shard)
     assert (plans.hits, plans.misses, plans.sparse_bypass) == (0, 0, 0)
+
+
+# ----------------------------------------------------------------------
+# Plan-cache LRU byte budget
+# ----------------------------------------------------------------------
+def test_plan_cache_budget_evicts_and_preserves_results():
+    g = build("er_mid")
+    make = PROGRAMS["pagerank_power"]
+    unbounded = GraphReduce(
+        g, options=GraphReduceOptions(num_partitions=3, plan_cache_budget=None)
+    ).run(make())
+    assert unbounded.plan_cache["evictions"] == 0
+    assert unbounded.plan_cache["budget_bytes"] is None
+    # A budget far below one shard's plan footprint forces evictions on
+    # every reuse attempt; semantics must be untouched.
+    tiny = GraphReduce(
+        g, options=GraphReduceOptions(num_partitions=3, plan_cache_budget=64)
+    ).run(make())
+    assert tiny.plan_cache["evictions"] > 0
+    assert tiny.plan_cache["budget_bytes"] == 64
+    assert np.array_equal(tiny.vertex_values, unbounded.vertex_values)
+    assert tiny.frontier_history == unbounded.frontier_history
+    assert tiny.sim_time == unbounded.sim_time
+    assert _kernel_items(tiny) == _kernel_items(unbounded)
+
+
+def test_plan_cache_budget_bounds_held_bytes():
+    g = build("er_mid")
+    budget = 32 * 1024
+    result = GraphReduce(
+        g, options=GraphReduceOptions(num_partitions=3, plan_cache_budget=budget)
+    ).run(PROGRAMS["pagerank"]())
+    pc = result.plan_cache
+    # The LRU keeps at least the most recent plan even when it alone
+    # exceeds the budget; with several shards cached, held bytes must
+    # settle at or below the budget after evictions.
+    assert pc["evictions"] > 0 or pc["held_bytes"] <= budget
+
+
+def test_plan_cache_counts_evictions_in_metrics():
+    g = build("er_mid")
+    result = GraphReduce(
+        g, options=GraphReduceOptions(num_partitions=3, plan_cache_budget=64)
+    ).run(PROGRAMS["pagerank_power"]())
+    metrics = result.observer.metrics
+    assert metrics.value("plans.evictions") == result.plan_cache["evictions"]
 
 
 # ----------------------------------------------------------------------
@@ -577,7 +619,7 @@ RELAY_PROGRAMS = {
     "cc": lambda: ConnectedComponents(),  # copy
 }
 #: the unmerged routes pull every gather from the CSC side
-PULL_ROUTES = (dict(parallel_shards=3), dict(kernel_backend="off"))
+PULL_ROUTES = (dict(kernel_backend="off"),)
 
 
 def _run_with(g, program, **options):
@@ -621,8 +663,6 @@ def test_relay_engages_on_the_road_fixture(algo):
     run = _run_with(g, RELAY_PROGRAMS[algo](), num_partitions=3)
     k = run.kernels
     assert k["relay_verified"] is True and 0 < k["relayed_gathers"] < run.iterations
-    threads = _run_with(g, RELAY_PROGRAMS[algo](), num_partitions=3, parallel_shards=3)
-    _assert_same_run(run, threads, algo)
 
 
 class _WarmStartedSSSP(SSSP):
@@ -650,7 +690,6 @@ def test_unrelaxed_or_nan_state_fails_the_check_and_keeps_pulling(poison):
     run = _run_with(g, program(), num_partitions=3)
     assert run.kernels["merged_groups"] > 0
     assert run.kernels["relay_verified"] is False and run.kernels["relayed_gathers"] == 0
-    _assert_same_run(run, _run_with(g, program(), num_partitions=3, parallel_shards=3), poison)
 
 
 ROWS = {"gather_rows", "gather_segments"}  # the first reduces through the second
@@ -695,8 +734,6 @@ def test_a_reseeded_frontier_is_pulled(monkeypatch):
     at = program.reseeded_at
     assert run.kernels["relay_verified"] is True
     assert log[at - 1 :] == [RELAY, ROWS]
-    threads = _run_with(g, Reseeding(source=0), num_partitions=3, parallel_shards=3)
-    _assert_same_run(run, threads, "reseed")
 
 
 @pytest.mark.parametrize("superset", [True, False])
@@ -755,10 +792,6 @@ def test_the_iteration_after_a_pull_iteration_pulls(monkeypatch):
     ]
     assert log == want
     assert run.kernels["relayed_gathers"] == want.count(RELAY) == 2
-    del log[:]
-    threads = _run_with(g, BFSGather(source=0), parallel_shards=3, **auto)
-    assert run.direction_decisions == threads.direction_decisions
-    _assert_same_run(run, threads, "auto")
     push = _run_with(g, BFSGather(source=0), num_partitions=3)
     assert run.vertex_values.tobytes() == push.vertex_values.tobytes()
     pull = _run_with(g, BFSGather(source=0), num_partitions=3, direction="pull")

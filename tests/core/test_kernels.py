@@ -254,22 +254,16 @@ def test_plain_take_still_refuses_an_out_of_range_id():
         )
 
 
-def _premap_engine(engine_cls=ComputeEngine):
+def _premap_engine():
     """A PageRank engine over a 2-shard graph, kernels and plans on."""
     g = build("er_small")
     sharded = PartitionEngine().partition(g, 2)
     frontier = FrontierManager(sharded, np.ones(g.num_vertices, dtype=bool))
     plans = PlanCache(sharded, frontier, dense=True)
     program, ctx = PageRank(tolerance=1e-3), RuntimeContext(g)
-    if engine_cls is ComputeEngine:
-        engine = ComputeEngine(
-            sharded, program, ctx, frontier, plans=plans, kernels=resolve_backend("numpy")
-        )
-    else:
-        engine = engine_cls(
-            program, ctx, frontier, plans, np.ones(g.num_vertices, dtype=np.float32),
-            None, kernels=resolve_backend("numpy"),
-        )
+    engine = ComputeEngine(
+        sharded, program, ctx, frontier, plans=plans, kernels=resolve_backend("numpy")
+    )
     return sharded, frontier, engine
 
 
@@ -290,18 +284,13 @@ def _assert_gather_is_fresh(sharded, engine):
 
 
 def test_premap_is_refilled_after_every_vertex_values_write():
-    from types import SimpleNamespace
-
-    from repro.core.procpool import ProcessPool, _WorkerEngine, _WorkerRunner
-    from repro.obs.span import NULL_OBSERVER
-
     sharded, frontier, engine = _premap_engine()
     n = sharded.num_vertices
     rng = np.random.default_rng(0)
     engine.begin_iteration(0)
     _assert_gather_is_fresh(sharded, engine)
     assert engine.premaps == 1
-    # serial apply (_write_vertex_values), same iteration
+    # apply writes vertex_values, same iteration
     for shard in sharded.shards:
         engine._gather_reduce(shard, False)
     for shard in sharded.shards:
@@ -312,33 +301,3 @@ def test_premap_is_refilled_after_every_vertex_values_write():
     engine.vertex_values[:] = rng.random(n, dtype=np.float32)
     engine.begin_iteration(1)
     _assert_gather_is_fresh(sharded, engine)
-    # the pool's delta replay, dense and rows records
-    pool = SimpleNamespace(
-        _obs=NULL_OBSERVER, _compute=engine, _frontier=frontier,
-        delta_bytes_merged=0, lane=[],
-    )
-    lo, hi = sharded.shards[0].start, sharded.shards[0].stop
-    for delta in (
-        ("vd", lo, hi, rng.random(hi - lo, dtype=np.float32)),
-        ("vr", np.array([0, n - 1]), np.array([5.0, 9.0], dtype=np.float32)),
-    ):
-        ProcessPool._replay(pool, ("ok", 0, 0, [], [delta], 0.0, 0.0))
-        _assert_gather_is_fresh(sharded, engine)
-    assert engine.premaps == 5
-    # a worker's mailbox ingest
-    _, wfrontier, wengine = _premap_engine(_WorkerEngine)
-    wengine.begin_iteration(0)
-    wengine.begin_group(("gather_map",))
-    runner = _WorkerRunner.__new__(_WorkerRunner)
-    runner.engine, runner._vertex_values = wengine, wengine.vertex_values
-    runner._current, runner._changed = wfrontier.current, wfrontier.changed
-    runner._edge_state, runner._mbox_seen = None, 0
-    runner._mask_lo, runner._mask_hi = 0, n
-    bits = np.packbits(np.ones(n, dtype=bool))
-    runner._mbox = {
-        "header": np.array([1, 2, 0, 0]), "vidx": np.array([1, 3]),
-        "vvals": np.array([4.0, 6.0], dtype=np.float32), "cur": bits, "chg": bits,
-    }
-    runner._ingest_mailbox()
-    _assert_gather_is_fresh(sharded, wengine)
-    assert wengine.premaps == 2 and wengine.vertex_values[3] == 6.0

@@ -531,16 +531,40 @@ class TestRuntimeIntegration:
                     Watching(tolerance=None, max_iterations=3)
                 )
             assert seen == before and set(threading.enumerate()) == before
-            # The thread backend's own compute pool still works over a
-            # store, and takes its threads with it.
-            threaded = GraphReduce(
-                shard_store=store,
-                options=GraphReduceOptions(
-                    memory_budget=1, parallel_backend="threads", parallel_shards=2
-                ),
-            ).run(PageRank(tolerance=None, max_iterations=3))
-        assert threaded.prefetch["faults"] > 0
-        assert set(threading.enumerate()) == before
+
+
+class ExplodingPageRank(PageRank):
+    def apply(self, ctx, vertex_ids, old_values, gathered, has_gathered, iteration):
+        if iteration >= 1:
+            raise RuntimeError("boom in apply")
+        return super().apply(ctx, vertex_ids, old_values, gathered, has_gathered, iteration)
+
+
+def test_prefetcher_threads_die_when_iteration_raises(tmp_path):
+    g = build("er_mid")
+    store = ShardStore.save(PartitionEngine().partition(g, 3), tmp_path / "s")
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="boom in apply"):
+        GraphReduce(
+            shard_store=store, options=GraphReduceOptions(host_prefetch=True)
+        ).run(ExplodingPageRank(tolerance=1e-3))
+    # There is no prefetch thread to die any more: nothing was started.
+    assert set(threading.enumerate()) == before
+
+
+def test_prefetcher_context_manager_shuts_down(tmp_path):
+    g = build("er_mid")
+    store = ShardStore.save(PartitionEngine().partition(g, 3), tmp_path / "s")
+    with pytest.raises(RuntimeError, match="mid-iteration"):
+        with HostPrefetcher(store, capacity=3) as pf:
+            pf.schedule([0, 1, 2])
+            pf.get(0)
+            pf.get(1)
+            raise RuntimeError("mid-iteration")
+    # Leaving the block released both resident shards' pages.
+    resident = store.shard_meta[0]["nbytes"] + store.shard_meta[1]["nbytes"]
+    assert pf.snapshot()["released_bytes"] == resident
+    assert pf.arrays(2) is not None and pf.faults == 3  # emptied, still usable
 
 
 # ----------------------------------------------------------------------

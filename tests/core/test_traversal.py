@@ -5,14 +5,13 @@ an iteration with a superset frontier, which is a no-op for the extra
 vertices exactly when apply is improvement-driven (the
 ``pull_compatible`` contract). The matrix checks BFS levels and SSSP
 distances against the pure-Python references and against each other
-across execution backends and storage, plus structural parent-validity
+across kernel backends and storage, plus structural parent-validity
 invariants that would catch a "right by accident" fixed point.
 
-Cost control: the full direction x backend x storage cross product is
-run serially in-RAM on every fixture graph; the expensive legs --
-process pools (one spawn per run) and on-disk shard stores -- run the
-full direction set on a representative subset (path/road/ER/R-MAT
-cover the frontier shapes that drive every code path).
+Cost control: every direction runs in-RAM on every fixture graph; the
+kernel-backend and on-disk shard-store legs run the full direction set
+on a representative subset (path/road/ER/R-MAT cover the frontier
+shapes that drive every code path).
 
 The second half pins the DirectionController itself: the recorded
 per-iteration decisions must replay the Beamer alpha/beta hysteresis
@@ -34,19 +33,12 @@ from repro.core.shardstore import ShardStore
 from repro.graph.generators import erdos_renyi, grid_road, rmat
 
 DIRECTIONS = ("push", "pull", "auto")
-BACKENDS = {
-    "serial": dict(parallel_backend="serial"),
-    "threads": dict(parallel_shards=3, parallel_backend="threads"),
-    "cluster": dict(parallel_shards=2, parallel_backend="cluster"),
-}
 #: representative subset for the expensive legs (see module docstring)
 CORE_GRAPHS = ("path300", "road10x10", "er_small", "rmat_small")
 
 
-def _options(direction, backend, **kw):
-    return GraphReduceOptions(
-        num_partitions=3, direction=direction, **BACKENDS[backend], **kw
-    )
+def _options(direction, **kw):
+    return GraphReduceOptions(num_partitions=3, direction=direction, **kw)
 
 
 def _check_bfs(graph, levels, source=0):
@@ -92,12 +84,11 @@ def test_direction_matrix_in_ram(graph_name):
     g = build(graph_name)
     weighted = g.with_random_weights(seed=33)
     for direction in DIRECTIONS:
-        for backend in ("serial", "threads"):
-            opts = _options(direction, backend)
-            r = GraphReduce(g, options=opts).run(BFSGather(source=0))
-            _check_bfs(g, r.vertex_values)
-            s = GraphReduce(weighted, options=opts).run(SSSP(source=0))
-            _check_sssp(weighted, s.vertex_values)
+        opts = _options(direction)
+        r = GraphReduce(g, options=opts).run(BFSGather(source=0))
+        _check_bfs(g, r.vertex_values)
+        s = GraphReduce(weighted, options=opts).run(SSSP(source=0))
+        _check_sssp(weighted, s.vertex_values)
 
 
 KERNEL_BACKENDS = ("off", "numpy")
@@ -119,11 +110,11 @@ def test_direction_matrix_kernel_backends(graph_name, kernel_backend):
         for graph, make in ((g, lambda: BFSGather(source=0)),
                             (weighted, lambda: SSSP(source=0))):
             ref = GraphReduce(
-                graph, options=_options(direction, "serial", kernel_backend="off")
+                graph, options=_options(direction, kernel_backend="off")
             ).run(make())
             fused = GraphReduce(
                 graph,
-                options=_options(direction, "serial", kernel_backend=kernel_backend),
+                options=_options(direction, kernel_backend=kernel_backend),
             ).run(make())
             label = f"{direction}/{kernel_backend}"
             assert np.array_equal(fused.vertex_values, ref.vertex_values), label
@@ -133,44 +124,26 @@ def test_direction_matrix_kernel_backends(graph_name, kernel_backend):
 
 
 @pytest.mark.parametrize("graph_name", CORE_GRAPHS)
-def test_direction_matrix_processes(graph_name):
-    """Direction switching across the pool's worker processes."""
-    g = build(graph_name)
-    weighted = g.with_random_weights(seed=33)
-    for direction in DIRECTIONS:
-        opts = _options(direction, "cluster")
-        r = GraphReduce(g, options=opts).run(BFSGather(source=0))
-        _check_bfs(g, r.vertex_values)
-        s = GraphReduce(weighted, options=opts).run(SSSP(source=0))
-        _check_sssp(weighted, s.vertex_values)
-
-
-@pytest.mark.parametrize("graph_name", CORE_GRAPHS)
 def test_direction_matrix_shard_store(graph_name, tmp_path):
     g = build(graph_name)
     store = ShardStore.save(
         PartitionEngine().partition(g, 3), tmp_path / "store"
     )
     for direction in DIRECTIONS:
-        for backend in BACKENDS:
-            opts = GraphReduceOptions(
-                direction=direction, **BACKENDS[backend]
-            )
-            r = GraphReduce(shard_store=store, options=opts).run(
-                BFSGather(source=0)
-            )
-            _check_bfs(g, r.vertex_values)
+        opts = GraphReduceOptions(direction=direction)
+        r = GraphReduce(shard_store=store, options=opts).run(BFSGather(source=0))
+        _check_bfs(g, r.vertex_values)
 
 
 @pytest.mark.parametrize("graph_name", ("path300", "road10x10", "er_mid"))
 def test_cc_pull_matches_push(graph_name):
     g = build(graph_name)
     sym = g if g.undirected else g.symmetrized()
-    push = GraphReduce(sym, options=_options("push", "serial")).run(
+    push = GraphReduce(sym, options=_options("push")).run(
         ConnectedComponents()
     )
     for direction in ("pull", "auto"):
-        r = GraphReduce(sym, options=_options(direction, "serial")).run(
+        r = GraphReduce(sym, options=_options(direction)).run(
             ConnectedComponents()
         )
         np.testing.assert_array_equal(push.vertex_values, r.vertex_values)
@@ -182,9 +155,9 @@ def test_cc_pull_matches_push(graph_name):
 @pytest.mark.parametrize("graph_name", CORE_GRAPHS + ("er_mid", "two_cliques"))
 def test_delta_sssp_matches_plain(graph_name):
     g = build(graph_name).with_random_weights(seed=33)
-    base = GraphReduce(g, options=_options("push", "serial")).run(SSSP(source=0))
+    base = GraphReduce(g, options=_options("push")).run(SSSP(source=0))
     for delta in (0.1, 0.5, 2.0, 100.0):
-        r = GraphReduce(g, options=_options("push", "serial")).run(
+        r = GraphReduce(g, options=_options("push")).run(
             DeltaSSSP(source=0, delta=delta)
         )
         np.testing.assert_array_equal(base.vertex_values, r.vertex_values)
@@ -196,23 +169,12 @@ def test_delta_sssp_defers_out_of_bucket_work():
     # A tiny bucket width forces reseeds: more iterations than plain
     # SSSP, strictly bucketed propagation, same distances.
     g = build("road10x10").with_random_weights(seed=7)
-    plain = GraphReduce(g, options=_options("push", "serial")).run(SSSP(source=0))
-    delta = GraphReduce(g, options=_options("push", "serial")).run(
+    plain = GraphReduce(g, options=_options("push")).run(SSSP(source=0))
+    delta = GraphReduce(g, options=_options("push")).run(
         DeltaSSSP(source=0, delta=0.05)
     )
     np.testing.assert_array_equal(plain.vertex_values, delta.vertex_values)
     assert delta.iterations > plain.iterations
-
-
-def test_delta_sssp_rejects_processes_backend():
-    """``process_safe=False`` programs may not run in pool worker
-    processes; the error names the pool."""
-    g = build("er_small").with_random_weights(seed=1)
-    opts = GraphReduceOptions(
-        num_partitions=3, parallel_shards=2, parallel_backend="cluster"
-    )
-    with pytest.raises(ValueError, match="process_safe.*worker pool"):
-        GraphReduce(g, options=opts).run(DeltaSSSP(source=0))
 
 
 def test_delta_sssp_validates_delta():
@@ -247,6 +209,18 @@ def test_controller_validates_thresholds():
         DirectionController("auto", deg, 4, 4, alpha=0.0)
 
 
+@pytest.mark.parametrize("bad", [dict(direction_alpha=np.nan),
+                                 dict(direction_beta=np.nan),
+                                 dict(direction_alpha=np.inf)])
+def test_auto_direction_rejects_non_finite_thresholds(bad):
+    """NaN passes ``alpha <= 0``; the run must not quietly stay push."""
+    sym = build("road10x10")
+    sym = sym if sym.undirected else sym.symmetrized()
+    opts = GraphReduceOptions(num_partitions=3, direction="auto", **bad)
+    with pytest.raises(ValueError, match="finite and positive"):
+        GraphReduce(sym, options=opts).run(ConnectedComponents())
+
+
 # ----------------------------------------------------------------------
 # Row-built traversal frontiers (the 0%-hit-rate BFS pathology)
 # ----------------------------------------------------------------------
@@ -279,15 +253,6 @@ def test_sparse_bypass_leaves_dense_workloads_alone():
     )
     assert r.plan_cache["sparse_bypass"] == 0
     assert r.plan_cache["hits"] > 0
-
-
-def test_procpool_aggregates_sparse_bypass():
-    g = build("path300")
-    opts = GraphReduceOptions(
-        num_partitions=3, parallel_shards=2, parallel_backend="cluster"
-    )
-    r = GraphReduce(g, options=opts).run(BFS(source=0))
-    assert r.plan_cache["sparse_bypass"] > 0
 
 
 # ----------------------------------------------------------------------

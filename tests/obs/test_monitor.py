@@ -31,18 +31,14 @@ def _rec(kind, **fields):
 
 def _stream():
     return [
-        _rec("run_start", algorithm="pagerank", backend="cluster",
-             workers=2, pid=4242, wall_time=10.0),
+        _rec("run_start", algorithm="pagerank", kernel_backend="numpy",
+             pid=4242, wall_time=10.0),
         _rec("snapshot", iteration=0, frontier=8192, sim_time=0.001,
              iterations_per_sec=100.0, wall_time=10.5,
              sources={"plan_cache": {"hits": 3, "misses": 1}},
              heartbeats={
                  "main-loop": {"age": 0.0, "busy": True, "kind": "loop",
                                "beats": 1},
-                 "worker-0": {"age": 0.1, "busy": False, "kind": "worker",
-                              "beats": 4},
-                 "worker-1": {"age": 0.2, "busy": False, "kind": "worker",
-                              "beats": 4},
              }),
         _rec("snapshot", iteration=5, frontier=4096, sim_time=0.002,
              iterations_per_sec=200.0, wall_time=11.0,
@@ -53,10 +49,8 @@ def _stream():
                       "kernels": {"fused_calls": 90, "premaps": 6,
                                   "merged_groups": 12}},
              heartbeats={
-                 "worker-0": {"age": 0.1, "busy": False, "kind": "worker",
-                              "beats": 9},
-                 "worker-1": {"age": 0.2, "busy": True, "kind": "worker",
-                              "beats": 9},
+                 "main-loop": {"age": 0.2, "busy": True, "kind": "loop",
+                               "beats": 6},
              }),
         _rec("run_end", iterations=6, converged=True, sim_time=0.002,
              incidents=0, wall_time=11.5),
@@ -123,25 +117,24 @@ def test_follow_stop_callback_ends_the_tail(tmp_path):
 # ----------------------------------------------------------------------
 # MonitorState health expectations
 # ----------------------------------------------------------------------
-def test_state_tracks_latest_view_and_workers():
+def test_state_tracks_latest_view():
     state = MonitorState()
     for r in _stream():
         state.ingest(r)
     assert state.records == 4 and state.snapshots == 2
     assert state.last_snapshot["iteration"] == 5
-    assert sorted(state.workers()) == ["worker-0", "worker-1"]
-    assert state.problems(expect_workers=2, fail_on_incident=True) == []
+    assert state.heartbeats["main-loop"]["beats"] == 6
+    assert state.problems(fail_on_incident=True) == []
 
 
-def test_problems_flag_missing_workers_and_incidents():
+def test_problems_flag_missing_records_and_incidents():
     state = MonitorState()
     assert state.problems() == ["no telemetry records seen"]
     for r in _stream():
         state.ingest(r)
-    [problem] = state.problems(expect_workers=4)
-    assert "expected heartbeats from 4 workers, saw 2" in problem
+    assert state.problems() == []
     state.ingest(_rec("incident", incident_kind="stall",
-                      component="worker-1", details="no heartbeat"))
+                      component="main-loop", details="no heartbeat"))
     [problem] = state.problems(fail_on_incident=True)
     assert "incidents on the stream" in problem
     # 'recovered' incidents are informational, not failures.
@@ -149,7 +142,7 @@ def test_problems_flag_missing_workers_and_incidents():
     for r in _stream():
         healthy.ingest(r)
     healthy.ingest(_rec("incident", incident_kind="recovered",
-                        component="worker-1"))
+                        component="main-loop"))
     assert healthy.problems(fail_on_incident=True) == []
 
 
@@ -158,22 +151,22 @@ def test_render_shows_the_live_view():
     for r in _stream()[:-1]:
         state.ingest(r)
     view = render(state)
-    assert "run: pagerank" in view and "backend=cluster" in view
+    assert "run: pagerank" in view and "kernels=numpy" in view
     assert "iteration 5" in view and "frontier 4096" in view
     assert (
         "dense plans: 3 hits / 1 misses (75.0%) · row-built: 40 · held: 1.5 MB"
         in view
     )
     assert "kernels 90 fused 6 premaps 12 merged" in view
-    assert "worker-1" in view and "busy" in view
+    assert "main-loop" in view and "busy" in view
     assert "incidents: none" in view
     state.ingest(_stream()[-1])
     assert "run ended: converged after 6 iterations" in render(state)
 
 
-def test_render_shows_the_pool_of_a_cluster_run(tmp_path):
-    """The pool registers its telemetry source under the one name the
-    monitor reads, so a real ``cluster`` run renders the pool segment."""
+def test_render_shows_the_sources_of_a_real_run(tmp_path):
+    """The runtime registers its telemetry sources under the names the
+    monitor reads, so a real run renders the plan and kernel segments."""
     from repro.algorithms import PageRank
     from repro.core.runtime import GraphReduce, GraphReduceOptions
     from repro.graph.generators import erdos_renyi
@@ -184,18 +177,16 @@ def test_render_shows_the_pool_of_a_cluster_run(tmp_path):
         erdos_renyi(400, 3000, seed=5),
         options=GraphReduceOptions(
             num_partitions=4,
-            parallel_shards=2,
-            parallel_backend="cluster",
             telemetry=TelemetryConfig(out=str(stream), interval=0.0),
         ),
     ).run(PageRank(tolerance=None, max_iterations=3))
-    assert result.procpool is not None
     state = MonitorState()
     for r in read_records(str(stream)):
         state.ingest(r)
     view = render(state)
-    assert "backend=cluster" in view
-    assert f"pool 2w {result.procpool['tasks']} tasks" in view
+    assert "kernels=numpy" in view
+    assert f"kernels {result.kernels['fused_calls']} fused" in view
+    assert "dense plans:" in view
 
 
 # ----------------------------------------------------------------------
@@ -204,9 +195,7 @@ def test_render_shows_the_pool_of_a_cluster_run(tmp_path):
 def test_fold_stream_builds_diffable_report():
     doc = fold_stream(_stream())
     assert doc["telemetry_version"] == 1
-    assert doc["run"] == {
-        "algorithm": "pagerank", "backend": "cluster", "workers": 2,
-    }
+    assert doc["run"] == {"algorithm": "pagerank"}
     assert doc["records"] == 4 and doc["snapshots"] == 2
     assert doc["iterations"] == 6 and doc["converged"] is True
     assert doc["frontier_peak"] == 8192
@@ -221,7 +210,7 @@ def test_fold_stream_builds_diffable_report():
 def test_metric_table_reads_telemetry_reports():
     table = metric_table(fold_stream(_stream()))
     [(name, row)] = table.items()
-    assert name == "telemetry:pagerank/cluster"
+    assert name == "telemetry:pagerank"
     assert row["iterations"] == 6.0
     assert row["frontier_peak"] == 8192.0
     assert row["incidents"] == 0.0

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.runtime import GraphReduce, GraphReduceOptions
-from repro.obs.health import HeartbeatRegistry, Incident, Watchdog
+from repro.obs.health import HeartbeatRegistry, Watchdog
 from repro.obs.metrics import METRICS_SCHEMA_VERSION, MetricsRegistry
 from repro.obs.telemetry import (
     SCHEMA_VERSION,
@@ -249,22 +249,13 @@ def test_watchdog_publishes_incidents_to_bus(tmp_path):
     reg.register("worker-1", kind="worker", busy=True)
     clock.advance(2.0)
     wd.check()
-    wd.incident(
-        Incident(
-            kind="stall",
-            component="worker-9",
-            component_kind="worker",
-            age=9.0,
-            wall_time=clock(),
-            details="external escalation",
-        )
-    )
+    reg.beat("worker-1")
+    wd.check()
     bus.close()
     records = [json.loads(line) for line in path.read_text().splitlines()]
     assert [r["kind"] for r in records] == ["incident", "incident"]
-    assert [r["incident_kind"] for r in records] == ["stall", "stall"]
-    assert records[0]["component"] == "worker-1"
-    assert records[1]["details"] == "external escalation"
+    assert [r["incident_kind"] for r in records] == ["stall", "recovered"]
+    assert records[0]["component"] == records[1]["component"] == "worker-1"
 
 
 def test_leaked_thread_detection_respects_baseline():
@@ -272,15 +263,20 @@ def test_leaked_thread_detection_respects_baseline():
     wd = Watchdog(reg)
     release = threading.Event()
     leak = threading.Thread(
-        target=release.wait, name="shard-compute-leaked", daemon=True
+        target=release.wait, name="repro-watchdog-leaked", daemon=True
     )
     leak.start()
     try:
         flagged = wd.check_threads()
-        assert [i.component for i in flagged] == ["shard-compute-leaked"]
+        assert [i.component for i in flagged] == ["repro-watchdog-leaked"]
         assert flagged[0].kind == "leaked-thread"
         # A pre-existing thread captured in the baseline is exempt.
         assert wd.check_threads(baseline={leak.ident}) == []
+        # A run's own check takes the threads alive at its start as the
+        # baseline: another run's watchdog is not this run's leak.
+        telem = RunTelemetry(TelemetryConfig(watchdog_poll=60.0))
+        telem.start(algorithm="bfs")
+        assert telem.finish(iterations=0, converged=True)["incidents"] == []
     finally:
         release.set()
         leak.join()
@@ -294,7 +290,7 @@ def test_run_telemetry_stream_lifecycle(tmp_path):
     cfg = TelemetryConfig(out=str(path), interval=0.0, watchdog_poll=60.0)
     telem = RunTelemetry(cfg)
     telem.add_source("plan_cache", lambda: {"hits": 7, "misses": 1})
-    telem.start(algorithm="pagerank", backend="serial", workers=0)
+    telem.start(algorithm="pagerank")
     for i in range(3):
         telem.iteration(i, frontier=100 - i)
     summary = telem.finish(iterations=3, converged=True)
