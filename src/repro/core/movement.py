@@ -35,6 +35,7 @@ from repro.obs.span import NULL_OBSERVER
 from repro.sim.device import GPUDevice
 from repro.sim.resources import FluidResource
 from repro.sim.stream import Kernel, Memcpy, ResourceOp, StreamEvent
+from repro.sim.tape import TapeRecorder
 
 
 @dataclass
@@ -77,9 +78,10 @@ _ISSUE_COUNTERS = {
     "spray_batches": "movement.spray.batches", "spray_copies": "movement.spray.copies",
     "kernel_launches": "movement.kernel.launches", "kernel_items": "movement.kernel.items",
 }
-#: bound on the phase-timeline memo (recorded phases held); 0 turns the
-#: memo off, which the tests use to compare against the event loop
-MEMO_ENTRIES = 256
+#: bounds on a book's phase tapes, in all and per skeleton; ``TAPES = 0``
+#: runs every phase through the event loop, the tests' oracle
+TAPES = 1024
+TAPE_VARIANTS = 32
 
 
 def optimal_concurrent_shards(
@@ -291,12 +293,10 @@ class DataMovementEngine:
         #: (group name, shard index) -> its (h2d, d2h) copy recipes; both
         #: depend on nothing else, so they are built on first visit
         self._recipes: dict[tuple[str, int], tuple] = {}
-        #: phase-timeline memo: phase key -> (simulator phase record,
-        #: issue-counter deltas); off (None) when ``MEMO_ENTRIES`` is 0,
-        #: the tests' hook. Keys seen once are held by hash only: a phase
-        #: is recorded on its second sighting (see :meth:`_barrier`).
-        self._memo: dict | None = {} if MEMO_ENTRIES else None
-        self._seen: set[int] = set()
+        #: phase tapes: skeleton -> [(tape, issue-counter deltas, group
+        #: bytes)], most recently played first ([]: seen once); the
+        #: runtime shares one book per graph and :meth:`tape_key`
+        self.tapes: dict[tuple, list] = {}
         self.current_iteration = 0
 
         max_shard = sharded.max_shard_bytes(with_weights, with_edge_state)
@@ -480,16 +480,15 @@ class DataMovementEngine:
         matter); the simulator accounts for when the transfers and the
         kernel would have executed.
 
-        A memoisable phase (:meth:`_memoisable`) issues only once every
-        shard has computed, keyed on (group, residency, ordered
-        ``(shard, edge_items, vertex_items)``): a key recorded before
-        issues nothing and replays its timeline instead.
+        A phase that may use tapes (:meth:`_tapeable`) issues once every
+        shard has computed, unless a tape of its skeleton (group,
+        residency, ordered shards) folds it (:meth:`_play`).
         """
         self.stats.shards_skipped += skipped
         if skipped:
             self.obs.add("movement.shards.skipped", skipped)
-        key = entry = None
-        pending = [] if barrier and self._memoisable() else None
+        key = recorder = None
+        pending = [] if barrier and self._tapeable() else None
         before = self._snapshot()
         try:
             for i, shard in enumerate(shards):
@@ -514,47 +513,54 @@ class DataMovementEngine:
                     if not self.config.async_streams:
                         self.device.synchronize()  # fully synchronous baseline
             if pending is not None:
-                key = (group.name, self._cached, tuple(
-                    (shard.index, work.edge_items, work.vertex_items)
-                    for _, shard, work, _ in pending
-                ))
-                entry = self._memo.get(key)
+                key = (group, self._cached, tuple(shard.index for _, shard, _, _ in pending))
+                inputs = [x for _, _, work, _ in pending for x in self._kernel_inputs(work)]
+                if self._play(key, inputs):
+                    pending = None
+                else:
+                    recorder = self._recorder(key)
         finally:
             # A phase whose compute raised still issues and reports what
             # its computed shards would have.
-            if entry is None:
-                for args in pending or ():
-                    self._issue_shard(group, *args)
-            else:
-                self._replay_counts(entry)
+            if pending:
+                traced = recorder.inputs(inputs) if recorder else [None] * (2 * len(pending))
+                for n, args in enumerate(pending):
+                    self._issue_shard(group, *args, kernel=traced[2 * n:2 * n + 2])
             self._report_since(before)
         if barrier:
             # BSP barrier between phases. Multi-device callers pass
             # barrier=False, issue every device's work, then synchronize
             # all devices so per-device phases overlap.
-            self._barrier(key, entry, before)
+            if key is None or pending is not None:
+                self._barrier(key, recorder, before)
             self.stats.phase_barriers += 1
 
     def iteration_sync(self, frontier_bytes: int) -> None:
-        """Per-iteration frontier copy-back (tiny, vertex-bitmap sized),
-
-        memoised like a phase."""
-        key = ("frontier", frontier_bytes) if self._memoisable() else None
-        entry = None if key is None else self._memo.get(key)
+        """Per-iteration frontier copy-back (tiny, vertex-bitmap sized):
+        a phase without inputs."""
+        key = ("frontier", frontier_bytes) if self._tapeable() else None
         before = self._snapshot()
-        if entry is None:
+        played = key is not None and self._play(key, [])
+        if not played:
             self.streams[0].memcpy_d2h(frontier_bytes, label="frontier")
             self.stats.d2h_count += 1
             self.stats.d2h_bytes += frontier_bytes
-        else:
-            self._replay_counts(entry)
         self._report_since(before)
-        self._barrier(key, entry, before)
+        if not played:
+            self._barrier(key, None if key is None else self._recorder(key), before)
 
     # ------------------------------------------------------------------
-    # Phase-timeline memo
+    # Phase tapes
     # ------------------------------------------------------------------
-    def _memoisable(self) -> bool:
+    def tape_key(self) -> tuple:
+        """What the event loop reads besides a phase's issue list (the
+        runtime adds the sharded graph)."""
+        config = self.config
+        return (self.device.spec, config.async_streams, config.spray,
+                config.max_concurrent_shards, self.k, self.with_weights,
+                self.with_edge_state, self.device.trace.enabled)
+
+    def _tapeable(self) -> bool:
         """Whether a barrier phase issued now is a function of its key.
 
         The device must be quiescent at a phase start (a non-barrier
@@ -563,55 +569,73 @@ class DataMovementEngine:
         synchronous baseline barriers inside the phase.
         """
         return (
-            self._memo is not None
+            TAPES > 0
             and self.device.sim.quiescent
             and self.config.async_streams
             and self._lru is None
             and self.ssd is None
         )
 
-    def _barrier(self, key, entry, before: tuple) -> None:
-        """End a phase at the device barrier: replay ``entry`` when the
+    def _kernel_inputs(self, work: WorkItems) -> tuple[float, int]:
+        """A shard kernel's tape inputs: its seconds and its items."""
+        spec = self.device.spec
+        seconds = work.edge_items / spec.edge_rate_seq + work.vertex_items / spec.vertex_rate
+        return float(seconds), int(work.total)
 
-        memo had one, else run the event loop. A memoisable ``key`` is
-        recorded on its second sighting, so a run whose phases never
-        repeat (an SSSP's moving frontier) records nothing.
-        """
-        if entry is not None:
-            self.device.sim.replay(entry[0])
-            return
-        record = self.device.synchronize()
-        if key is None:
-            return
-        digest = hash(key)
-        if digest not in self._seen:
-            if len(self._seen) >= 64 * MEMO_ENTRIES:
-                self._seen.clear()
-            self._seen.add(digest)
-        elif len(self._memo) < MEMO_ENTRIES:
-            (counts, _, groups), now = before, self.stats
-            self._memo[key] = (
-                record,
-                tuple(getattr(now, f) - n for f, n in zip(_ISSUE_COUNTERS, counts)),
-                {g: n - groups.get(g, 0) for g, n in now.per_group_bytes.items()
-                 if n != groups.get(g, 0)},
-            )
+    def _play(self, key, inputs: list) -> bool:
+        """Fold phase ``key`` from the first of its tapes whose guards hold
+        on ``inputs``, adding its issue counters; False when none does."""
+        variants = self.tapes.get(key)
+        for n, (tape, counts, groups) in enumerate(variants or ()):
+            if self.device.synchronize(tape, inputs) is not None:
+                stats = self.stats
+                for name, delta in zip(_ISSUE_COUNTERS, counts):
+                    setattr(stats, name, getattr(stats, name) + delta)
+                stats.kernel_items += sum(inputs[1::2])
+                for group, nbytes in groups.items():
+                    stats.per_group_bytes[group] = stats.per_group_bytes.get(group, 0) + nbytes
+                variants.insert(0, variants.pop(n))
+                self.obs.add("movement.tape.hits")
+                return True
+        if variants:
+            self.obs.add("movement.tape.fallbacks")
+        return False
 
-    def _replay_counts(self, entry) -> None:
-        """Add a recorded phase's issue counters to ``stats``."""
-        _, counts, group_bytes = entry
-        stats = self.stats
-        for name, n in zip(_ISSUE_COUNTERS, counts):
-            setattr(stats, name, getattr(stats, name) + n)
-        for group, n in group_bytes.items():
-            stats.per_group_bytes[group] = stats.per_group_bytes.get(group, 0) + n
+    def _recorder(self, key) -> TapeRecorder | None:
+        """A recorder for phase ``key`` on its second sighting, or when its
+        tapes all failed, within ``TAPES`` / ``TAPE_VARIANTS``."""
+        variants = self.tapes.get(key)
+        if variants is None:
+            if len(self.tapes) < 16 * TAPES:
+                self.tapes[key] = []
+            return None
+        if len(variants) >= TAPE_VARIANTS or sum(map(len, self.tapes.values())) >= TAPES:
+            return None
+        return TapeRecorder()
+
+    def _barrier(self, key, recorder, before: tuple) -> None:
+        """End a phase at the device barrier; keep the tape ``recorder``
+        made of it, with the phase's issue counters."""
+        self.device.synchronize(recorder)
+        if recorder is None or recorder.tape is None:
+            return
+        (counts, _, groups), now = before, self.stats
+        deltas = [getattr(now, f) - n for f, n in zip(_ISSUE_COUNTERS, counts)]
+        deltas[list(_ISSUE_COUNTERS).index("kernel_items")] = 0  # added per play
+        self.tapes[key].insert(0, (
+            recorder.tape,
+            tuple(deltas),
+            {g: n - groups.get(g, 0) for g, n in now.per_group_bytes.items()
+             if n != groups.get(g, 0)},
+        ))
+        self.obs.add("movement.tape.records")
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _snapshot(self) -> tuple:
         """The issue counters, ``shards_processed`` and a copy of
-        ``per_group_bytes``: what :meth:`_report_since` and the memo's
+        ``per_group_bytes``: what :meth:`_report_since` and a tape's
         deltas are taken against."""
         stats = self.stats
         counts = tuple(getattr(stats, f) for f in _ISSUE_COUNTERS)
@@ -631,10 +655,11 @@ class DataMovementEngine:
             add("movement.shards.processed", stats.shards_processed - processed)
 
     def _issue_shard(self, group: PhaseGroup, stream_i: int, shard: Shard,
-                     work: WorkItems, resident: bool) -> None:
+                     work: WorkItems, resident: bool, kernel=(None, None)) -> None:
         """One shard's phase on its stream: H2D, kernel, D2H (copies
 
-        only when the shard is not device-resident)."""
+        only when the shard is not device-resident); ``kernel``: its
+        traced (seconds, items) while a tape records."""
         stream = self.streams[stream_i]
         if not resident:
             recipes = self._recipes.get((group.name, shard.index))
@@ -645,7 +670,7 @@ class DataMovementEngine:
                     self._recipe(shard, label, group.d2h_buffers),
                 )
             self._issue_copies(stream, stream_i, recipes[0], "h2d")
-        self._issue_kernel(stream, group, shard, work)
+        self._issue_kernel(stream, group, shard, work, *kernel)
         if not resident:
             self._issue_copies(stream, stream_i, recipes[1], "d2h")
 
@@ -718,15 +743,13 @@ class DataMovementEngine:
                 ssd_fetch(stream, copy_label, nbytes)
                 stream.enqueue(Memcpy(nbytes, direction, copy_label))
 
-    def _issue_kernel(self, stream, group: PhaseGroup, shard: Shard, work: WorkItems) -> None:
-        spec = self.device.spec
-        seconds = (
-            work.edge_items / spec.edge_rate_seq
-            + work.vertex_items / spec.vertex_rate
-        )
+    def _issue_kernel(self, stream, group: PhaseGroup, shard: Shard, work: WorkItems,
+                      seconds=None, items=None) -> None:
+        if seconds is None:
+            seconds, items = self._kernel_inputs(work)
         stream.enqueue(
             Kernel(
-                items=work.total,
+                items=items,
                 kind="edge_seq",
                 label=f"{group.name}:{shard.index}",
                 work_seconds=seconds,

@@ -336,6 +336,9 @@ class GraphReduce:
         self.options = options or GraphReduceOptions()
         self.partition_engine = partition_engine or PartitionEngine()
         self._sharded_cache: dict[tuple, ShardedGraph] = {}
+        # Phase tapes (repro.sim.tape), one book per sharded graph and
+        # DataMovementEngine.tape_key(), so warm queries reuse them.
+        self._tapes: dict[tuple, dict] = {}
         # Once per engine, not per run: the unit-weight view (the cache
         # above is keyed by its identity) and the degree arrays.
         self._unit_edges: EdgeList | None = None
@@ -441,6 +444,7 @@ class GraphReduce:
                         advise=opts.host_prefetch,
                         telemetry=telem,
                     )
+                    graph_key = ("store", prefetch_key[0])
                     part_span.set(
                         num_partitions=sharded.num_partitions,
                         logic=self.shard_store.logic,
@@ -455,11 +459,11 @@ class GraphReduce:
                         with_state,
                         resident_bytes,
                     )
-                    key = (p, opts.partition_logic, with_weights, id(edges))
-                    sharded = self._sharded_cache.get(key)
+                    graph_key = (p, opts.partition_logic, with_weights, id(edges))
+                    sharded = self._sharded_cache.get(graph_key)
                     if sharded is None:
                         sharded = self.partition_engine.partition(edges, p, opts.partition_logic)
-                        self._sharded_cache[key] = sharded
+                        self._sharded_cache[graph_key] = sharded
                     part_span.set(
                         num_partitions=sharded.num_partitions, logic=opts.partition_logic
                     )
@@ -515,6 +519,7 @@ class GraphReduce:
                     movement.reserve_stage_slots()
                     if opts.cache_policy == "lru":
                         movement.enable_lru_cache()
+                movement.tapes = self._tapes.setdefault((graph_key, movement.tape_key()), {})
                 # Everything the profiler's Eq. (1)/(2) replay needs to
                 # re-derive K from first principles lives on this span.
                 cache_span.set(

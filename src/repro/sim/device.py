@@ -71,22 +71,26 @@ class GPUDevice:
     def streams(self) -> tuple[Stream, ...]:
         return tuple(self._streams)
 
-    def synchronize(self) -> tuple:
+    def synchronize(self, tape=None, inputs=None) -> tuple | None:
         """Run the simulator until every stream has drained
 
         (cudaDeviceSynchronize). Simulated time advances accordingly, and
         the drained phase folds into the global clock: returns its
         record for :meth:`Simulator.replay`. A stream still waiting once
         no event is left waits on an event nobody will record: raises
-        :class:`SimulationError` naming it.
+        :class:`SimulationError` naming it. A ``tape`` recorder records
+        the phase; a ``tape`` with its ``inputs`` folds an unissued phase
+        instead (:meth:`Simulator.play`).
         """
+        if inputs is not None:
+            return self.sim.play(tape, inputs)
         self.sim.run()
         blocked = [f"{s.name} ({s.current.label})" for s in self._streams if not s.idle]
         if blocked:
             raise SimulationError(
                 "synchronize: streams blocked forever: " + ", ".join(blocked)
             )
-        return self.sim.fold()
+        return self.sim.fold(tape)
 
     def engines(self) -> dict[str, FluidResource]:
         """The shared hardware engines, keyed by profiler name."""

@@ -8,8 +8,9 @@ Event times are *phase-local*. When the device drains at a barrier
 (:meth:`Simulator.fold`), the local clock ``t`` is folded into the global
 ``epoch`` and restarts at 0, so a phase's timeline depends only on what
 the phase issues, never on when it started -- which is what lets a
-repeated phase be replayed from a record (:meth:`Simulator.replay`)
-instead of re-simulated. ``now`` is always global: ``epoch + t``.
+phase's record be applied again (:meth:`Simulator.replay`), or rebuilt
+from a tape of an earlier phase (:mod:`repro.sim.tape`), instead of
+re-simulated. ``now`` is always global: ``epoch + t``.
 
 All other :mod:`repro.sim` components (resources, streams, devices) hang
 off one :class:`Simulator` instance; a GraphReduce run owns exactly one.
@@ -21,6 +22,8 @@ import heapq
 import itertools
 import weakref
 from typing import Callable
+
+from repro.sim.tape import real
 
 
 class SimulationError(RuntimeError):
@@ -58,7 +61,7 @@ class Simulator:
     def attach(self, part) -> None:
         """Fold and replay ``part``'s phase-local state with the clock's:
 
-        it has ``fold_phase(epoch) -> state`` and ``replay_phase(epoch,
+        it has ``close_phase() -> state`` and ``replay_phase(epoch,
         state)``. Held weakly: observers keep the simulator, and must not
         keep a finished run's device with it."""
         self._parts.append(weakref.ref(part))
@@ -74,18 +77,18 @@ class Simulator:
         Returns a handle whose :meth:`cancel` removes the event. Scheduling
         in the past is a causality violation and raises.
         """
-        if time < self.now:
+        if not time >= self.now:  # also refuses NaN
             raise SimulationError(
                 f"cannot schedule event at t={time!r} before now={self.now!r}"
             )
-        event = [max(self.t, float(time) - self.epoch), next(self._seq), callback]
+        event = [max(self.t, real(time) - self.epoch), next(self._seq), callback]
         heapq.heappush(self._heap, event)
         return event
 
     def after(self, delay: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` ``delay`` seconds from the current time."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
+        if not delay >= 0:
+            raise SimulationError(f"negative or NaN delay {delay!r}")
         event = [self.t + delay, next(self._seq), callback]
         heapq.heappush(self._heap, event)
         return event
@@ -140,12 +143,13 @@ class Simulator:
         """Nothing pending and the local clock at 0: a phase starts here."""
         return not self._heap and not self.t
 
-    def fold(self) -> tuple:
+    def fold(self, recorder=None) -> tuple:
         """Close a drained phase: fold the local clock into ``epoch`` and
 
         each part's phase-local state into its totals. Returns the
         phase's record -- local duration, each part's closed state --
-        for :meth:`replay`.
+        for :meth:`replay`, made concrete by ``recorder`` (a
+        :class:`~repro.sim.tape.TapeRecorder`) when one recorded it.
         """
         if self._heap:
             raise SimulationError("cannot fold a phase with events pending")
@@ -154,9 +158,12 @@ class Simulator:
         for ref in self._parts:
             part = ref()
             if part is not None:
-                states.append((ref, part.fold_phase(self.epoch)))
-        self.epoch += duration
-        return duration, states
+                states.append((ref, part.close_phase()))
+        record = (duration, states)
+        if recorder is not None:
+            record = recorder.finish(record)
+        self.replay(record)
+        return record
 
     def replay(self, record: tuple) -> None:
         """Apply a phase :meth:`fold` recorded as if it ran again now --
@@ -173,3 +180,12 @@ class Simulator:
             if part is not None:
                 part.replay_phase(self.epoch, state)
         self.epoch += duration
+
+    def play(self, tape, inputs) -> tuple | None:
+        """Fold a phase from ``tape`` (see :mod:`repro.sim.tape`) on
+
+        ``inputs``; None, with nothing applied, when its guards fail."""
+        record = tape.play(inputs, self._parts)
+        if record is not None:
+            self.replay(record)
+        return record

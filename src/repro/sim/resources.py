@@ -20,10 +20,13 @@ capacity. A copy engine is simply ``max_concurrent=1``.
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from functools import reduce
 from typing import Callable
 
 from repro.sim.engine import SimulationError, Simulator
+from repro.sim.tape import maximum, minimum, real
 from repro.sim.trace import union_length
 
 
@@ -54,8 +57,8 @@ class FluidResource:
         max_concurrent: int | None = None,
         name: str = "resource",
     ) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity!r}")
+        if not 0 < capacity < math.inf:
+            raise ValueError(f"capacity must be positive and finite, got {capacity!r}")
         if max_concurrent is not None and max_concurrent < 1:
             raise ValueError(f"max_concurrent must be >= 1, got {max_concurrent!r}")
         self.sim = sim
@@ -94,12 +97,12 @@ class FluidResource:
         from actual DMA time. Zero-work jobs complete after the current
         event.
         """
-        if work < 0:
-            raise ValueError(f"negative work {work!r}")
-        rate_cap = self.capacity if max_rate is None else float(max_rate)
-        if rate_cap <= 0:
+        if not 0 <= work < math.inf:
+            raise ValueError(f"work must be finite and non-negative, got {work!r}")
+        rate_cap = self.capacity if max_rate is None else real(max_rate)
+        if not rate_cap > 0:
             raise ValueError(f"max_rate must be positive, got {max_rate!r}")
-        job = _Job(float(work), rate_cap, callback, on_start)
+        job = _Job(real(work), rate_cap, callback, on_start)
         if work == 0:
             # Completes "immediately" but asynchronously, preserving the
             # invariant that callbacks never run inside submit().
@@ -139,14 +142,13 @@ class FluidResource:
             for start, end, frac in block
         ]
 
-    def fold_phase(self, epoch: float) -> tuple:
-        """Close the phase that started at global ``epoch`` (the resource
+    def close_phase(self) -> tuple:
+        """Close the current phase (the resource is idle); returns its
 
-        is idle); returns its state for :meth:`replay_phase`."""
+        state for :meth:`replay_phase`."""
         state = (self._open, self._phase_busy, self._phase_served)
         self._open, self._phase_busy, self._phase_served = [], 0.0, 0.0
         self._last_update = 0.0
-        self.replay_phase(epoch, state)
         return state
 
     def replay_phase(self, epoch: float, state: tuple) -> None:
@@ -190,13 +192,16 @@ class FluidResource:
                 job.remaining -= job.rate * dt
                 # Rounding tolerance: dt is a difference of two clock
                 # values, so its absolute error grows with the (local)
-                # clock; at rate r that is ~r * now * eps work units.
-                tol = 1e-9 * max(1.0, job.work) + job.rate * (now + 1.0) * 1e-11
-                if job.remaining < -tol:
-                    raise SimulationError(
-                        f"{self.name}: job overshot completion by {-job.remaining!r}"
-                    )
-                job.remaining = max(job.remaining, 0.0)
+                # clock; at rate r that is ~r * now * eps work units. The
+                # tolerance is at least its first term, so test that first.
+                floor = 1e-9 * maximum(1.0, job.work)
+                if job.remaining < -floor:
+                    tol = floor + job.rate * (now + 1.0) * 1e-11
+                    if job.remaining < -tol:
+                        raise SimulationError(
+                            f"{self.name}: job overshot completion by {-job.remaining!r}"
+                        )
+                job.remaining = maximum(job.remaining, 0.0)
                 total_rate += job.rate
             self._phase_busy += (total_rate / self.capacity) * dt
             self._phase_served += total_rate * dt
@@ -211,12 +216,21 @@ class FluidResource:
 
     def _water_fill(self) -> None:
         """Assign rates: each job gets min(demand, fair residual share)."""
+        demand = 0.0  # summed in order (sum() may compensate)
+        for job in self._active:
+            demand += job.max_rate
+        if demand <= self.capacity * (1.0 - 1e-9):
+            # Every fair share below would exceed its job's demand by far
+            # more than rounding: each job gets its demand, in any order.
+            for job in self._active:
+                job.rate = job.max_rate
+            return
         jobs = sorted(self._active, key=lambda j: j.max_rate)
         remaining = self.capacity
         n = len(jobs)
         for i, job in enumerate(jobs):
             share = remaining / (n - i)
-            job.rate = min(job.max_rate, share)
+            job.rate = minimum(job.max_rate, share)
             remaining -= job.rate
 
     def _reallocate(self) -> None:
@@ -227,7 +241,7 @@ class FluidResource:
         finished: list[_Job] = []
         while True:
             # Retire jobs whose remaining work is (numerically) zero.
-            done = [j for j in self._active if j.remaining <= 1e-12 * max(1.0, j.work)]
+            done = [j for j in self._active if j.remaining <= 1e-12 * maximum(1.0, j.work)]
             if done:
                 self._active = [j for j in self._active if j not in done]
                 finished.extend(done)
@@ -242,7 +256,7 @@ class FluidResource:
             if not self._active:
                 break
             self._water_fill()
-            t_next = min(j.remaining / j.rate for j in self._active)
+            t_next = reduce(minimum, [j.remaining / j.rate for j in self._active])
             if self.sim.t + t_next > self.sim.t:
                 self._completion_event = self.sim.after(t_next, self._on_completion)
                 break

@@ -24,8 +24,11 @@ Supported operations:
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import TYPE_CHECKING, Callable
+
+from repro.sim.tape import maximum, minimum, whole
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.device import GPUDevice
@@ -123,11 +126,11 @@ class Kernel(_Op):
     ):
         if items < 0:
             raise ValueError(f"negative work items {items!r}")
-        if work_seconds is not None and work_seconds < 0:
-            raise ValueError(f"negative work_seconds {work_seconds!r}")
+        if work_seconds is not None and not 0 <= work_seconds < math.inf:
+            raise ValueError(f"work_seconds must be finite and non-negative, got {work_seconds!r}")
         if occupancy is not None and not (0 < occupancy <= 1):
             raise ValueError(f"occupancy must be in (0, 1], got {occupancy!r}")
-        self.items = int(items)
+        self.items = whole(items)
         self.kind = kind
         self.label = label
         self.work_seconds = work_seconds
@@ -148,7 +151,7 @@ class Kernel(_Op):
         if self.occupancy is not None:
             occupancy = self.occupancy
         else:
-            occupancy = min(1.0, max(work / spec.kernel_min_time, 1e-6))
+            occupancy = minimum(1.0, maximum(work / spec.kernel_min_time, 1e-6))
         sim = device.sim
         t_issue = sim.t
         # The SM-service window (entry into the pool after launch

@@ -89,7 +89,7 @@ class TraceRecorder:
             return
         if category not in CATEGORIES:
             raise ValueError(f"unknown trace category {category!r}")
-        if end < start:
+        if not start <= end:  # also refuses NaN
             raise ValueError(f"interval ends before it starts: {start!r}..{end!r}")
         if service_start is not None and not (start <= service_start <= end):
             raise ValueError(
@@ -99,11 +99,10 @@ class TraceRecorder:
             Interval(start, end, category, stream, amount, label, service_start)
         )
 
-    def fold_phase(self, epoch: float) -> list[Interval]:
-        """Close the phase that started at global ``epoch``; returns its
-        intervals for :meth:`replay_phase`."""
+    def close_phase(self) -> list[Interval]:
+        """Close the current phase; returns its intervals for
+        :meth:`replay_phase`."""
         block, self._open = self._open, []
-        self.replay_phase(epoch, block)
         return block
 
     def replay_phase(self, epoch: float, block: list[Interval]) -> None:

@@ -1,11 +1,17 @@
 """Unit and property tests for water-filling fluid resources."""
 
+import math
+import signal
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.resources import FluidResource
+from repro.sim.stream import Kernel
+from repro.sim.trace import TraceRecorder
 
 
 def run_jobs(capacity, jobs, max_concurrent=None):
@@ -170,3 +176,65 @@ def test_fifo_queue_respects_concurrency(works, conc):
         res.submit(w, lambda: None)
     sim.run()
     assert peak["v"] <= conc
+
+
+class TestNonFiniteInputs:
+    """NaN and infinite work, rates, delays and times are refused up front.
+
+    A NaN compares false with everything, so each of these used to slip
+    past a ``< 0`` check: ``submit(nan)`` then spun forever in
+    ``_reallocate`` (hence the alarm), and an infinite kernel finished
+    right after its launch overhead."""
+
+    @staticmethod
+    @contextmanager
+    def deadline(seconds=5.0):
+        def expire(*_):
+            raise TimeoutError
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        timed_out = False
+        try:
+            yield
+        except TimeoutError:
+            timed_out = True
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        if timed_out:
+            pytest.fail(f"still running after {seconds} s", pytrace=False)
+
+    @pytest.mark.parametrize("work, max_rate", [
+        (math.nan, None), (100.0, math.nan), (math.inf, None), (-1.0, None),
+    ])
+    def test_submit_refuses_non_finite_work_and_rates(self, work, max_rate):
+        sim = Simulator()
+        res = FluidResource(sim, 10.0)
+        with self.deadline(), pytest.raises(ValueError):
+            res.submit(work, lambda: None, max_rate=max_rate)
+            sim.run()
+
+    @pytest.mark.parametrize("capacity", [math.nan, math.inf, 0.0])
+    def test_capacity_must_be_positive_and_finite(self, capacity):
+        with pytest.raises(ValueError):
+            FluidResource(Simulator(), capacity)
+
+    def test_nan_delay_and_time_are_refused(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.after(math.nan, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.at(math.nan, lambda: None)
+
+    @pytest.mark.parametrize("seconds", [math.nan, math.inf])
+    def test_kernel_needs_finite_seconds(self, seconds):
+        with pytest.raises(ValueError):
+            Kernel(1_000, work_seconds=seconds)
+
+    @pytest.mark.parametrize("start, end, service", [
+        (math.nan, 1.0, None), (0.0, math.nan, None), (0.0, 1.0, math.nan),
+    ])
+    def test_trace_refuses_nan_times(self, start, end, service):
+        with pytest.raises(ValueError):
+            TraceRecorder().record(start, end, "kernel", "s0", 1, service_start=service)
