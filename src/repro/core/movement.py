@@ -488,50 +488,47 @@ class DataMovementEngine:
         if skipped:
             self.obs.add("movement.shards.skipped", skipped)
         key = recorder = None
-        pending = [] if barrier and self._tapeable() else None
+        defer = barrier and self._tapeable()
+        issued = []  # (stream, shard, work, resident) per computed shard
         before = self._snapshot()
         try:
             for i, shard in enumerate(shards):
                 stream_i = i % self.k
                 work = compute(shard)
-                with self.obs.span(
-                    "shard",
-                    category="shard",
-                    shard=shard.index,
-                    group=group.name,
-                    stream=stream_i,
-                ) as shard_span:
-                    resident = self._cached or self._lru_acquire(
-                        shard, self.streams[stream_i], stream_i
-                    )
-                    if pending is None:
-                        self._issue_shard(group, stream_i, shard, work, resident)
-                    else:
-                        pending.append((stream_i, shard, work, resident))
-                    shard_span.set(resident=resident, items=work.total)
-                    self.stats.shards_processed += 1
-                    if not self.config.async_streams:
-                        self.device.synchronize()  # fully synchronous baseline
-            if pending is not None:
-                key = (group, self._cached, tuple(shard.index for _, shard, _, _ in pending))
-                inputs = [x for _, _, work, _ in pending for x in self._kernel_inputs(work)]
+                resident = self._cached or self._lru_acquire(
+                    shard, self.streams[stream_i], stream_i
+                )
+                issued.append((stream_i, shard, work, resident))
+                if not defer:
+                    self._issue_shard(group, stream_i, shard, work, resident)
+                self.stats.shards_processed += 1
+                if not self.config.async_streams:
+                    self.device.synchronize()  # fully synchronous baseline
+            if defer:
+                key = (group, self._cached, tuple(shard.index for _, shard, _, _ in issued))
+                inputs = [x for _, _, work, _ in issued for x in self._kernel_inputs(work)]
                 if self._play(key, inputs):
-                    pending = None
+                    defer = False
                 else:
                     recorder = self._recorder(key)
         finally:
             # A phase whose compute raised still issues and reports what
             # its computed shards would have.
-            if pending:
-                traced = recorder.inputs(inputs) if recorder else [None] * (2 * len(pending))
-                for n, args in enumerate(pending):
+            if defer and issued:
+                traced = recorder.inputs(inputs) if recorder else [None] * (2 * len(issued))
+                for n, args in enumerate(issued):
                     self._issue_shard(group, *args, kernel=traced[2 * n:2 * n + 2])
             self._report_since(before)
+            span = self.obs.current  # the phase's: one column per shard field
+            if span is not None:
+                streams, computed, works, resident = zip(*issued) if issued else ((),) * 4
+                span.set(shard_ids=tuple(shard.index for shard in computed), streams=streams,
+                         resident=resident, items=tuple(work.total for work in works))
         if barrier:
             # BSP barrier between phases. Multi-device callers pass
             # barrier=False, issue every device's work, then synchronize
             # all devices so per-device phases overlap.
-            if key is None or pending is not None:
+            if key is None or defer:
                 self._barrier(key, recorder, before)
             self.stats.phase_barriers += 1
 

@@ -269,10 +269,7 @@ class GraphReduceResult:
     iteration_stats: list[IterationStat] = field(default_factory=list)
     #: span tree + metrics of the run (None when options.observe is off)
     observer: "Observer | None" = None
-    #: per-engine busy/utilization timelines captured from the device's
-    #: copy engines and SM pool (None when options.trace is off); feeds
-    #: the occupancy computation in :mod:`repro.obs.profile`
-    engine_snapshots: dict | None = None
+    _engine_snapshots: object = field(default=None, repr=False)  # or its builder
     #: plan totals of the host fast path (dense-plan hits/misses/
     #: hit_rate, row-built ``sparse_bypass``, held bytes); None when
     #: ``dense_fast_path`` was off
@@ -293,6 +290,14 @@ class GraphReduceResult:
     #: iterations) for programs exposing ``batch_stats()``; None for
     #: ordinary single-query programs
     batch: dict | None = None
+
+    @property
+    def engine_snapshots(self) -> dict | None:
+        """Per-engine busy/utilization timelines (None when options.trace
+        is off), for :mod:`repro.obs.profile`; built on first read."""
+        if callable(self._engine_snapshots):
+            self._engine_snapshots = self._engine_snapshots()
+        return self._engine_snapshots
 
     @property
     def memcpy_fraction(self) -> float:
@@ -499,7 +504,7 @@ class GraphReduce:
                 ssd = FluidResource(
                     sim, host.ssd_bandwidth, max_concurrent=host.ssd_queue_depth, name="ssd"
                 )
-                movement.ssd = (ssd, spill)
+                movement.ssd, device.ssd = (ssd, spill), ssd
             elif opts.host_backing != "dram":
                 raise ValueError(f"unknown host_backing {opts.host_backing!r}")
             with obs.span("resident", category="phase"):
@@ -670,12 +675,7 @@ class GraphReduce:
                             movement.run_phase(group, shards, skipped, run_shard)
                     with obs.span("frontier", category="phase"):
                         movement.iteration_sync(frontier_bytes)
-                    it_span.set(
-                        h2d_bytes=movement.stats.h2d_bytes - h2d0,
-                        d2h_bytes=movement.stats.d2h_bytes - d2h0,
-                    )
-                iteration_stats.append(
-                    IterationStat(
+                    stat = IterationStat(
                         iteration=iteration,
                         frontier_size=frontier_size,
                         h2d_bytes=movement.stats.h2d_bytes - h2d0,
@@ -685,7 +685,8 @@ class GraphReduce:
                         shards_skipped=movement.stats.shards_skipped - skip0,
                         direction=direction,
                     )
-                )
+                    it_span.set(h2d_bytes=stat.h2d_bytes, d2h_bytes=stat.d2h_bytes)
+                iteration_stats.append(stat)
                 obs.add("runtime.iterations")
                 if telem is not None:
                     telem.iteration(iteration, frontier_size, direction=direction)
@@ -738,11 +739,6 @@ class GraphReduce:
         run_span.set(iterations=iteration, converged=converged)
         run_span_cm.__exit__(None, None, None)
         trace = device.trace
-        engine_snapshots = None
-        if opts.trace:
-            engine_snapshots = device.engine_snapshots()
-            if movement.ssd is not None:
-                engine_snapshots["ssd"] = movement.ssd[0].profile_snapshot()
         batch_summary = None
         if hasattr(program, "batch_stats"):
             batch_summary = program.batch_stats()
@@ -751,14 +747,15 @@ class GraphReduce:
                     if isinstance(value, bool) or not isinstance(value, int):
                         continue
                     obs.add(f"batch.{key}", value)
+        memcpy_time, kernel_time, memcpy_busy_span = trace.breakdown()
         return GraphReduceResult(
             vertex_values=compute.vertex_values,
             iterations=iteration,
             converged=converged,
             sim_time=sim.now,
-            memcpy_time=trace.memcpy_time(),
-            kernel_time=trace.kernel_time(),
-            memcpy_busy_span=trace.busy_span("h2d", "d2h"),
+            memcpy_time=memcpy_time,
+            kernel_time=kernel_time,
+            memcpy_busy_span=memcpy_busy_span,
             stats=movement.stats,
             frontier_history=frontier.history,
             in_memory_mode=in_memory,
@@ -768,7 +765,7 @@ class GraphReduce:
             trace=trace,
             iteration_stats=iteration_stats,
             observer=obs if obs.enabled else None,
-            engine_snapshots=engine_snapshots,
+            _engine_snapshots=device.engine_snapshots if opts.trace else None,
             plan_cache=plans.stats() if plans.enabled else None,
             kernels=compute.kernel_stats(),
             prefetch=prefetcher.snapshot() if prefetcher is not None else None,

@@ -6,7 +6,7 @@ memcpy/kernel breakdown, Figure 5's compute-transfer overlap, Figures
 first-class version of that instrumentation:
 
 * :mod:`repro.obs.span` -- hierarchical spans (run -> iteration ->
-  phase -> shard) over the simulated clock, recorded through a
+  phase, shards as phase columns) over the simulated clock, recorded through a
   context-manager API with a zero-overhead no-op recorder when disabled;
 * :mod:`repro.obs.metrics` -- typed counters and histograms (bytes
   moved, kernels launched, shards skipped, fusion decisions);

@@ -5,8 +5,8 @@ events, timestamps in microseconds) opens directly in
 ``chrome://tracing`` and in Perfetto's legacy-trace importer. The
 export merges two sources onto one timeline:
 
-* the observer's span tree (run / iteration / phase / shard) as the
-  *runtime* process, and
+* the observer's span tree (run / iteration / phase; a phase's shards
+  are columns in its ``args``) as the *runtime* process, and
 * the simulated device's interval trace (every H2D/D2H copy, kernel and
   storage op) as the *device* process with one row per stream.
 
@@ -50,14 +50,13 @@ def observer_to_json(observer) -> dict:
 def _span_events(observer) -> list[dict]:
     events = []
     for span in observer.iter_spans():
-        end = span.end if span.end is not None else span.start
         events.append(
             {
                 "ph": "X",
                 "pid": RUNTIME_PID,
                 "tid": 1,
                 "ts": span.start * US,
-                "dur": (end - span.start) * US,
+                "dur": span.duration * US,
                 "name": span.name,
                 "cat": span.category,
                 "args": _json_safe(span.attrs),

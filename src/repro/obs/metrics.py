@@ -11,12 +11,11 @@ interpolation inside the bucket bounds the error to the bucket width --
 no per-observation storage, merge-exact, and stable across a JSON
 round-trip because the estimate is a pure function of the buckets.
 
-Thread safety: ``Counter.add`` and ``Histogram.observe`` take a
-per-instrument lock -- parallel shard compute and the telemetry
-watchdog record concurrently, and ``+=`` on a
-Python float is not atomic. Instrument creation in the registry is
-guarded separately, so the hot path costs one uncontended lock, not
-two.
+``Counter.add`` and ``Histogram.observe`` refuse NaN and infinities
+(``ValueError``, the instrument unchanged). They take a per-instrument
+lock: the registry is a thread-safe public API, and ``+=`` on a Python
+float is not atomic. Instrument creation in the registry is guarded
+separately, so the hot path costs one uncontended lock, not two.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ def _instrument_lock():
     return field(default_factory=threading.Lock, repr=False, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Counter:
     """A monotonically growing total."""
 
@@ -43,6 +42,8 @@ class Counter:
     _lock: threading.Lock = _instrument_lock()
 
     def add(self, n: float = 1.0) -> None:
+        if not math.isfinite(n):
+            raise ValueError(f"{self.name}: non-finite value {n!r}")
         with self._lock:
             self.value += n
 
@@ -79,6 +80,8 @@ class Histogram:
     _lock: threading.Lock = _instrument_lock()
 
     def observe(self, value: float) -> None:
+        if not math.isfinite(value):
+            raise ValueError(f"{self.name}: non-finite value {value!r}")
         with self._lock:
             self.count += 1
             self.total += value

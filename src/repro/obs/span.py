@@ -1,9 +1,9 @@
 """Hierarchical spans over the simulated clock.
 
 A :class:`Span` is one timed region of execution -- the whole run, one
-iteration, one phase group, one shard's streaming -- with free-form
-attributes and child spans. The :class:`Observer` records them through
-a context-manager API::
+iteration, one phase group (its shards as columns, not child spans) --
+with free-form attributes and child spans. The :class:`Observer` records
+them through a context-manager API::
 
     obs = Observer(clock=lambda: sim.now)
     with obs.span("iteration", category="iteration", index=3) as sp:
@@ -11,8 +11,8 @@ a context-manager API::
         sp.set(frontier=frontier.size)
 
 Spans nest by dynamic scope: a span opened while another is active
-becomes its child, so the runtime's ``run -> iteration -> phase ->
-shard`` hierarchy falls out of plain ``with`` statements.
+becomes its child, so the runtime's ``run -> iteration -> phase``
+hierarchy falls out of plain ``with`` statements.
 
 When observability is disabled the runtime uses :data:`NULL_OBSERVER`,
 whose ``span``/``event``/``add``/``observe`` all return shared
@@ -37,7 +37,7 @@ class Span:
     start: float = 0.0
     end: float | None = None
     attrs: dict = field(default_factory=dict)
-    children: list["Span"] = field(default_factory=list)
+    children: list["Span"] = ()  # a list from the first child on
 
     @property
     def duration(self) -> float:
@@ -124,10 +124,12 @@ class Observer:
         return sp
 
     def _attach(self, span: Span) -> None:
-        if self._stack:
+        if not self._stack:
+            self.roots.append(span)
+        elif self._stack[-1].children:
             self._stack[-1].children.append(span)
         else:
-            self.roots.append(span)
+            self._stack[-1].children = [span]
 
     def _push(self, span: Span) -> None:
         span.start = self.clock()
@@ -151,7 +153,7 @@ class Observer:
 
     # -- metrics pass-through -------------------------------------------
     def add(self, name: str, n: float = 1.0) -> None:
-        self.metrics.add(name, n)
+        (self.metrics.counters.get(name) or self.metrics.counter(name)).add(n)
 
     def observe(self, name: str, value: float) -> None:
         self.metrics.observe(name, value)

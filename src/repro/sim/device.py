@@ -47,6 +47,7 @@ class GPUDevice:
         self.sm_pool = FluidResource(
             sim, 1.0, max_concurrent=self.spec.hyperq, name="sm-pool"
         )
+        self.ssd: FluidResource | None = None  # host flash, when attached
         self._streams: list[Stream] = []
         self._stream_ids = itertools.count()
 
@@ -92,13 +93,11 @@ class GPUDevice:
             )
         return self.sim.fold(tape)
 
-    def engines(self) -> dict[str, FluidResource]:
-        """The shared hardware engines, keyed by profiler name."""
-        return {"h2d": self._h2d, "d2h": self._d2h, "sm": self.sm_pool}
-
     def engine_snapshots(self) -> dict[str, dict]:
-        """Per-engine occupancy data (see FluidResource.profile_snapshot)."""
-        return {name: res.profile_snapshot() for name, res in self.engines().items()}
+        """Per-engine occupancy data (see FluidResource.profile_snapshot),
+        keyed by profiler name."""
+        engines = {"h2d": self._h2d, "d2h": self._d2h, "sm": self.sm_pool, "ssd": self.ssd}
+        return {name: res.profile_snapshot() for name, res in engines.items() if res is not None}
 
     # ------------------------------------------------------------------
     def transfer_time(self, nbytes: int) -> float:

@@ -21,6 +21,7 @@ capacity. A copy engine is simply ``max_concurrent=1``.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from functools import reduce
 from typing import Callable
@@ -72,13 +73,12 @@ class FluidResource:
         # Integrals of (allocated rate / capacity) dt and of rate dt; the
         # current phase's fold into the totals once per phase.
         self._busy = self._served = self._phase_busy = self._phase_served = 0.0
-        # Utilization timeline: [start, end, fraction-of-capacity]
-        # segments covering every instant the resource served work, kept
-        # per phase in local time as (epoch, segments) blocks (a replayed
-        # phase shares its recorded block). Adjacent segments at the same
-        # fraction merge: a block grows with rate changes, not events.
-        self._blocks: list[tuple[float, list[list[float]]]] = []
-        self._open: list[list[float]] = []
+        # Utilization timeline: (start, end, fraction-of-capacity)
+        # segments covering every instant the resource served work, in
+        # local time while the phase is open (adjacent segments at the same
+        # fraction merge), then in global time, three doubles each.
+        self._closed = array("d")
+        self._open: list[tuple[float, float, float]] = []
         sim.attach(self)
 
     # ------------------------------------------------------------------
@@ -136,10 +136,9 @@ class FluidResource:
     @property
     def timeline(self) -> list[tuple[float, float, float]]:
         """Utilization segments ``(start, end, fraction)`` in global time."""
-        return [
-            (epoch + start, epoch + end, frac)
-            for epoch, block in self._blocks + [(self.sim.epoch, self._open)]
-            for start, end, frac in block
+        closed, epoch = self._closed, self.sim.epoch
+        return list(zip(closed[0::3], closed[1::3], closed[2::3])) + [
+            (epoch + start, epoch + end, frac) for start, end, frac in self._open
         ]
 
     def close_phase(self) -> tuple:
@@ -154,8 +153,8 @@ class FluidResource:
     def replay_phase(self, epoch: float, state: tuple) -> None:
         """Add a closed phase's segments and integrals at ``epoch``."""
         block, busy, served = state
-        if block:
-            self._blocks.append((epoch, block))
+        self._closed.extend([x for start, end, frac in block
+                             for x in (epoch + start, epoch + end, frac)])
         self._busy += busy
         self._served += served
 
@@ -209,9 +208,9 @@ class FluidResource:
                 frac = total_rate / self.capacity
                 last = self._open[-1] if self._open else None
                 if last and last[1] >= self._last_update - 1e-15 and abs(last[2] - frac) <= 1e-12:
-                    last[1] = now
+                    self._open[-1] = (last[0], now, last[2])
                 else:
-                    self._open.append([self._last_update, now, frac])
+                    self._open.append((self._last_update, now, frac))
         self._last_update = now
 
     def _water_fill(self) -> None:

@@ -25,6 +25,7 @@ Supported operations:
 from __future__ import annotations
 
 import math
+import weakref
 from collections import deque
 from typing import TYPE_CHECKING, Callable
 
@@ -250,7 +251,7 @@ class Stream:
     """An in-order operation queue on a :class:`~repro.sim.device.GPUDevice`."""
 
     def __init__(self, device: "GPUDevice", name: str):
-        self.device = device
+        self._device = weakref.ref(device)  # no cycle: a run's device dies with it
         self.name = name
         self._queue: deque[_Op] = deque()
         #: the operation in progress (None when the stream is idle)
@@ -282,6 +283,8 @@ class Stream:
     def wait_event(self, event: StreamEvent) -> "Stream":
         return self.enqueue(EventWait(event))
 
+    device = property(lambda self: self._device())
+
     @property
     def idle(self) -> bool:
         return self.current is None and not self._queue
@@ -292,4 +295,4 @@ class Stream:
             self.current = None
             return
         op = self.current = self._queue.popleft()
-        op.start(self.device, self, self._dispatch_next)
+        op.start(self._device(), self, self._dispatch_next)

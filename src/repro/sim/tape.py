@@ -154,33 +154,23 @@ class TapeRecorder:
 
         unless the recording aborted, :attr:`tape` becomes its tape."""
         duration, states = record
-        parts = []  # (row class, or None for lists; rows; tail values or None)
-        for _, state in states:
-            rows, tail = (state, None) if isinstance(state, list) else (state[0], state[1:])
-            parts.append((type(rows[0]) if rows and isinstance(rows[0], tuple) else None,
-                          rows, tail))
+        parts = [(state, None) if isinstance(state, list) else (state[0], state[1:])
+                 for _, state in states]  # (tuple rows, tail values or None)
         refs = [ref for ref, _ in states]
-        concrete = _concrete(duration), [
-            (ref, _state(cls, [map(_concrete, row) for row in rows],
-                         None if tail is None else map(_concrete, tail)))
-            for ref, (cls, rows, tail) in zip(refs, parts)
-        ]
+        concrete = _concrete(duration), []
+        for ref, (rows, tail) in zip(refs, parts):
+            rows = [tuple(map(_concrete, row)) for row in rows]
+            concrete[1].append((ref, rows if tail is None else (rows, *map(_concrete, tail))))
         if not self.aborted:
             tape = Tape(self, self._node(duration), [
-                (cls, [list(map(self._node, row)) for row in rows],
+                ([list(map(self._node, row)) for row in rows],
                  None if tail is None else list(map(self._node, tail)))
-                for cls, rows, tail in parts
+                for rows, tail in parts
             ])
             if tape.play(self._inputs, refs) == concrete:  # it reproduces its run
                 self.tape = tape
         self._memo.clear()  # its traced values refer back here
         return concrete
-
-
-def _state(cls, rows, tail):
-    """A part's phase state: rows of ``cls`` (lists if None), then ``tail``."""
-    rows = [list(row) if cls is None else tuple.__new__(cls, row) for row in rows]
-    return rows if tail is None else (rows, *tail)
 
 
 class Tape:
@@ -229,9 +219,9 @@ class Tape:
             self._runs.append((None, count - done))
         self._duration = relocate((duration,))[0]
         self._layout = tuple(  # rows of 3 or 7 fields, tails of 2
-            (cls, tuple(operator.itemgetter(*relocate(row)) for row in rows),
+            (tuple(operator.itemgetter(*relocate(row)) for row in rows),
              None if tail is None else operator.itemgetter(*relocate(tail)))
-            for cls, rows, tail in parts
+            for rows, tail in parts
         )
         self._last = None  # (inputs, duration, states) of the latest play
 
@@ -271,9 +261,9 @@ class Tape:
                     g += n
         except ArithmeticError:  # behind a guard of this stretch that failed
             return None
-        states, new = [], tuple.__new__
-        for cls, rows, tail in self._layout:
-            block = [list(row(R)) for row in rows] if cls is None else [new(cls, row(R)) for row in rows]
+        states = []
+        for rows, tail in self._layout:
+            block = [row(R) for row in rows]
             states.append(block if tail is None else (block, *tail(R)))
         self._last = list(inputs), R[self._duration], states
         return R[self._duration], list(zip(refs, states))

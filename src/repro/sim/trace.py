@@ -34,8 +34,8 @@ def union_length(spans) -> float:
 
 
 class Interval(NamedTuple):
-    """One completed operation on the simulated device (a tuple: tens of
-    thousands are built per traced query)."""
+    """One completed operation on the simulated device, in global time;
+    built on read from a :class:`TraceRecorder` row of the same fields."""
 
     start: float
     end: float
@@ -60,19 +60,20 @@ class Interval(NamedTuple):
 
 
 class TraceRecorder:
-    """Accumulates :class:`Interval` records and computes aggregates.
+    """Accumulates trace rows and computes aggregates.
 
-    Intervals are recorded in phase-local time and kept per phase as
-    ``(epoch, intervals)`` blocks (see :meth:`Simulator.fold`); a
-    replayed phase shares its recorded block, so repeats cost one tuple.
-    :attr:`intervals` applies the epochs on read; the aggregates work
-    phase by phase in local time.
+    A row is an exact ``(start, end, category, stream, amount, label,
+    service_start)`` tuple in phase-local time, which the garbage
+    collector stops tracking. Rows are kept per phase as ``(epoch, rows)``
+    blocks (see :meth:`Simulator.fold`); a replayed phase shares its
+    recorded block. :attr:`intervals` builds :class:`Interval` objects in
+    global time on read; the aggregates work phase by phase in local time.
     """
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self._blocks: list[tuple[float, list[Interval]]] = []
-        self._open: list[Interval] = []
+        self._blocks: list[tuple[float, list[tuple]]] = []
+        self._open: list[tuple] = []
         self.sim = None  # set by the device: whose phase-local clock is recorded
 
     def record(
@@ -95,46 +96,43 @@ class TraceRecorder:
             raise ValueError(
                 f"service_start {service_start!r} outside interval {start!r}..{end!r}"
             )
-        self._open.append(
-            Interval(start, end, category, stream, amount, label, service_start)
-        )
+        self._open.append((start, end, category, stream, amount, label, service_start))
 
-    def close_phase(self) -> list[Interval]:
-        """Close the current phase; returns its intervals for
-        :meth:`replay_phase`."""
+    def close_phase(self) -> list[tuple]:
+        """Close the current phase; returns its rows for :meth:`replay_phase`."""
         block, self._open = self._open, []
         return block
 
-    def replay_phase(self, epoch: float, block: list[Interval]) -> None:
+    def replay_phase(self, epoch: float, block: list[tuple]) -> None:
         if block:
-            self._blocks.append((epoch, block))
+            self._blocks.append((epoch, tuple(block)))  # untracked by the GC, like its rows
 
-    def _phases(self) -> list[tuple[float, list[Interval]]]:
+    def _phases(self) -> list[tuple[float, list[tuple]]]:
         return self._blocks + [(0.0 if self.sim is None else self.sim.epoch, self._open)]
 
     @property
     def intervals(self) -> list[Interval]:
         """Every interval in global time (built on each read)."""
         return [
-            Interval(epoch + iv.start, epoch + iv.end, *iv[2:6],
-                     None if iv.service_start is None else epoch + iv.service_start)
-            for epoch, block in self._phases() for iv in block
+            Interval(epoch + row[0], epoch + row[1], *row[2:6],
+                     None if row[6] is None else epoch + row[6])
+            for epoch, block in self._phases() for row in block
         ]
 
     def _local(self, categories):
-        """Each phase's intervals in ``categories``, in local time."""
+        """Each phase's rows in ``categories``, in local time."""
         cats = categories or CATEGORIES
-        return ([iv for iv in block if iv.category in cats] for _, block in self._phases())
+        return ([row for row in block if row[2] in cats] for _, block in self._phases())
 
     # ------------------------------------------------------------------
     # Aggregates
     # ------------------------------------------------------------------
     def total_duration(self, *categories: str) -> float:
         """Sum of interval durations in the given categories."""
-        return sum(iv.end - iv.start for ivs in self._local(categories) for iv in ivs)
+        return sum(row[1] - row[0] for rows in self._local(categories) for row in rows)
 
     def total_amount(self, *categories: str) -> float:
-        return sum(iv.amount for ivs in self._local(categories) for iv in ivs)
+        return sum(row[4] for rows in self._local(categories) for row in rows)
 
     def busy_span(self, *categories: str) -> float:
         """Length of the union of intervals in the given categories.
@@ -146,7 +144,7 @@ class TraceRecorder:
         so the union is taken phase by phase, in local time.
         """
         phases = self._local(categories)
-        return sum(union_length((iv.start, iv.end) for iv in ivs) for ivs in phases)
+        return sum(union_length(row[:2] for row in rows) for rows in phases)
 
     def service_busy_span(self, *categories: str) -> float:
         """Like :meth:`busy_span`, but over engine-*service* windows.
@@ -156,11 +154,13 @@ class TraceRecorder:
         Hyper-Q queueing, so it equals the SM pool's busy time.
         """
         phases = self._local(categories)
-        return sum(union_length((iv.service_begin, iv.end) for iv in ivs) for ivs in phases)
+        return sum(union_length((r[0] if r[6] is None else r[6], r[1]) for r in rows)
+                   for rows in phases)
 
     def makespan(self) -> float:
         """End time of the last recorded interval (0 when empty)."""
-        return max((epoch + iv.end for epoch, block in self._phases() for iv in block), default=0.0)
+        return max((epoch + row[1] for epoch, block in self._phases() for row in block),
+                   default=0.0)
 
     def memcpy_time(self) -> float:
         """Total transfer time (sum over both directions, Figure 15)."""
@@ -171,6 +171,20 @@ class TraceRecorder:
 
     def kernel_time(self) -> float:
         return self.total_duration("kernel")
+
+    def breakdown(self) -> tuple[float, float, float]:
+        """``(memcpy_time(), kernel_time(), busy_span("h2d", "d2h"))`` bit for
+        bit, from one walk: ``sum()`` over the same sequences, in order."""
+        kernels, unions = [], []
+
+        def copies():
+            for _, block in self._phases():
+                spans = [row[:2] for row in block if row[2] == "h2d" or row[2] == "d2h"]
+                kernels.extend([row[1] - row[0] for row in block if row[2] == "kernel"])
+                unions.append(union_length(spans))
+                yield from (end - start for start, end in spans)
+
+        return sum(copies()), sum(kernels), sum(unions)
 
     def clear(self) -> None:
         self._blocks.clear()

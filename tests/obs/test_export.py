@@ -62,7 +62,8 @@ class TestChromeTrace:
         ]
         assert len(span_events) == sum(1 for _ in result.observer.iter_spans())
         cats = {ev["cat"] for ev in span_events}
-        assert {"run", "iteration", "phase", "shard"} <= cats
+        assert {"run", "iteration", "phase"} <= cats
+        assert "shard" not in cats  # shards are columns of their phase span
 
     def test_interval_events_cover_device_trace(self, doc, result):
         dev = [

@@ -1,12 +1,15 @@
 """Span recorder, metrics registry, and runtime integration."""
 
+import gc
+import math
+
 import numpy as np
 import pytest
 
 from repro.algorithms import BFS, PageRank
 from repro.core.runtime import GraphReduce, GraphReduceOptions
 from repro.graph.generators import erdos_renyi, rmat
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.obs.span import NULL_OBSERVER, NoopObserver, Observer
 
 
@@ -225,6 +228,35 @@ class TestMetrics:
         rt = MetricsRegistry.from_snapshot(json.loads(json.dumps(m.snapshot())))
         assert rt.snapshot() == m.snapshot()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_histogram_refuses_non_finite_values_unchanged(self, value):
+        h = Histogram("h")
+        h.observe(3.0)
+        before = h.to_dict()
+        with pytest.raises(ValueError, match="non-finite"):
+            h.observe(value)
+        assert h.to_dict() == before
+
+    def test_histogram_after_nan_inf_and_minus_inf(self):
+        h = Histogram("h")
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                h.observe(value)
+        assert (h.count, h.total, h.buckets) == (0, 0.0, {})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_counter_refuses_non_finite_values_unchanged(self, value):
+        c = Counter("c")
+        c.add(2)
+        with pytest.raises(ValueError, match="non-finite"):
+            c.add(value)
+        assert c.value == 2.0
+        obs = Observer()
+        obs.add("c", 2)
+        with pytest.raises(ValueError):
+            obs.add("c", value)
+        assert obs.metrics.value("c") == 2.0
+
     def test_registry_creates_on_first_use(self):
         m = MetricsRegistry()
         m.add("a", 2)
@@ -265,9 +297,38 @@ class TestRuntimeIntegration:
             assert names[-1] == "frontier"
             assert "gather_map" in names
 
-    def test_shard_spans_match_processed_count(self, result):
-        shards = list(result.observer.find(category="shard"))
-        assert len(shards) == result.stats.shards_processed
+    def test_phase_records_cover_processed_shards(self, result):
+        assert not list(result.observer.find(category="shard"))
+        phases = list(result.observer.find(category="phase"))
+        processed = sum(len(sp.attrs.get("shard_ids", ())) for sp in phases)
+        assert processed == result.stats.shards_processed
+        for sp in phases:
+            if "shard_ids" in sp.attrs:
+                columns = [sp.attrs[c] for c in ("shard_ids", "streams", "resident", "items")]
+                assert all(type(c) is tuple for c in columns)
+                assert len({len(c) for c in columns}) == 1
+                assert len(sp.attrs["shard_ids"]) == sp.attrs["shards"]
+
+    def test_stored_trace_rows_are_untracked(self, result):
+        gc.collect()
+        rows = [row for _, block in result.trace._phases() for row in block]
+        assert rows
+        assert all(type(row) is tuple and not gc.is_tracked(row) for row in rows)
+
+    def test_engine_snapshots_built_on_read_equal_eager(self):
+        g = rmat(9, 4_000, seed=4)
+        options = GraphReduceOptions(cache_policy="never", host_backing="ssd")
+        eager = GraphReduce(g, options=options).run(PageRank(tolerance=1e-3))
+        eager_snapshots = eager.engine_snapshots
+        engine = GraphReduce(g, options=options)
+        lazy = engine.run(PageRank(tolerance=1e-3))
+        assert callable(lazy._engine_snapshots)
+        engine.run(BFS(source=0))  # the engine moves on before the read
+        assert set(eager_snapshots) == {"h2d", "d2h", "sm", "ssd"}
+        assert lazy.engine_snapshots == eager_snapshots
+        assert lazy.engine_snapshots is lazy.engine_snapshots
+        bare = GraphReduce(g, options=options.replace(trace=False)).run(BFS(source=0))
+        assert bare.engine_snapshots is None
 
     def test_counters_match_movement_stats(self, result):
         m = result.observer.metrics

@@ -93,6 +93,16 @@ class TestTrace:
         assert tr.busy_span("h2d", "d2h") == pytest.approx(4.0)
         assert tr.total_duration("h2d", "d2h") == pytest.approx(5.0)
 
+    def test_breakdown_is_the_three_aggregates(self):
+        tr = TraceRecorder()
+        tr.record(0.0, 0.1, "h2d", "a", 1)
+        tr.record(0.05, 0.3, "kernel", "a", 1, service_start=0.07)
+        tr.record(0.2, 0.7, "d2h", "b", 1)
+        tr.record(0.1, 0.2, "h2d", "b", 1)
+        tr.record(0.0, 0.3, "storage", "c", 1)
+        assert tr.breakdown() == (tr.memcpy_time(), tr.kernel_time(), tr.busy_span("h2d", "d2h"))
+        assert TraceRecorder().breakdown() == (0, 0, 0)
+
     def test_busy_span_empty(self):
         assert TraceRecorder().busy_span() == 0.0
 
