@@ -60,18 +60,6 @@ class ExecutionTrace:
         return len(self.profiles)
 
 
-def expected_touched_fraction(active: int, num_partitions: int) -> float:
-    """Expected fraction of partitions holding >= 1 of ``active`` vertices
-
-    under uniform placement -- the selectivity both GraphChi's intervals
-    and X-Stream's streaming partitions get from skipping quiet regions.
-    """
-    if active <= 0:
-        return 0.0
-    p_untouched = (1.0 - 1.0 / num_partitions) ** min(active, 10**6)
-    return float(1.0 - p_untouched)
-
-
 class HostGASExecutor:
     """Reference BSP execution with activity profiling.
 

@@ -43,13 +43,6 @@ _traces: dict[tuple, ExecutionTrace] = {}
 _gr_runs: dict[tuple, GraphReduceResult] = {}
 
 
-def clear_caches() -> None:
-    _prepared.clear()
-    _sources.clear()
-    _traces.clear()
-    _gr_runs.clear()
-
-
 # ----------------------------------------------------------------------
 # Shared preparation
 # ----------------------------------------------------------------------

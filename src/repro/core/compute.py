@@ -371,25 +371,20 @@ class ComputeEngine:
         return {i: WorkItems(edge[i], vertex[i]) for i in merged}
 
     def _split_census(self, phase: str, fused0: int) -> None:
-        """Per-shard items of the merged ``phase`` just run: one
-        ``searchsorted`` of its rows and sums of their degrees."""
-        fr = self.frontier
+        """Per-shard items of the merged ``phase`` just run: the frontier's
+        per-shard split of its rows and sums of their degrees."""
         if phase == "gather_reduce":
             items = self._segments  # parked by gather_map, like _pending
         else:
-            n = self.sharded.num_vertices
-            if phase == "frontier_activate":
-                rows, degrees = fr.changed_in(0, n), self.ctx.out_degrees
-            else:
-                rows, degrees = fr.active_in(0, n), self.ctx.in_degrees
-            at = np.searchsorted(rows, self.sharded.boundaries)
+            rows, at, _ = self.frontier.split("changed" if phase == "frontier_activate" else "active")
             items = at[1:] - at[:-1]  # apply: one item per row
             if phase != "apply":  # the edge phases: one per incident edge
                 runs = np.flatnonzero(items)  # reduceat cannot take an empty run
                 # the kernel's own expansion counted them; a generic rerun did not
                 degree, self._counts = self._counts, None
                 if degree is None:
-                    degree = np.take(degrees, rows)
+                    out = phase == "frontier_activate"
+                    degree = np.take(self.ctx.out_degrees if out else self.ctx.in_degrees, rows)
 
                 def per_run(per_row):
                     sums = np.zeros_like(items)
@@ -587,12 +582,10 @@ class ComputeEngine:
         if plan is None:
             plan = self.plans.out_plan(shard, full=self.program.has_scatter)
         n_edges = shard.num_out_edges if count_full else plan.n_edges
-        if plan.n_edges:
-            # A dense plan carries its deduplicated targets: the
-            # resulting frontier is identical (idempotent writes) and
-            # the recorded count stays per-out-edge.
-            targets = plan.indices if plan.targets is None else plan.targets
-            self.frontier.activate_next(targets, count=plan.n_edges)
+        if plan.n_edges and plan.present is None:
+            self.frontier.activate_next(plan.indices)
+        elif plan.n_edges:  # one OR of the out-neighbour presence span
+            self.frontier.activate_next_mask(plan.present, plan.n_edges, start=plan.lo)
         return WorkItems(edge_items=n_edges)
 
     def _fused_activate(self, shard: Shard, rows, count_full: bool) -> WorkItems | None:
@@ -697,12 +690,14 @@ class ComputeEngine:
             self._kernel_fallback("apply", exc)
             return False
         self._premap_valid = False
+        # a dense apply whose every row changed marks its interval as a slice
+        whole = dense and spec.kind == "affine" and spec.changed_mode == "all"
         if dense:
             self.vertex_values[lo:hi] = out
-            changed_vids = np.flatnonzero(changed) + lo
+            changed_vids = rows if whole else np.flatnonzero(changed) + lo
         else:
             self.vertex_values[rows] = out
             changed_vids = rows[changed]
-        self.frontier.mark_changed(changed_vids)
+        self.frontier.mark_changed(changed_vids, whole=whole)
         self._count_fused()
         return True

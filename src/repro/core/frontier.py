@@ -10,9 +10,10 @@ and feed CTA load balancing in the Compute Engine.
 
 The masks are the whole interface to the plan layer
 (:mod:`repro.core.plans`): every plan query re-reads ``changed`` and the
-compacted copy of ``current``, so a mutation needs no notification --
-the only upkeep is that every write to ``current`` ends in
-``_recompact``.
+compacted copy of ``current``, so a mutation needs no notification. The
+upkeep is what changed: every write to ``current`` ends in ``_recompact``,
+which splits the vids per shard once (as the changed vids are after a
+``mark_changed``) for all queries; ``activate_all`` only sets a flag.
 
 It also records the per-iteration frontier sizes, which regenerate
 Figures 3, 16 and 17.
@@ -50,8 +51,8 @@ class FrontierManager:
         self.current = initial.copy()
         self.next = np.zeros(n, dtype=bool)
         self.changed = np.zeros(n, dtype=bool)
-        #: what ``mark_changed`` was handed this iteration, and the sorted
-        #: vids derived from it (None: not derived yet, False: unusable)
+        #: what ``mark_changed`` was handed this iteration, and the split
+        #: derived from it (None: not derived yet, False: unusable)
         self._marks, self._marked = [], None
         #: ``current`` is exactly what ``advance`` promoted: the targets
         #: FrontierActivate wrote, not a reseed or the pull expansion
@@ -61,21 +62,28 @@ class FrontierManager:
         self.history: list[int] = [int(np.count_nonzero(initial))]
         self._starts = sharded.boundaries[:-1]
         self._stops = sharded.boundaries[1:]
+        self._nonempty = np.flatnonzero(self._stops > self._starts)
         self._recompact()
+
+    def _split(self, vids: np.ndarray) -> tuple:
+        """``(sorted vids, where each shard boundary falls among them, the
+        shards holding any)``: one per-shard split of a vid set."""
+        at = np.searchsorted(vids, self.sharded.boundaries)
+        return vids, at, np.flatnonzero(at[1:] > at[:-1])
 
     def _recompact(self) -> None:
         """Refresh the compacted frontier after a ``current`` mutation.
 
         ``current`` is stable for the whole iteration (only ``next`` and
-        ``changed`` mutate mid-iteration), so one flatnonzero at the
-        mutation boundary replaces a per-shard-per-phase interval scan.
+        ``changed`` mutate mid-iteration), so one flatnonzero and split at
+        the mutation boundary replace per-shard-per-phase interval scans.
         Every method that rewrites ``current`` must end here.
         """
         n = len(self.current)
         size = int(np.count_nonzero(self.current))
-        self._size = size
+        self._size, self._all = size, False
         if 0 < size <= int(n * COMPACT_MAX_FRACTION):
-            self._compact = np.flatnonzero(self.current)
+            self._compact = self._split(np.flatnonzero(self.current))
         else:
             self._compact = None
 
@@ -89,7 +97,7 @@ class FrontierManager:
     @property
     def compact_indices(self) -> np.ndarray | None:
         """Sorted indices of ``current``, or None when not compacted."""
-        return self._compact
+        return None if self._compact is None else self._compact[0]
 
     def counts_per_shard(self, mask: np.ndarray) -> np.ndarray:
         """How many set vertices of ``mask`` fall in each interval.
@@ -100,40 +108,37 @@ class FrontierManager:
         reduce only over non-empty intervals (their starts partition the
         mask) and leave the empty ones at zero.
         """
-        lengths = self._stops - self._starts
-        counts = np.zeros(len(lengths), dtype=np.int64)
-        nonempty = np.flatnonzero(lengths)
+        counts = np.zeros(len(self._starts), dtype=np.int64)
+        nonempty = self._nonempty
         if len(mask) and len(nonempty):
             counts[nonempty] = np.add.reduceat(
                 mask, self._starts[nonempty], dtype=np.int64
             )
         return counts
 
-    def _shards_of(self, vids, mask) -> np.ndarray:
-        """Shards holding a set vertex of ``mask``: O(P log F) from its
-        sorted ``vids`` when there are any, else an O(V) reduceat."""
-        if vids is None:
+    def _shards_of(self, split, mask) -> np.ndarray:
+        """Shards holding a set vertex of ``mask``: from its ``split``
+        when there is one, else an O(V) reduceat."""
+        if split is None:
             return np.flatnonzero(self.counts_per_shard(mask) > 0)
-        per = np.searchsorted(vids, self.sharded.boundaries)
-        return np.flatnonzero(per[1:] > per[:-1])
+        return split[2]
 
-    @staticmethod
-    def _in(vids, mask, start: int, stop: int) -> np.ndarray:
+    def _in(self, split, mask, start: int, stop: int) -> np.ndarray:
         """Set vertex ids of ``mask`` inside [start, stop): a slice of its
-        sorted ``vids`` when there are any, else a scan of the interval."""
-        if vids is None:
+        split vids when there are any, else a scan of the interval."""
+        if split is None:
             return start + np.flatnonzero(mask[start:stop])
+        vids = split[0]
         lo, hi = np.searchsorted(vids, (start, stop))
         return vids[lo:hi]
 
-    @classmethod
-    def _dense_in(cls, vids, mask, start: int, stop: int) -> bool:
-        if vids is None:
+    def _dense_in(self, split, mask, start: int, stop: int) -> bool:
+        if split is None:
             return bool(mask[start:stop].all())
-        return len(cls._in(vids, mask, start, stop)) == stop - start
+        return len(self._in(split, mask, start, stop)) == stop - start
 
-    def _changed_vids(self) -> np.ndarray | None:
-        """The changed vids, sorted, from what :meth:`mark_changed` was handed:
+    def _changed_vids(self):
+        """The changed vids' split from what :meth:`mark_changed` was handed:
         O(changed) where the mask scans are O(V). None when they cannot stand in
         for the mask -- out of order, duplicated, negative, not every set bit (a
         test or hook wrote ``changed``) -- or are too many to beat it."""
@@ -141,26 +146,36 @@ class FrontierManager:
         if v is None:
             v = False
             if sum(map(len, self._marks)) <= len(self.changed) * COMPACT_MAX_FRACTION:
-                v = np.concatenate(self._marks or [np.empty(0, np.int64)])
-                if v.dtype.kind not in "iu" or (len(v) and v[0] < 0) or not (v[1:] > v[:-1]).all():
-                    v = False
+                marks = self._marks or [np.empty(0, np.int64)]
+                v = marks[0] if len(marks) == 1 else np.concatenate(marks)
+                ok = v.dtype.kind in "iu" and not (len(v) and v[0] < 0) and (v[1:] > v[:-1]).all()
+                v = self._split(v) if ok else False
             self._marked = v
-        if v is False or len(v) != np.count_nonzero(self.changed):
+        if v is False or len(v[0]) != np.count_nonzero(self.changed):
             return None
         return v
 
+    def split(self, mask: str) -> tuple:
+        """The ``"active"`` or ``"changed"`` set's split (see ``_split``):
+        the stored one when there is one, else from one scan of the mask."""
+        split = self._compact if mask == "active" else self._changed_vids()
+        if split is None:
+            split = self._split(np.flatnonzero(self.current if mask == "active" else self.changed))
+        return split
+
     def active_shards(self) -> np.ndarray:
         """Shards with at least one *active* vertex (gather/apply work)."""
+        if self._all:
+            return self._nonempty
         return self._shards_of(self._compact, self.current)
 
     def sparse_everywhere(self) -> bool:
         """Whether the frontier is compacted and leaves every shard's
         interval partly inactive -- each (shard, mask) query of the
         iteration would take the rows route."""
-        c = self._compact
-        if c is None:
+        if self._compact is None:
             return False
-        per = np.diff(np.searchsorted(c, self.sharded.boundaries))
+        per = np.diff(self._compact[1])
         return not np.any((per > 0) & (per == self._stops - self._starts))
 
     def changed_shards(self) -> np.ndarray:
@@ -176,7 +191,7 @@ class FrontierManager:
 
     def dense_active_in(self, start: int, stop: int) -> bool:
         """Whether *every* vertex of [start, stop) is active."""
-        return self._dense_in(self._compact, self.current, start, stop)
+        return self._all or self._dense_in(self._compact, self.current, start, stop)
 
     def dense_changed_in(self, start: int, stop: int) -> bool:
         """Whether *every* vertex of [start, stop) changed."""
@@ -185,31 +200,27 @@ class FrontierManager:
     # ------------------------------------------------------------------
     # Updates from the Compute Engine
     # ------------------------------------------------------------------
-    def mark_changed(self, vids: np.ndarray) -> None:
-        self.changed[vids] = True
+    def mark_changed(self, vids: np.ndarray, whole: bool = False) -> None:
+        """``whole``: ``vids`` are one ascending run, written as a slice.
+        ``vids`` is kept, not copied, for the changed split: do not mutate it."""
+        self.changed[slice(vids[0], vids[-1] + 1) if whole else vids] = True
         self._marks.append(vids)
         self._marked = None
         self.obs.add("frontier.changes", len(vids))
 
-    def activate_next(self, vids: np.ndarray, count: int | None = None) -> None:
-        """FrontierActivate: these vertices are active next iteration.
-
-        ``count`` overrides the recorded activation total: the dense
-        fast path activates the *deduplicated* target set (``next[...] =
-        True`` is idempotent, so the mask is identical) but must report
-        the same per-out-edge activation count as the slow path.
-        """
+    def activate_next(self, vids: np.ndarray) -> None:
+        """FrontierActivate: these vertices (one entry per out-edge) are
+        active next iteration."""
         self.next[vids] = True
-        self.obs.add("frontier.activations", len(vids) if count is None else count)
+        self.obs.add("frontier.activations", len(vids))
 
-    def activate_next_mask(self, mask: np.ndarray, count: int) -> None:
-        """:meth:`activate_next` over a bool mask's set vids.
-
-        No engine path calls this (dense plans carry their target vids);
-        it stays because ``benchmarks/e2e/layers.py`` wraps it by name
-        and that directory is frozen. Delete it with that entry.
-        """
-        self.activate_next(np.flatnonzero(mask), count=count)
+    def activate_next_mask(self, mask: np.ndarray, count: int, start: int = 0) -> None:
+        """Dense FrontierActivate: OR a dense out plan's presence span (the
+        vertices from ``start`` on) into ``next`` -- the same mask as one
+        write per out-edge; ``count`` reports that per-out-edge total."""
+        span = self.next[start : start + len(mask)]
+        np.logical_or(span, mask, out=span)
+        self.obs.add("frontier.activations", count)
 
     def activate_all(self) -> None:
         """The whole vertex set is this iteration's frontier.
@@ -218,11 +229,11 @@ class FrontierManager:
         runtime's pull direction: a pull iteration executes with every
         vertex active (bottom-up gather), while ``next``/``changed``
         still derive the natural frontier for termination and the
-        direction rule.
+        direction rule. A flag, not a recompaction, until the next rewrite.
         """
         self.current[:] = True
         self.natural = False
-        self._recompact()
+        self._size, self._compact, self._all = len(self.current), None, True
 
     def set_current(self, mask: np.ndarray) -> None:
         """Replace this iteration's frontier before any phase ran.

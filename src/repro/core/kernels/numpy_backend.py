@@ -221,9 +221,11 @@ class NumpyKernels:
     # -- frontier activation -------------------------------------------
 
     def activate_targets(self, key, indptr, nbr, rows, base):
-        """Concatenated out-neighbors of ``rows`` in CSR row order, and
-        the expansion they came from: ``(targets, pos, nz, counts)`` as
+        """Concatenated out-neighbors of ``rows`` in CSR row order as ``intp``
+        (what the ``next`` scatter and the relay index with), and the
+        expansion they came from: ``(targets, pos, nz, counts)`` as
         :meth:`_expand_rows` returns them. ``pos`` is an arena view that
         the next :meth:`gather_rows` over the same ``key`` overwrites."""
         pos, _, nz, counts = self._expand_rows(key, indptr, rows - base)
-        return (nbr[:0] if pos is None else np.take(nbr, pos)), pos, nz, counts
+        targets = (nbr[:0] if pos is None else np.take(nbr, pos)).astype(np.intp)
+        return targets, pos, nz, counts

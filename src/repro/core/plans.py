@@ -20,9 +20,9 @@ exactly one of two routes:
   own, the per-edge ``row_ids`` (:func:`~repro.graph.csr.dense_rows`),
   is derived on first read (only the generic gather_map / scatter read
   it), so building and retaining a dense plan costs O(V). A dense out
-  plan also carries ``targets``, the shard's deduplicated out-neighbor
-  vids, so FrontierActivate writes each next-frontier position once
-  instead of once per out-edge.
+  plan also carries the presence mask of the shard's out-neighbours
+  over their first..last vid, which FrontierActivate ORs into the next
+  frontier in one pass instead of writing once per out-edge.
 * **Rows** -- anything else. The sorted vids of the set mask bits are
   read off the frontier on the spot and either handed to the fused
   kernels as they are (:meth:`PlanCache.sparse_rows`) or expanded into a
@@ -121,11 +121,11 @@ class OutPlan(_LazyRowIds):
     #: frontier_activate only needs ``indices``; scatter needs the per-
     #: edge identity/weight columns too. A full plan serves both.
     full: bool
-    #: ``indices`` deduplicated: the sorted unique out-neighbor vids (vid
-    #: dtype, dense plans only). ``next[...] = True`` is idempotent, so
-    #: frontier_activate writes these instead of one position per
-    #: out-edge. None on rows plans.
-    targets: np.ndarray | None = None
+    #: dense plans only: ``present[i]`` iff vertex ``lo + i`` is an out-
+    #: neighbour, first to last. frontier_activate ORs this span into the
+    #: (idempotent) ``next`` instead of writing once per out-edge.
+    present: np.ndarray | None = None
+    lo: int = 0
     #: ``(indptr, interval start)`` a dense full plan derives ``row_ids`` from
     _row_source: tuple | None = None
 
@@ -170,16 +170,16 @@ def _build_out_plan(shard: Shard, rows, full: bool, num_vertices: int = 0) -> Ou
     """Out-edge plan over ``rows`` (global vids); None = the whole interval."""
     csr = shard.csr
     dense = rows is None
-    targets = row_ids = None
+    present, lo, row_ids = None, 0, None
     if dense:
         indices = csr.indices
         eids = csr.edge_ids
         weights = shard.csr_weights
-        # == np.unique(indices), by presence mask instead of an O(E log E)
-        # sort: a PlanCache lives for one run, so builds are on the clock.
+        # np.unique(indices) as a presence mask trimmed to its span
         present = np.zeros(num_vertices, dtype=bool)
         present[indices] = True
-        targets = np.flatnonzero(present).astype(indices.dtype)
+        lo, hi = (int(indices.min()), int(indices.max()) + 1) if len(indices) else (0, 0)
+        present = present[lo:hi].copy()
     else:
         pos, seg = ragged_gather(csr.indptr, rows - shard.start)
         indices = csr.indices[pos]
@@ -198,7 +198,8 @@ def _build_out_plan(shard: Shard, rows, full: bool, num_vertices: int = 0) -> Ou
         n_edges=len(indices),
         dense=dense,
         full=full,
-        targets=targets,
+        present=present,
+        lo=lo,
         _row_source=(csr.indptr, shard.start) if full and dense else None,
     )
 
@@ -213,7 +214,7 @@ def _plan_nbytes(plan) -> int:
     before anyone has read it, because a read materializes it.
     """
     total = 0
-    for name in ("indices", "eids", "weights", "starts", "verts", "targets"):
+    for name in ("indices", "eids", "weights", "starts", "verts", "present"):
         arr = getattr(plan, name, None)
         if arr is not None:
             total += arr.nbytes

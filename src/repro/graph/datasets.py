@@ -151,7 +151,3 @@ def load_dataset(name: str, cache: bool = True) -> EdgeList:
     if cache:
         _cache[name] = edges
     return edges
-
-
-def clear_cache() -> None:
-    _cache.clear()

@@ -266,17 +266,33 @@ def test_dense_plans_are_reused_by_identity():
     np.testing.assert_array_equal(rows, np.arange(shard.start, shard.stop))
 
 
-def test_dense_out_plan_targets_are_unique_vids():
-    sharded, frontier, plans = _make(PAIRS, 4, p=2)
-    frontier.mark_changed(np.arange(4))
+def _span_vids(plan):
+    return plan.lo + np.flatnonzero(plan.present)
+
+
+def test_dense_out_plan_span_covers_unique_vids():
+    """A dense out plan's presence span holds exactly the shard's unique
+    out-neighbours, from the first to the last: here one shard has no
+    out-edge and the other's span ends at the last vertex."""
+    n = 8
+    pairs = [(0, 7), (1, 2), (2, 7), (0, 2), (3, 1), (1, 7)]
+    edges = EdgeList.from_pairs(pairs, num_vertices=n)
+    sharded = PartitionEngine().partition(edges, 2, "vertex_balanced")  # [0, 4) [4, 8)
+    frontier = FrontierManager(sharded, np.ones(n, dtype=bool))
+    plans = PlanCache(sharded, frontier)
+    frontier.mark_changed(np.arange(n))
+    spans = []
     for shard in sharded.shards:
         plan = plans.out_plan(shard, full=True)
         assert plan.dense and plan.full
-        np.testing.assert_array_equal(plan.targets, np.unique(shard.csr.indices))
-        assert plan.targets.dtype == shard.csr.indices.dtype
+        np.testing.assert_array_equal(_span_vids(plan), np.unique(shard.csr.indices))
+        assert plan.present.dtype == bool
         assert plan.n_edges == shard.num_out_edges
+        spans.append((plan.n_edges, plan.lo, plan.lo + len(plan.present)))
         # A later lite query is served by the same full plan.
         assert plans.out_plan(shard, full=False) is plan
+    assert (0, 0, 0) in spans  # no out-edge: an empty span
+    assert any(n_edges and hi == n for n_edges, _, hi in spans)
 
 
 def _activations(frontier):
@@ -285,9 +301,9 @@ def _activations(frontier):
 
 @pytest.mark.parametrize("graph_name", FIXTURE_NAMES)
 def test_dense_activation_matches_per_out_edge_form(graph_name):
-    """Writing a dense plan's deduplicated targets leaves the same
-    ``next`` mask and the same ``frontier.activations`` total as the
-    slow path's one write per out-edge."""
+    """ORing a dense plan's presence span leaves the same ``next`` mask
+    and the same ``frontier.activations`` total as the slow path's one
+    write per out-edge."""
     sharded = PartitionEngine().partition(build(graph_name), 3)
     init = np.ones(sharded.num_vertices, dtype=bool)
     fast = FrontierManager(sharded, init, obs=Observer())
@@ -298,9 +314,9 @@ def test_dense_activation_matches_per_out_edge_form(graph_name):
         plan = plans.out_plan(shard)
         if shard.num_interval_vertices:
             assert plan.dense
-            np.testing.assert_array_equal(plan.targets, np.unique(shard.csr.indices))
+            np.testing.assert_array_equal(_span_vids(plan), np.unique(shard.csr.indices))
         if plan.n_edges:
-            fast.activate_next(plan.targets, count=plan.n_edges)
+            fast.activate_next_mask(plan.present, plan.n_edges, start=plan.lo)
         slow.activate_next(shard.csr.indices)
         np.testing.assert_array_equal(fast.next, slow.next)
     assert _activations(fast) == _activations(slow)
@@ -438,7 +454,7 @@ def _assert_queries_match_reference(sharded, frontier, fast, ref):
                 _same(f"out.{name}/full={full}", getattr(got, name), getattr(want, name))
             assert got.n_edges == want.n_edges
             if got.dense:
-                _same("out.targets", got.targets, np.unique(want.indices))
+                _same("out.span", _span_vids(got), np.unique(want.indices).astype(np.int64))
                 assert fast.out_plan(shard, full=full) is got
                 served["out", full, shard.index] = got
     return served
@@ -822,15 +838,16 @@ def test_activate_next_deduplicated_equals_per_edge_form():
     a = FrontierManager(_Intervals([0, 3, 6]), init, obs=Observer())
     b = FrontierManager(_Intervals([0, 3, 6]), init, obs=Observer())
     per_edge = np.array([4, 1, 5, 1, 4, 4, 5])
+    span = np.isin(np.arange(1, 6), per_edge)  # the presence span of vids 1..5
     a.activate_next(per_edge)
-    b.activate_next(np.unique(per_edge), count=len(per_edge))
+    b.activate_next_mask(span, len(per_edge), start=1)
     np.testing.assert_array_equal(a.next, b.next)
     assert _activations(a) == _activations(b) == 7
-    # Concurrent-composition shape: a scatter only writes the listed
-    # positions, so another shard's earlier activation survives.
-    b.activate_next(np.array([0]))
-    b.activate_next(np.unique(per_edge), count=len(per_edge))
-    assert b.next[0]
+    # Concurrent-composition shape: an OR only sets bits, so another
+    # shard's earlier activation survives, inside the span or not.
+    b.activate_next(np.array([0, 2]))
+    b.activate_next_mask(span, len(per_edge), start=1)
+    assert b.next[0] and b.next[2]
 
 
 def _changed_queries(fm, n):
@@ -872,3 +889,94 @@ def test_a_direct_write_to_the_changed_mask_is_noticed():
     assert fm.changed_in(0, 40).tolist() == [1, 4] and fm.changed_shards().tolist() == [0, 1]
     fm.changed[:] = True
     assert fm.dense_changed_in(0, 3) and fm.dense_changed_in(3, 6)
+
+
+def test_a_split_taken_before_mark_changed_is_never_served_after_it():
+    """Each ``mark_changed`` rebuilds the changed set's per-shard split:
+    the one served afterwards holds the new marks, and the queries read
+    off it agree with the mask."""
+    fm = FrontierManager(_Intervals([0, 3, 6, 40]), np.ones(40, dtype=bool))
+    fm.mark_changed(np.array([1]))
+    vids, at, shards = fm._changed_vids()
+    assert vids.tolist() == [1] and at.tolist() == [0, 1, 1, 1] and shards.tolist() == [0]
+    assert _changed_queries(fm, 40) == ([0], [1], [], False, False)
+    fm.mark_changed(np.array([4, 5, 30]))
+    vids, at, shards = fm._changed_vids()
+    assert vids.tolist() == [1, 4, 5, 30] and at.tolist() == [0, 1, 3, 4]
+    assert shards.tolist() == [0, 1, 2]
+    got = _changed_queries(fm, 40)
+    assert got == ([0, 1, 2], [1, 4, 5, 30], [4], False, False)
+    assert [v.tolist() for v in fm.split("changed")] == [[1, 4, 5, 30], [0, 1, 3, 4], [0, 1, 2]]
+    fm._marked = False  # the mask scans
+    assert _changed_queries(fm, 40) == got
+    # the active set's split is rebuilt by every write to ``current``
+    fm.set_current(np.arange(40) == 7)
+    assert fm.active_shards().tolist() == [2] and fm.active_in(6, 40).tolist() == [7]
+    fm.advance()  # next is empty
+    assert fm.active_shards().tolist() == [] and fm.split("active")[0].tolist() == []
+
+
+def _all_active_agrees_with_the_mask(fm):
+    """Every all-active answer against a scan of ``current``."""
+    cur = fm.current
+    assert fm.size == np.count_nonzero(cur)
+    want = np.flatnonzero(fm.counts_per_shard(cur) > 0)
+    np.testing.assert_array_equal(fm.active_shards(), want)
+    for lo, hi in zip(fm._starts.tolist(), fm._stops.tolist()):
+        assert fm.dense_active_in(lo, hi) == bool(cur[lo:hi].all())
+        np.testing.assert_array_equal(fm.active_in(lo, hi), lo + np.flatnonzero(cur[lo:hi]))
+    assert not fm.sparse_everywhere()
+
+
+def test_the_all_active_flag_answers_as_the_mask_and_drops_on_a_rewrite():
+    fm = FrontierManager(_Intervals([0, 2, 2, 5, 6]), np.zeros(6, dtype=bool))
+    fm.activate_all()
+    assert fm._all and fm.size == 6 and fm.active_shards().tolist() == [0, 2, 3]
+    _all_active_agrees_with_the_mask(fm)
+    fm.set_current(np.array([True, False, False, True, False, False]))  # a reseed
+    assert not fm._all and fm.size == 2 and fm.active_shards().tolist() == [0, 2]
+    assert not fm.dense_active_in(0, 2)
+    fm.activate_all()
+    fm.activate_next(np.array([5]))
+    fm.advance()
+    assert not fm._all and fm.size == 1 and fm.active_shards().tolist() == [3]
+    assert fm.dense_active_in(5, 6) and not fm.dense_active_in(2, 5)
+
+
+@pytest.mark.parametrize("direction", ["pull", "auto"])
+def test_the_all_active_flag_holds_through_pull_iterations(monkeypatch, direction):
+    """SSSP with ``activate_all`` mid-run: while the flag is set, every
+    all-active answer equals the mask scan; ``advance`` and a reseed
+    drop it; values and history equal the push run's."""
+    seen = {"flagged": 0, "dropped": 0}
+    originals = {
+        name: getattr(FrontierManager, name)
+        for name in ("activate_all", "active_shards", "advance", "set_current")
+    }
+
+    def checked(name):
+        def call(self, *args):
+            out = originals[name](self, *args)
+            if name in ("advance", "set_current"):
+                assert not self._all, name
+                seen["dropped"] += 1
+            elif self._all and not seen.get("checking"):
+                seen["flagged"] += name == "activate_all"
+                seen["checking"] = True  # the check itself asks active_shards
+                _all_active_agrees_with_the_mask(self)
+                seen["checking"] = False
+            return out
+
+        return call
+
+    for name in originals:
+        monkeypatch.setattr(FrontierManager, name, checked(name))
+    g = build("road10x10").with_random_weights(seed=33)
+    run = _run_with(g, SSSP(source=0), num_partitions=3, direction=direction)
+    monkeypatch.undo()
+    push = _run_with(g, SSSP(source=0), num_partitions=3)
+    pulls = sum(d.direction == "pull" for d in run.direction_decisions)
+    assert 0 < pulls == seen["flagged"] and seen["dropped"] >= run.iterations
+    if direction == "auto":
+        assert pulls < run.iterations
+    assert run.vertex_values.tobytes() == push.vertex_values.tobytes()

@@ -230,6 +230,34 @@ class TestTrace:
         assert out_path.exists()
 
 
+@pytest.fixture(scope="class")
+def shared_bench_suites():
+    """One run per distinct argument list of the two suites ``bench-check``
+    runs (the deterministic ``run_suite``, keyed on its names list, and
+    the wall-clock suite whose simulated metrics it also gates), shared
+    by the class; each caller gets its own copy of the result."""
+    import copy
+
+    from repro.obs import bench
+
+    memo = {}
+
+    def memoized(suite):
+        def run(*args, **kwargs):
+            key = (suite.__name__, repr(args), repr(sorted(kwargs.items())))
+            if key not in memo:
+                memo[key] = suite(*args, **kwargs)
+            return copy.deepcopy(memo[key])
+
+        return run
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bench, "run_suite", memoized(bench.run_suite))
+        mp.setattr(bench, "run_wallclock_suite", memoized(bench.run_wallclock_suite))
+        yield
+
+
+@pytest.mark.usefixtures("shared_bench_suites")
 class TestBenchCheck:
     def test_committed_snapshot_passes(self, capsys):
         code, out = run_cli(capsys, "bench-check")
