@@ -698,11 +698,11 @@ def cmd_bench_check(args) -> int:
     # The wall-clock snapshot's *simulated* metrics are deterministic
     # too; gate them alongside the baseline (the machine-dependent wall
     # times and speedups are bench-wallclock's concern, never compared
-    # here).
+    # here, so one pass per engine with no warm-up suffices).
     wallclock_path = Path(args.wallclock_snapshot)
     if wallclock_path.exists():
         wdoc = bench.load_snapshot(wallclock_path)
-        wfresh = bench.run_wallclock_suite(repeats=1)
+        wfresh = bench.run_wallclock_suite(repeats=1, warmup=0)
         regressions += bench.compare(wdoc["benchmarks"], wfresh, tolerance=tolerance)
         for name in sorted(wdoc["benchmarks"]):
             base = wdoc["benchmarks"][name].get("sim_time", 0.0)
@@ -1086,7 +1086,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="pagerank power-iteration rounds per query")
     batch_p.add_argument(
         "--keep-warm", action="store_true",
-        help="carry the prefetcher LRU and dense plans across chunks "
+        help="carry the prefetcher cache and dense plans across chunks "
              "(GraphReduceOptions.keep_warm)",
     )
     batch_p.add_argument("--partitions", type=_PARTITIONS, default=None)

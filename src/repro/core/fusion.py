@@ -33,6 +33,11 @@ from repro.obs.span import NULL_OBSERVER
 #: Canonical phase order within one iteration (Figure 12).
 PHASES = ("gather_map", "gather_reduce", "apply", "scatter", "frontier_activate")
 
+#: The streaming buffers a host shard store holds: a group moving none
+#: of them reads no shard edges (edge state and update arrays are not
+#: stored).
+EDGE_BUFFERS = frozenset(("in_topology", "in_weights", "out_topology", "out_weights"))
+
 
 def _record_plan(obs, plan: "list[PhaseGroup]", mode: str) -> None:
     """Fusion-decision telemetry: how many groups the plan collapsed to,
@@ -72,6 +77,11 @@ class PhaseGroup:
             raise ValueError(f"unknown phases {sorted(unknown)}")
         if self.selector not in ("active", "changed", "all"):
             raise ValueError(f"unknown selector {self.selector!r}")
+
+    @property
+    def streams_edges(self) -> bool:
+        """Whether the group streams shard edges (so must acquire them)."""
+        return not EDGE_BUFFERS.isdisjoint(self.h2d_buffers)
 
 
 def _in_buffers(program: GASProgram) -> tuple[str, ...]:

@@ -111,7 +111,7 @@ class HostPrefetcher:
 
     The host-side mirror of this module's device streaming: shards live
     in an on-disk :class:`~repro.core.shardstore.ShardStore` (one file,
-    mapped once) and are acquired through an LRU whose capacity comes
+    mapped once) and are acquired into a cache whose capacity comes
     from the same Eq. (1)/(2) resident-set formula, applied to a *host*
     memory budget instead of device memory. Acquiring a shard is cheap
     -- views into the mapping -- so residency is about pages, not
@@ -121,10 +121,17 @@ class HostPrefetcher:
     schedule get ``MADV_WILLNEED`` so the OS reads them in while the
     current shard computes; no thread of ours is involved.
 
+    The victim is the most recently acquired shard (MRU). Every phase
+    scans its shards in ascending order, and for a cyclic scan longer
+    than the cache MRU is the Belady victim: it keeps ``capacity - 1``
+    shards resident from one pass to the next, where LRU keeps none.
+
     Frontier awareness falls out of the integration point: the runtime
     calls :meth:`schedule` with exactly the shards the FrontierManager
-    selected for the phase, so skipped shards are neither hinted nor
-    faulted in -- the paper's shard-skip optimization applied to I/O.
+    selected for a phase that streams edges, so skipped shards -- and
+    every shard of a phase reading only vertex arrays or the edge
+    update array -- are neither hinted nor faulted in: the paper's
+    shard-skip and phase-elimination optimizations applied to I/O.
 
     Everything here is wall-clock only and invisible to the simulated
     timeline. One lock guards all state, so :meth:`snapshot` may be
@@ -176,7 +183,9 @@ class HostPrefetcher:
     def get(self, index: int):
         """Acquire one shard's arrays for compute (counts hit/fault).
 
-        Called once per (shard, phase) by the runtime's compute wrapper.
+        Called once per (shard, edge-streaming phase) by the runtime's
+        compute wrapper; a full cache first evicts the most recently
+        acquired shard.
         """
         with self._lock:
             arrays = self._cache.get(index)
@@ -190,12 +199,12 @@ class HostPrefetcher:
                 self.bytes_loaded += arrays.nbytes
                 self.obs.add("prefetch.faults")
                 self.obs.add("prefetch.bytes", arrays.nbytes)
-                self._cache[index] = arrays
-                while len(self._cache) > self.capacity:
-                    old, _views = self._cache.popitem(last=False)
+                while len(self._cache) >= self.capacity:
+                    old, _views = self._cache.popitem()
                     self.evictions += 1
                     self.obs.add("prefetch.evictions")
                     self._release(old)
+                self._cache[index] = arrays
             pos = self._pos.get(index)
             if pos is not None:
                 self._hint_from(pos + 1)
@@ -219,7 +228,7 @@ class HostPrefetcher:
     def rewarm(self, obs=None) -> None:
         """Attach a carried (``keep_warm``) prefetcher to a new run.
 
-        The LRU and the counters survive -- resident shards from the
+        The cache and the counters survive -- resident shards from the
         previous run serve the new run's first touches as hits -- but
         the observer is re-aimed and the phase schedule cleared; the
         runtime re-derives it from the new run's frontier before any

@@ -122,7 +122,7 @@ class GraphReduceOptions:
     plan_cache_budget: int | None = 256 * 1024 * 1024
     #: Out-of-core execution (shard-store-backed runs only; see
     #: :mod:`repro.core.shardstore`). ``memory_budget`` bounds the host
-    #: RAM spent on resident shards: the prefetcher's LRU capacity comes
+    #: RAM spent on resident shards: the prefetcher's cache capacity comes
     #: from the Eq. (1)/(2) formula with this budget standing in for
     #: device memory (None -> every shard may stay resident); evicted
     #: shards' pages are handed back to the OS, so the budget bounds
@@ -134,7 +134,7 @@ class GraphReduceOptions:
     memory_budget: int | None = None
     host_prefetch: bool = True
     #: carry host-side warm state across consecutive ``run()`` calls on
-    #: one engine: the prefetcher's LRU (resident shards survive, so the
+    #: one engine: the prefetcher's cache (resident shards survive, so the
     #: next run's first touches are hits instead of faults) and the
     #: PlanCache's dense plans (topology-only, rebuilt otherwise). The
     #: batch executor's chunked runs and repeated-query workloads are
@@ -644,23 +644,25 @@ class GraphReduce:
                 ) as it_span:
                     for group in plan:
                         shards, skipped = self._select_shards(group, sharded, frontier, opts)
-                        if prefetcher is not None:
-                            # Only the frontier-selected shards: skipped
-                            # shards are neither hinted nor faulted.
-                            prefetcher.schedule([s.index for s in shards])
+                        # Only a group that streams edges acquires its
+                        # shards, and only the frontier-selected ones:
+                        # skipped shards are neither hinted nor faulted.
+                        pf = prefetcher if group.streams_edges else None
+                        if pf is not None:
+                            pf.schedule([s.index for s in shards])
                         if shards:
                             compute.begin_group(group.phases)
                         if rows_pass:
                             census = compute.run_merged(group.phases, shards)
                             run_shard = lambda shard, w=census: w[shard.index]
-                        elif prefetcher is None:
+                        elif pf is None:
                             run_shard = (
                                 lambda shard, g=group: compute.run_group(
                                     g.phases, shard, count_full=not opts.frontier_skipping
                                 )
                             )
                         else:
-                            def run_shard(shard, g=group, pf=prefetcher):
+                            def run_shard(shard, g=group, pf=pf):
                                 pf.get(shard.index)
                                 return compute.run_group(
                                     g.phases, shard, count_full=not opts.frontier_skipping
@@ -790,7 +792,7 @@ class GraphReduce:
     ):
         """Lazy sharded view + budgeted prefetcher over ``shard_store``.
 
-        The prefetcher's LRU capacity is Eq. (1)/(2) with the host
+        The prefetcher's cache capacity is Eq. (1)/(2) with the host
         ``memory_budget`` in place of device memory: how many whole
         shards (plus their interval's share of vertex staging and the
         resident vertex arrays) fit the budget. No budget -> every

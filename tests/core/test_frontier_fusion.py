@@ -97,6 +97,8 @@ class TestFusion:
         assert greduce.h2d_buffers == ("edge_update_array",)
         # apply touches only resident buffers
         assert plan[2].h2d_buffers == ()
+        # so only gatherMap and FrontierActivate read shard edges
+        assert [g.streams_edges for g in plan] == [True, False, False, True]
 
     def test_gather_fusion_extension(self):
         plan = build_plan(PageRank(), optimized=True, fuse_gather=True)
@@ -141,6 +143,7 @@ class TestFusion:
             assert "in_topology" in g.h2d_buffers
             assert "out_topology" in g.h2d_buffers
             assert "edge_update_array" in g.d2h_buffers
+            assert g.streams_edges  # the full shard moves in every phase
 
     def test_phase_group_validation(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ format must round-trip a ``ShardedGraph`` bit-for-bit and reject
 anything that is not a whole v2 store with a typed error; the streaming
 builder must produce byte-identical stores to the in-RAM
 ``ShardStore.save`` path (global edge ids included); and the
-``HostPrefetcher``'s cache accounting -- capacity, LRU eviction order,
+``HostPrefetcher``'s cache accounting -- capacity, MRU eviction order,
 page release, frontier-skip suppression, hit/fault attribution -- must
 match its documented contract, since ``repro profile`` and the
 benchmark report those numbers as facts.
@@ -349,20 +349,39 @@ class TestHostPrefetcher:
     def test_capacity_floor(self):
         assert HostPrefetcher(FakeStore(), capacity=0).capacity == 1
 
-    def test_lru_eviction_order(self):
+    def test_mru_eviction_order(self):
         store = FakeStore()
         pf = HostPrefetcher(store, capacity=2, advise=False)
         for i in (0, 1, 2):
             pf.get(i)
         assert (pf.faults, pf.evictions) == (3, 1)
-        assert store.released == [0]  # least recently used first
-        assert pf.get(1) is not None and pf.hits == 1  # refreshed 1
-        pf.get(0)  # refault -> evicts 2, not the just-touched 1
+        assert store.released == [1]  # most recently acquired first
+        assert pf.get(0) is not None and pf.hits == 1  # 0 is now the MRU
+        pf.get(1)  # refault -> evicts the just-touched 0, not 2
         assert (pf.faults, pf.evictions) == (4, 2)
-        assert store.released == [0, 2]
+        assert store.released == [1, 0]
         assert pf.released_bytes == 256
-        assert store.loads == [0, 1, 2, 0]
+        assert store.loads == [0, 1, 2, 1]
         assert store.hinted == []  # advise off: never a hint
+
+    def test_cyclic_scans_keep_capacity_minus_one_resident(self):
+        class Checked(FakeStore):
+            def release(self, index):
+                assert index != self.loads[-1]  # never the shard being acquired
+                return super().release(index)
+
+        # Under LRU every one of these gets would fault.
+        for n, capacity in ((16, 4), (5, 2), (7, 3), (9, 8)):
+            pf = HostPrefetcher(Checked(), capacity=capacity)
+            for scan in range(5):
+                pf.schedule(range(n))
+                before = pf.hits
+                for i in range(n):
+                    pf.get(i)
+                    assert pf.faults - pf.evictions <= capacity  # resident shards
+                if scan:
+                    assert pf.hits - before >= capacity - 1, (n, capacity, scan)
+            assert pf.hits + pf.faults == 5 * n
 
     def test_schedule_hints_a_sliding_window(self):
         store = FakeStore()
@@ -374,10 +393,10 @@ class TestHostPrefetcher:
         assert store.hinted == [5, 6, 7]  # the window slid by one
         pf.get(6)
         pf.get(7)
-        pf.get(8)
+        pf.get(8)  # evicts 7, the most recently acquired
         assert store.hinted == [5, 6, 7, 8]  # each shard hinted once
-        pf.schedule([5, 8])
-        assert store.hinted == [5, 6, 7, 8, 5]  # 8 is resident: no hint
+        pf.schedule([5, 7, 8])
+        assert store.hinted == [5, 6, 7, 8, 7]  # 5 and 8 are resident: no hint
 
     def test_frontier_skip_suppression(self):
         store = FakeStore()
@@ -390,7 +409,7 @@ class TestHostPrefetcher:
         assert sorted(store.hinted) == [0, 2, 4]
         assert store.loads == [0, 2, 4]
 
-    def test_arrays_reads_are_uncounted(self):
+    def test_arrays_reads_are_uncounted_and_never_reorder(self):
         store = FakeStore()
         pf = HostPrefetcher(store, capacity=2)
         pf.get(0)
@@ -398,8 +417,12 @@ class TestHostPrefetcher:
             pf.arrays(0)
         assert (pf.hits, pf.faults) == (0, 1)
         pf.get(1)
-        pf.get(2)  # evicts 0 (arrays() reads do not refresh LRU order)
-        pf.arrays(0)  # falls back to a counted get -> fault
+        pf.arrays(0)  # does not make 0 the most recently acquired
+        pf.get(2)  # evicts 1
+        assert store.released == [1]
+        pf.arrays(0)  # still resident: uncounted
+        assert pf.faults == 3
+        pf.arrays(1)  # evicted: falls back to a counted get -> fault
         assert pf.faults == 4
 
     def test_shutdown_keeps_counters(self):
@@ -471,6 +494,25 @@ class TestRuntimeIntegration:
             GraphReduce(shard_store=store, options=opts).run(
                 PageRank(tolerance=None, max_iterations=3)
             )
+
+    def test_only_edge_streaming_groups_acquire(self, tmp_path):
+        g = erdos_renyi(4096, 40_000, seed=3, name="er-acquire")
+        store = _store(tmp_path, g, p=8)
+        budget = footprint_bytes(g) // 4
+        for options, groups in (
+            # gatherMap and FrontierActivate; gatherReduce and apply read
+            # no shard edges
+            (GraphReduceOptions(cache_policy="never"), 2),
+            # the unoptimized plan moves the full shard in all five phases
+            (GraphReduceOptions.unoptimized(), 5),
+        ):
+            result = GraphReduce(
+                shard_store=store, options=options.replace(memory_budget=budget)
+            ).run(PageRank(tolerance=None, max_iterations=6))
+            pf = result.prefetch
+            assert 1 < pf["capacity"] < store.num_partitions
+            assert pf["hits"] + pf["faults"] == groups * store.num_partitions * 6
+            assert pf["hits"] > 0  # the scans keep capacity - 1 shards resident
 
     def test_unbudgeted_store_run_caches_everything(self, tmp_path):
         store = _store(tmp_path, build("er_mid"), p=4)
