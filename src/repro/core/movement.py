@@ -113,13 +113,13 @@ class HostPrefetcher:
     in an on-disk :class:`~repro.core.shardstore.ShardStore` (one file,
     mapped once) and are acquired into a cache whose capacity comes
     from the same Eq. (1)/(2) resident-set formula, applied to a *host*
-    memory budget instead of device memory. Acquiring a shard is cheap
-    -- views into the mapping -- so residency is about pages, not
-    objects: evicting a shard ``madvise(MADV_DONTNEED)``s its page range
-    (:meth:`ShardStore.release`), which is what makes the budget bound
-    RSS. With ``advise`` on, the shards coming up in the runtime's
-    schedule get ``MADV_WILLNEED`` so the OS reads them in while the
-    current shard computes; no thread of ours is involved.
+    memory budget instead of device memory. A fault is a lookup of the
+    store's memoized views plus a residency change, so residency is
+    about pages, not objects: evicting a shard ``madvise(MADV_DONTNEED)``s
+    its page range (:meth:`ShardStore.release`), which is what makes the
+    budget bound RSS. With ``advise`` on, the shards coming up in the
+    runtime's schedule get ``MADV_WILLNEED`` so the OS reads them in
+    while the current shard computes; no thread of ours is involved.
 
     The victim is the most recently acquired shard (MRU). Every phase
     scans its shards in ascending order, and for a cyclic scan longer

@@ -18,11 +18,11 @@ tier -- a two-file directory holding one ``ShardedGraph``:
     4096-byte page, so a shard is a page range nobody else shares.
 
 ``ShardStore.open`` maps ``shards.bin`` once, read-only. ``load_arrays``
-is then ``np.frombuffer`` views into that mapping (no file open, no
-header parse); a shard's bytes fault in on first touch, and
-:meth:`ShardStore.release` hands its page range back with
-``madvise(MADV_DONTNEED)``. Views stay valid after a release -- they
-re-fault -- so nothing that holds one (a dense plan, say) pins memory.
+builds and checks a shard's ``np.frombuffer`` views into that mapping
+once, then every later load is a lookup; a shard's bytes fault in on
+first touch, and :meth:`ShardStore.release` hands its page range back
+with ``madvise(MADV_DONTNEED)``. Views stay valid after a release --
+they re-fault -- so nothing that holds one (a dense plan, say) pins memory.
 
 Shards come back as :class:`LazyShard` views whose ``csc``/``csr``
 properties delegate to a pluggable *source* -- by default a per-store
@@ -97,7 +97,7 @@ class StoreFormatError(ValueError):
 # ----------------------------------------------------------------------
 # Lazy views
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(frozen=True)
 class ShardArrays:
     """One shard's arrays: read-only views into the store's mapping."""
 
@@ -277,6 +277,8 @@ class ShardStore:
         with packed.open("rb") as fh:
             self._mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
         self._warned_no_madvise = False
+        #: shard index -> its checked views (see :meth:`load_arrays`)
+        self._views: dict[int, ShardArrays] = {}
 
     def _checked_layout(self) -> list[dict[str, tuple]]:
         """Per shard, array key -> ``(dtype, count, offset)``, every
@@ -358,22 +360,33 @@ class ShardStore:
     def load_arrays(self, index: int, unit_weights: bool = False) -> ShardArrays:
         """One shard's sub-arrays as read-only views into the mapping.
 
+        The views and both ``CSR``s are built and checked on the shard's
+        first successful load after ``open`` (a load that raises keeps
+        nothing); later loads return the same objects. One check is
+        enough: they are the same views over the same read-only mapping,
+        and plans built from them were already reused without a re-check.
+        Views pin no pages, so the memo leaves RSS to :meth:`release`.
+
         ``unit_weights`` synthesizes per-shard ``ones`` when an
         unweighted store runs a weights-needing program -- the same
         values ``EdgeList.with_unit_weights`` would have partitioned.
+        They are heap, so they are fresh on every call, never memoized.
         Every returned array is 64-byte aligned: the views by the file
         layout, the synthesized weights by the kernel layer's allocator.
         """
-        v = {key: np.frombuffer(self._mm, *spec) for key, spec in self._layout[index].items()}
-        csc = CSR(v["csc.indptr"], v["csc.indices"], v["csc.eids"])
-        csr = CSR(v["csr.indptr"], v["csr.indices"], v["csr.eids"])
-        csc_w, csr_w = v.get("csc.weights"), v.get("csr.weights")
-        nbytes = sum(a.nbytes for a in v.values())
-        if unit_weights and not self.weighted:
-            csc_w = layout_mod.aligned_ones(csc.num_edges, WEIGHT_DTYPE)
-            csr_w = layout_mod.aligned_ones(csr.num_edges, WEIGHT_DTYPE)
-            nbytes += csc_w.nbytes + csr_w.nbytes
-        return ShardArrays(csc, csr, csc_w, csr_w, nbytes)
+        got = self._views.get(index)
+        if got is None:
+            v = {key: np.frombuffer(self._mm, *spec) for key, spec in self._layout[index].items()}
+            csc = CSR(v["csc.indptr"], v["csc.indices"], v["csc.eids"])
+            csr = CSR(v["csr.indptr"], v["csr.indices"], v["csr.eids"])
+            nbytes = sum(a.nbytes for a in v.values())
+            got = ShardArrays(csc, csr, v.get("csc.weights"), v.get("csr.weights"), nbytes)
+            self._views[index] = got
+        if not unit_weights or self.weighted:
+            return got
+        csc_w = layout_mod.aligned_ones(got.csc.num_edges, WEIGHT_DTYPE)
+        csr_w = layout_mod.aligned_ones(got.csr.num_edges, WEIGHT_DTYPE)
+        return ShardArrays(got.csc, got.csr, csc_w, csr_w, got.nbytes + csc_w.nbytes + csr_w.nbytes)
 
     def _advise(self, flag: int | None, index: int) -> int:
         """``madvise`` one shard's page range; returns the bytes advised

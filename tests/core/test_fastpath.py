@@ -146,16 +146,25 @@ def test_store_runs_match_in_ram(graph_name, tmp_path):
     from repro.core.shardstore import ShardStore
 
     g = build(graph_name)
+    weighted = g.with_random_weights(seed=33)
     stores = {
         label: ShardStore.save(PartitionEngine().partition(graph, 3), tmp_path / label)
-        for label, graph in (("plain", g), ("weighted", g.with_random_weights(seed=33)))
+        for label, graph in (("plain", g), ("weighted", weighted))
     }
+    runs = []
     for algo, make_program in PROGRAMS.items():
-        needs_weights = "sssp" in algo
-        graph = g.with_random_weights(seed=33) if needs_weights else g
+        if "sssp" not in algo:
+            runs.append((algo, make_program, g, "plain", STORE_COMBOS))
+            continue
+        runs.append((algo, make_program, weighted, "weighted", STORE_COMBOS))
+        # An unweighted store synthesizes fresh unit weights on every
+        # load, and a 1-shard cache evicts the shard on every fault.
+        cold = {"unit_cold_budget1": STORE_COMBOS["cold_budget1"]}
+        runs.append((algo, make_program, g.with_unit_weights(), "plain", cold))
+    for algo, make_program, graph, store_label, combos in runs:
         slow = _run(graph, make_program, SLOW)
-        store = stores["weighted" if needs_weights else "plain"]
-        for combo, extra in STORE_COMBOS.items():
+        store = stores[store_label]
+        for combo, extra in combos.items():
             opts = GraphReduceOptions(num_partitions=3, **extra)
             ooc = GraphReduce(shard_store=store, options=opts).run(make_program())
             label = f"{algo}/{combo}"

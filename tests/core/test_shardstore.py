@@ -35,6 +35,7 @@ from repro.core.shardstore import (
     StoreFormatError,
     build_store_streaming,
 )
+from repro.graph.csr import CSR
 from repro.graph.generators import erdos_renyi
 from repro.graph.io import save_edgelist_txt, save_npz
 from repro.graph.properties import footprint_bytes
@@ -106,6 +107,30 @@ class TestShardStoreFormat:
             arrays.csr_weights, np.ones(arrays.csr.num_edges, dtype=np.float32)
         )
         assert store.load_arrays(0).csc_weights is None
+        # Synthesized weights are heap, never memoized: fresh on every
+        # load, over the same memoized topology views.
+        again = store.load_arrays(0, unit_weights=True)
+        assert again.csc is arrays.csc and again.csr is arrays.csr
+        assert again.csc is store.load_arrays(0).csc
+        for old, new in ((arrays.csc_weights, again.csc_weights),
+                         (arrays.csr_weights, again.csr_weights)):
+            assert new is not old
+            np.testing.assert_array_equal(new, old)
+
+    def test_views_are_built_and_checked_once_per_shard(self, tmp_path, monkeypatch):
+        store = _store(tmp_path, build("er_mid").with_random_weights(seed=5))
+        checked = []
+        post_init = CSR.__post_init__
+        monkeypatch.setattr(
+            CSR, "__post_init__", lambda csr: checked.append(csr) or post_init(csr)
+        )
+        for i in range(store.num_partitions):
+            first = store.load_arrays(i)
+            store.release(i)  # eviction drops pages, not the memoized views
+            again = store.load_arrays(i)
+            assert again.csc is first.csc and again.csr is first.csr
+            assert again.csc_weights is first.csc_weights
+        assert len(checked) == 2 * store.num_partitions  # one CSC + one CSR each
 
     def test_open_rejects_non_store(self, tmp_path):
         with pytest.raises(StoreFormatError, match="no manifest.json"):
@@ -255,6 +280,17 @@ class TestStoreValidation:
         )
         with pytest.raises(ValueError, match="sizes disagree"):
             ShardStore.open(store.path).load_arrays(0)
+
+    def test_failed_build_is_not_memoized(self, tmp_path):
+        store = _store(tmp_path, build("er_mid"))
+        self._edit_manifest(
+            store, lambda m: m["shards"][0].update(in_edges=m["shards"][0]["in_edges"] - 1)
+        )
+        reopened = ShardStore.open(store.path)
+        for _ in range(2):  # the second load re-runs the checks
+            with pytest.raises(ValueError, match="sizes disagree"):
+                reopened.load_arrays(0)
+        assert reopened.load_arrays(1).csc.num_edges > 0  # other shards still load
 
 
 # ----------------------------------------------------------------------
