@@ -13,7 +13,6 @@
     python -m repro bench-wallclock --update
     python -m repro bench-diff old.json new.json
     python -m repro run --graph orkut --algorithm pagerank --telemetry-out run.jsonl
-    python -m repro monitor run.jsonl
     python -m repro telemetry-report run.jsonl --out report.json
 
 ``run`` executes one algorithm under GraphReduce and prints the result
@@ -29,10 +28,9 @@ fast-path wall-clock speedups (fast vs slow configuration, same
 machine) against ``benchmarks/BENCH_wallclock.json``, gating both the
 recorded simulated metrics and the per-case speedup floors; and
 ``bench-diff`` prints per-phase / per-counter deltas between any two
-bench, profile, or telemetry-report snapshots; ``monitor`` tails a
-run's ``--telemetry-out`` JSONL stream as a live terminal view (or
-``--once`` for CI health checks); and ``telemetry-report`` folds a
-finished stream into a diffable report document. Graphs
+bench, profile, or telemetry-report snapshots; and
+``telemetry-report`` folds a run's ``--telemetry-out`` JSONL stream
+(finished or still being written) into a diffable report document. Graphs
 are either Table-1 dataset names or paths to edge-list / ``.npz`` /
 MatrixMarket files.
 
@@ -177,19 +175,13 @@ def _fastpath_options(args) -> dict:
 
 def _telemetry_config(args):
     """TelemetryConfig from the ``--telemetry-*`` flags, or None when off."""
-    if not args.telemetry_out and not args.flight_recorder:
+    if not args.telemetry_out:
         return None
     from repro.obs.telemetry import TelemetryConfig
 
-    if args.telemetry_out:
-        # The bus appends; a fresh invocation starts from a clean stream.
-        Path(args.telemetry_out).write_text("")
-    return TelemetryConfig(
-        out=args.telemetry_out,
-        interval=args.telemetry_interval,
-        budget_bytes=args.telemetry_budget,
-        flight_recorder=args.flight_recorder,
-    )
+    # The bus appends; a fresh invocation starts from a clean stream.
+    Path(args.telemetry_out).write_text("")
+    return TelemetryConfig(out=args.telemetry_out, interval=args.telemetry_interval)
 
 
 def load_graph(spec: str) -> EdgeList:
@@ -388,15 +380,7 @@ def cmd_run(args) -> int:
     _print_prefetch(result)
     if result.telemetry is not None:
         t = result.telemetry
-        line = f"telemetry  : {t['records']} records"
-        if t.get("out"):
-            line += f" -> {t['out']}"
-        line += f", {len(t['incidents'])} incidents"
-        fr = t.get("flight_recorder")
-        if fr:
-            line += (f", flight recorder {fr['spans']['recorded']} spans "
-                     f"({fr['spans']['dropped']} dropped)")
-        print(line)
+        print(f"telemetry  : {t['records']} records -> {t['out']}")
     finite = vals[np.isfinite(vals)]
     if len(finite):
         print(f"values     : min {finite.min():.4g}, max {finite.max():.4g}, "
@@ -783,57 +767,6 @@ def cmd_bench_wallclock(args) -> int:
     return 0
 
 
-def _monitor_problems(args, state) -> int:
-    problems = state.problems(fail_on_incident=args.fail_on_incident)
-    for problem in problems:
-        print(f"problem: {problem}", file=sys.stderr)
-    return 1 if problems else 0
-
-
-def cmd_monitor(args) -> int:
-    from repro.obs.monitor import MonitorState, follow, read_records, render
-
-    path = Path(args.stream)
-    state = MonitorState()
-    if args.once:
-        if not path.exists():
-            print(f"error: telemetry stream {path} not found", file=sys.stderr)
-            return 2
-        try:
-            for record in read_records(str(path)):
-                state.ingest(record)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(render(state))
-        return _monitor_problems(args, state)
-    waited = 0.0
-    while not path.exists():
-        if waited >= args.wait:
-            print(f"error: telemetry stream {path} did not appear within "
-                  f"{args.wait:g}s", file=sys.stderr)
-            return 2
-        time.sleep(min(args.poll, 0.2))
-        waited += min(args.poll, 0.2)
-    repaint = sys.stdout.isatty()
-    try:
-        for record in follow(str(path), poll=args.poll):
-            state.ingest(record)
-            if record.get("kind") in ("run_start", "snapshot", "incident",
-                                      "run_end"):
-                view = render(state)
-                if repaint:
-                    print("\x1b[2J\x1b[H" + view, flush=True)
-                else:
-                    print(view + "\n", flush=True)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        pass
-    return _monitor_problems(args, state)
-
-
 def cmd_telemetry_report(args) -> int:
     from repro.obs.monitor import fold_stream, read_records, report_text
 
@@ -968,22 +901,13 @@ def _add_devices_args(p, devices_help: str) -> None:
 def _add_telemetry_args(p) -> None:
     p.add_argument(
         "--telemetry-out", default=None,
-        help="stream live telemetry (JSONL, schema-versioned) to this "
-             "file; tail it with `repro monitor`",
+        help="stream telemetry snapshots (JSONL, schema-versioned) to "
+             "this file; fold it with `repro telemetry-report`",
     )
     p.add_argument(
         "--telemetry-interval", type=float, default=0.5,
         help="minimum wall seconds between snapshot records (default 0.5; "
              "0 emits one per iteration)",
-    )
-    p.add_argument(
-        "--telemetry-budget", type=int, default=1 << 20,
-        help="flight-recorder ring-buffer budget in bytes (default 1 MiB)",
-    )
-    p.add_argument(
-        "--flight-recorder", action="store_true",
-        help="record spans into bounded rings (O(budget) memory) instead "
-             "of the unbounded observer tree",
     )
 
 
@@ -1098,32 +1022,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_store_args(batch_p)
     _add_telemetry_args(batch_p)
 
-    mon_p = sub.add_parser(
-        "monitor", help="live terminal view of a run's telemetry stream"
-    )
-    mon_p.add_argument(
-        "stream", help="telemetry JSONL path (a run's --telemetry-out)"
-    )
-    mon_p.add_argument("--poll", type=float, default=0.2,
-                       help="tail poll interval in seconds (default 0.2)")
-    mon_p.add_argument(
-        "--once", action="store_true",
-        help="render the stream's current state once and exit instead of "
-             "tailing until run_end",
-    )
-    mon_p.add_argument(
-        "--fail-on-incident", action="store_true",
-        help="exit 1 if the stream recorded any incident",
-    )
-    mon_p.add_argument(
-        "--wait", type=float, default=30.0,
-        help="seconds to wait for the stream file to appear when tailing "
-             "(default 30)",
-    )
-
     rep_p = sub.add_parser(
         "telemetry-report",
-        help="fold a finished telemetry stream into a diffable report",
+        help="fold a telemetry stream into a diffable report",
     )
     rep_p.add_argument("stream", help="telemetry JSONL path")
     rep_p.add_argument(
@@ -1277,7 +1178,6 @@ def main(argv: list[str] | None = None) -> int:
         "bench-check": cmd_bench_check,
         "bench-wallclock": cmd_bench_wallclock,
         "bench-diff": cmd_bench_diff,
-        "monitor": cmd_monitor,
         "telemetry-report": cmd_telemetry_report,
     }
     return commands[args.command](args)

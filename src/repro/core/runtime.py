@@ -41,7 +41,7 @@ from repro.core.partition import PartitionEngine, ShardedGraph
 from repro.core.plans import PlanCache
 from repro.graph.edgelist import EdgeList
 from repro.obs.span import NULL_OBSERVER, Observer
-from repro.obs.telemetry import FlightRecorder, RunTelemetry, TelemetryConfig
+from repro.obs.telemetry import RunTelemetry, TelemetryConfig
 from repro.sim.device import GPUDevice
 from repro.sim.engine import Simulator
 from repro.sim.specs import MachineSpec, default_machine
@@ -148,14 +148,13 @@ class GraphReduceOptions:
     #: see :mod:`repro.obs`); when off the runtime uses the shared
     #: no-op recorder and the instrumentation costs one method call
     observe: bool = True
-    #: live telemetry (see :mod:`repro.obs.telemetry`): a
-    #: :class:`~repro.obs.telemetry.TelemetryConfig` turns on the
-    #: streaming bus (periodic JSONL snapshots a concurrent ``repro
-    #: monitor`` tails), the health watchdog over the main loop, and --
-    #: when its ``flight_recorder``
-    #: flag is set -- the bounded ring-buffer span recorder in place
-    #: of the unbounded tree. ``None`` (default) adds nothing: the
-    #: NULL_OBSERVER zero-overhead path is untouched.
+    #: telemetry stream (see :mod:`repro.obs.telemetry`): a
+    #: :class:`~repro.obs.telemetry.TelemetryConfig` appends throttled
+    #: JSONL snapshots to its ``out`` file from the run's own thread
+    #: (``repro telemetry-report`` folds them). It bounds no memory:
+    #: ``observe`` and ``trace`` are the switches for the span tree and
+    #: the device trace, which grow with the run. ``None`` (default)
+    #: adds nothing.
     telemetry: "TelemetryConfig | None" = None
 
     def __post_init__(self) -> None:
@@ -280,8 +279,8 @@ class GraphReduceResult:
     #: host prefetcher totals: hits, faults, evictions, bytes loaded
     #: and released (shard-store runs only; None for in-RAM runs)
     prefetch: dict | None = None
-    #: telemetry summary (records emitted, incidents, flight-recorder
-    #: occupancy); None unless ``options.telemetry`` was set
+    #: telemetry summary (schema, records emitted, sink path); None
+    #: unless ``options.telemetry`` was set
     telemetry: dict | None = None
     #: per-iteration :class:`repro.core.frontier.DirectionDecision`
     #: records (options.direction != 'push' only; None otherwise)
@@ -397,16 +396,7 @@ class GraphReduce:
 
         # --- Simulated device + observability --------------------------
         sim = Simulator()
-        if opts.telemetry is not None and opts.telemetry.flight_recorder:
-            # Bounded black box for long-lived runs: spans go to fixed
-            # rings instead of the O(run) tree. Metrics stay exact.
-            obs = FlightRecorder(
-                clock=lambda: sim.now, budget_bytes=opts.telemetry.budget_bytes
-            )
-        elif opts.observe:
-            obs = Observer(clock=lambda: sim.now)
-        else:
-            obs = NULL_OBSERVER
+        obs = Observer(clock=lambda: sim.now) if opts.observe else NULL_OBSERVER
         telem = (
             RunTelemetry(opts.telemetry, sim=sim, obs=obs)
             if opts.telemetry is not None

@@ -20,12 +20,10 @@ first-class version of that instrumentation:
   effectiveness) behind ``repro profile``;
 * :mod:`repro.obs.attribution` -- bottleneck verdicts with tuning
   recommendations, and the Eq. (1)/(2) + cost-model validation pass;
-* :mod:`repro.obs.telemetry` -- the live telemetry bus (schema-versioned
-  JSONL streaming, bounded flight recorder) behind ``--telemetry-out``;
-* :mod:`repro.obs.health` -- heartbeat registry and stall watchdog for
-  long-lived runs (the main loop);
-* :mod:`repro.obs.monitor` -- the ``repro monitor`` live view and the
-  ``repro telemetry-report`` stream folder.
+* :mod:`repro.obs.telemetry` -- the schema-versioned JSONL snapshot
+  stream behind ``--telemetry-out``, written on the run's own thread;
+* :mod:`repro.obs.monitor` -- the stream reader and folder behind
+  ``repro telemetry-report``.
 """
 
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
@@ -37,22 +35,13 @@ from repro.obs.export import (
     write_chrome_trace,
 )
 from repro.obs.attribution import ModelCheck, Verdict, diagnose, validate_cost_model
-from repro.obs.health import HeartbeatRegistry, Incident, Watchdog
-from repro.obs.monitor import MonitorState, fold_stream, follow, read_records
+from repro.obs.monitor import MonitorState, fold_stream, last_run, read_records
 from repro.obs.profile import ProfileReport, build_profile, write_profile
-from repro.obs.telemetry import (
-    FlightRecorder,
-    RunTelemetry,
-    TelemetryBus,
-    TelemetryConfig,
-)
+from repro.obs.telemetry import RunTelemetry, TelemetryBus, TelemetryConfig
 
 __all__ = [
     "Counter",
-    "FlightRecorder",
-    "HeartbeatRegistry",
     "Histogram",
-    "Incident",
     "MetricsRegistry",
     "ModelCheck",
     "MonitorState",
@@ -65,11 +54,10 @@ __all__ = [
     "TelemetryBus",
     "TelemetryConfig",
     "Verdict",
-    "Watchdog",
     "build_profile",
     "diagnose",
     "fold_stream",
-    "follow",
+    "last_run",
     "observer_to_json",
     "read_records",
     "result_to_chrome_trace",

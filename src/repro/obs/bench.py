@@ -197,8 +197,8 @@ def _telemetry_overhead_wallclock_case() -> WallclockCase:
     """Live telemetry enabled vs disabled: the <=5% overhead gate.
 
     Both sides run the identical PageRank configuration; the *fast*
-    side additionally streams live telemetry (per-iteration snapshots
-    to a JSONL sink, heartbeat watchdog polling). The harness computes
+    side additionally streams telemetry (per-iteration snapshots to a
+    JSONL sink, written on the run's own thread). The harness computes
     ``speedup = slow / fast``, i.e. disabled time over enabled time, so
     the ``min_speedup`` floor of 0.952 caps telemetry overhead at
     ``1/0.952 - 1`` (~5%): if streaming telemetry slows the run more
@@ -206,9 +206,10 @@ def _telemetry_overhead_wallclock_case() -> WallclockCase:
     every iteration emit a snapshot -- the worst-case publishing rate,
     far denser than the default half-second throttle.
 
-    ``extra`` folds the stream afterwards and asserts it actually
-    recorded snapshots and zero incidents -- guarding against the
-    degenerate "zero overhead because nothing was written" pass.
+    ``extra`` folds the stream's last run afterwards -- every warm-up
+    and repeat appends to the one sink -- and asserts it ended cleanly
+    with one snapshot per iteration, guarding against the degenerate
+    "zero overhead because nothing was written" pass.
     """
     import shutil
     import tempfile
@@ -230,20 +231,22 @@ def _telemetry_overhead_wallclock_case() -> WallclockCase:
     metrics = GraphReduceOptions(cache_policy="never", num_partitions=4)
 
     def extra(metrics_result):
-        from repro.obs.monitor import fold_stream, read_records
+        from repro.obs.monitor import MonitorState, last_run, read_records
 
-        doc = fold_stream(read_records(str(stream)))
-        if not doc["snapshots"]:
-            raise AssertionError("telemetry stream recorded no snapshots")
-        if doc["incidents"]:
+        state = MonitorState()
+        for record in last_run(read_records(str(stream))):
+            state.ingest(record)
+        if not state.end or state.end.get("error") is not None:
+            raise AssertionError(f"telemetry run did not end cleanly: {state.end}")
+        if state.snapshots != state.end["iterations"]:
             raise AssertionError(
-                f"telemetry run raised {doc['incidents']} incidents"
+                f"telemetry run wrote {state.snapshots} snapshots for "
+                f"{state.end['iterations']} iterations"
             )
         return {
             "telemetry": {
-                "records": doc["records"],
-                "snapshots": doc["snapshots"],
-                "incidents": doc["incidents"],
+                "records": state.records,
+                "snapshots": state.snapshots,
             }
         }
 
@@ -842,7 +845,6 @@ def metric_table(doc: dict) -> dict[str, dict[str, float]]:
                 "iterations",
                 "snapshots",
                 "frontier_peak",
-                "incidents",
             )
             if doc.get(k) is not None
         }

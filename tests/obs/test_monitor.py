@@ -1,12 +1,11 @@
-"""Telemetry stream consumers: parsing, tailing, folding, diffing.
+"""Telemetry stream reader: parsing, folding, diffing.
 
-The stream reader must survive what a live writer does to a file --
-torn final lines, records arriving between polls -- and must refuse
-streams from an incompatible schema instead of misreading them.
+The stream reader must survive what a live writer does to a file -- a
+torn final line -- and must refuse streams from an incompatible schema
+instead of misreading them.
 """
 
 import json
-import threading
 
 import pytest
 
@@ -14,10 +13,9 @@ from repro.obs.bench import metric_table
 from repro.obs.monitor import (
     MonitorState,
     fold_stream,
-    follow,
+    last_run,
     parse_record,
     read_records,
-    render,
     report_text,
 )
 from repro.obs.telemetry import SCHEMA_VERSION
@@ -35,11 +33,7 @@ def _stream():
              pid=4242, wall_time=10.0),
         _rec("snapshot", iteration=0, frontier=8192, sim_time=0.001,
              iterations_per_sec=100.0, wall_time=10.5,
-             sources={"plan_cache": {"hits": 3, "misses": 1}},
-             heartbeats={
-                 "main-loop": {"age": 0.0, "busy": True, "kind": "loop",
-                               "beats": 1},
-             }),
+             sources={"plan_cache": {"hits": 3, "misses": 1}}),
         _rec("snapshot", iteration=5, frontier=4096, sim_time=0.002,
              iterations_per_sec=200.0, wall_time=11.0,
              counters={"runtime.iterations": 6},
@@ -47,13 +41,9 @@ def _stream():
                                      "sparse_bypass": 40,
                                      "held_bytes": 1_500_000},
                       "kernels": {"fused_calls": 90, "premaps": 6,
-                                  "merged_groups": 12}},
-             heartbeats={
-                 "main-loop": {"age": 0.2, "busy": True, "kind": "loop",
-                               "beats": 6},
-             }),
+                                  "merged_groups": 12}}),
         _rec("run_end", iterations=6, converged=True, sim_time=0.002,
-             incidents=0, wall_time=11.5),
+             error=None, wall_time=11.5),
     ]
 
 
@@ -83,90 +73,36 @@ def test_read_records_skips_torn_tail(tmp_path):
     ]
 
 
-def test_follow_tails_a_growing_file(tmp_path):
-    path = tmp_path / "s.jsonl"
-    path.write_text("")
-    stream = _stream()
-
-    def writer():
-        with open(path, "a", encoding="utf-8") as fh:
-            for r in stream:
-                fh.write(json.dumps(r) + "\n")
-                fh.flush()
-
-    t = threading.Thread(target=writer)
-    t.start()
-    got = list(follow(str(path), poll=0.01))  # returns at run_end
-    t.join()
-    assert [r["kind"] for r in got] == [r["kind"] for r in stream]
-
-
-def test_follow_stop_callback_ends_the_tail(tmp_path):
-    path = tmp_path / "s.jsonl"
-    path.write_text(json.dumps(_stream()[0]) + "\n")  # no run_end ever
-    polls = []
-
-    def stop():
-        polls.append(1)
-        return len(polls) >= 2
-
-    got = list(follow(str(path), poll=0.01, stop=stop))
-    assert [r["kind"] for r in got] == ["run_start"]
-
-
 # ----------------------------------------------------------------------
-# MonitorState health expectations
+# MonitorState fold
 # ----------------------------------------------------------------------
 def test_state_tracks_latest_view():
     state = MonitorState()
     for r in _stream():
         state.ingest(r)
     assert state.records == 4 and state.snapshots == 2
+    assert state.run["algorithm"] == "pagerank"
     assert state.last_snapshot["iteration"] == 5
-    assert state.heartbeats["main-loop"]["beats"] == 6
-    assert state.problems(fail_on_incident=True) == []
+    assert state.end["converged"] is True and state.end["error"] is None
 
 
-def test_problems_flag_missing_records_and_incidents():
-    state = MonitorState()
-    assert state.problems() == ["no telemetry records seen"]
-    for r in _stream():
-        state.ingest(r)
-    assert state.problems() == []
-    state.ingest(_rec("incident", incident_kind="stall",
-                      component="main-loop", details="no heartbeat"))
-    [problem] = state.problems(fail_on_incident=True)
-    assert "incidents on the stream" in problem
-    # 'recovered' incidents are informational, not failures.
-    healthy = MonitorState()
-    for r in _stream():
-        healthy.ingest(r)
-    healthy.ingest(_rec("incident", incident_kind="recovered",
-                        component="main-loop"))
-    assert healthy.problems(fail_on_incident=True) == []
+def test_fold_over_two_runs_counts_only_the_last():
+    first = _stream()
+    second = [dict(r, algorithm="bfs") if r["kind"] == "run_start" else r
+              for r in _stream()[:2] + _stream()[-1:]]
+    records = first + second
+    assert last_run(records) == second
+    assert last_run(first) == first
+    assert fold_stream(records)["records"] == 7
+    doc = fold_stream(last_run(records))
+    assert doc["run"] == {"algorithm": "bfs"}
+    assert (doc["records"], doc["snapshots"]) == (3, 1)
 
 
-def test_render_shows_the_live_view():
-    state = MonitorState()
-    for r in _stream()[:-1]:
-        state.ingest(r)
-    view = render(state)
-    assert "run: pagerank" in view and "kernels=numpy" in view
-    assert "iteration 5" in view and "frontier 4096" in view
-    assert (
-        "dense plans: 3 hits / 1 misses (75.0%) · row-built: 40 · held: 1.5 MB"
-        in view
-    )
-    assert "kernels 90 fused 6 premaps 12 merged" in view
-    assert "main-loop" in view and "busy" in view
-    assert "incidents: none" in view
-    state.ingest(_stream()[-1])
-    assert "run ended: converged after 6 iterations" in render(state)
-
-
-def test_render_shows_the_sources_of_a_real_run(tmp_path):
+def test_snapshots_of_a_real_run_carry_the_sources(tmp_path):
     """The runtime registers its telemetry sources under the names the
-    monitor reads, so a real run renders the plan and kernel segments."""
+    report reads: a real run's snapshots carry the plan-cache and
+    kernel stats dicts."""
     from repro.algorithms import PageRank
     from repro.core.runtime import GraphReduce, GraphReduceOptions
     from repro.graph.generators import erdos_renyi
@@ -183,10 +119,11 @@ def test_render_shows_the_sources_of_a_real_run(tmp_path):
     state = MonitorState()
     for r in read_records(str(stream)):
         state.ingest(r)
-    view = render(state)
-    assert "kernels=numpy" in view
-    assert f"kernels {result.kernels['fused_calls']} fused" in view
-    assert "dense plans:" in view
+    assert state.run["kernel_backend"] == "numpy"
+    sources = state.last_snapshot["sources"]
+    assert sources["kernels"] == result.kernels
+    assert sources["plan_cache"]["hits"] + sources["plan_cache"]["misses"] > 0
+    assert sources["plan_cache"] == result.plan_cache
 
 
 # ----------------------------------------------------------------------
@@ -201,7 +138,7 @@ def test_fold_stream_builds_diffable_report():
     assert doc["frontier_peak"] == 8192
     assert doc["wall_seconds"] == pytest.approx(1.5)
     assert doc["iterations_per_sec_mean"] == pytest.approx(150.0)
-    assert doc["incidents"] == 0
+    assert "incidents" not in doc
     assert doc["counters"] == {"runtime.iterations": 6}
     text = report_text(doc)
     assert "pagerank" in text and "iterations 6" in text
@@ -213,7 +150,7 @@ def test_metric_table_reads_telemetry_reports():
     assert name == "telemetry:pagerank"
     assert row["iterations"] == 6.0
     assert row["frontier_peak"] == 8192.0
-    assert row["incidents"] == 0.0
+    assert "incidents" not in row
     assert row["wall_seconds_stream"] == pytest.approx(1.5)
     assert row["counter:runtime.iterations"] == 6.0
 

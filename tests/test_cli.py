@@ -140,9 +140,14 @@ def test_removed_host_parallelism_flags_are_refused(capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(run + flag)
         assert "unrecognized arguments" in capsys.readouterr().err, flag
+    # The live half of telemetry went with the workers it watched.
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["monitor", "s.jsonl", "--expect-workers", "2"])
-    assert "unrecognized arguments" in capsys.readouterr().err
+        build_parser().parse_args(["monitor", "s.jsonl", "--once"])
+    assert "invalid choice: 'monitor'" in capsys.readouterr().err
+    for flag in (["--flight-recorder"], ["--telemetry-budget", "1024"]):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(run + ["--telemetry-out", "s.jsonl", *flag])
+        assert "unrecognized arguments" in capsys.readouterr().err, flag
     # --frontier-policy stays, for the multi-device scheduler only
     assert build_parser().parse_args(
         run + ["--devices", "2", "--frontier-policy", "partitioned"]
@@ -447,15 +452,16 @@ class TestTelemetryCli:
         assert "telemetry  :" in out and str(stream) in out
         return stream, out
 
-    def test_run_streams_and_monitor_once_passes(self, tmp_path, capsys):
-        stream, _ = self._stream(tmp_path, capsys)
-        code, out = run_cli(
-            capsys, "monitor", str(stream), "--once", "--fail-on-incident",
-        )
-        assert code == 0
-        assert "run: pagerank" in out
-        assert "run ended: converged" in out
-        assert "incidents: none" in out
+    def test_run_streams_one_complete_run(self, tmp_path, capsys):
+        stream, out = self._stream(tmp_path, capsys)
+        records = [json.loads(l) for l in stream.read_text().splitlines()]
+        assert f"telemetry  : {len(records)} records -> {stream}" in out
+        assert [r["seq"] for r in records] == list(range(len(records)))
+        kinds = [r["kind"] for r in records]
+        assert kinds[0] == "run_start" and kinds[-1] == "run_end"
+        end = records[-1]
+        assert end["converged"] is True and end["error"] is None
+        assert kinds.count("snapshot") == end["iterations"]
 
     def test_run_truncates_a_stale_stream(self, tmp_path, capsys):
         stream = tmp_path / "run.jsonl"
@@ -466,33 +472,12 @@ class TestTelemetryCli:
         ]
         assert sum(r["kind"] == "run_start" for r in records) == 1
 
-    def test_flight_recorder_summary_line(self, tmp_path, capsys):
-        _, out = self._stream(
-            tmp_path, capsys, "--flight-recorder", "--telemetry-budget",
-            str(16 * 512),
-        )
-        assert "flight recorder" in out and "dropped" in out
-
-    def test_monitor_missing_stream_exits_2(self, tmp_path, capsys):
-        code = main(["monitor", str(tmp_path / "nope.jsonl"), "--once"])
-        assert code == 2
-        assert "not found" in capsys.readouterr().err
-
-    def test_monitor_rejects_schema_mismatch(self, tmp_path, capsys):
-        stream = tmp_path / "bad.jsonl"
-        stream.write_text('{"schema": 99, "kind": "run_start"}\n')
-        code = main(["monitor", str(stream), "--once"])
+    def test_telemetry_report_rejects_schema_mismatch(self, tmp_path, capsys):
+        stream = tmp_path / "old.jsonl"
+        stream.write_text('{"schema": 1, "kind": "run_start"}\n')
+        code = main(["telemetry-report", str(stream)])
         assert code == 2
         assert "schema mismatch" in capsys.readouterr().err
-
-    def test_live_monitor_tails_until_run_end(self, tmp_path, capsys):
-        stream, _ = self._stream(tmp_path, capsys)
-        code, out = run_cli(
-            capsys, "monitor", str(stream), "--poll", "0.01",
-            "--fail-on-incident",
-        )
-        assert code == 0
-        assert "run ended: converged" in out
 
     def test_telemetry_report_folds_and_diffs(self, tmp_path, capsys):
         stream, _ = self._stream(tmp_path, capsys)
