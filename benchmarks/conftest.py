@@ -13,21 +13,6 @@ Formatted outputs are printed and mirrored under ``results/``.
 import pytest
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--queries",
-        type=int,
-        default=16,
-        help="batch width K for the batched-query wall-clock axis",
-    )
-
-
-@pytest.fixture
-def queries(request):
-    """Batch width K for ``bench_wallclock``'s batched-query axis."""
-    return request.config.getoption("--queries")
-
-
 @pytest.fixture
 def once(benchmark):
     """Run a callable exactly once under pytest-benchmark and return its

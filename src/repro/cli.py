@@ -10,7 +10,6 @@
     python -m repro trace --algo pagerank --out trace.json
     python -m repro profile --algo pagerank --out profile.json
     python -m repro bench-check --snapshot benchmarks/BENCH_baseline.json
-    python -m repro bench-wallclock --update
     python -m repro bench-diff old.json new.json
     python -m repro run --graph orkut --algorithm pagerank --telemetry-out run.jsonl
     python -m repro telemetry-report run.jsonl --out report.json
@@ -23,12 +22,9 @@ baseline framework; ``trace`` writes a Chrome ``trace_event`` JSON
 occupancy, overlap efficiency, a bottleneck verdict and the cost-model
 validation pass) and writes ``profile.json``; ``bench-check`` reruns
 the standard benchmark suite against a committed timing snapshot,
-exiting non-zero on regression; ``bench-wallclock`` measures the host
-fast-path wall-clock speedups (fast vs slow configuration, same
-machine) against ``benchmarks/BENCH_wallclock.json``, gating both the
-recorded simulated metrics and the per-case speedup floors; and
-``bench-diff`` prints per-phase / per-counter deltas between any two
-bench, profile, or telemetry-report snapshots; and
+exiting non-zero on regression; ``bench-diff`` prints per-phase /
+per-counter deltas between any two bench, profile, or telemetry-report
+snapshots; and
 ``telemetry-report`` folds a run's ``--telemetry-out`` JSONL stream
 (finished or still being written) into a diffable report document. Graphs
 are either Table-1 dataset names or paths to edge-list / ``.npz`` /
@@ -678,21 +674,7 @@ def cmd_bench_check(args) -> int:
         base = doc["benchmarks"][name].get("sim_time", 0.0)
         cur = fresh[name].get("sim_time", 0.0)
         ratio = cur / base if base else float("inf")
-        print(f"{name:20s} {base:12.6f}s -> {cur:12.6f}s  {ratio:6.2f}x")
-    # The wall-clock snapshot's *simulated* metrics are deterministic
-    # too; gate them alongside the baseline (the machine-dependent wall
-    # times and speedups are bench-wallclock's concern, never compared
-    # here, so one pass per engine with no warm-up suffices).
-    wallclock_path = Path(args.wallclock_snapshot)
-    if wallclock_path.exists():
-        wdoc = bench.load_snapshot(wallclock_path)
-        wfresh = bench.run_wallclock_suite(repeats=1, warmup=0)
-        regressions += bench.compare(wdoc["benchmarks"], wfresh, tolerance=tolerance)
-        for name in sorted(wdoc["benchmarks"]):
-            base = wdoc["benchmarks"][name].get("sim_time", 0.0)
-            cur = wfresh.get(name, {}).get("sim_time", 0.0)
-            ratio = cur / base if base else float("inf")
-            print(f"{name:20s} {base:12.6f}s -> {cur:12.6f}s  {ratio:6.2f}x")
+        print(f"{name:22s} {base:12.6f}s -> {cur:12.6f}s  {ratio:6.2f}x")
     if regressions:
         print(f"\n{len(regressions)} regression(s) beyond {100 * tolerance:.0f}%:",
               file=sys.stderr)
@@ -700,70 +682,6 @@ def cmd_bench_check(args) -> int:
             print(f"  {reg}", file=sys.stderr)
         return 1
     print(f"\nok: no phase regressed beyond {100 * tolerance:.0f}%")
-    return 0
-
-
-def cmd_bench_wallclock(args) -> int:
-    from repro.obs import bench
-
-    fresh = bench.run_wallclock_suite(repeats=args.repeats, warmup=args.warmup)
-    for name, m in sorted(fresh.items()):
-        pc = m.get("plan_cache") or {}
-        print(f"{name:22s} fast {m['wall_seconds_fast'] * 1e3:8.1f} ms  "
-              f"slow {m['wall_seconds_slow'] * 1e3:8.1f} ms  "
-              f"speedup {m['speedup']:5.2f}x (floor {m['min_speedup']:.1f}x)  "
-              f"plan hits {100 * pc.get('hit_rate', 0.0):5.1f}%")
-        vs = {k[len("speedup_vs_"):]: v for k, v in m.items()
-              if k.startswith("speedup_vs_")}
-        if vs:
-            ratios = "  ".join(f"{k} {v:5.2f}x" for k, v in sorted(vs.items()))
-            print(f"{'':22s} auto vs fixed: {ratios} "
-                  f"(floor {m.get('min_variant_ratio', 0.0):.2f}x)")
-    if args.out:
-        bench.save_snapshot(args.out, fresh)
-        print(f"wrote {args.out}")
-    # Speedup floors are same-machine, same-moment ratios -- enforce
-    # them on every invocation, including --update, so a regressed
-    # fast path cannot be silently baked into the snapshot.
-    failures = bench.floor_failures(fresh)
-    snapshot_path = Path(args.snapshot)
-    if args.update:
-        tolerance = args.tolerance
-        if tolerance is None and snapshot_path.exists():
-            try:
-                tolerance = bench.load_snapshot(snapshot_path).get("tolerance")
-            except ValueError:
-                tolerance = None
-        if tolerance is None:
-            tolerance = bench.DEFAULT_TOLERANCE
-        path = bench.save_snapshot(snapshot_path, fresh, tolerance=tolerance)
-        print(f"wrote {path} ({len(fresh)} benchmarks, tolerance {tolerance:g})")
-    elif not snapshot_path.exists():
-        print(f"error: snapshot {snapshot_path} not found "
-              "(run `repro bench-wallclock --update` to create it)", file=sys.stderr)
-        return 2
-    else:
-        doc = bench.load_snapshot(snapshot_path)
-        tolerance = args.tolerance if args.tolerance is not None else doc.get(
-            "tolerance", bench.DEFAULT_TOLERANCE
-        )
-        regressions, failures = bench.check_wallclock(
-            doc["benchmarks"], fresh, tolerance=tolerance
-        )
-        if regressions:
-            print(f"\n{len(regressions)} simulated-metric regression(s) beyond "
-                  f"{100 * tolerance:.0f}%:", file=sys.stderr)
-            for reg in regressions:
-                print(f"  {reg}", file=sys.stderr)
-    if failures:
-        for name, speedup, floor in failures:
-            print(f"error: {name} speedup {speedup:.2f}x below the "
-                  f"{floor:.2f}x floor", file=sys.stderr)
-        return 1
-    if not args.update:
-        if regressions:
-            return 1
-        print("\nok: speedup floors hold and no simulated metric regressed")
     return 0
 
 
@@ -1133,34 +1051,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_p.add_argument("--update", action="store_true",
                          help="rewrite the snapshot from a fresh run")
-    bench_p.add_argument(
-        "--wallclock-snapshot", default="benchmarks/BENCH_wallclock.json",
-        help="also gate this wall-clock snapshot's simulated metrics "
-             "when it exists (default: benchmarks/BENCH_wallclock.json)",
-    )
-
-    wall_p = sub.add_parser(
-        "bench-wallclock",
-        help="measure host fast-path wall-clock speedups against the committed snapshot",
-    )
-    wall_p.add_argument(
-        "--snapshot", default="benchmarks/BENCH_wallclock.json",
-        help="snapshot path (default: benchmarks/BENCH_wallclock.json)",
-    )
-    wall_p.add_argument(
-        "--tolerance", type=float, default=None,
-        help="relative simulated-metric slowdown that counts as a regression "
-             "(default: the snapshot's recorded tolerance)",
-    )
-    wall_p.add_argument("--repeats", type=int, default=3,
-                        help="timed repetitions per configuration (best-of)")
-    wall_p.add_argument("--warmup", type=int, default=1,
-                        help="untimed warmup runs per configuration before "
-                             "the timed repetitions")
-    wall_p.add_argument("--out", default=None,
-                        help="also write the fresh measurements here (CI artifact)")
-    wall_p.add_argument("--update", action="store_true",
-                        help="rewrite the snapshot from this run's measurements")
     return parser
 
 
@@ -1176,7 +1066,6 @@ def main(argv: list[str] | None = None) -> int:
         "trace": cmd_trace,
         "profile": cmd_profile,
         "bench-check": cmd_bench_check,
-        "bench-wallclock": cmd_bench_wallclock,
         "bench-diff": cmd_bench_diff,
         "telemetry-report": cmd_telemetry_report,
     }

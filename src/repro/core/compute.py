@@ -39,7 +39,6 @@ kernel is proportional to *active* items, not to the worst vertex.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -238,22 +237,6 @@ class ComputeEngine:
             )
         return self._deg32
 
-    def _kernel_fallback(self, phase: str, exc: Exception) -> None:
-        """Disable fusion after a kernel failure; the caller reruns generic."""
-        self.kernels = None
-        self._gather_spec = None
-        self._apply_spec = None
-        self._copy_spec = None
-        self._premap_valid = False
-        self.fallbacks += 1
-        self.obs.add("kernels.fallbacks")
-        warnings.warn(
-            f"kernel backend {self._backend_name!r} failed during {phase} "
-            f"({exc!r}); falling back to the generic NumPy path",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
     def _count_fused(self, n: int = 1) -> None:
         self.fused_calls += n
         if self.obs.enabled:
@@ -380,7 +363,7 @@ class ComputeEngine:
             items = at[1:] - at[:-1]  # apply: one item per row
             if phase != "apply":  # the edge phases: one per incident edge
                 runs = np.flatnonzero(items)  # reduceat cannot take an empty run
-                # the kernel's own expansion counted them; a generic rerun did not
+                # the kernel's own expansion counted them; a generic pass did not
                 degree, self._counts = self._counts, None
                 if degree is None:
                     out = phase == "frontier_activate"
@@ -418,9 +401,7 @@ class ComputeEngine:
             and self.plans.enabled
             and (not spec.needs_weights or shard.csc_weights is not None)
         ):
-            work = self._fused_gather_map(shard, count_full, spec)
-            if work is not None:
-                return work
+            return self._fused_gather_map(shard, count_full, spec)
         plan = self.plans.gather_plan(shard)
         n_edges = shard.num_in_edges if count_full else plan.n_edges
         if plan.n_edges == 0:
@@ -439,54 +420,49 @@ class ComputeEngine:
         self._pending[shard.index] = _PendingGather(plan.starts, plan.verts, contrib)
         return WorkItems(edge_items=n_edges)
 
-    def _fused_gather_map(self, shard: Shard, count_full: bool, spec) -> WorkItems | None:
+    def _fused_gather_map(self, shard: Shard, count_full: bool, spec) -> WorkItems:
         """Single fused pass: per-edge map + segment reduce + has-mark.
 
         One dense test (:meth:`PlanCache.sparse_rows`) picks the route:
         a rows frontier reads the shard's CSC sub-arrays directly (no
         plan at all); a dense one reuses the stored plan's index layout
         but skips the contribution temporaries. Plan counters stay
-        identical to the generic path's ``gather_plan``. Returns None on
-        kernel failure (caller reruns the generic path).
+        identical to the generic path's ``gather_plan``.
         """
         values = self.vertex_values
         deg = self._deg_table() if spec.kind == "div_degree" else None
         if self._premap_valid:
             spec, values, deg = self._copy_spec, self._premap, None
-        try:
-            rows = self.plans.sparse_rows(shard, "active")
-            if rows is not None:
-                relay = self._relay_for()
-                if relay is None:
-                    n_segments, counts = self.kernels.gather_rows(
-                        shard.index, spec, values, deg,
-                        shard.csc.indptr, shard.csc.indices, shard.csc_weights,
-                        rows, shard.start, self.gather_temp, self.gather_has,
-                    )
-                else:
-                    counts = np.take(self.ctx.in_degrees, rows)
-                    n_segments = int(np.count_nonzero(counts))
-                    self.kernels.relay_gather(
-                        spec, values, shard.csr_weights, *relay, rows,
-                        self.gather_temp, self.gather_has,
-                    )
-                    self.relayed_gathers += 1
-                n_edges = int(counts.sum())
-                if self._merged is not None:
-                    self._counts = counts
+        rows = self.plans.sparse_rows(shard, "active")
+        if rows is not None:
+            relay = self._relay_for()
+            if relay is None:
+                n_segments, counts = self.kernels.gather_rows(
+                    shard.index, spec, values, deg,
+                    shard.csc.indptr, shard.csc.indices, shard.csc_weights,
+                    rows, shard.start, self.gather_temp, self.gather_has,
+                )
             else:
-                plan = self.plans.dense_gather_plan(shard)
-                n_edges = plan.n_edges
-                n_segments = len(plan.verts)
-                if n_edges:
-                    self.kernels.gather_segments(
-                        shard.index, spec, values, deg,
-                        plan.indices, plan.weights, plan.starts, plan.verts,
-                        self.gather_temp, self.gather_has,
-                    )
-        except Exception as exc:  # pragma: no cover - exercised via tests
-            self._kernel_fallback("gather", exc)
-            return None
+                counts = np.take(self.ctx.in_degrees, rows)
+                n_segments = int(np.count_nonzero(counts))
+                self.kernels.relay_gather(
+                    spec, values, shard.csr_weights, *relay, rows,
+                    self.gather_temp, self.gather_has,
+                )
+                self.relayed_gathers += 1
+            n_edges = int(counts.sum())
+            if self._merged is not None:
+                self._counts = counts
+        else:
+            plan = self.plans.dense_gather_plan(shard)
+            n_edges = plan.n_edges
+            n_segments = len(plan.verts)
+            if n_edges:
+                self.kernels.gather_segments(
+                    shard.index, spec, values, deg,
+                    plan.indices, plan.weights, plan.starts, plan.verts,
+                    self.gather_temp, self.gather_has,
+                )
         if n_edges:
             self._pending[shard.index] = _FusedGather(n_segments)
             self._count_fused()
@@ -576,9 +552,7 @@ class ComputeEngine:
             if rows is None:
                 plan = self.plans.dense_out_plan(shard)
             else:
-                work = self._fused_activate(shard, rows, count_full)
-                if work is not None:
-                    return work
+                return self._fused_activate(shard, rows, count_full)
         if plan is None:
             plan = self.plans.out_plan(shard, full=self.program.has_scatter)
         n_edges = shard.num_out_edges if count_full else plan.n_edges
@@ -588,21 +562,16 @@ class ComputeEngine:
             self.frontier.activate_next_mask(plan.present, plan.n_edges, start=plan.lo)
         return WorkItems(edge_items=n_edges)
 
-    def _fused_activate(self, shard: Shard, rows, count_full: bool) -> WorkItems | None:
+    def _fused_activate(self, shard: Shard, rows, count_full: bool) -> WorkItems:
         """Fused activation of a rows (non-dense) changed set.
 
         Emits the changed rows' out-neighbors straight off the shard's
         CSR sub-arrays into a scratch buffer and ORs them into the next
-        frontier -- no out plan is built. Returns None on kernel
-        failure (caller reruns the generic path).
+        frontier -- no out plan is built.
         """
-        try:
-            targets, pos, nz, counts = self.kernels.activate_targets(
-                shard.index, shard.csr.indptr, shard.csr.indices, rows, shard.start
-            )
-        except Exception as exc:  # pragma: no cover - exercised via tests
-            self._kernel_fallback("frontier_activate", exc)
-            return None
+        targets, pos, nz, counts = self.kernels.activate_targets(
+            shard.index, shard.csr.indptr, shard.csr.indices, rows, shard.start
+        )
         if len(targets):
             self.frontier.activate_next(targets)
             if self._relays and self._merged is not None:
@@ -625,11 +594,8 @@ class ComputeEngine:
         n_vert = shard.num_interval_vertices if count_full else len(rows)
         if len(rows) == 0:
             return WorkItems(vertex_items=n_vert)
-        if (
-            self._apply_spec is not None
-            and self.plans.enabled
-            and self._fused_apply(shard, rows, dense)
-        ):
+        if self._apply_spec is not None and self.plans.enabled:
+            self._fused_apply(shard, rows, dense)
             return WorkItems(vertex_items=n_vert)
         if dense:
             # Whole interval active: contiguous slice copies of the
@@ -661,7 +627,7 @@ class ComputeEngine:
         self.frontier.mark_changed(rows[changed])
         return WorkItems(vertex_items=n_vert)
 
-    def _fused_apply(self, shard: Shard, rows, dense: bool) -> bool:
+    def _fused_apply(self, shard: Shard, rows, dense: bool) -> None:
         """Fused apply: update + changed mask in one kernel pass.
 
         Results land in arena buffers (``out`` is copied into
@@ -680,15 +646,11 @@ class ComputeEngine:
                 j = int(np.searchsorted(rows, spec.source))
                 if j < len(rows) and rows[j] == spec.source:
                     src_pos = j
-        try:
-            out, changed = self.kernels.apply_block(
-                shard.index, spec, self.vertex_values, self.gather_temp,
-                self.gather_has, None if dense else rows, lo, hi,
-                self.iteration, src_pos,
-            )
-        except Exception as exc:  # pragma: no cover - exercised via tests
-            self._kernel_fallback("apply", exc)
-            return False
+        out, changed = self.kernels.apply_block(
+            shard.index, spec, self.vertex_values, self.gather_temp,
+            self.gather_has, None if dense else rows, lo, hi,
+            self.iteration, src_pos,
+        )
         self._premap_valid = False
         # a dense apply whose every row changed marks its interval as a slice
         whole = dense and spec.kind == "affine" and spec.changed_mode == "all"
@@ -700,4 +662,3 @@ class ComputeEngine:
             changed_vids = rows[changed]
         self.frontier.mark_changed(changed_vids, whole=whole)
         self._count_fused()
-        return True

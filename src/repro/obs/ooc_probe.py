@@ -5,7 +5,7 @@ prints one JSON object with the run's peak RSS, prefetch counters and a
 vertex-value checksum. It must run in a *fresh* interpreter because
 ``ru_maxrss`` is lifetime-monotone: a process that has already touched
 a large array can never measure a smaller peak again --
-:func:`repro.obs.bench.run_ooc_probe` is the subprocess wrapper.
+:func:`run_ooc_probe` launches it in one.
 
 ``--rss-cap`` turns the measurement into an enforced claim: the probe
 exits non-zero when the run grew peak RSS (``VmHWM``) by more than the
@@ -20,7 +20,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
+import subprocess
+import sys
+from pathlib import Path
 
 
 def _rss_peak_bytes() -> int:
@@ -36,6 +40,47 @@ def _rss_peak_bytes() -> int:
             if line.startswith("VmHWM:"):
                 return int(line.split()[1]) * 1024
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+
+def run_ooc_probe(
+    store_path,
+    iterations: int = 8,
+    memory_budget: int | None = None,
+    rss_cap: int | None = None,
+    profile_out=None,
+    timeout: float = 600.0,
+) -> dict:
+    """Run this probe in a fresh interpreter.
+
+    ``ru_maxrss`` is lifetime-monotone, so a run's peak RSS can only be
+    measured by a process that has done nothing else -- hence the
+    subprocess. Returns the probe's JSON document; on a crash the dict
+    has ``ok: False`` plus the captured stderr tail.
+    """
+    import repro
+
+    env = dict(os.environ)
+    src_root = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
+    cmd = [
+        sys.executable, "-m", "repro.obs.ooc_probe", str(store_path),
+        "--iterations", str(iterations),
+    ]
+    if memory_budget is not None:
+        cmd += ["--memory-budget", str(memory_budget)]
+    if rss_cap is not None:
+        cmd += ["--rss-cap", str(rss_cap)]
+    if profile_out is not None:
+        cmd += ["--profile-out", str(profile_out)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=timeout, env=env)
+    try:
+        return json.loads(proc.stdout)
+    except json.JSONDecodeError:
+        return {
+            "ok": False,
+            "returncode": proc.returncode,
+            "error": (proc.stderr or proc.stdout).strip()[-2000:],
+        }
 
 
 def main(argv=None) -> int:

@@ -148,11 +148,11 @@ def test_multigpu_routes_follow_switch_topology():
 
 
 def test_multigpu_scales_from_one_to_eight_devices():
-    """Simulated 1 -> 8 device scaling on the bench-wallclock PageRank
-    graph stays above 2x (deterministic sim: machine-independent)."""
+    """Simulated 1 -> 8 device scaling on the ``pagerank_er64k`` bench
+    row's graph stays above 2x (deterministic sim: machine-independent)."""
     from repro.graph.generators import erdos_renyi
 
-    g = erdos_renyi(65_536, 1_000_000, seed=7, name="er-wallclock")
+    g = erdos_renyi(65_536, 1_000_000, seed=7, name="er-64k")
     opts = GraphReduceOptions(
         cache_policy="never", num_partitions=8, observe=False, trace=False
     )

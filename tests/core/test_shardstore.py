@@ -650,7 +650,7 @@ def test_prefetcher_context_manager_shuts_down(tmp_path):
 # ----------------------------------------------------------------------
 class TestOocProbe:
     def test_rss_growth_stays_below_the_in_ram_footprint(self, tmp_path):
-        from repro.obs.bench import run_ooc_probe
+        from repro.obs.ooc_probe import run_ooc_probe
 
         g = erdos_renyi(65_536, 1_000_000, seed=7, name="er-probe")
         store = _store(tmp_path, g, p=16)

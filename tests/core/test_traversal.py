@@ -91,18 +91,28 @@ def test_direction_matrix_in_ram(graph_name):
         _check_sssp(weighted, s.vertex_values)
 
 
-KERNEL_BACKENDS = ("off", "numpy")
+#: both fused-kernel backends, and the slow path: every host fast path
+#: off (no stored dense plans, no row-built frontiers) under the default
+#: backend
+FAST_PATHS = {
+    "off": dict(kernel_backend="off"),
+    "numpy": dict(kernel_backend="numpy"),
+    "slow": dict(dense_fast_path=False),
+}
 
 
-@pytest.mark.parametrize("kernel_backend", KERNEL_BACKENDS)
+@pytest.mark.parametrize("fast_path", sorted(FAST_PATHS))
 @pytest.mark.parametrize("graph_name", CORE_GRAPHS)
-def test_direction_matrix_kernel_backends(graph_name, kernel_backend):
-    """Every direction stays bit-identical across fused-kernel backends.
+def test_direction_matrix_kernel_backends(graph_name, fast_path):
+    """Every direction stays bit-identical across fused-kernel backends
+    and with the host fast paths off.
 
     The direction controller feeds on frontier occupancy, so a fused
     activate that mis-counted would flip push/pull decisions; comparing
     full results (values + trajectory + timeline) against the
-    kernels-off run on the same direction pins that down.
+    kernels-off run on the same direction pins that down. The slow leg
+    pins that a pull iteration served from a stored dense plan computes
+    what the from-scratch build does.
     """
     g = build(graph_name)
     weighted = g.with_random_weights(seed=33)
@@ -113,10 +123,9 @@ def test_direction_matrix_kernel_backends(graph_name, kernel_backend):
                 graph, options=_options(direction, kernel_backend="off")
             ).run(make())
             fused = GraphReduce(
-                graph,
-                options=_options(direction, kernel_backend=kernel_backend),
+                graph, options=_options(direction, **FAST_PATHS[fast_path])
             ).run(make())
-            label = f"{direction}/{kernel_backend}"
+            label = f"{direction}/{fast_path}"
             assert np.array_equal(fused.vertex_values, ref.vertex_values), label
             assert fused.frontier_history == ref.frontier_history, label
             assert fused.sim_time == ref.sim_time, label

@@ -98,12 +98,18 @@ class TestCommittedBaseline:
         doc = load_snapshot(SNAPSHOT)
         assert set(doc["benchmarks"]) == set(bench._suite_cases())
 
-    def test_fresh_run_matches_snapshot(self):
+    @pytest.fixture
+    def fresh(self, bench_suite_runs):
+        return {name: bench.measure(run) for name, run in bench_suite_runs.items()}
+
+    def test_fresh_run_matches_snapshot(self, fresh):
         doc = load_snapshot(SNAPSHOT)
-        fresh = run_suite(names=sorted(doc["benchmarks"]))
         assert compare(doc["benchmarks"], fresh, tolerance=doc["tolerance"]) == []
 
-    def test_injected_regression_fails(self):
+    def test_run_suite_reproduces_a_row_exactly(self, fresh):
+        assert run_suite(["cc_er"]) == {"cc_er": fresh["cc_er"]}
+
+    def test_injected_regression_fails(self, fresh):
         """Halving baseline timings == doubling fresh ones: exit path."""
         doc = load_snapshot(SNAPSHOT)
         crippled = {
@@ -114,7 +120,6 @@ class TestCommittedBaseline:
             }
             for name, m in doc["benchmarks"].items()
         }
-        fresh = run_suite(names=sorted(doc["benchmarks"]))
         regs = compare(crippled, fresh, tolerance=doc["tolerance"])
         assert regs
         assert all(isinstance(r, Regression) for r in regs)

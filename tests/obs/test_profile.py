@@ -196,14 +196,10 @@ class TestModelValidation:
         for check in report.validation:
             assert check.rel_error <= check.tolerance, check.name
 
-    def test_bench_suite_under_tolerance(self):
-        """ISSUE acceptance: predicted-vs-observed error under tolerance
-        on the standard bench suite."""
-        from repro.core.runtime import GraphReduce
-
-        for name, make in bench._suite_cases().items():
-            edges, program, options = make()
-            result = GraphReduce(edges, options=options).run(program)
+    def test_bench_suite_under_tolerance(self, bench_suite_runs):
+        """Predicted-vs-observed error under tolerance on every row of
+        the standard bench suite."""
+        for name, result in bench_suite_runs.items():
             checks = validate_cost_model(result)
             assert checks, name
             for check in checks:

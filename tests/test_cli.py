@@ -236,29 +236,17 @@ class TestTrace:
 
 
 @pytest.fixture(scope="class")
-def shared_bench_suites():
-    """One run per distinct argument list of the two suites ``bench-check``
-    runs (the deterministic ``run_suite``, keyed on its names list, and
-    the wall-clock suite whose simulated metrics it also gates), shared
-    by the class; each caller gets its own copy of the result."""
-    import copy
-
+def shared_bench_suites(bench_suite_runs):
+    """``bench.run_suite`` measures the session's one run of each row, so
+    ``run_suite()`` and ``run_suite(names=sorted(all))`` share it."""
     from repro.obs import bench
 
-    memo = {}
-
-    def memoized(suite):
-        def run(*args, **kwargs):
-            key = (suite.__name__, repr(args), repr(sorted(kwargs.items())))
-            if key not in memo:
-                memo[key] = suite(*args, **kwargs)
-            return copy.deepcopy(memo[key])
-
-        return run
+    def run_suite(names=None):
+        return {name: bench.measure(bench_suite_runs[name])
+                for name in names or sorted(bench_suite_runs)}
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bench, "run_suite", memoized(bench.run_suite))
-        mp.setattr(bench, "run_wallclock_suite", memoized(bench.run_wallclock_suite))
+        mp.setattr(bench, "run_suite", run_suite)
         yield
 
 
@@ -299,6 +287,7 @@ class TestBenchCheck:
         assert code == 1
         assert "regression(s)" in err
         assert "2.00x" in err
+        assert "sssp_auto_road/" in err  # the rows folded in from the wall-clock suite
 
     def test_missing_snapshot_exits_2(self, tmp_path, capsys):
         code = main(["bench-check", "--snapshot", str(tmp_path / "nope.json")])
@@ -415,6 +404,7 @@ class TestBenchDiff:
         assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.usefixtures("shared_bench_suites")
 class TestBenchCheckUpdate:
     def test_update_preserves_tuned_tolerance(self, tmp_path, capsys):
         """`--update` must not silently reset a tuned gate to default."""
