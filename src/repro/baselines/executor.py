@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.api import GASProgram
 from repro.core.runtime import RuntimeContext
-from repro.graph.csr import build_csc, build_csr, ragged_gather
+from repro.graph.csr import build_csc, build_csr, ragged_gather, segment_reduce
 from repro.graph.edgelist import EdgeList
 
 
@@ -81,10 +81,12 @@ class HostGASExecutor:
         p = max(1, min(num_partitions, max(n, 1)))
         self.num_partitions = p
         bounds = np.linspace(0, n, p + 1).astype(np.int64)
-        self._partition_of = np.searchsorted(bounds, np.arange(n), side="right") - 1
+        self.partition_of = np.searchsorted(bounds, np.arange(n), side="right") - 1
         self._csc_w = None if edges.weights is None else edges.weights[self.csc.edge_ids]
 
-    def run(self, max_iterations: int = 100_000) -> ExecutionTrace:
+    def run(self, max_iterations: int = 100_000, on_iteration=None) -> ExecutionTrace:
+        """``on_iteration(iteration, active)``, if given, is called before
+        each iteration's gather (the adaptive engine places it there)."""
         prog, ctx = self.program, self.ctx
         n = self.edges.num_vertices
         frontier = np.asarray(prog.init_frontier(ctx), dtype=bool)
@@ -102,6 +104,8 @@ class HostGASExecutor:
             if prog.converged(ctx, iteration, len(active)):
                 converged = True
                 break
+            if on_iteration is not None:
+                on_iteration(iteration, active)
             # ---- gather -------------------------------------------------
             gathered = np.full(len(active), prog.gather_identity, dtype=prog.gather_dtype)
             has = np.zeros(len(active), dtype=bool)
@@ -115,7 +119,7 @@ class HostGASExecutor:
                     st = None if edge_state is None else edge_state[self.csc.edge_ids[pos]]
                     contrib = prog.gather_map(ctx, src, seg.astype(src.dtype), values[src], w, st)
                     starts = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
-                    red = prog.gather_reduce.reduceat(contrib, starts)
+                    red = segment_reduce(prog.gather_reduce, contrib, starts)
                     # seg values are *global* vertex ids; map back to the
                     # position inside `active` (active is sorted).
                     slot = np.searchsorted(active, seg[starts])
@@ -139,9 +143,9 @@ class HostGASExecutor:
             frontier = np.zeros(n, dtype=bool)
             frontier[dsts] = True
             local = int(
-                np.count_nonzero(self._partition_of[dsts] == self._partition_of[seg])
+                np.count_nonzero(self.partition_of[dsts] == self.partition_of[seg])
             ) if len(pos) else 0
-            touched = int(len(np.unique(self._partition_of[active])))
+            touched = int(len(np.unique(self.partition_of[active])))
             incident = int((self.csc.indptr[active + 1] - self.csc.indptr[active]).sum())
             profiles.append(
                 IterationProfile(
@@ -155,4 +159,6 @@ class HostGASExecutor:
                     num_partitions=self.num_partitions,
                 )
             )
+        else:  # out of iterations: converged iff nothing is left to run
+            converged = not frontier.any()
         return ExecutionTrace(values, profiles, converged)

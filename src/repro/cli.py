@@ -63,7 +63,6 @@ from repro.core.runtime import GraphReduce, GraphReduceOptions
 from repro.graph.datasets import DATASETS, load_dataset
 from repro.graph.edgelist import EdgeList
 from repro.graph.io import load_edgelist_txt, load_matrix_market, load_npz
-from repro.graph.properties import footprint_bytes
 from repro.obs.profile import kernel_summary, plan_summary
 from repro.sim.specs import DeviceSpec, HostSpec, SCALE
 
@@ -208,15 +207,14 @@ def prepare(graph: EdgeList, args) -> EdgeList:
 
 
 def cmd_datasets(args) -> int:
-    device = DeviceSpec()
-    print(f"{'name':20s} {'family':18s} {'V':>9s} {'E':>10s} {'size':>9s}  class")
+    """Table 1 as registered: the paper's V / E / size, the stand-in's
+    scale and class (no graph is generated)."""
+    print(f"{'name':20s} {'family':18s} {'paper V':>10s} {'paper E':>11s} {'size':>8s} scale  class")
     for name, info in DATASETS.items():
-        g = load_dataset(name)
-        fp = footprint_bytes(g)
-        cls = "in-memory" if fp <= device.memory_bytes else "out-of-memory"
+        cls = "in-memory" if info.in_memory else "out-of-memory"
         print(
-            f"{name:20s} {info.family:18s} {g.num_vertices:9d} "
-            f"{g.num_edges:10d} {fp / 2**20:7.1f}MB  {cls}"
+            f"{name:20s} {info.family:18s} {info.paper_vertices:10d} "
+            f"{info.paper_edges:11d} {info.paper_size:>8s} 1/{info.scale:<4d} {cls}"
         )
     return 0
 

@@ -211,7 +211,7 @@ class GASProgram:
             raise TypeError(
                 f"{type(self).__name__}.gather_reduce must be a NumPy ufunc "
                 f"(got {self.gather_reduce!r}) so gatherReduce can run "
-                "vertex-centrically via reduceat"
+                "vertex-centrically as a segmented reduction"
             )
 
 

@@ -10,7 +10,9 @@ programming model of Section 3.1:
   order the receives.
 * ``gather_reduce`` and ``apply`` are **vertex-centric** -- gathered
   contributions arrive consecutively per destination (the CSC layout
-  guarantees it), so the reduction is a segmented ``ufunc.reduceat``.
+  guarantees it), so the reduction is segmented: an ``add`` is one CSR
+  matvec that sums each segment left to right
+  (:func:`~repro.graph.csr.csr_sum`), any other ufunc a ``reduceat``.
 
 Each call returns a :class:`WorkItems` census that the Data Movement
 Engine turns into kernel cost; with frontier skipping disabled
@@ -460,7 +462,7 @@ class ComputeEngine:
             if n_edges:
                 self.kernels.gather_segments(
                     shard.index, spec, values, deg,
-                    plan.indices, plan.weights, plan.starts, plan.verts,
+                    plan.indices, plan.weights, plan.rowptr, plan.verts,
                     self.gather_temp, self.gather_has,
                 )
         if n_edges:

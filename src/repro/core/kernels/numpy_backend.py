@@ -2,44 +2,51 @@
 
 This backend computes exactly what the generic compute path computes --
 the same elementwise ops in the same order, so results are
-bit-identical by construction -- but restructured the way the compiled
-backend wants:
+bit-identical by construction -- with fewer, fused passes:
 
 * what a ufunc can write through ``out=`` (edge positions, segment
-  starts, ``reduceat`` results, apply outputs and masks) lives in a
+  row pointers, reductions, apply outputs and masks) lives in a
   :class:`ScratchArena` buffer keyed by ``(role, shard)``; index gathers
   are plain ``np.take`` calls, because ``take(..., out=)`` under the
   bounds-checking ``mode="raise"`` gathers into a temporary and copies;
-* the per-edge map runs in place on the gathered values, replacing the
-  gather_map -> segment_reduce -> astype chain of fresh arrays;
+* an ``add`` gather is one sequential CSR matvec
+  (:func:`~repro.graph.csr.csr_sum`) over the shard's own CSC arrays;
+  other maps run in place on the gathered values;
 * the sparse-bypass path reads shard CSC/CSR sub-arrays directly
   (indptr + neighbor ids) instead of materializing a cached plan.
 
-Bit-identity notes: ``np.add.reduceat`` on float32 is *not* a
-left-to-right fold (NumPy sums each segment pairwise: 1 000 uniform
-values give 516.9063 against 516.90643 sequentially). Fused and generic
-paths agree because they run the same ``reduceat`` over the same
-contiguous per-edge array with the same segment starts; a segment's
-bits depend only on its own elements, which is also why concatenating
-shards into one rows pass keeps them. A ``source_only`` map applied per vertex
-(:meth:`NumpyKernels.premap`) and then gathered is the same IEEE op on
-the same operands as gathering and then mapping per edge. Scale-by-1
-and add-0 steps are skipped entirely (SpMV's generic apply never
-performs them, and a skipped ``+0.0`` also avoids the ``-0.0 -> +0.0``
-rewrite the real addition would make).
+Bit-identity notes: every ``add`` route sums a segment left to right in
+CSC order from ``+0.0`` (an all ``-0.0`` segment gives ``+0.0``), so a
+segment's bits depend only on its own elements: dense, rows, merged,
+batch-column and generic gathers agree. Two matvec forms give the same
+bits: (i) matrix ``(ones or weights, nbr, rowptr)`` times the vertex
+values, for ``copy`` (every pre-mapped gather) and ``mul_weight`` --
+valid while the compiler keeps ``sum + w * x`` unfused (no FMA; the
+``mul_weight`` equivalence tests would catch it, and form (ii) is then
+the fix); (ii) matrix ``(ones, arange, rowptr)`` times the mapped
+per-edge values, for every other kind. Each ``csr_matvecs`` column
+equals a ``csr_matvec``. ``reduceat`` would sum pairwise (1 000 uniform
+values: 516.9063 against 516.90643 sequentially), so it serves only
+``min`` and ``or``, which are exact in any order. A ``source_only`` map
+applied per vertex (:meth:`NumpyKernels.premap`) and then gathered is
+the same IEEE op on the same operands as gathering and then mapping per
+edge. Scale-by-1 and add-0 steps are skipped entirely (SpMV's generic
+apply never performs them, and a skipped ``+0.0`` also avoids the
+``-0.0 -> +0.0`` rewrite the real addition would make).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kernels.arena import GROWTH_SLACK, ScratchArena
+from repro.core.kernels.arena import ScratchArena
 from repro.core.kernels.specs import ApplySpec, GatherSpec
+from repro.graph.csr import csr_sum, index_dtype, shared_array
 
 _F32_ONE = np.float32(1.0)
 
 
-_REDUCE_UFUNCS = {"add": np.add, "min": np.minimum, "or": np.bitwise_or}
+_REDUCE_UFUNCS = {"min": np.minimum, "or": np.bitwise_or}
 
 
 class NumpyKernels:
@@ -53,7 +60,6 @@ class NumpyKernels:
 
     def __init__(self):
         self.arena = ScratchArena()
-        self._ramp = np.arange(0, dtype=np.int64)  # grown on demand by _expand_rows
 
     # -- gather --------------------------------------------------------
 
@@ -93,26 +99,30 @@ class NumpyKernels:
         return vals
 
     def gather_segments(
-        self, key, spec: GatherSpec, values, deg, indices, weights, starts, verts,
+        self, key, spec: GatherSpec, values, deg, indices, weights, rowptr, verts,
         gather_temp, gather_has,
     ) -> None:
-        """Fused gather over a prebuilt plan (map + reduceat + mark)."""
-        vals = self._edge_values(spec, values, deg, indices, weights)
-        ufunc = _REDUCE_UFUNCS[spec.reduce]
-        if vals.ndim == 2:
-            red = self.arena.get2d(
-                (key, "gr"), len(starts), vals.shape[1], gather_temp.dtype
-            )
+        """Fused gather: ``indices[rowptr[i]:rowptr[i+1]]`` map and reduce
+        into ``verts[i]`` (forms (i) / (ii) of the module notes for ``add``)."""
+        n = len(rowptr) - 1
+        if values.ndim == 2:
+            red = self.arena.get2d((key, "gr"), n, values.shape[1], gather_temp.dtype)
         else:
-            red = self.arena.get((key, "gr"), len(starts), gather_temp.dtype)
-        ufunc.reduceat(vals, starts, axis=0, out=red)
+            red = self.arena.get((key, "gr"), n, gather_temp.dtype)
+        if spec.reduce != "add":
+            vals = self._edge_values(spec, values, deg, indices, weights)
+            _REDUCE_UFUNCS[spec.reduce].reduceat(vals, rowptr[:-1], axis=0, out=red)
+        elif spec.kind in ("copy", "mul_weight"):
+            csr_sum(rowptr, values, indices, weights if spec.needs_weights else None, red)
+        else:
+            csr_sum(rowptr, self._edge_values(spec, values, deg, indices, weights), out=red)
         gather_temp[verts] = red
         gather_has[verts] = True
 
     def _expand_rows(self, key, indptr, loc):
-        """``(pos, starts, nz, counts)`` of a sparse row subset: its edge
-        positions, their segment starts, which rows have an edge (None:
-        all of them) and every row's edge count; ``pos`` None = no edge."""
+        """``(pos, rowptr, nz, counts)`` of a sparse row subset: its edge
+        positions, their segments' row pointer, which rows have an edge
+        (None: all) and every row's edge count; ``pos`` None = no edge."""
         firsts = np.take(indptr, loc)
         counts = np.take(indptr, loc + 1)
         counts -= firsts
@@ -123,17 +133,14 @@ class NumpyKernels:
         if counts.min() == 0:
             nz = counts > 0
             firsts, counts_nz = firsts[nz], counts[nz]
-        starts = self.arena.get((key, "rs"), len(counts_nz), np.int64)
-        starts[0] = 0
-        np.cumsum(counts_nz[:-1], out=starts[1:])
+        rowptr = self.arena.get((key, "rs"), len(counts_nz) + 1, index_dtype(total))
+        rowptr[0] = 0
+        np.cumsum(counts_nz, out=rowptr[1:])
         firsts = firsts.astype(np.int64, copy=False)
-        np.subtract(firsts, starts, out=firsts)
-        ramp = self._ramp
-        if len(ramp) < total:
-            ramp = self._ramp = np.arange(int(total * GROWTH_SLACK), dtype=np.int64)
+        np.subtract(firsts, rowptr[:-1], out=firsts)
         pos = self.arena.get((key, "rp"), total, np.int64)
-        np.add(ramp[:total], np.repeat(firsts, counts_nz), out=pos)
-        return pos, starts, nz, counts
+        np.add(shared_array("arange", total, np.int64), np.repeat(firsts, counts_nz), out=pos)
+        return pos, rowptr, nz, counts
 
     def gather_rows(
         self, key, spec: GatherSpec, values, deg, indptr, nbr, weights, rows, base,
@@ -141,15 +148,15 @@ class NumpyKernels:
     ):
         """Fused sparse-bypass gather straight off shard CSC arrays;
         returns (segments reduced, in-edges per row)."""
-        pos, starts, nz, counts = self._expand_rows(key, indptr, rows - base)
+        pos, rowptr, nz, counts = self._expand_rows(key, indptr, rows - base)
         if pos is None:
             return 0, counts
         w = np.take(weights, pos) if spec.needs_weights else None
         self.gather_segments(
-            key, spec, values, deg, np.take(nbr, pos), w, starts,
+            key, spec, values, deg, np.take(nbr, pos), w, rowptr,
             rows if nz is None else rows[nz], gather_temp, gather_has,
         )
-        return len(starts), counts
+        return len(rowptr) - 1, counts
 
     def relay_gather(
         self, spec: GatherSpec, values, weights, rows, counts, pos, targets, active,

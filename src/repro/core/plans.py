@@ -55,7 +55,7 @@ import numpy as np
 
 from repro.core.frontier import FrontierManager
 from repro.core.partition import Shard, ShardedGraph
-from repro.graph.csr import dense_rows, dense_segments, ragged_gather
+from repro.graph.csr import dense_rows, dense_segments, index_dtype, ragged_gather
 from repro.obs.span import NULL_OBSERVER
 
 
@@ -92,15 +92,20 @@ class GatherPlan(_LazyRowIds):
     #: destination vertex per selected in-edge (vid dtype, global),
     #: read through the ``row_ids`` property
     _row_ids: np.ndarray | None
-    #: segment starts into the per-edge arrays (one per destination
-    #: with at least one selected in-edge)
-    starts: np.ndarray
+    #: segment row pointer into the per-edge arrays: one segment per
+    #: destination with at least one selected in-edge, then the end
+    #: (:func:`~repro.graph.csr.index_dtype`); ``starts`` is its view
+    rowptr: np.ndarray
     #: destination vertex per segment (int64, global)
     verts: np.ndarray
     n_edges: int
     dense: bool
     #: ``(indptr, interval start)`` a dense plan derives ``row_ids`` from
     _row_source: tuple | None = None
+
+    @property
+    def starts(self) -> np.ndarray:
+        return self.rowptr[:-1]
 
 
 @dataclass
@@ -135,7 +140,7 @@ def _build_gather_plan(shard: Shard, rows) -> GatherPlan:
     csc = shard.csc
     dense = rows is None
     if dense:
-        starts, verts_local = dense_segments(csc.indptr)
+        rowptr, verts_local = dense_segments(csc.indptr)
         indices = csc.indices
         eids = csc.edge_ids
         weights = shard.csc_weights
@@ -146,19 +151,16 @@ def _build_gather_plan(shard: Shard, rows) -> GatherPlan:
         eids = csc.edge_ids[pos]
         weights = None if shard.csc_weights is None else shard.csc_weights[pos]
         row_ids = _row_ids(seg, shard.start, csc.indices.dtype)
-        if len(seg):
-            starts = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
-            verts_local = seg[starts]
-        else:
-            starts = np.empty(0, dtype=np.int64)
-            verts_local = np.empty(0, dtype=np.int64)
+        starts = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]]) if len(seg) else seg
+        verts_local = seg[starts]
+        rowptr = np.append(starts, len(seg)).astype(index_dtype(len(seg)))
     return GatherPlan(
         rows=rows,
         indices=indices,
         eids=eids,
         weights=weights,
         _row_ids=row_ids,
-        starts=starts,
+        rowptr=rowptr,
         verts=verts_local + shard.start,
         n_edges=len(indices),
         dense=dense,
@@ -214,7 +216,7 @@ def _plan_nbytes(plan) -> int:
     before anyone has read it, because a read materializes it.
     """
     total = 0
-    for name in ("indices", "eids", "weights", "starts", "verts", "present"):
+    for name in ("indices", "eids", "weights", "rowptr", "verts", "present"):
         arr = getattr(plan, name, None)
         if arr is not None:
             total += arr.nbytes
@@ -263,6 +265,7 @@ class PlanCache:
         #: (kind, shard index) -> plan bytes, in least-recently-used order
         self._lru: OrderedDict[tuple[str, int], int] = OrderedDict()
         self._held_bytes = 0
+        self._ones_edges = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -319,6 +322,10 @@ class PlanCache:
         with self._lock:
             key = (kind, index)
             self._held_bytes -= self._lru.pop(key, 0)
+            if kind == "gather" and plan.n_edges > self._ones_edges:
+                # the shared float32 ones every dense sum reads: counted once
+                self._held_bytes += 4 * (plan.n_edges - self._ones_edges)
+                self._ones_edges = plan.n_edges
             size = _plan_nbytes(plan)
             self._lru[key] = size
             self._held_bytes += size

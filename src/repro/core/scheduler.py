@@ -27,21 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.baselines.executor import HostGASExecutor
 from repro.core.api import GASProgram
 from repro.core.fusion import build_plan
-from repro.core.partition import PartitionEngine
-from repro.core.runtime import GraphReduce, GraphReduceOptions, RuntimeContext
-from repro.graph.csr import (
-    build_csc,
-    build_csr,
-    dense_rows,
-    dense_segments,
-    ragged_gather,
-    segment_reduce,
-)
 from repro.graph.edgelist import EdgeList
 from repro.obs.span import NULL_OBSERVER, Observer
-from repro.sim.specs import HostSpec, MachineSpec, default_machine
+from repro.sim.specs import MachineSpec, default_machine
 
 
 @dataclass
@@ -105,64 +96,32 @@ class AdaptiveEngine:
         return gpu, cpu
 
     def run(self, program: GASProgram, max_iterations: int = 100_000) -> AdaptiveResult:
-        program.validate()
-        edges = self.edges
-        if program.needs_weights and edges.weights is None:
-            edges = edges.with_unit_weights()
-        ctx = RuntimeContext(edges)
-        csc = build_csc(edges)
-        csr = build_csr(edges)
-        csc_w = None if edges.weights is None else edges.weights[csc.edge_ids]
-        csr_w = None if edges.weights is None else edges.weights[csr.edge_ids]
-        plan = build_plan(program, optimized=True)
-        phases = len(plan)
+        # The semantic iterations are the host executor's (identical on
+        # both sides); this engine only decides where each one runs.
+        host = HostGASExecutor(self.edges, program, self.config.num_partitions)
+        phases = len(build_plan(program, optimized=True))
         # Bytes per active edge when streaming shards (topology + update
         # array + weights), the dominant GPU-side cost.
         bytes_per_edge = 12 + (8 if program.needs_weights else 0)
         vdt = np.dtype(program.vertex_dtype).itemsize
-
-        n = edges.num_vertices
-        # Shard-granular streaming model: partition_of drives touched
-        # fractions, since a single active vertex moves its whole shard.
-        p = max(1, min(self.config.num_partitions, max(n, 1)))
-        bounds = np.linspace(0, n, p + 1).astype(np.int64)
-        partition_of = np.searchsorted(bounds, np.arange(n), side="right") - 1
-        total_stream_bytes = edges.num_edges * bytes_per_edge
-        frontier = np.asarray(program.init_frontier(ctx), dtype=bool)
-        values = np.asarray(program.init_vertices(ctx)).astype(program.vertex_dtype, copy=False)
-        edge_state = program.init_edge_state(ctx)
-
+        n = self.edges.num_vertices
+        # Shard-granular streaming: one active vertex moves its whole
+        # shard, so the executor's partition_of gives the touched fraction.
+        total_stream_bytes = self.edges.num_edges * bytes_per_edge
         placement: list[str] = []
-        # Dense-frontier fast path (host-only, same trick as
-        # repro.core.plans): when every vertex is active/changed the
-        # edge enumeration is a function of topology alone, built once.
-        dense_in = None  # (seg, starts, rows_with_edges) over the CSC
-        dense_out_seg = None  # per-edge source row over the CSR
         gpu_time = cpu_time = switch_time = 0.0
         side = "gpu"  # vertex state starts on the device
         switches = 0
-        converged = False
-        iteration = 0
         # The adaptive engine has no event simulator; its clock is the
         # accumulated predicted time, so spans still line up end to end.
         clock = {"now": 0.0}
         obs = Observer(clock=lambda: clock["now"]) if self.observe else NULL_OBSERVER
-        run_cm = obs.span("run", category="run", algo=program.name, graph=edges.name)
-        run_span = run_cm.__enter__()
-        while iteration < max_iterations:
-            if program.always_active:
-                frontier[:] = True
-            active = np.flatnonzero(frontier)
-            if len(active) == 0:
-                converged = True
-                break
-            if program.converged(ctx, iteration, len(active)):
-                converged = True
-                break
-            # ---- placement decision ----------------------------------
-            deg = csc.indptr[active + 1] - csc.indptr[active]
+
+        def place(iteration: int, active: np.ndarray) -> None:
+            nonlocal side, switches, gpu_time, cpu_time, switch_time
+            deg = host.csc.indptr[active + 1] - host.csc.indptr[active]
             active_edges = int(deg.sum()) if program.has_gather else len(active)
-            touched = len(np.unique(partition_of[active])) / p
+            touched = len(np.unique(host.partition_of[active])) / host.num_partitions
             active_bytes = touched * total_stream_bytes
             gpu_cost, cpu_cost = self._iteration_costs(active_edges, active_bytes, phases)
             transfer = n * vdt / self.machine.device.pcie_bandwidth
@@ -177,84 +136,26 @@ class AdaptiveEngine:
                     obs.add("adaptive.switches")
                     obs.event("switch", category="adaptive", to=side)
             placement.append(side)
-            it_cm = obs.span(
-                "iteration",
-                category="iteration",
-                index=iteration,
-                placement=side,
+            with obs.span(
+                "iteration", category="iteration", index=iteration, placement=side,
                 frontier=len(active),
-            )
-            it_cm.__enter__()
-            if side == "gpu":
-                gpu_time += gpu_cost
-                clock["now"] += gpu_cost
-                obs.add("adaptive.gpu_iterations")
-            else:
-                cpu_time += cpu_cost
-                clock["now"] += cpu_cost
-                obs.add("adaptive.cpu_iterations")
-            it_cm.__exit__(None, None, None)
-
-            # ---- semantic execution (identical on both sides) --------
-            gathered = np.full(len(active), program.gather_identity, dtype=program.gather_dtype)
-            has = np.zeros(len(active), dtype=bool)
-            if program.has_gather:
-                if len(active) == n:
-                    if dense_in is None:
-                        dense_in = (dense_rows(csc.indptr), *dense_segments(csc.indptr))
-                    seg, starts, seg_verts = dense_in
-                    n_sel = len(seg)
-                    src = csc.indices
-                    w = csc_w
-                    st = None if edge_state is None else edge_state[csc.edge_ids]
+            ):
+                if side == "gpu":
+                    gpu_time += gpu_cost
+                    clock["now"] += gpu_cost
+                    obs.add("adaptive.gpu_iterations")
                 else:
-                    pos, seg = ragged_gather(csc.indptr, active)
-                    n_sel = len(pos)
-                    if n_sel:
-                        src = csc.indices[pos]
-                        w = None if csc_w is None else csc_w[pos]
-                        st = None if edge_state is None else edge_state[csc.edge_ids[pos]]
-                        starts = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
-                        seg_verts = seg[starts]
-                if n_sel:
-                    contrib = program.gather_map(ctx, src, seg.astype(src.dtype), values[src], w, st)
-                    red = segment_reduce(program.gather_reduce, contrib, starts)
-                    slot = np.searchsorted(active, seg_verts)
-                    gathered[slot] = red.astype(program.gather_dtype, copy=False)
-                    has[slot] = True
-            new_vals, changed = program.apply(ctx, active, values[active], gathered, has, iteration)
-            changed = np.asarray(changed, dtype=bool)
-            values[active] = np.asarray(new_vals).astype(program.vertex_dtype, copy=False)
-            changed_ids = active[changed]
-            if len(changed_ids) == n:
-                if dense_out_seg is None:
-                    dense_out_seg = dense_rows(csr.indptr)
-                seg = dense_out_seg
-                out_indices = csr.indices
-                eids = csr.edge_ids
-                w = csr_w
-            else:
-                pos, seg = ragged_gather(csr.indptr, changed_ids)
-                out_indices = csr.indices[pos]
-                eids = csr.edge_ids[pos] if program.has_scatter and len(pos) else None
-                w = None if csr_w is None or eids is None else csr_w[pos]
-            if program.has_scatter and len(seg):
-                st = None if edge_state is None else edge_state[eids]
-                out = program.scatter(ctx, seg.astype(np.int32), values[seg], w, st)
-                if edge_state is not None:
-                    edge_state[eids] = out
-            frontier = np.zeros(n, dtype=bool)
-            frontier[out_indices] = True
-            iteration += 1
-        else:
-            converged = frontier.sum() == 0
+                    cpu_time += cpu_cost
+                    clock["now"] += cpu_cost
+                    obs.add("adaptive.cpu_iterations")
 
-        run_span.set(iterations=iteration, converged=converged, switches=switches)
-        run_cm.__exit__(None, None, None)
+        with obs.span("run", category="run", algo=program.name, graph=self.edges.name) as run_span:
+            trace = host.run(max_iterations, on_iteration=place)
+            run_span.set(iterations=trace.iterations, converged=trace.converged, switches=switches)
         return AdaptiveResult(
-            vertex_values=values,
-            iterations=iteration,
-            converged=converged,
+            vertex_values=trace.vertex_values,
+            iterations=trace.iterations,
+            converged=trace.converged,
             sim_time=gpu_time + cpu_time + switch_time,
             placement=placement,
             gpu_time=gpu_time,

@@ -360,9 +360,10 @@ class ShardStore:
     def load_arrays(self, index: int, unit_weights: bool = False) -> ShardArrays:
         """One shard's sub-arrays as read-only views into the mapping.
 
-        The views and both ``CSR``s are built and checked on the shard's
-        first successful load after ``open`` (a load that raises keeps
-        nothing); later loads return the same objects. One check is
+        The views and both ``CSR``s are built and checked (the CSC's vertex
+        ids against the graph too) on the shard's first successful load
+        after ``open`` (a load that raises keeps nothing); later loads
+        return the same objects. One check is
         enough: they are the same views over the same read-only mapping,
         and plans built from them were already reused without a re-check.
         Views pin no pages, so the memo leaves RSS to :meth:`release`.
@@ -378,6 +379,9 @@ class ShardStore:
         if got is None:
             v = {key: np.frombuffer(self._mm, *spec) for key, spec in self._layout[index].items()}
             csc = CSR(v["csc.indptr"], v["csc.indices"], v["csc.eids"])
+            ids = csc.indices  # summed through unchecked (csr_sum); take checks the rest
+            if len(ids) and (ids.min() < 0 or ids.max() >= self.num_vertices):
+                raise StoreFormatError(f"{self.path}: shard {index} names a vertex id out of range")
             csr = CSR(v["csr.indptr"], v["csr.indices"], v["csr.eids"])
             nbytes = sum(a.nbytes for a in v.values())
             got = ShardArrays(csc, csr, v.get("csc.weights"), v.get("csr.weights"), nbytes)

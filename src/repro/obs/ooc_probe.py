@@ -103,12 +103,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     # Import the heavy stack before measuring anything -- the probe
-    # bounds the *run*, not the interpreter.
+    # bounds the *run*, not the interpreter. That includes SciPy's CSR
+    # kernels, which the first ``add`` gather would otherwise load.
     import numpy as np
 
     from repro.algorithms import PageRank
     from repro.core.runtime import GraphReduce, GraphReduceOptions
     from repro.core.shardstore import ShardStore
+    from repro.graph.csr import sparsetools
+
+    sparsetools()
 
     rss_floor = _rss_peak_bytes()
     out: dict = {

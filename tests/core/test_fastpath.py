@@ -379,6 +379,23 @@ def test_plan_cache_budget_bounds_held_bytes():
     assert pc["evictions"] > 0 or pc["held_bytes"] <= budget
 
 
+def test_held_bytes_count_row_pointers_and_the_shared_ones_once():
+    """Each dense gather plan weighs its int32 row pointer (``starts`` is
+    its view); the float32 ones every dense ``add`` sum reads is one
+    array, counted once at the longest plan's length."""
+    from repro.core.plans import _plan_nbytes
+
+    sharded, frontier, _ = _make(PAIRS * 3 + [(1, 0), (2, 0)], 4, p=2)
+    plans = PlanCache(sharded, frontier, budget=1 << 30)
+    built = [plans.dense_gather_plan(s) for s in sharded.shards]
+    for plan in built:
+        assert plan.rowptr.dtype == np.int32 and plan.starts.base is plan.rowptr
+    longest = max(p.n_edges for p in built)
+    assert plans.stats()["held_bytes"] == sum(map(_plan_nbytes, built)) + 4 * longest
+    plans.dense_gather_plan(sharded.shards[0])  # a hit charges nothing more
+    assert plans.stats()["held_bytes"] == sum(map(_plan_nbytes, built)) + 4 * longest
+
+
 def test_plan_cache_counts_evictions_in_metrics():
     g = build("er_mid")
     result = GraphReduce(

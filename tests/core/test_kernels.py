@@ -8,7 +8,9 @@ result, and the pre-map: bit-identical to the per-edge map, and never
 read stale.
 """
 
+import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.fixture_graphs import build
-from repro.algorithms import BFS, PageRank
+from repro.algorithms import BFS, PageRank, SpMV
+from repro.baselines.executor import HostGASExecutor
 from repro.core.compute import ComputeEngine
 from repro.core.frontier import FrontierManager
 from repro.core.kernels import GatherSpec
@@ -27,6 +30,7 @@ from repro.core.kernels.numpy_backend import NumpyKernels
 from repro.core.partition import PartitionEngine
 from repro.core.plans import PlanCache
 from repro.core.runtime import GraphReduce, GraphReduceOptions, RuntimeContext
+from repro.core.shardstore import ShardStore
 from repro.graph.csr import build_csc, dense_segments
 from repro.graph.edgelist import EdgeList
 
@@ -243,9 +247,9 @@ def test_plain_take_still_refuses_an_out_of_range_id():
         )
 
 
-def _premap_engine():
+def _premap_engine(g=None):
     """A PageRank engine over a 2-shard graph, kernels and plans on."""
-    g = build("er_small")
+    g = build("er_small") if g is None else g
     sharded = PartitionEngine().partition(g, 2)
     frontier = FrontierManager(sharded, np.ones(g.num_vertices, dtype=bool))
     plans = PlanCache(sharded, frontier, dense=True)
@@ -290,3 +294,166 @@ def test_premap_is_refilled_after_every_vertex_values_write():
     engine.vertex_values[:] = rng.random(n, dtype=np.float32)
     engine.begin_iteration(1)
     _assert_gather_is_fresh(sharded, engine)
+
+
+# ----------------------------------------------------------------------
+# Sum order: every ``add`` route folds a segment left to right
+# ----------------------------------------------------------------------
+_FOLD_N = 2048  # vertex 0 gathers from 1..1000, every vertex from its ring predecessor
+
+
+def _fold_graph():
+    rng = np.random.default_rng(3)
+    star = np.arange(1, 1001)
+    ring = np.arange(_FOLD_N)
+    src = np.concatenate([star, ring])
+    dst = np.concatenate([np.zeros(1000, dtype=np.int64), (ring + 1) % _FOLD_N])
+    w = rng.uniform(0.5, 2.0, len(src)).astype(np.float32)
+    x = rng.random(_FOLD_N, dtype=np.float32)
+    return EdgeList(_FOLD_N, src, dst, w), x
+
+
+def _left_fold(terms) -> np.float32:
+    acc = np.float32(0.0)
+    for t in terms:
+        acc = np.float32(acc + t)
+    return acc
+
+
+class _FoldSpMV(SpMV):
+    """SpMV gathering only at the ``active`` vertices (the rest keep x)."""
+
+    def __init__(self, x, active):
+        super().__init__(x)
+        self.active = active
+
+    def init_frontier(self, ctx):
+        return self.active.copy()
+
+
+def _fold_engine_route(route, g, x, tmp_path):
+    n = g.num_vertices
+    second = PartitionEngine().partition(g, 2).shards[1]
+    active = np.ones(n, dtype=bool)
+    if route in ("rows", "merged", "store"):
+        active[:] = False  # vertex 0's shard is rows, and the other...
+        active[0] = True
+        if route == "rows":  # ...dense, so no merged pass
+            active[second.start : second.stop] = True
+    opts = GraphReduceOptions(num_partitions=2)
+    if route == "no-dense-path":
+        opts = opts.replace(dense_fast_path=False)
+    elif route == "kernel-off":
+        opts = opts.replace(kernel_backend="off")
+    program = _FoldSpMV(x, active)
+    if route == "host-executor":
+        return HostGASExecutor(g, program).run().vertex_values[0]
+    if route == "store":
+        store = ShardStore.save(PartitionEngine().partition(g, 2), tmp_path / "store")
+        result = GraphReduce(shard_store=store, options=opts).run(program)
+    else:
+        result = GraphReduce(g, options=opts).run(program)
+    k = result.kernels
+    if route in ("dense", "rows", "merged", "store"):
+        assert k["fused_calls"] > 0 and (k["merged_groups"] > 0) == (route == "merged")
+    return result.vertex_values[0]
+
+
+@pytest.mark.parametrize(
+    "route",
+    ["dense", "rows", "no-dense-path", "merged", "columns", "store", "kernel-off",
+     "host-executor"],
+)
+def test_add_gathers_fold_each_segment_left_to_right(route, tmp_path):
+    """A ~1 000-term segment whose pairwise sum (the old ``reduceat``)
+    and left fold differ: every ``add`` route returns the left fold."""
+    g, x = _fold_graph()
+    csc = build_csc(g)
+    src = csc.indices[: csc.indptr[1]]
+    w = g.weights[csc.edge_ids[: csc.indptr[1]]]
+    if route == "columns":  # (n, C) batch state: each column its own fold
+        cols = np.stack([x, np.float32(1.0) - x, x * np.float32(3.0)], axis=1)
+        temp = np.zeros_like(cols)
+        has = np.zeros(len(x), dtype=bool)
+        NumpyKernels().gather_segments(
+            0, GatherSpec("mul_weight"), cols, None, csc.indices, g.weights[csc.edge_ids],
+            *dense_segments(csc.indptr), temp, has,
+        )
+        for c in range(cols.shape[1]):
+            assert temp[0, c].tobytes() == _left_fold(cols[src, c] * w).tobytes()
+        return
+    want = _left_fold(x[src] * w)
+    assert np.add.reduce(x[src] * w) != want  # the case tells the two orders apart
+    got = _fold_engine_route(route, g, x, tmp_path)
+    assert np.float32(got).tobytes() == want.tobytes()
+
+
+def test_dense_sum_is_zero_copy_and_traversals_skip_scipy(monkeypatch):
+    """The dense ``add`` gather hands SciPy's matvec the shard's own CSC
+    ids and the shared ones, so a warm gather allocates nothing
+    edge-sized; SSSP and MS-BFS, which never sum, load nothing of SciPy's
+    sparse package."""
+    import subprocess
+    import sys
+    import tracemalloc
+
+    from repro.graph.csr import shared_array, sparsetools
+
+    kernels = sparsetools()
+
+    calls = []
+    matvec = kernels.csr_matvec
+
+    def recording(n_row, n_col, ap, aj, ax, xx, yx):
+        # the thunk copies silently on any dtype or layout mismatch
+        assert ap.dtype == aj.dtype and ax.dtype == xx.dtype == yx.dtype
+        assert all(a.flags.c_contiguous for a in (ap, aj, ax, xx, yx))
+        calls.append((aj, ax))
+        return matvec(n_row, n_col, ap, aj, ax, xx, yx)
+
+    monkeypatch.setattr(kernels, "csr_matvec", recording)
+    from repro.graph.generators import erdos_renyi
+
+    sharded, frontier, engine = _premap_engine(erdos_renyi(20_000, 200_000, seed=1))
+
+    def gather_all():
+        engine.begin_iteration(0)
+        engine.begin_group(("gather_map",))
+        for shard in sharded.shards:
+            engine._gather_map(shard, False)
+
+    gather_all()  # builds the plans, the arena and the shared ones
+    calls.clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        gather_all()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == len(sharded.shards)
+    ones = shared_array("ones", 1, np.float32).base
+    for (aj, ax), shard in zip(calls, sharded.shards):
+        assert aj is shard.csc.indices
+        assert np.shares_memory(ax, ones)
+    smallest = min(s.num_in_edges for s in sharded.shards)
+    assert peak - before < 2 * smallest  # under half an int32 copy of any shard
+    probe = (
+        "import sys\n"
+        "from tests.fixture_graphs import build\n"
+        "from repro.algorithms import SSSP\n"
+        "from repro.core.batch import BatchRunner\n"
+        "from repro.core.runtime import GraphReduce\n"
+        "g = build('er_small').with_random_weights(seed=1)\n"
+        "GraphReduce(g).run(SSSP(source=0))\n"
+        "BatchRunner(GraphReduce(g), layout='bits').run_bfs(list(range(8)))\n"
+        "print(any(m.startswith('scipy.sparse') for m in sys.modules))\n"
+    )
+    import repro
+
+    paths = [str(Path(repro.__file__).resolve().parents[1]), str(Path(__file__).resolve().parents[2])]
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+    )
+    assert out.stdout.strip() == "False", out.stderr

@@ -240,6 +240,19 @@ class TestStoreValidation:
         with pytest.raises(StoreFormatError, match="shard 1 fails its checksum"):
             reopened.verify()
 
+    def test_out_of_range_vertex_id_refused_at_load(self, tmp_path):
+        """The ``add`` gathers index vertex values through the CSC ids
+        without a bounds check, so a load refuses an id outside the graph."""
+        store = _store(tmp_path, build("er_mid"))
+        packed = store.path / PACKED
+        data = bytearray(packed.read_bytes())
+        data[store.shard_meta[1]["arrays"]["csc.indices"] + 3] ^= 0x40  # id + 2**30
+        packed.write_bytes(bytes(data))
+        reopened = ShardStore.open(store.path)
+        reopened.load_arrays(0)
+        with pytest.raises(StoreFormatError, match="shard 1 names a vertex id out of range"):
+            reopened.load_arrays(1)
+
     @pytest.mark.parametrize("key", ["packed_bytes", "degrees", "boundaries", "dtypes"])
     def test_missing_manifest_key(self, key, tmp_path):
         store = _store(tmp_path, build("er_mid"))

@@ -101,12 +101,10 @@ def pagerank(
     ``(1 - damping) + damping * g``, and the next frontier is the
     out-neighbors of vertices whose rank moved more than ``tolerance``.
 
-    One caveat: the engine reduces gather contributions with
-    ``np.add.reduceat``, whose SIMD kernels use pairwise partial sums,
-    while this loop accumulates left to right. Sums over 3+ in-edges can
-    therefore differ in the last float32 ULP, so callers compare ranks
-    with a few-ULP tolerance -- but the *trajectory* (iteration count
-    and per-iteration frontier sizes) must match exactly.
+    The engine sums each vertex's contributions left to right in CSC
+    order (stable, so original edge order), as this loop does, so the
+    ranks match bit for bit, as do the iteration count and the
+    per-iteration frontier sizes.
 
     Returns ``(ranks, iterations, frontier_sizes)``.
     """
