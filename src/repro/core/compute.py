@@ -29,10 +29,11 @@ the from-scratch build, so the censuses below never depend on the route.
 
 Two things are done per *iteration*, not per shard: a ``source_only``
 gather map is applied once over the vertex state (:meth:`ComputeEngine.
-begin_group`), and a frontier that fills no shard's interval runs each
-phase group once over all its rows (:meth:`ComputeEngine.run_merged`),
-consecutive ones of a ``min`` / ``min_improve`` program relaying the
-out-edges FrontierActivate expanded to the next gather (``_relay_for``).
+begin_group`), and a uniform frontier -- all active, or rows that fill no
+shard's interval -- runs each phase group once over the whole graph
+(:meth:`ComputeEngine.run_merged`); consecutive rows passes of a ``min`` /
+``min_improve`` program relay the out-edges FrontierActivate expanded to
+the next gather (``_relay_for``).
 
 CTA load balancing from ModernGPU (which the paper plugs in) is modeled
 by the occupancy term of :class:`repro.sim.stream.Kernel`: work per
@@ -189,11 +190,12 @@ class ComputeEngine:
         self._premap_valid = False
         self.premaps = 0
         self.merged_groups = 0
-        # Rows pass (run_merged): the selected shard indices while one runs, the
-        # per-row edge counts its last kernel call expanded, the relay parked by
-        # FrontierActivate, the last check's outcome (and whether it still holds).
+        # Merged pass (run_merged): the selected shard indices while one runs,
+        # whether it is all active, the per-row edge counts its last kernel call
+        # expanded, the relay parked by FrontierActivate, the last check's
+        # outcome (and whether it still holds).
         self._merged = self._counts = self._relay = self.relay_verified = None
-        self._relays = self._relaxed = False
+        self._dense = self._relays = self._relaxed = False
         self.relayed_gathers = 0
         if kernels is None:
             return
@@ -309,7 +311,7 @@ class ComputeEngine:
         return work
 
     # ------------------------------------------------------------------
-    # One rows pass per phase group (iterations with no dense shard)
+    # One pass per phase group (iterations with a uniform frontier)
     # ------------------------------------------------------------------
     def can_merge(self, plan) -> bool:
         """Whether every group of ``plan`` may run through
@@ -331,34 +333,46 @@ class ComputeEngine:
             )
         )
 
-    def run_merged(self, phases: tuple[str, ...], shards: list[Shard]) -> dict:
-        """Run one phase group once over all the selected shards' rows.
+    def run_merged(self, phases: tuple[str, ...], shards: list[Shard]) -> dict | None:
+        """Run one phase group once over all the selected shards, under a
+        uniform frontier: all active, or rows that fill no shard interval.
 
         The whole graph is one more shard (``sharded.span``), so the
         phases run unchanged and every vertex reduces the same segment
         in the same order. Returns the per-shard path's census,
         ``{shard index: WorkItems}``, and counts plans and fused calls
-        as that path would have.
+        as that path would have; or None, leaving it to that path, for an
+        all-active FrontierActivate over a changed set that is not whole.
         """
         if not shards:
             return {}
+        fr = self.frontier
+        self._dense = fr.all_active
+        if self._dense and "frontier_activate" in phases:
+            if not fr.dense_changed_in(0, len(fr.changed)):
+                return None
         merged = self._merged = [s.index for s in shards]
         self._counts = None
         self._split = np.zeros((2, self.sharded.num_partitions), dtype=np.int64)
-        asked = self.plans.sparse_bypass
+        p = self.plans
+        before = p.hits, p.misses, p.sparse_bypass
         self.run_group(phases, self.sharded.span, False)
         self._merged = None
-        # one rows query per selected shard, not one for the span
-        self.plans.count_bypass((self.plans.sparse_bypass - asked) * (len(shards) - 1))
+        # one query per selected shard, not one for the span
+        after = p.hits, p.misses, p.sparse_bypass
+        p.count(*((a - b) * (len(shards) - 1) for a, b in zip(after, before)))
         self.merged_groups += 1
         self.obs.add("kernels.merged_groups")
         edge, vertex = self._split.tolist()
         return {i: WorkItems(edge[i], vertex[i]) for i in merged}
 
     def _split_census(self, phase: str, fused0: int) -> None:
-        """Per-shard items of the merged ``phase`` just run: the frontier's
-        per-shard split of its rows and sums of their degrees."""
-        if phase == "gather_reduce":
+        """Per-shard items of the merged ``phase`` just run: whole intervals'
+        static sizes, else the frontier's per-shard split of its rows and
+        sums of their degrees."""
+        if self._dense:
+            items = self.sharded.whole_census[phase]
+        elif phase == "gather_reduce":
             items = self._segments  # parked by gather_map, like _pending
         else:
             rows, at, _ = self.frontier.split("changed" if phase == "frontier_activate" else "active")

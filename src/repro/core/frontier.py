@@ -51,9 +51,10 @@ class FrontierManager:
         self.current = initial.copy()
         self.next = np.zeros(n, dtype=bool)
         self.changed = np.zeros(n, dtype=bool)
-        #: what ``mark_changed`` was handed this iteration, and the split
-        #: derived from it (None: not derived yet, False: unusable)
-        self._marks, self._marked = [], None
+        #: what ``mark_changed`` was handed this iteration, the split derived
+        #: from it (None: not derived yet, False: unusable), and whether a
+        #: whole mark covered every vertex
+        self._marks, self._marked, self._all_changed = [], None, False
         #: ``current`` is exactly what ``advance`` promoted: the targets
         #: FrontierActivate wrote, not a reseed or the pull expansion
         self.natural = False
@@ -81,7 +82,8 @@ class FrontierManager:
         """
         n = len(self.current)
         size = int(np.count_nonzero(self.current))
-        self._size, self._all = size, False
+        #: ``all_active``: :meth:`activate_all` set this iteration's frontier
+        self._size, self.all_active = size, False
         if 0 < size <= int(n * COMPACT_MAX_FRACTION):
             self._compact = self._split(np.flatnonzero(self.current))
         else:
@@ -165,7 +167,7 @@ class FrontierManager:
 
     def active_shards(self) -> np.ndarray:
         """Shards with at least one *active* vertex (gather/apply work)."""
-        if self._all:
+        if self.all_active:
             return self._nonempty
         return self._shards_of(self._compact, self.current)
 
@@ -180,6 +182,8 @@ class FrontierManager:
 
     def changed_shards(self) -> np.ndarray:
         """Shards with at least one *changed* vertex (scatter/FA work)."""
+        if self._all_changed:
+            return self._nonempty
         return self._shards_of(self._changed_vids(), self.changed)
 
     def active_in(self, start: int, stop: int) -> np.ndarray:
@@ -191,11 +195,11 @@ class FrontierManager:
 
     def dense_active_in(self, start: int, stop: int) -> bool:
         """Whether *every* vertex of [start, stop) is active."""
-        return self._all or self._dense_in(self._compact, self.current, start, stop)
+        return self.all_active or self._dense_in(self._compact, self.current, start, stop)
 
     def dense_changed_in(self, start: int, stop: int) -> bool:
         """Whether *every* vertex of [start, stop) changed."""
-        return self._dense_in(self._changed_vids(), self.changed, start, stop)
+        return self._all_changed or self._dense_in(self._changed_vids(), self.changed, start, stop)
 
     # ------------------------------------------------------------------
     # Updates from the Compute Engine
@@ -206,6 +210,8 @@ class FrontierManager:
         self.changed[slice(vids[0], vids[-1] + 1) if whole else vids] = True
         self._marks.append(vids)
         self._marked = None
+        # every bit is set now, whatever else writes ``changed`` before advance
+        self._all_changed |= whole and vids[0] == 0 and vids[-1] + 1 == len(self.changed)
         self.obs.add("frontier.changes", len(vids))
 
     def activate_next(self, vids: np.ndarray) -> None:
@@ -233,7 +239,7 @@ class FrontierManager:
         """
         self.current[:] = True
         self.natural = False
-        self._size, self._compact, self._all = len(self.current), None, True
+        self._size, self._compact, self.all_active = len(self.current), None, True
 
     def set_current(self, mask: np.ndarray) -> None:
         """Replace this iteration's frontier before any phase ran.
@@ -258,7 +264,7 @@ class FrontierManager:
         self.current, self.next = self.next, self.current
         self.next[:] = False
         self.changed[:] = False
-        self._marks, self._marked = [], None
+        self._marks, self._marked, self._all_changed = [], None, False
         self.natural = True
         self.iteration += 1
         self._recompact()

@@ -24,6 +24,7 @@ mirroring the paper's user-pluggable Partition Logic Table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -236,6 +237,15 @@ class ShardedGraph:
     @property
     def num_vertices(self) -> int:
         return self.edges.num_vertices
+
+    @cached_property
+    def whole_census(self) -> dict:
+        """Per-shard items of each phase over whole intervals (read off
+        ``span``): in-edges, vertices with an in-edge, vertices, out-edges."""
+        b, csc = self.boundaries, self.span.csc
+        segments = np.searchsorted(np.flatnonzero(np.diff(csc.indptr)), b)
+        sizes = np.diff([csc.indptr[b], segments, b, self.span.csr.indptr[b]], axis=1)
+        return dict(zip(("gather_map", "gather_reduce", "apply", "frontier_activate"), sizes))
 
     def interval_of(self, vertex: int) -> int:
         """Shard index owning a vertex."""

@@ -22,7 +22,8 @@ exactly one of two routes:
   it), so building and retaining a dense plan costs O(V). A dense out
   plan also carries the presence mask of the shard's out-neighbours
   over their first..last vid, which FrontierActivate ORs into the next
-  frontier in one pass instead of writing once per out-edge.
+  frontier in one pass instead of writing once per out-edge; over the
+  whole graph that mask is in-degree > 0, O(V) without the scatter.
 * **Rows** -- anything else. The sorted vids of the set mask bits are
   read off the frontier on the spot and either handed to the fused
   kernels as they are (:meth:`PlanCache.sparse_rows`) or expanded into a
@@ -55,7 +56,7 @@ import numpy as np
 
 from repro.core.frontier import FrontierManager
 from repro.core.partition import Shard, ShardedGraph
-from repro.graph.csr import dense_rows, dense_segments, index_dtype, ragged_gather
+from repro.graph.csr import SUM_BLOCK, dense_rows, dense_segments, index_dtype, ragged_gather
 from repro.obs.span import NULL_OBSERVER
 
 
@@ -177,11 +178,14 @@ def _build_out_plan(shard: Shard, rows, full: bool, num_vertices: int = 0) -> Ou
         indices = csr.indices
         eids = csr.edge_ids
         weights = shard.csr_weights
-        # np.unique(indices) as a presence mask trimmed to its span
-        present = np.zeros(num_vertices, dtype=bool)
-        present[indices] = True
-        lo, hi = (int(indices.min()), int(indices.max()) + 1) if len(indices) else (0, 0)
-        present = present[lo:hi].copy()
+        if shard.num_interval_vertices == num_vertices:
+            # every edge: its targets are the vertices with an in-edge
+            present = shard.csc.indptr[1:] > shard.csc.indptr[:-1]
+        else:  # np.unique(indices) as a presence mask trimmed to its span
+            present = np.zeros(num_vertices, dtype=bool)
+            present[indices] = True
+            lo, hi = (int(indices.min()), int(indices.max()) + 1) if len(indices) else (0, 0)
+            present = present[lo:hi].copy()
     else:
         pos, seg = ragged_gather(csr.indptr, rows - shard.start)
         indices = csr.indices[pos]
@@ -322,10 +326,11 @@ class PlanCache:
         with self._lock:
             key = (kind, index)
             self._held_bytes -= self._lru.pop(key, 0)
-            if kind == "gather" and plan.n_edges > self._ones_edges:
+            ones = min(plan.n_edges, SUM_BLOCK) if kind == "gather" else 0
+            if ones > self._ones_edges:
                 # the shared float32 ones every dense sum reads: counted once
-                self._held_bytes += 4 * (plan.n_edges - self._ones_edges)
-                self._ones_edges = plan.n_edges
+                self._held_bytes += 4 * (ones - self._ones_edges)
+                self._ones_edges = ones
             size = _plan_nbytes(plan)
             self._lru[key] = size
             self._held_bytes += size
@@ -350,14 +355,16 @@ class PlanCache:
             if key in self._lru:
                 self._lru.move_to_end(key)
 
-    def _record(self, hit: bool) -> None:
-        """Count one dense query: stored state reused, or built."""
+    def count(self, hits: int = 0, misses: int = 0, bypass: int = 0) -> None:
+        """Count queries: dense ones that reused stored state or built it,
+        and row-built ones (a merged pass counts one per selected shard)."""
         with self._lock:
-            if hit:
-                self.hits += 1
-            else:
-                self.misses += 1
-        self.obs.add("plans.hits" if hit else "plans.misses")
+            self.hits += hits
+            self.misses += misses
+            self.sparse_bypass += bypass
+        for name, n in zip(("hits", "misses", "sparse_bypass"), (hits, misses, bypass)):
+            if n:
+                self.obs.add("plans." + name, n)
 
     def dense_gather_plan(self, shard: Shard) -> GatherPlan:
         """The whole-interval in-edge plan: static per shard topology."""
@@ -366,10 +373,10 @@ class PlanCache:
             plan = _build_gather_plan(shard, None)
             self._stores["gather"][shard.index] = plan
             self._account("gather", shard.index, plan)
-            self._record(hit=False)
+            self.count(misses=1)
         else:
             self._touch("gather", shard.index)
-            self._record(hit=True)
+            self.count(hits=1)
         return plan
 
     def dense_out_plan(self, shard: Shard, full: bool = False) -> OutPlan:
@@ -382,10 +389,10 @@ class PlanCache:
             )
             self._stores["out"][shard.index] = plan
             self._account("out", shard.index, plan)
-            self._record(hit=False)
+            self.count(misses=1)
         else:
             self._touch("out", shard.index)
-            self._record(hit=True)
+            self.count(hits=1)
         return plan
 
     # ------------------------------------------------------------------
@@ -406,16 +413,8 @@ class PlanCache:
         if self.enabled:
             if shard.num_interval_vertices and dense_q(shard.start, shard.stop):
                 return None
-            self.count_bypass(1)
+            self.count(bypass=1)
         return rows_q(shard.start, shard.stop)
-
-    def count_bypass(self, n: int) -> None:
-        """Count ``n`` row-built queries (the merged rows pass answers
-        one per selected shard with a single read)."""
-        if n:
-            with self._lock:
-                self.sparse_bypass += n
-            self.obs.add("plans.sparse_bypass", n)
 
     def sparse_rows(self, shard: Shard, mask: str):
         """Rows query for the fused kernel paths (fast path on only).
@@ -458,7 +457,7 @@ class PlanCache:
         if rows is not None:
             return rows, False
         vids = self._dense_vids.get(shard.index)
-        self._record(hit=vids is not None)
+        self.count(hits=int(vids is not None), misses=int(vids is None))
         if vids is None:
             vids = np.arange(shard.start, shard.stop, dtype=np.int64)
             self._dense_vids[shard.index] = vids

@@ -617,13 +617,14 @@ class GraphReduce:
                 compute.begin_iteration(iteration)
                 movement.current_iteration = iteration
                 # Over in-RAM shards, each group of an iteration whose
-                # frontier fills no shard interval runs as one rows pass;
-                # anything else, shard by shard.
-                rows_pass = (
+                # frontier is uniform -- every vertex active, or rows that
+                # fill no shard interval -- runs once over the whole graph;
+                # anything else, and a group run_merged declines, shard by shard.
+                merge = (
                     prefetcher is None
                     and opts.frontier_skipping
                     and compute.can_merge(plan)
-                    and frontier.sparse_everywhere()
+                    and (frontier.all_active or frontier.sparse_everywhere())
                 )
                 with obs.span(
                     "iteration",
@@ -642,21 +643,15 @@ class GraphReduce:
                             pf.schedule([s.index for s in shards])
                         if shards:
                             compute.begin_group(group.phases)
-                        if rows_pass:
-                            census = compute.run_merged(group.phases, shards)
-                            run_shard = lambda shard, w=census: w[shard.index]
-                        elif pf is None:
-                            run_shard = (
-                                lambda shard, g=group: compute.run_group(
-                                    g.phases, shard, count_full=not opts.frontier_skipping
-                                )
-                            )
-                        else:
-                            def run_shard(shard, g=group, pf=pf):
+                        census = compute.run_merged(group.phases, shards) if merge else None
+
+                        def run_shard(shard, g=group, pf=pf, census=census):
+                            if census is not None:
+                                return census[shard.index]
+                            if pf is not None:
                                 pf.get(shard.index)
-                                return compute.run_group(
-                                    g.phases, shard, count_full=not opts.frontier_skipping
-                                )
+                            return compute.run_group(g.phases, shard, not opts.frontier_skipping)
+
                         with obs.span(
                             group.name,
                             category="phase",

@@ -73,13 +73,11 @@ class AdaptiveEngine:
         edges: EdgeList,
         machine: MachineSpec | None = None,
         config: AdaptiveConfig | None = None,
-        num_partitions: int | None = None,
         observe: bool = True,
     ):
         self.edges = edges
         self.machine = machine or default_machine()
         self.config = config or AdaptiveConfig()
-        self.num_partitions = num_partitions
         self.observe = observe
 
     # ------------------------------------------------------------------

@@ -189,6 +189,8 @@ def index_dtype(n: int):
 
 
 _SHARED: dict = {}  # (kind, dtype) -> the array behind shared_array
+#: entries per matvec call of :func:`csr_sum`: bounds the shared ones / arange
+SUM_BLOCK = 1 << 17
 
 
 def shared_array(kind: str, n: int, dtype) -> np.ndarray:
@@ -227,22 +229,36 @@ def csr_sum(rowptr, x, cols=None, data=None, out=None) -> np.ndarray:
     None reads ``x`` in place order, ``data`` None is all ones. Zero copy
     when ``rowptr`` / ``cols`` share a dtype and ``data`` / ``x`` / ``out``
     share ``x``'s, all contiguous. ``cols`` are not bounds-checked.
+    :data:`SUM_BLOCK` entries are folded per call, onto ``out``: a row cut
+    by a block edge folds on from its partial sum, as in one call.
     """
     kernels = sparsetools()
-    if cols is None:
-        cols = shared_array("arange", int(rowptr[-1]), rowptr.dtype)
-    idx = np.promote_types(rowptr.dtype, cols.dtype)
-    rowptr, cols = rowptr.astype(idx, copy=False), cols.astype(idx, copy=False)
+    idx = rowptr.dtype if cols is None else np.promote_types(rowptr.dtype, cols.dtype)
+    rowptr = rowptr.astype(idx, copy=False)
+    cols = None if cols is None else cols.astype(idx, copy=False)
     x = np.ascontiguousarray(x)
-    data = shared_array("ones", len(cols), x.dtype) if data is None else data
     out = np.empty((len(rowptr) - 1,) + x.shape[1:], x.dtype) if out is None else out
     out.fill(0)
-    if x.ndim == 1:
-        kernels.csr_matvec(len(out), len(x), rowptr, cols, data, x, out)
-    else:
-        kernels.csr_matvecs(
-            len(out), x.shape[0], x.shape[1], rowptr, cols, data, x.ravel(), out.ravel()
-        )
+    nnz = int(rowptr[-1])
+    for lo in range(0, nnz, SUM_BLOCK):
+        hi = min(lo + SUM_BLOCK, nnz)
+        ptr, c, d, xb, y = rowptr, cols, data, x, out
+        if hi - lo < nnz:  # one block of several: its rows, their pointers cut to it
+            r0 = rowptr.searchsorted(idx.type(lo), "right") - 1  # typed: no cast of rowptr
+            r1 = rowptr.searchsorted(idx.type(hi))
+            ptr, y = rowptr[r0 : r1 + 1] - lo, out[r0:r1]
+            ptr[0], ptr[-1] = 0, hi - lo
+            d = None if data is None else data[lo:hi]
+            # without cols, x is per entry: this block of it, in order
+            c, xb = (None, x[lo:hi]) if cols is None else (cols[lo:hi], x)
+        c = shared_array("arange", hi - lo, idx) if c is None else c
+        d = shared_array("ones", hi - lo, x.dtype) if d is None else d
+        if x.ndim == 1:
+            kernels.csr_matvec(len(y), len(xb), ptr, c, d, xb, y)
+        else:
+            kernels.csr_matvecs(
+                len(y), xb.shape[0], xb.shape[1], ptr, c, d, xb.ravel(), y.ravel()
+            )
     return out
 
 

@@ -523,7 +523,7 @@ def test_queries_reproduce_from_scratch_build(a1, c1, a2, c2, seed):
 
 
 # ----------------------------------------------------------------------
-# Property: the merged rows pass equals the per-shard path, shard by shard
+# Property: the merged pass equals the per-shard path, shard by shard
 # ----------------------------------------------------------------------
 MERGE_SHAPES = ("empty", "one", "all_but_one", "random")
 MERGE_PROGRAMS = {
@@ -531,6 +531,8 @@ MERGE_PROGRAMS = {
     "bfs_gather": lambda: BFSGather(source=0),  # pre-mapped add_one / min
     "sssp": lambda: SSSP(source=0),
     "pagerank": lambda: PageRank(tolerance=1e-3),  # pre-mapped div_degree / add
+    # every vertex changes: an all-active iteration merges its FrontierActivate too
+    "pagerank_power": lambda: PageRank(tolerance=None, max_iterations=12),
 }
 
 
@@ -577,9 +579,8 @@ def _run_iteration(engine, plan, iteration, merged):
         selected = [shards[i] for i in ids]
         if selected:
             engine.begin_group(group.phases)
-        if merged:
-            work = engine.run_merged(group.phases, selected)
-        else:
+        work = engine.run_merged(group.phases, selected) if merged else None
+        if work is None:
             work = {s.index: engine.run_group(group.phases, s, False) for s in selected}
         census.append({i: (w.edge_items, w.vertex_items) for i, w in work.items()})
     return census
@@ -589,21 +590,38 @@ def _run_iteration(engine, plan, iteration, merged):
 @settings(max_examples=8, deadline=None)
 @given(
     shapes=st.tuples(*[st.sampled_from(MERGE_SHAPES)] * 3),
+    all_active=st.booleans(),
     iteration=st.sampled_from([0, 3]),
     seed=st.integers(0, 2**16),
 )
-def test_merged_pass_matches_per_shard_path(graph_name, shapes, iteration, seed):
+def test_merged_pass_matches_per_shard_path(graph_name, shapes, all_active, iteration, seed):
+    """Rows that fill no interval, or (``all_active``) every vertex, as a
+    pull iteration or an always-active program leaves the frontier."""
     sharded = PartitionEngine().partition(build(graph_name).with_random_weights(seed=33), 3)
     for name, make_program in MERGE_PROGRAMS.items():
         mask = _partial_mask(sharded, shapes, np.random.default_rng(seed))
         per_shard, plan = _mid_run_engine(sharded, make_program, mask, seed)
         merged, _ = _mid_run_engine(sharded, make_program, mask, seed)
+        if all_active:
+            per_shard.frontier.activate_all()
+            merged.frontier.activate_all()
         assert merged.can_merge(plan), name
         with np.errstate(invalid="ignore"):  # PageRank's |inf - inf| on unreached rows
             want = _run_iteration(per_shard, plan, iteration, merged=False)
             assert _run_iteration(merged, plan, iteration, merged=True) == want, name
-        assert merged.merged_groups == sum(1 for c in want if c), name
+        # an all-active FrontierActivate merges only over a whole changed set,
+        # so BFS's apply_fa (which starts from none) never does
+        whole = per_shard.frontier.changed.all()
+        assert whole or not (all_active and name == "pagerank_power")
+        declined = [
+            all_active and "frontier_activate" in g.phases and ("apply" in g.phases or not whole)
+            for g in plan
+        ]
+        assert merged.merged_groups == sum(1 for c, d in zip(want, declined) if c and not d), name
         assert per_shard.merged_groups == 0 and merged.premaps == per_shard.premaps
+        for e in (merged, per_shard):
+            e.frontier.advance()
+        assert merged.frontier.history == per_shard.frontier.history, name
         assert merged.plans.stats() == per_shard.plans.stats(), name
         assert merged.fused_calls == per_shard.fused_calls, name
         for attr in ("vertex_values", "gather_temp", "gather_has"):
@@ -917,6 +935,29 @@ def test_a_direct_write_to_the_changed_mask_is_noticed():
     assert fm.dense_changed_in(0, 3) and fm.dense_changed_in(3, 6)
 
 
+def test_a_whole_mark_over_every_vertex_answers_without_the_mask(monkeypatch):
+    """A whole mark over [0, V) sets every bit, so ``changed_shards`` and
+    the dense-changed tests answer without a per-shard count of the mask
+    until ``advance``; a whole mark over less keeps the mask scans."""
+    fm = FrontierManager(_Intervals([0, 3, 6, 6, 40]), np.ones(40, dtype=bool))
+    counts = []
+    real = FrontierManager.counts_per_shard
+    monkeypatch.setattr(
+        FrontierManager, "counts_per_shard", lambda self, mask: counts.append(1) or real(self, mask)
+    )
+    fm.mark_changed(np.arange(6, 40), whole=True)  # over a quarter of V: the mask scans
+    assert fm.changed_shards().tolist() == [3] and len(counts) == 1
+    assert fm.dense_changed_in(6, 40) and not fm.dense_changed_in(0, 40)
+    fm.mark_changed(np.arange(0, 40), whole=True)
+    fm.changed[10] = True  # a test or a hook, not mark_changed
+    assert fm.changed_shards().tolist() == [0, 1, 3] and len(counts) == 1
+    assert fm.dense_changed_in(0, 40)
+    fm.advance()
+    fm.mark_changed(np.arange(0, 39), whole=True)
+    assert fm.changed_shards().tolist() == [0, 1, 3] and len(counts) == 2
+    assert not fm.dense_changed_in(0, 40) and fm.changed_in(0, 40).tolist() == list(range(39))
+
+
 def test_a_split_taken_before_mark_changed_is_never_served_after_it():
     """Each ``mark_changed`` rebuilds the changed set's per-shard split:
     the one served afterwards holds the new marks, and the queries read
@@ -957,15 +998,15 @@ def _all_active_agrees_with_the_mask(fm):
 def test_the_all_active_flag_answers_as_the_mask_and_drops_on_a_rewrite():
     fm = FrontierManager(_Intervals([0, 2, 2, 5, 6]), np.zeros(6, dtype=bool))
     fm.activate_all()
-    assert fm._all and fm.size == 6 and fm.active_shards().tolist() == [0, 2, 3]
+    assert fm.all_active and fm.size == 6 and fm.active_shards().tolist() == [0, 2, 3]
     _all_active_agrees_with_the_mask(fm)
     fm.set_current(np.array([True, False, False, True, False, False]))  # a reseed
-    assert not fm._all and fm.size == 2 and fm.active_shards().tolist() == [0, 2]
+    assert not fm.all_active and fm.size == 2 and fm.active_shards().tolist() == [0, 2]
     assert not fm.dense_active_in(0, 2)
     fm.activate_all()
     fm.activate_next(np.array([5]))
     fm.advance()
-    assert not fm._all and fm.size == 1 and fm.active_shards().tolist() == [3]
+    assert not fm.all_active and fm.size == 1 and fm.active_shards().tolist() == [3]
     assert fm.dense_active_in(5, 6) and not fm.dense_active_in(2, 5)
 
 
@@ -984,9 +1025,9 @@ def test_the_all_active_flag_holds_through_pull_iterations(monkeypatch, directio
         def call(self, *args):
             out = originals[name](self, *args)
             if name in ("advance", "set_current"):
-                assert not self._all, name
+                assert not self.all_active, name
                 seen["dropped"] += 1
-            elif self._all and not seen.get("checking"):
+            elif self.all_active and not seen.get("checking"):
                 seen["flagged"] += name == "activate_all"
                 seen["checking"] = True  # the check itself asks active_shards
                 _all_active_agrees_with_the_mask(self)

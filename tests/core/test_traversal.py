@@ -26,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 from tests.fixture_graphs import FIXTURE_NAMES, build
 from tests.references import bfs_levels, sssp_distances
 from repro.algorithms import BFS, BFSGather, ConnectedComponents, DeltaSSSP, SSSP
+from repro.core.compute import ComputeEngine
 from repro.core.frontier import DirectionController
 from repro.core.partition import PartitionEngine
 from repro.core.runtime import GraphReduce, GraphReduceOptions
@@ -130,6 +131,50 @@ def test_direction_matrix_kernel_backends(graph_name, fast_path):
             assert fused.frontier_history == ref.frontier_history, label
             assert fused.sim_time == ref.sim_time, label
             assert fused.direction_decisions == ref.direction_decisions, label
+
+
+@pytest.mark.parametrize("algo", ["bfs", "sssp"])
+def test_auto_pull_iterations_run_merged(algo, monkeypatch):
+    """A pull iteration has every vertex active, so each of its gather and
+    apply groups runs once over the whole graph; the runs still equal push,
+    pull and the per-shard path bit for bit, and count plan hits and misses
+    as the per-shard path does."""
+    g = build("er_mid")
+    if algo == "sssp":
+        g, make = g.with_random_weights(seed=33), lambda: SSSP(source=0)
+    else:
+        make = lambda: BFSGather(source=0)
+    dense_groups = []
+    real = ComputeEngine.run_merged
+
+    def spy(self, phases, shards):
+        census = real(self, phases, shards)
+        if census and self.frontier.all_active:
+            dense_groups.append(self.iteration)
+        return census
+
+    monkeypatch.setattr(ComputeEngine, "run_merged", spy)
+    auto = GraphReduce(g, options=_options("auto")).run(make())
+    pulls = [d.iteration for d in auto.direction_decisions if d.direction == "pull"]
+    assert pulls and set(dense_groups) == set(pulls) and len(dense_groups) >= 3 * len(pulls)
+    assert auto.kernels["merged_groups"] >= len(dense_groups)
+    per_shard = GraphReduce(g, options=_options("auto", kernel_backend="off")).run(make())
+    assert per_shard.kernels is None
+    assert auto.vertex_values.tobytes() == per_shard.vertex_values.tobytes()
+    assert auto.frontier_history == per_shard.frontier_history
+    assert auto.iteration_stats == per_shard.iteration_stats
+    assert auto.sim_time == per_shard.sim_time
+    # the same options, shard by shard: span plans replace shard plans, so
+    # only the held bytes may differ (er_mid BFS: 26 404 merged, 23 224 not)
+    monkeypatch.setattr(ComputeEngine, "can_merge", lambda self, plan: False)
+    unmerged = GraphReduce(g, options=_options("auto")).run(make())
+    assert unmerged.kernels["merged_groups"] == 0
+    assert unmerged.vertex_values.tobytes() == auto.vertex_values.tobytes()
+    counters = lambda r: {k: v for k, v in r.plan_cache.items() if k != "held_bytes"}
+    assert counters(auto) == counters(unmerged) and auto.plan_cache["misses"] > 0
+    for direction in ("push", "pull"):
+        other = GraphReduce(g, options=_options(direction)).run(make())
+        assert other.vertex_values.tobytes() == auto.vertex_values.tobytes(), direction
 
 
 @pytest.mark.parametrize("graph_name", CORE_GRAPHS)

@@ -7,15 +7,20 @@ multigraphs (self-loops and parallel edges allowed) must round-trip
 through both layouts losslessly.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graph import csr
 from repro.graph.csr import (
     build_csc,
     build_csr,
+    csr_sum,
     ragged_gather,
     segment_reduce,
+    sparsetools,
     stable_order,
 )
 from repro.graph.edgelist import EdgeList
@@ -170,3 +175,62 @@ class TestSegmentReduce:
                 dtype=np.int64,
             )
             assert np.array_equal(out, expected)
+
+
+class TestBlockedSum:
+    """:func:`csr_sum` folds ``SUM_BLOCK`` entries per matvec call; the
+    blocks must add up to one call over everything, bit for bit."""
+
+    @staticmethod
+    def _one_call(rowptr, x, cols, data):
+        out = np.zeros((len(rowptr) - 1,) + x.shape[1:], x.dtype)
+        kernels = sparsetools()
+        if x.ndim == 1:
+            kernels.csr_matvec(len(out), len(x), rowptr, cols, data, x, out)
+        else:
+            kernels.csr_matvecs(
+                len(out), x.shape[0], x.shape[1], rowptr, cols, data, x.ravel(), out.ravel()
+            )
+        return out
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        degrees=st.lists(st.integers(0, 40), max_size=30),
+        block=st.integers(1, 16),
+        columns=st.sampled_from([None, 1, 3]),
+        weighted=st.booleans(),
+        per_entry=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_blocks_fold_like_one_call(self, degrees, block, columns, weighted, per_entry, seed):
+        rng = np.random.default_rng(seed)
+        rowptr = np.zeros(len(degrees) + 1, dtype=np.int32)
+        np.cumsum(degrees, out=rowptr[1:])
+        nnz, n = int(rowptr[-1]), 12
+        shape = lambda rows: (rows,) if columns is None else (rows, columns)
+        # mixed signs, zeros of both signs and wide magnitudes: order-sensitive sums
+        x = (rng.standard_normal(shape(nnz if per_entry else n)) * 10.0 ** rng.integers(-3, 4)).astype(np.float32)
+        x.ravel()[:: 5] = -0.0
+        data = rng.standard_normal(nnz).astype(np.float32) if weighted else None
+        cols = None if per_entry else rng.integers(0, n, nnz).astype(np.int32)
+        want = self._one_call(
+            rowptr,
+            x,
+            np.arange(nnz, dtype=np.int32) if per_entry else cols,
+            np.ones(nnz, np.float32) if data is None else data,
+        )
+        with mock.patch.object(csr, "SUM_BLOCK", block):
+            got = csr_sum(rowptr, x, cols, data)
+        assert got.tobytes() == want.tobytes()
+
+    def test_a_span_sized_sum_reads_ones_one_block_long(self):
+        rowptr = np.array([0, 5, 2 * csr.SUM_BLOCK + 7, 3 * csr.SUM_BLOCK + 1], dtype=np.int32)
+        nnz = int(rowptr[-1])
+        x = np.linspace(-1.0, 1.0, 64, dtype=np.float32)
+        cols = (np.arange(nnz) % 64).astype(np.int32)
+        with mock.patch.object(csr, "_SHARED", {}):
+            got = csr_sum(rowptr, x, cols)
+            ones = csr._SHARED[("ones", np.dtype(np.float32))]
+        assert len(ones) <= csr.SUM_BLOCK * 1.25 + 1
+        want = self._one_call(rowptr, x, cols, np.ones(nnz, np.float32))
+        assert got.tobytes() == want.tobytes()
