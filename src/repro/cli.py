@@ -155,17 +155,13 @@ ALGORITHMS = {
 
 def _fastpath_options(args) -> dict:
     """GraphReduceOptions kwargs from the host fast-path toggles."""
-    opts = {
+    return {
         "dense_fast_path": not args.no_dense_path,
         "direction": args.direction,
         "direction_alpha": args.direction_alpha,
         "direction_beta": args.direction_beta,
         "kernel_backend": args.kernel_backend,
     }
-    if args.plan_cache_budget is not None:
-        # 0 means unbounded (the pre-budget behavior); otherwise bytes.
-        opts["plan_cache_budget"] = args.plan_cache_budget or None
-    return opts
 
 
 def _telemetry_config(args):
@@ -264,8 +260,6 @@ def _print_prefetch(result) -> None:
             f"{pf['bytes_loaded'] / 2**20:.2f} MiB faulted in, "
             f"{pf['released_bytes'] / 2**20:.2f} MiB released "
             f"(cache capacity {pf['capacity']})")
-    if pf.get("runs", 1) > 1:
-        line += f", kept warm across {pf['runs']} runs"
     print(line)
 
 
@@ -360,11 +354,7 @@ def cmd_run(args) -> int:
           f"{result.stats.d2h_bytes / 2**20:.2f} MiB, "
           f"{result.stats.kernel_launches} kernels")
     if result.plan_cache is not None:
-        pc = result.plan_cache
-        line = f"plan cache : {plan_summary(pc)}"
-        if pc.get("carried_plans"):
-            line += f", {pc['carried_plans']} plans carried warm"
-        print(line)
+        print(f"plan cache : {plan_summary(result.plan_cache)}")
     if result.kernels is not None:
         print(f"kernels    : {kernel_summary(result.kernels)}")
     if result.direction_decisions is not None:
@@ -518,9 +508,7 @@ def _print_batch(args, engine, graph, family, sources=None) -> int:
             line += f", {b['words']} uint64 words"
         print(line)
     if last.plan_cache is not None:
-        pc = last.plan_cache
-        print(f"plan cache : {plan_summary(pc)}, "
-              f"{pc.get('carried_plans', 0)} plans carried warm")
+        print(f"plan cache : {plan_summary(last.plan_cache)}")
     _print_prefetch(last)
     finite_counts = [int(np.isfinite(q.values).sum()) for q in report.queries]
     print(f"values     : finite per query min {min(finite_counts)} / "
@@ -533,7 +521,6 @@ def cmd_batch(args) -> int:
         num_partitions=args.partitions,
         cache_policy=args.cache_policy,
         memory_budget=args.memory_budget,
-        keep_warm=args.keep_warm,
         **_fastpath_options(args),
     )
     telemetry_cfg = _telemetry_config(args)
@@ -554,8 +541,6 @@ def cmd_batch(args) -> int:
         # Batch-layer validation (layout/family conflicts, bad params)
         # surfaces as a clean CLI error, not a traceback.
         raise SystemExit(f"error: {exc}") from None
-    finally:
-        engine.close()
 
 
 def cmd_partition(args) -> int:
@@ -788,11 +773,6 @@ def _add_fastpath_args(p) -> None:
              "shrinks below vertices/beta",
     )
     p.add_argument(
-        "--plan-cache-budget", type=_byte_budget, default=None,
-        help="LRU byte budget bounding the stored dense plans "
-             "(default 256 MiB; 0 = unbounded)",
-    )
-    p.add_argument(
         "--kernel-backend", choices=("numpy", "off"),
         default="numpy",
         help="fused gather/apply/activate kernel layer: whole-array "
@@ -924,11 +904,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch_p.add_argument("--power-iterations", type=int, default=25,
                          help="pagerank power-iteration rounds per query")
-    batch_p.add_argument(
-        "--keep-warm", action="store_true",
-        help="carry the prefetcher cache and dense plans across chunks "
-             "(GraphReduceOptions.keep_warm)",
-    )
     batch_p.add_argument("--partitions", type=_PARTITIONS, default=None)
     batch_p.add_argument(
         "--cache-policy", choices=("auto", "never", "greedy", "lru"), default="auto"

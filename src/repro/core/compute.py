@@ -546,10 +546,11 @@ class ComputeEngine:
         if plan.n_edges == 0:
             return WorkItems(edge_items=n_edges)
         states = None if self.edge_state is None else np.take(self.edge_state, plan.eids)
+        row_ids = plan.row_ids  # a dense plan derives them on each read
         new_states = self.program.scatter(
             self.ctx,
-            plan.row_ids,
-            np.take(self.vertex_values, plan.row_ids, axis=0),
+            row_ids,
+            np.take(self.vertex_values, row_ids, axis=0),
             plan.weights,
             states,
         )

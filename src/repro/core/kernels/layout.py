@@ -5,7 +5,10 @@ the layer guarantees 64-byte (one x86 cache line, half an AVX-512
 vector) alignment wherever it owns an allocation:
 
 * scratch buffers handed out by :class:`~repro.core.kernels.arena.ScratchArena`,
-* unit-weight arrays synthesized by the shard store at load time.
+* the aligned copies :func:`aligned_copy` makes.
+
+The shard store's unit weights are views of ``csr.shared_array``'s
+ones, which align themselves the same way.
 
 Shard sub-arrays loaded from ``.npy`` files are already aligned: the
 format's ``ARRAY_ALIGN`` pads every header to 64 bytes, so memmapped
@@ -34,18 +37,6 @@ def aligned_empty(n: int, dtype) -> np.ndarray:
     raw = np.empty(nbytes + ALIGN, dtype=np.uint8)
     offset = (-raw.ctypes.data) % ALIGN
     return raw[offset : offset + nbytes].view(dtype)
-
-
-def aligned_zeros(n: int, dtype) -> np.ndarray:
-    out = aligned_empty(n, dtype)
-    out.fill(0)
-    return out
-
-
-def aligned_ones(n: int, dtype) -> np.ndarray:
-    out = aligned_empty(n, dtype)
-    out.fill(1)
-    return out
 
 
 def aligned_copy(arr: np.ndarray) -> np.ndarray:

@@ -144,8 +144,6 @@ class HostPrefetcher:
         self.obs = obs if obs is not None else NULL_OBSERVER
         self.unit_weights = unit_weights
         self.advise = advise
-        #: runs served (>1 when carried across runs via ``keep_warm``)
-        self.runs = 1
         self.hits = 0
         self.faults = 0
         self.evictions = 0
@@ -225,23 +223,6 @@ class HostPrefetcher:
         self.obs.add("prefetch.released_bytes", released)
 
     # -- lifecycle / reporting -----------------------------------------
-    def rewarm(self, obs=None) -> None:
-        """Attach a carried (``keep_warm``) prefetcher to a new run.
-
-        The cache and the counters survive -- resident shards from the
-        previous run serve the new run's first touches as hits -- but
-        the observer is re-aimed and the phase schedule cleared; the
-        runtime re-derives it from the new run's frontier before any
-        shard is acquired.
-        """
-        if obs is not None:
-            self.obs = obs
-        with self._lock:
-            self._order = []
-            self._pos = {}
-            self._hinted = 0
-            self.runs += 1
-
     def __enter__(self) -> "HostPrefetcher":
         return self
 
@@ -263,7 +244,6 @@ class HostPrefetcher:
             total = self.hits + self.faults
             return {
                 "capacity": self.capacity,
-                "runs": self.runs,
                 "hits": self.hits,
                 "faults": self.faults,
                 "evictions": self.evictions,

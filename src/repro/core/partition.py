@@ -229,6 +229,10 @@ class ShardedGraph:
     #: flat CSC/CSR and weight arrays the shards are views of; None for
     #: store-backed views, which have no flat arrays
     span: Shard | None = field(repr=False, default=None)
+    #: dense plans and dense vid aranges by ``(kind, shard index)``, the
+    #: span's index being P: topology alone, so :class:`~repro.core.plans.
+    #: PlanCache` builds each on first use and every later run reuses it
+    plans: dict = field(repr=False, compare=False, default_factory=dict)
 
     @property
     def num_partitions(self) -> int:

@@ -14,12 +14,14 @@ exactly one of two routes:
   iterations). The plan is a function of topology alone: ``starts``/
   ``verts`` come from :func:`~repro.graph.csr.dense_segments` and the
   per-edge arrays are the shard's flat CSR/CSC arrays *by reference*, no
-  fancy gather at all. Dense plans are built once per shard, kept under
-  the LRU byte ``budget`` and reused by identity (``plans.hits`` /
-  ``plans.misses`` count reuses / builds); the one O(E) array they would
-  own, the per-edge ``row_ids`` (:func:`~repro.graph.csr.dense_rows`),
-  is derived on first read (only the generic gather_map / scatter read
-  it), so building and retaining a dense plan costs O(V). A dense out
+  fancy gather at all. Dense plans are built once per shard and kept on
+  the :class:`~repro.core.partition.ShardedGraph` (``sharded.plans``),
+  so later queries *and later runs* over that graph reuse them by
+  identity (``plans.hits`` / ``plans.misses`` count reuses / builds);
+  the one O(E) array they would own, the per-edge ``row_ids``
+  (:func:`~repro.graph.csr.dense_rows`), is derived on every read and
+  never kept (only the generic gather_map / scatter read it), so
+  building and retaining a dense plan costs O(V). A dense out
   plan also carries the presence mask of the shard's out-neighbours
   over their first..last vid, which FrontierActivate ORs into the next
   frontier in one pass instead of writing once per out-edge; over the
@@ -49,14 +51,13 @@ shard's CSR/CSC storage.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.frontier import FrontierManager
 from repro.core.partition import Shard, ShardedGraph
-from repro.graph.csr import SUM_BLOCK, dense_rows, dense_segments, index_dtype, ragged_gather
+from repro.graph.csr import dense_rows, dense_segments, index_dtype, ragged_gather
 from repro.obs.span import NULL_OBSERVER
 
 
@@ -67,14 +68,14 @@ def _row_ids(seg: np.ndarray, start: int, dtype) -> np.ndarray:
 
 class _LazyRowIds:
     """``row_ids`` of a plan: stored for rows plans, derived from the
-    shard's ``indptr`` on first read for dense ones."""
+    shard's ``indptr`` on every read for dense ones, which outlive the
+    run and so keep no O(E) array of their own."""
 
     @property
     def row_ids(self) -> np.ndarray | None:
         if self._row_source is not None:
             indptr, start = self._row_source
-            self._row_ids = _row_ids(dense_rows(indptr), start, self.indices.dtype)
-            self._row_source = None
+            return _row_ids(dense_rows(indptr), start, self.indices.dtype)
         return self._row_ids
 
 
@@ -213,32 +214,31 @@ def _build_out_plan(shard: Shard, rows, full: bool, num_vertices: int = 0) -> Ou
 def _plan_nbytes(plan) -> int:
     """Bytes a stored dense plan *references* (owned or aliased).
 
-    Dense plans alias the shard's CSR/CSC arrays by reference, and that
-    is exactly the point of counting them: the budget bounds what the
-    cache can keep pinned, so aliased bytes must weigh the same as
-    owned ones -- and a dense plan's ``row_ids`` weighs its full size
-    before anyone has read it, because a read materializes it.
+    Dense plans alias the shard's CSR/CSC arrays, so this is what they
+    keep reachable rather than what they allocate; the ``row_ids`` a
+    read derives are the reader's, not the plan's.
     """
     total = 0
     for name in ("indices", "eids", "weights", "rowptr", "verts", "present"):
         arr = getattr(plan, name, None)
         if arr is not None:
             total += arr.nbytes
-    if plan._row_source is not None:
-        total += plan.n_edges * plan.indices.dtype.itemsize
     return total
 
 
 class PlanCache:
-    """Dense-or-rows plan queries over one frontier, per shard.
+    """Dense-or-rows plan queries over one run's frontier, per shard.
 
-    ``dense=False`` turns the fast path off: every query is a fresh
-    from-scratch build and nothing is counted, so a disabled cache is an
-    exact stand-in for the pre-plan Compute Engine (multi-GPU and
-    unit-test call sites rely on that default).
+    Dense plans live on the graph (``sharded.plans``); this object holds
+    only what belongs to one run: the frontier the dense test reads and
+    the hit / miss / bypass counters. ``dense=False`` turns the fast
+    path off: every query is a fresh from-scratch build, nothing is
+    stored and nothing is counted, so a disabled cache is an exact
+    stand-in for the pre-plan Compute Engine (``ComputeEngine`` builds
+    one when it is given no cache).
 
-    The shared counters are guarded by a lock, so :meth:`stats` may be
-    read from any thread while a run queries plans.
+    The counters are guarded by a lock, so :meth:`stats` may be read
+    from any thread while a run queries plans.
     """
 
     def __init__(
@@ -247,113 +247,31 @@ class PlanCache:
         frontier: FrontierManager,
         obs=None,
         dense: bool = True,
-        budget: int | None = None,
     ):
-        if budget is not None and budget < 0:
-            raise ValueError(
-                f"plan cache budget must be >= 0 bytes or None, got {budget}"
-            )
         self.sharded = sharded
         self.frontier = frontier
         self.obs = obs if obs is not None else NULL_OBSERVER
         self.enabled = dense
-        #: LRU byte budget over the stored dense plans (see
-        #: :func:`_plan_nbytes` for what counts). None -> unbounded. The
-        #: tiny dense-vid aranges stay exempt.
-        self.budget = budget
-        self._stores: dict[str, dict[int, GatherPlan | OutPlan]] = {
-            "gather": {},
-            "out": {},
-        }
-        self._dense_vids: dict[int, np.ndarray] = {}
-        #: (kind, shard index) -> plan bytes, in least-recently-used order
-        self._lru: OrderedDict[tuple[str, int], int] = OrderedDict()
-        self._held_bytes = 0
-        self._ones_edges = 0
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
         self.sparse_bypass = 0
-        #: dense plans carried into later runs via :meth:`rebind`
-        #: (``keep_warm``): cumulative count of plan builds later runs
-        #: did not have to repeat.
-        self.carried_plans = 0
         self._lock = threading.Lock()
 
     def stats(self) -> dict:
+        """This run's counters, and the bytes the graph's dense plans
+        reference (:func:`_plan_nbytes`; the vid aranges are exempt)."""
         with self._lock:
-            hits, misses = self.hits, self.misses
-            evictions, held = self.evictions, self._held_bytes
-            bypass = self.sparse_bypass
+            hits, misses, bypass = self.hits, self.misses, self.sparse_bypass
         total = hits + misses
+        stored = tuple(self.sharded.plans.items())  # one C-level copy: safe off-thread
+        held = sum(_plan_nbytes(plan) for (kind, _), plan in stored if kind != "vids")
         return {
             "hits": hits,
             "misses": misses,
             "hit_rate": hits / total if total else 0.0,
-            "evictions": evictions,
             "sparse_bypass": bypass,
-            "carried_plans": self.carried_plans,
-            "budget_bytes": self.budget,
             "held_bytes": held,
         }
-
-    def rebind(self, frontier: FrontierManager, obs=None) -> int:
-        """Re-aim a carried cache at a new run's frontier (``keep_warm``).
-
-        Everything stored is a function of shard topology alone, so it
-        all survives across runs over the same :class:`ShardedGraph`.
-        Returns the number of dense plans carried over (also accumulated
-        in ``carried_plans``).
-        """
-        self.frontier = frontier
-        if obs is not None:
-            self.obs = obs
-        carried = sum(len(store) for store in self._stores.values())
-        with self._lock:
-            self.carried_plans += carried
-        self.obs.add("plans.carried", carried)
-        return carried
-
-    # ------------------------------------------------------------------
-    # Dense-plan store: LRU byte accounting (no-ops when ``budget`` is
-    # None) and the reuse/build counters
-    # ------------------------------------------------------------------
-    def _account(self, kind: str, index: int, plan) -> None:
-        """Charge a freshly stored plan and evict over-budget entries."""
-        if self.budget is None:
-            return
-        evicted: list[tuple[str, int]] = []
-        with self._lock:
-            key = (kind, index)
-            self._held_bytes -= self._lru.pop(key, 0)
-            ones = min(plan.n_edges, SUM_BLOCK) if kind == "gather" else 0
-            if ones > self._ones_edges:
-                # the shared float32 ones every dense sum reads: counted once
-                self._held_bytes += 4 * (ones - self._ones_edges)
-                self._ones_edges = ones
-            size = _plan_nbytes(plan)
-            self._lru[key] = size
-            self._held_bytes += size
-            # Never evict the entry just stored: the caller holds it.
-            while self._held_bytes > self.budget and len(self._lru) > 1:
-                old_key, old_size = next(iter(self._lru.items()))
-                if old_key == key:
-                    break
-                del self._lru[old_key]
-                self._held_bytes -= old_size
-                self.evictions += 1
-                evicted.append(old_key)
-        for old_kind, old_index in evicted:
-            self._stores[old_kind].pop(old_index, None)
-            self.obs.add("plans.evictions")
-
-    def _touch(self, kind: str, index: int) -> None:
-        if self.budget is None:
-            return
-        with self._lock:
-            key = (kind, index)
-            if key in self._lru:
-                self._lru.move_to_end(key)
 
     def count(self, hits: int = 0, misses: int = 0, bypass: int = 0) -> None:
         """Count queries: dense ones that reused stored state or built it,
@@ -366,34 +284,30 @@ class PlanCache:
             if n:
                 self.obs.add("plans." + name, n)
 
+    def _stored(self, kind: str, shard, build, stale=None):
+        """The graph's ``(kind, shard)`` entry, built (a miss) when it is
+        absent or ``stale`` rejects it, else reused (a hit)."""
+        key = (kind, shard.index)
+        got = self.sharded.plans.get(key)
+        miss = got is None or (stale is not None and stale(got))
+        if miss:
+            got = self.sharded.plans[key] = build()
+        self.count(hits=int(not miss), misses=int(miss))
+        return got
+
     def dense_gather_plan(self, shard: Shard) -> GatherPlan:
         """The whole-interval in-edge plan: static per shard topology."""
-        plan = self._stores["gather"].get(shard.index)
-        if plan is None:
-            plan = _build_gather_plan(shard, None)
-            self._stores["gather"][shard.index] = plan
-            self._account("gather", shard.index, plan)
-            self.count(misses=1)
-        else:
-            self._touch("gather", shard.index)
-            self.count(hits=1)
-        return plan
+        return self._stored("gather", shard, lambda: _build_gather_plan(shard, None))
 
     def dense_out_plan(self, shard: Shard, full: bool = False) -> OutPlan:
         """The whole-interval out-edge plan; a stored full plan also
         serves lite queries."""
-        plan = self._stores["out"].get(shard.index)
-        if plan is None or (full and not plan.full):
-            plan = _build_out_plan(
-                shard, None, full=full, num_vertices=self.sharded.num_vertices
-            )
-            self._stores["out"][shard.index] = plan
-            self._account("out", shard.index, plan)
-            self.count(misses=1)
-        else:
-            self._touch("out", shard.index)
-            self.count(hits=1)
-        return plan
+        return self._stored(
+            "out",
+            shard,
+            lambda: _build_out_plan(shard, None, full, self.sharded.num_vertices),
+            stale=lambda plan: full and not plan.full,
+        )
 
     # ------------------------------------------------------------------
     # Queries
@@ -456,9 +370,5 @@ class PlanCache:
         rows = self._rows(shard, "active")
         if rows is not None:
             return rows, False
-        vids = self._dense_vids.get(shard.index)
-        self.count(hits=int(vids is not None), misses=int(vids is None))
-        if vids is None:
-            vids = np.arange(shard.start, shard.stop, dtype=np.int64)
-            self._dense_vids[shard.index] = vids
-        return vids, True
+        build = lambda: np.arange(shard.start, shard.stop, dtype=np.int64)
+        return self._stored("vids", shard, build), True

@@ -114,12 +114,6 @@ class GraphReduceOptions:
     #: Removed host parallelism; kept only so existing callers passing
     #: ``0`` still construct. Any other value raises ``ValueError``.
     parallel_shards: int = 0
-    #: LRU byte budget for the stored dense plans (counts the bytes
-    #: each plan references, including its aliased shard arrays). It
-    #: alone decides how long a plan lives: evicting a store-backed
-    #: shard's pages under ``memory_budget`` leaves its plans in place.
-    #: ``None`` is unbounded; a negative budget is rejected.
-    plan_cache_budget: int | None = 256 * 1024 * 1024
     #: Out-of-core execution (shard-store-backed runs only; see
     #: :mod:`repro.core.shardstore`). ``memory_budget`` bounds the host
     #: RAM spent on resident shards: the prefetcher's cache capacity comes
@@ -133,16 +127,6 @@ class GraphReduceOptions:
     #: and the simulated timeline are bit-identical to in-RAM runs.
     memory_budget: int | None = None
     host_prefetch: bool = True
-    #: carry host-side warm state across consecutive ``run()`` calls on
-    #: one engine: the prefetcher's cache (resident shards survive, so the
-    #: next run's first touches are hits instead of faults) and the
-    #: PlanCache's dense plans (topology-only, rebuilt otherwise). The
-    #: batch executor's chunked runs and repeated-query workloads are
-    #: the intended users. Wall-clock only -- results and the simulated
-    #: timeline are bit-identical either way. Call :meth:`GraphReduce.close`
-    #: (or use the engine as a context manager) to release the kept
-    #: cache.
-    keep_warm: bool = False
     trace: bool = True
     #: structured observability (hierarchical spans + typed counters,
     #: see :mod:`repro.obs`); when off the runtime uses the shared
@@ -339,6 +323,9 @@ class GraphReduce:
         self.machine = machine or default_machine()
         self.options = options or GraphReduceOptions()
         self.partition_engine = partition_engine or PartitionEngine()
+        # Sharded graphs (and so their dense plans, see repro.core.plans)
+        # by partitioning, weighting and edge-list identity; a store's
+        # lazy view by ("store", unit_weights).
         self._sharded_cache: dict[tuple, ShardedGraph] = {}
         # Phase tapes (repro.sim.tape), one book per sharded graph and
         # DataMovementEngine.tape_key(), so warm queries reuse them.
@@ -347,28 +334,6 @@ class GraphReduce:
         # above is keyed by its identity) and the degree arrays.
         self._unit_edges: EdgeList | None = None
         self._degrees: dict[str, np.ndarray] = {}
-        # keep_warm carry-over (see GraphReduceOptions.keep_warm):
-        # {"sharded", "prefetcher", "key"} for store-backed runs, and
-        # (plans, sharded, key) for the dense-plan cache. Released by
-        # close() or whenever a run's configuration stops matching.
-        self._warm_prefetch: dict | None = None
-        self._warm_plans: tuple | None = None
-
-    def close(self) -> None:
-        """Release ``keep_warm`` state (resident shards, carried
-        plans). Idempotent; a no-op for engines that never kept
-        anything warm."""
-        if self._warm_prefetch is not None:
-            self._warm_prefetch["prefetcher"].shutdown()
-            self._warm_prefetch = None
-        self._warm_plans = None
-
-    def __enter__(self) -> "GraphReduce":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
 
     # ------------------------------------------------------------------
     def run(self, program: GASProgram, max_iterations: int | None = None) -> GraphReduceResult:
@@ -411,12 +376,7 @@ class GraphReduce:
         with_weights = program.needs_weights
         with_state = program.edge_dtype is not None
         resident_bytes = self._resident_bytes(program, edges.num_vertices)
-        if not opts.keep_warm:
-            # A non-warm run invalidates whatever a previous warm run
-            # left behind.
-            self.close()
         prefetcher = None
-        prefetch_key = None
         telemetry_summary = None
         # Initialized before the try so the telemetry run_end in the
         # finally block has defined values even when setup raises.
@@ -429,17 +389,14 @@ class GraphReduce:
         try:
             with obs.span("partition", category="setup") as part_span:
                 if self.shard_store is not None:
-                    sharded, prefetcher, prefetch_key = self._open_store(
-                        program,
+                    graph_key, sharded, prefetcher = self._open_store(
                         opts,
                         with_weights,
                         with_state,
                         resident_bytes,
                         obs,
-                        advise=opts.host_prefetch,
                         telemetry=telem,
                     )
-                    graph_key = ("store", prefetch_key[0])
                     part_span.set(
                         num_partitions=sharded.num_partitions,
                         logic=self.shard_store.logic,
@@ -533,25 +490,7 @@ class GraphReduce:
             frontier = FrontierManager(
                 sharded, np.asarray(program.init_frontier(ctx), dtype=bool), obs=obs
             )
-            plans = None
-            plans_key = (opts.dense_fast_path, opts.plan_cache_budget)
-            if opts.keep_warm and self._warm_plans is not None:
-                warm_plans, warm_sharded, warm_key = self._warm_plans
-                if warm_sharded is sharded and warm_key == plans_key:
-                    # Carried cache: dense plans survive, re-aimed at
-                    # this run's frontier.
-                    plans = warm_plans
-                    plans.rebind(frontier, obs=obs)
-                else:
-                    self._warm_plans = None
-            if plans is None:
-                plans = PlanCache(
-                    sharded,
-                    frontier,
-                    obs=obs,
-                    dense=opts.dense_fast_path,
-                    budget=opts.plan_cache_budget,
-                )
+            plans = PlanCache(sharded, frontier, obs=obs, dense=opts.dense_fast_path)
             if kernels is not None:
                 obs.add(f"kernels.backend.{kernels.name}")
             compute = ComputeEngine(
@@ -693,16 +632,8 @@ class GraphReduce:
             run_error = exc
             raise
         finally:
-            if prefetcher is not None and not (opts.keep_warm and run_error is None):
+            if prefetcher is not None:
                 prefetcher.shutdown()
-                if (
-                    self._warm_prefetch is not None
-                    and self._warm_prefetch["prefetcher"] is prefetcher
-                ):
-                    # An errored warm run emptied the carried prefetcher;
-                    # drop the carry-over with it.
-                    self._warm_prefetch = None
-                    self._warm_plans = None
             if telem is not None:
                 # Emits run_end and closes the sink even when setup or
                 # a phase raised.
@@ -712,17 +643,6 @@ class GraphReduce:
                     error=repr(run_error) if run_error else None,
                 )
 
-        if opts.keep_warm:
-            # Reached only on success (errors propagate past the
-            # finally): stash the warm state for the next run.
-            if prefetcher is not None:
-                self._warm_prefetch = {
-                    "sharded": sharded,
-                    "prefetcher": prefetcher,
-                    "key": prefetch_key,
-                }
-            if plans.enabled:
-                self._warm_plans = (plans, sharded, plans_key)
         run_span.set(iterations=iteration, converged=converged)
         run_span_cm.__exit__(None, None, None)
         trace = device.trace
@@ -764,25 +684,18 @@ class GraphReduce:
         )
 
     # ------------------------------------------------------------------
-    def _open_store(
-        self,
-        program,
-        opts,
-        with_weights,
-        with_state,
-        resident_bytes,
-        obs,
-        advise=True,
-        telemetry=None,
-    ):
-        """Lazy sharded view + budgeted prefetcher over ``shard_store``.
+    def _open_store(self, opts, with_weights, with_state, resident_bytes, obs, telemetry=None):
+        """(graph key, lazy sharded view, budgeted prefetcher) over
+        ``shard_store``.
 
-        The prefetcher's cache capacity is Eq. (1)/(2) with the host
-        ``memory_budget`` in place of device memory: how many whole
-        shards (plus their interval's share of vertex staging and the
-        resident vertex arrays) fit the budget. No budget -> every
-        shard may stay resident, like a host whose RAM fits the graph.
-        ``advise=False`` (``host_prefetch`` off) issues no read-ahead
+        The view is kept per weighting, so its dense plans serve every
+        later run; each run binds its shards to a fresh prefetcher, so
+        no residency carries over. The prefetcher's cache capacity is
+        Eq. (1)/(2) with the host ``memory_budget`` in place of device
+        memory: how many whole shards (plus their interval's share of
+        vertex staging and the resident vertex arrays) fit the budget.
+        No budget -> every shard may stay resident, like a host whose
+        RAM fits the graph. ``host_prefetch`` off issues no read-ahead
         hints.
         """
         store = self.shard_store
@@ -796,14 +709,10 @@ class GraphReduce:
                 f"memory_budget must be >= 0 bytes or None, got {opts.memory_budget}"
             )
         unit_weights = with_weights and not store.weighted
-        carried = self._warm_prefetch
-        if carried is not None and carried["key"][0] == unit_weights:
-            # Same lazy shard view: its shards stay bound to whichever
-            # prefetcher wins below, and the carried dense plans keyed
-            # on this object's identity stay eligible for reuse.
-            sharded = carried["sharded"]
-        else:
-            sharded = store.sharded_graph(unit_weights=unit_weights)
+        key = ("store", unit_weights)
+        sharded = self._sharded_cache.get(key)
+        if sharded is None:
+            sharded = self._sharded_cache[key] = store.sharded_graph(unit_weights=unit_weights)
         if opts.memory_budget is not None:
             capacity = optimal_concurrent_shards(
                 opts.memory_budget,
@@ -815,26 +724,14 @@ class GraphReduce:
             )
         else:
             capacity = store.num_partitions
-        key = (unit_weights, capacity, advise)
-        if carried is not None and carried["key"] == key:
-            prefetcher = carried["prefetcher"]
-            prefetcher.rewarm(obs=obs)
-        else:
-            if carried is not None:
-                # Configuration changed (capacity/hints/weights): the
-                # carried cache no longer matches -- release it, and the
-                # plans keyed on its sharded view with it.
-                carried["prefetcher"].shutdown()
-                self._warm_prefetch = None
-                self._warm_plans = None
-            prefetcher = HostPrefetcher(
-                store, capacity, obs=obs, unit_weights=unit_weights, advise=advise
-            )
-            for shard in sharded.shards:
-                shard.bind(prefetcher)
+        prefetcher = HostPrefetcher(
+            store, capacity, obs=obs, unit_weights=unit_weights, advise=opts.host_prefetch
+        )
+        for shard in sharded.shards:
+            shard.bind(prefetcher)
         if telemetry is not None:
             telemetry.add_source("prefetch", prefetcher.snapshot)
-        return sharded, prefetcher, key
+        return key, sharded, prefetcher
 
     # ------------------------------------------------------------------
     @staticmethod

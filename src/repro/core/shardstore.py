@@ -58,7 +58,7 @@ from repro.core.partition import (
     edge_balanced_from_loads,
 )
 from repro.graph.edgelist import VID_DTYPE, WEIGHT_DTYPE
-from repro.graph.csr import CSR, stable_order
+from repro.graph.csr import CSR, shared_array, stable_order
 from repro.graph.io import edgelist_metadata, iter_edge_chunks
 
 FORMAT = "graphreduce-shard-store"
@@ -368,12 +368,14 @@ class ShardStore:
         and plans built from them were already reused without a re-check.
         Views pin no pages, so the memo leaves RSS to :meth:`release`.
 
-        ``unit_weights`` synthesizes per-shard ``ones`` when an
+        ``unit_weights`` stands in ``ones`` for the weights when an
         unweighted store runs a weights-needing program -- the same
         values ``EdgeList.with_unit_weights`` would have partitioned.
-        They are heap, so they are fresh on every call, never memoized.
+        They are read-only views of the process-wide ones
+        (:func:`~repro.graph.csr.shared_array`, sized once for the
+        store's largest shard), so a plan that keeps them owns no bytes.
         Every returned array is 64-byte aligned: the views by the file
-        layout, the synthesized weights by the kernel layer's allocator.
+        layout, the ones by ``shared_array``.
         """
         got = self._views.get(index)
         if got is None:
@@ -388,8 +390,9 @@ class ShardStore:
             self._views[index] = got
         if not unit_weights or self.weighted:
             return got
-        csc_w = layout_mod.aligned_ones(got.csc.num_edges, WEIGHT_DTYPE)
-        csr_w = layout_mod.aligned_ones(got.csr.num_edges, WEIGHT_DTYPE)
+        most = max(shard[side + ".indices"][1] for shard in self._layout for side in ("csc", "csr"))
+        ones = shared_array("ones", most, WEIGHT_DTYPE)
+        csc_w, csr_w = ones[: got.csc.num_edges], ones[: got.csr.num_edges]
         return ShardArrays(got.csc, got.csr, csc_w, csr_w, got.nbytes + csc_w.nbytes + csr_w.nbytes)
 
     def _advise(self, flag: int | None, index: int) -> int:

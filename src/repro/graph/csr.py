@@ -195,13 +195,20 @@ SUM_BLOCK = 1 << 17
 
 def shared_array(kind: str, n: int, dtype) -> np.ndarray:
     """A read-only length-``n`` view of the one process-wide ``"ones"`` or
-    ``"arange"`` array of ``dtype`` (grown with 25% slack)."""
-    buf = _SHARED.get((kind, np.dtype(dtype)))
+    ``"arange"`` array of ``dtype`` (grown with 25% slack). The ones start
+    on a 64-byte boundary, so they also stand in for a shard's weights."""
+    dtype = np.dtype(dtype)
+    buf = _SHARED.get((kind, dtype))
     if buf is None or len(buf) < n:
         size = n + n // 4 + 1
-        buf = np.ones(size, dtype) if kind == "ones" else np.arange(size, dtype=dtype)
+        if kind == "ones":
+            raw = np.empty(size + 64 // dtype.itemsize, dtype)
+            buf = raw[(-raw.ctypes.data % 64) // dtype.itemsize :][:size]
+            buf.fill(1)
+        else:
+            buf = np.arange(size, dtype=dtype)
         buf.flags.writeable = False
-        _SHARED[(kind, np.dtype(dtype))] = buf
+        _SHARED[(kind, dtype)] = buf
     return buf[:n]
 
 

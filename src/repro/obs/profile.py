@@ -377,13 +377,7 @@ class ProfileReport:
         pc = self.plan_cache
         if not (pc.get("hits") or pc.get("misses") or pc.get("sparse_bypass")):
             return "plan cache         : disabled (no plan queries recorded)"
-        line = (
-            f"plan cache         : {plan_summary(pc)}, "
-            f"{pc.get('evictions', 0)} evictions (host fast path)"
-        )
-        if pc.get("carried_plans"):
-            line += f", {pc['carried_plans']} plans carried warm"
-        return line
+        return f"plan cache         : {plan_summary(pc)} (host fast path)"
 
     def _kernels_line(self) -> str:
         k = self.kernels
@@ -409,8 +403,6 @@ class ProfileReport:
         )
         if "capacity" in pf:
             line += f" (capacity {pf['capacity']})"
-        if pf.get("runs", 1) > 1:
-            line += f", kept warm across {pf['runs']} runs"
         return line
 
     def _devices_line(self) -> str:
@@ -588,7 +580,6 @@ def build_profile(result, machine=None, tolerance: float = MODEL_TOLERANCE) -> P
         plan_cache = {
             "hits": int(hits),
             "misses": int(misses),
-            "evictions": int(metrics.value("plans.evictions")),
             "sparse_bypass": int(metrics.value("plans.sparse_bypass")),
             "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
         }

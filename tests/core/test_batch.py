@@ -449,38 +449,6 @@ def test_bits_depth_codes_wider_than_a_byte():
 
 
 # ----------------------------------------------------------------------
-# keep_warm: carried prefetcher and plan cache across runs
-# ----------------------------------------------------------------------
-
-
-def test_keep_warm_carries_dense_plans_in_ram():
-    g = build("er_mid")
-    engine = _engine(g, keep_warm=True)
-    try:
-        pr = lambda: PageRank(damping=0.85, tolerance=None, max_iterations=PR_ITERS)
-        first = engine.run(pr())
-        second = engine.run(pr())
-        assert second.plan_cache["carried_plans"] > 0
-        assert np.array_equal(first.vertex_values, second.vertex_values)
-        cold = _engine(g).run(pr())
-        assert np.array_equal(second.vertex_values, cold.vertex_values)
-    finally:
-        engine.close()
-
-
-def test_keep_warm_prefetcher_survives_runs(tmp_path):
-    store = _store(build("er_mid"), tmp_path, "warm")
-    engine = _engine(store=store, keep_warm=True, cache_policy="never")
-    try:
-        pr = lambda: PageRank(damping=0.85, tolerance=None, max_iterations=4)
-        engine.run(pr())
-        second = engine.run(pr())
-        assert second.prefetch["runs"] == 2
-    finally:
-        engine.close()
-
-
-# ----------------------------------------------------------------------
 # CLI source parsing
 # ----------------------------------------------------------------------
 

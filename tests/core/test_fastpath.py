@@ -254,15 +254,6 @@ def test_hit_miss_invalidation_accounting():
     assert stats["hit_rate"] == pytest.approx(2 / 3)
 
 
-def test_negative_budget_is_rejected():
-    sharded, frontier, _ = _make(PAIRS, 4, p=1)
-    with pytest.raises(ValueError, match="budget"):
-        PlanCache(sharded, frontier, budget=-1)
-    opts = GraphReduceOptions(num_partitions=3, plan_cache_budget=-1)
-    with pytest.raises(ValueError, match="budget"):
-        GraphReduce(build("er_small"), options=opts).run(BFS(source=0))
-
-
 def test_dense_plans_are_reused_by_identity():
     sharded, frontier, plans = _make(PAIRS, 4, p=2)
     shard = sharded.shards[0]
@@ -343,66 +334,81 @@ def test_disabled_cache_never_counts():
 
 
 # ----------------------------------------------------------------------
-# Plan-cache LRU byte budget
+# Dense plans live on the graph
 # ----------------------------------------------------------------------
-def test_plan_cache_budget_evicts_and_preserves_results():
-    g = build("er_mid")
-    make = PROGRAMS["pagerank_power"]
-    unbounded = GraphReduce(
-        g, options=GraphReduceOptions(num_partitions=3, plan_cache_budget=None)
-    ).run(make())
-    assert unbounded.plan_cache["evictions"] == 0
-    assert unbounded.plan_cache["budget_bytes"] is None
-    # A budget far below one shard's plan footprint forces evictions on
-    # every reuse attempt; semantics must be untouched.
-    tiny = GraphReduce(
-        g, options=GraphReduceOptions(num_partitions=3, plan_cache_budget=64)
-    ).run(make())
-    assert tiny.plan_cache["evictions"] > 0
-    assert tiny.plan_cache["budget_bytes"] == 64
-    assert np.array_equal(tiny.vertex_values, unbounded.vertex_values)
-    assert tiny.frontier_history == unbounded.frontier_history
-    assert tiny.sim_time == unbounded.sim_time
-    assert _kernel_items(tiny) == _kernel_items(unbounded)
-
-
-def test_plan_cache_budget_bounds_held_bytes():
-    g = build("er_mid")
-    budget = 32 * 1024
-    result = GraphReduce(
-        g, options=GraphReduceOptions(num_partitions=3, plan_cache_budget=budget)
-    ).run(PROGRAMS["pagerank"]())
-    pc = result.plan_cache
-    # The LRU keeps at least the most recent plan even when it alone
-    # exceeds the budget; with several shards cached, held bytes must
-    # settle at or below the budget after evictions.
-    assert pc["evictions"] > 0 or pc["held_bytes"] <= budget
-
-
 def test_held_bytes_count_row_pointers_and_the_shared_ones_once():
     """Each dense gather plan weighs its int32 row pointer (``starts`` is
-    its view); the float32 ones every dense ``add`` sum reads is one
-    array, counted once at the longest plan's length."""
+    its view). Held bytes are the graph's stored plans, counted once: a
+    hit adds nothing. The float32 ones every dense ``add`` sum reads is
+    one process-wide array (``csr.shared_array``), no plan's bytes."""
     from repro.core.plans import _plan_nbytes
 
-    sharded, frontier, _ = _make(PAIRS * 3 + [(1, 0), (2, 0)], 4, p=2)
-    plans = PlanCache(sharded, frontier, budget=1 << 30)
+    sharded, frontier, plans = _make(PAIRS * 3 + [(1, 0), (2, 0)], 4, p=2)
     built = [plans.dense_gather_plan(s) for s in sharded.shards]
     for plan in built:
         assert plan.rowptr.dtype == np.int32 and plan.starts.base is plan.rowptr
-    longest = max(p.n_edges for p in built)
-    assert plans.stats()["held_bytes"] == sum(map(_plan_nbytes, built)) + 4 * longest
-    plans.dense_gather_plan(sharded.shards[0])  # a hit charges nothing more
-    assert plans.stats()["held_bytes"] == sum(map(_plan_nbytes, built)) + 4 * longest
+    assert plans.stats()["held_bytes"] == sum(map(_plan_nbytes, built))
+    plans.dense_gather_plan(sharded.shards[0])  # a hit adds nothing
+    assert plans.stats()["held_bytes"] == sum(map(_plan_nbytes, built))
+    assert built[0].row_ids is not built[0].row_ids  # derived per read, never kept
 
 
-def test_plan_cache_counts_evictions_in_metrics():
+@pytest.mark.parametrize("where", ["ram", "store"])
+def test_second_run_reuses_the_graphs_plans(where, tmp_path):
+    """A second run on one engine builds no dense plan: it finds every
+    one the first run built on the engine's sharded graph. Nothing else
+    carries over, so a store run faults its shards in again."""
+    from repro.core.shardstore import ShardStore
+
     g = build("er_mid")
-    result = GraphReduce(
-        g, options=GraphReduceOptions(num_partitions=3, plan_cache_budget=64)
-    ).run(PROGRAMS["pagerank_power"]())
-    metrics = result.observer.metrics
-    assert metrics.value("plans.evictions") == result.plan_cache["evictions"]
+    opts = GraphReduceOptions(num_partitions=3, cache_policy="never")
+    if where == "store":
+        store = ShardStore.save(PartitionEngine().partition(g, 3), tmp_path / "store")
+        make_engine = lambda: GraphReduce(shard_store=store, options=opts)
+    else:
+        make_engine = lambda: GraphReduce(g, options=opts)
+    make = PROGRAMS["pagerank_power"]
+    engine = make_engine()
+    first, second = engine.run(make()), engine.run(make())
+    fresh = make_engine().run(make())
+    pc1, pc2 = first.plan_cache, second.plan_cache
+    assert pc1["misses"] > 0 and pc2["misses"] == 0
+    assert pc2["hits"] == pc1["hits"] + pc1["misses"]
+    assert fresh.plan_cache == pc1
+    for run in (second, fresh):
+        assert run.vertex_values.tobytes() == first.vertex_values.tobytes()
+        assert run.sim_time == first.sim_time
+    if where == "store":
+        assert first.prefetch["faults"] > 0 and second.prefetch == first.prefetch
+
+
+def test_unweighted_store_plans_alias_the_shared_ones(tmp_path):
+    """An unweighted store stands in views of the process-wide ones for
+    its weights, so the dense plans a second run reuses own no weights;
+    its values still equal the in-RAM run's."""
+    from repro.core.kernels.layout import is_aligned
+    from repro.core.shardstore import ShardStore
+    from repro.graph.csr import shared_array
+
+    g = build("road10x10")
+    assert g.weights is None
+    store = ShardStore.save(PartitionEngine().partition(g, 3), tmp_path / "plain")
+    opts = GraphReduceOptions(num_partitions=3, direction="pull")
+    engine = GraphReduce(shard_store=store, options=opts.replace(memory_budget=1))
+    first, second = engine.run(SSSP(source=0)), engine.run(SSSP(source=0))
+    ram = GraphReduce(g, options=opts).run(SSSP(source=0))
+    assert first.plan_cache["misses"] > 0 and second.plan_cache["misses"] == 0
+    (sharded,) = engine._sharded_cache.values()
+    ones = shared_array("ones", 1, np.float32).base
+    gathers = [plan for (kind, _), plan in sharded.plans.items() if kind == "gather"]
+    assert len(gathers) == 3
+    for plan in gathers:
+        assert np.shares_memory(plan.weights, ones) and is_aligned(plan.weights)
+        assert not plan.weights.flags.writeable
+        np.testing.assert_array_equal(plan.weights, 1.0)
+    for run in (first, second):
+        assert run.vertex_values.tobytes() == ram.vertex_values.tobytes()
+        assert run.sim_time == ram.sim_time
 
 
 # ----------------------------------------------------------------------
@@ -597,11 +603,14 @@ def _run_iteration(engine, plan, iteration, merged):
 def test_merged_pass_matches_per_shard_path(graph_name, shapes, all_active, iteration, seed):
     """Rows that fill no interval, or (``all_active``) every vertex, as a
     pull iteration or an always-active program leaves the frontier."""
-    sharded = PartitionEngine().partition(build(graph_name).with_random_weights(seed=33), 3)
+    edges = build(graph_name).with_random_weights(seed=33)
     for name, make_program in MERGE_PROGRAMS.items():
+        # Cold to cold: dense plans live on the graph, so each engine
+        # gets its own (deterministic) partition of the same edges.
+        sharded, twin = (PartitionEngine().partition(edges, 3) for _ in range(2))
         mask = _partial_mask(sharded, shapes, np.random.default_rng(seed))
         per_shard, plan = _mid_run_engine(sharded, make_program, mask, seed)
-        merged, _ = _mid_run_engine(sharded, make_program, mask, seed)
+        merged, _ = _mid_run_engine(twin, make_program, mask, seed)
         if all_active:
             per_shard.frontier.activate_all()
             merged.frontier.activate_all()
@@ -622,7 +631,9 @@ def test_merged_pass_matches_per_shard_path(graph_name, shapes, all_active, iter
         for e in (merged, per_shard):
             e.frontier.advance()
         assert merged.frontier.history == per_shard.frontier.history, name
-        assert merged.plans.stats() == per_shard.plans.stats(), name
+        # span plans and per-shard plans differ in bytes, not in counts
+        counts = lambda e: {k: v for k, v in e.plans.stats().items() if k != "held_bytes"}
+        assert counts(merged) == counts(per_shard), name
         assert merged.fused_calls == per_shard.fused_calls, name
         for attr in ("vertex_values", "gather_temp", "gather_has"):
             got, ref = getattr(merged, attr), getattr(per_shard, attr)

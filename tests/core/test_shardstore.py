@@ -198,7 +198,7 @@ class TestShardStoreFormat:
         assert plan.dense
         assert store.release(1) == store.shard_meta[1]["nbytes"] > 0
         # The plan's views outlive the release and read the same bytes;
-        # row_ids, never built so far, derives from the re-faulted indptr.
+        # row_ids derive from the re-faulted indptr.
         expect = PlanCache(ram, FrontierManager(ram, np.ones(g.num_vertices, dtype=bool)))
         want = expect.gather_plan(ram.shards[1])
         np.testing.assert_array_equal(plan.indices, want.indices)
@@ -489,7 +489,7 @@ class TestHostPrefetcher:
         assert snap["capacity"] == 1
         assert snap["released_bytes"] == 256
         assert set(snap) == {
-            "capacity", "runs", "hits", "faults", "evictions",
+            "capacity", "hits", "faults", "evictions",
             "bytes_loaded", "released_bytes", "hit_rate",
         }
 

@@ -91,15 +91,15 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
-def test_plan_cache_budget_flag_refuses_negative(capsys):
+def test_removed_plan_flags_are_refused():
     run = ["run", "--graph", "delaunay_n13", "--algorithm", "bfs"]
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(run + ["--plan-cache-budget", "-5"])
-    assert "must be >= 0 bytes" in capsys.readouterr().err
-    assert build_parser().parse_args(run + ["--plan-cache-budget", "0"]).plan_cache_budget == 0
-    for removed in ("--no-plan-cache", "--no-sparse-bypass"):
+    for removed in (["--no-plan-cache"], ["--no-sparse-bypass"], ["--plan-cache-budget", "0"]):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(run + [removed])
+            build_parser().parse_args(run + removed)
+    batch = ["batch", "--graph", "delaunay_n13", "--algorithm", "bfs", "--sources", "0"]
+    build_parser().parse_args(batch)
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(batch + ["--keep-warm"])
 
 
 def test_negative_source_and_memory_budget_are_refused_at_parse_time(capsys):
