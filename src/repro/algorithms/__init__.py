@@ -9,13 +9,11 @@ drive GraphReduce and every baseline framework, so cross-framework
 results are directly comparable.
 """
 
-from repro.algorithms.betweenness import betweenness_centrality
 from repro.algorithms.bfs import BFS, BFSGather
 from repro.algorithms.cc import ConnectedComponents
 from repro.algorithms.heat import HeatSimulation
 from repro.algorithms.kcore import KCore
 from repro.algorithms.labelprop import LabelPropagation
-from repro.algorithms.mis import MaximalIndependentSet
 from repro.algorithms.pagerank import PageRank
 from repro.algorithms.spmv import SpMV
 from repro.algorithms.sssp import SSSP, DeltaSSSP
@@ -39,7 +37,5 @@ __all__ = [
     "SpMV",
     "KCore",
     "LabelPropagation",
-    "MaximalIndependentSet",
-    "betweenness_centrality",
     "PAPER_ALGORITHMS",
 ]

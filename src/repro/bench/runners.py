@@ -338,8 +338,6 @@ def ablation_optimizations(name: str = "kron_g500-logn21", algs=("BFS", "Pageran
         "unoptimized": GraphReduceOptions.unoptimized(),
         "fuse_gather_extension": GraphReduceOptions(fuse_gather=True),
         "greedy_cache_extension": GraphReduceOptions(cache_policy="greedy"),
-        "lru_cache_extension": GraphReduceOptions(cache_policy="lru"),
-        "async_mode_extension": GraphReduceOptions(execution_mode="async"),
     }
     out: dict[str, dict[str, dict[str, float]]] = {}
     for alg in algs:

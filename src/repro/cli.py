@@ -59,7 +59,7 @@ from repro.algorithms import (
     PageRank,
     SSSP,
 )
-from repro.core.runtime import GraphReduce, GraphReduceOptions
+from repro.core.runtime import CACHE_POLICIES, HOST_BACKINGS, GraphReduce, GraphReduceOptions
 from repro.graph.datasets import DATASETS, load_dataset
 from repro.graph.edgelist import EdgeList
 from repro.graph.io import load_edgelist_txt, load_matrix_market, load_npz
@@ -318,7 +318,6 @@ def cmd_run(args) -> int:
             num_partitions=args.partitions,
             cache_policy=args.cache_policy,
             host_backing=args.host_backing,
-            execution_mode=args.execution_mode,
             memory_budget=args.memory_budget,
             **_fastpath_options(args),
         )
@@ -842,14 +841,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable every Section-5 optimization (Figure 15 baseline)")
     _add_fastpath_args(run_p)
     run_p.add_argument("--partitions", type=_PARTITIONS, default=None, help="shard count override")
-    run_p.add_argument(
-        "--cache-policy", choices=("auto", "never", "greedy", "lru"), default="auto"
-    )
-    run_p.add_argument("--host-backing", choices=("dram", "ssd"), default="dram")
-    run_p.add_argument(
-        "--execution-mode", choices=("bsp", "async"), default="bsp",
-        help="bulk-synchronous phases (paper) or asynchronous sweeps",
-    )
+    run_p.add_argument("--cache-policy", choices=CACHE_POLICIES, default="auto")
+    run_p.add_argument("--host-backing", choices=HOST_BACKINGS, default="dram")
     _add_devices_args(
         run_p,
         "run on N simulated accelerators via the multi-device "
@@ -905,9 +898,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch_p.add_argument("--power-iterations", type=int, default=25,
                          help="pagerank power-iteration rounds per query")
     batch_p.add_argument("--partitions", type=_PARTITIONS, default=None)
-    batch_p.add_argument(
-        "--cache-policy", choices=("auto", "never", "greedy", "lru"), default="auto"
-    )
+    batch_p.add_argument("--cache-policy", choices=CACHE_POLICIES, default="auto")
     batch_p.add_argument("--max-iterations", type=_ITERATIONS, default=100_000)
     _add_fastpath_args(batch_p)
     _add_store_args(batch_p)
@@ -980,9 +971,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="profile the Figure-15 baseline configuration")
     _add_fastpath_args(prof_p)
     prof_p.add_argument("--partitions", type=_PARTITIONS, default=None)
-    prof_p.add_argument(
-        "--cache-policy", choices=("auto", "never", "greedy", "lru"), default="auto"
-    )
+    prof_p.add_argument("--cache-policy", choices=CACHE_POLICIES, default="auto")
     prof_p.add_argument("--source", default=None)
     prof_p.add_argument("--tolerance", type=float, default=1e-3)
     prof_p.add_argument("--k", type=int, default=3)

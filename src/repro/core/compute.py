@@ -277,12 +277,9 @@ class ComputeEngine:
     def begin_group(self, phases: tuple[str, ...]) -> None:
         """Map the vertex state once for this iteration's fused gathers.
 
-        Called before a group's shards run. A group that also applies
-        (the async sweep) writes ``vertex_values`` between shards and
-        keeps mapping per edge.
+        Called before a group's shards run.
         """
-        gathers = "gather_map" in phases and "apply" not in phases
-        if self._copy_spec is None or self._premap_valid or not gathers:
+        if self._copy_spec is None or self._premap_valid or "gather_map" not in phases:
             return
         values, spec = self.vertex_values, self._gather_spec
         if self._premap is None:
@@ -325,12 +322,7 @@ class ComputeEngine:
             and (self._gather_spec is not None or not self.program.has_gather)
             and not self.program.has_scatter
             and self.edge_state is None
-            and all(
-                g.selector != "all"
-                # the async sweep's later shards read earlier shards' applies
-                and not ("gather_map" in g.phases and "apply" in g.phases)
-                for g in plan
-            )
+            and all(g.selector != "all" for g in plan)
         )
 
     def run_merged(self, phases: tuple[str, ...], shards: list[Shard]) -> dict | None:

@@ -102,41 +102,6 @@ def _out_buffers(program: GASProgram, for_scatter: bool) -> tuple[str, ...]:
     return tuple(bufs)
 
 
-def build_async_plan(program: GASProgram, obs=None) -> list[PhaseGroup]:
-    """The asynchronous-execution sweep (Section 2.1's alternative to BSP
-
-    "for faster convergence"): one fused group runs every phase shard by
-    shard, so a later shard's gather sees the vertex values an earlier
-    shard's apply just wrote *within the same sweep*. For monotone
-    min/max programs (BFS, SSSP, CC, widest-path) the fixed point is
-    unchanged and convergence takes fewer sweeps; PageRank becomes the
-    Gauss-Seidel iteration, converging to the same ranks by a different
-    trajectory. All shard buffers move under a single transfer per shard
-    per sweep.
-    """
-    phases = tuple(
-        p
-        for p in PHASES
-        if (p not in ("gather_map", "gather_reduce") or program.has_gather)
-        and (p != "scatter" or program.has_scatter)
-    )
-    h2d = tuple(dict.fromkeys(_in_buffers(program) + _out_buffers(program, program.has_scatter))) if program.has_gather else _out_buffers(program, program.has_scatter)
-    d2h = ("out_edge_state",) if (program.has_scatter and program.edge_dtype is not None) else ()
-    scratch = ("edge_update_array",) if program.has_gather else ()
-    plan = [
-        PhaseGroup(
-            "async_sweep",
-            phases,
-            selector="active",
-            h2d_buffers=h2d,
-            d2h_buffers=d2h,
-            scratch_buffers=scratch,
-        )
-    ]
-    _record_plan(obs if obs is not None else NULL_OBSERVER, plan, "async")
-    return plan
-
-
 def build_plan(
     program: GASProgram, optimized: bool = True, fuse_gather: bool = False, obs=None
 ) -> list[PhaseGroup]:

@@ -57,9 +57,6 @@ class MovementStats:
     d2h_count: int = 0
     h2d_bytes: int = 0
     d2h_bytes: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_evictions: int = 0
     spray_batches: int = 0
     spray_copies: int = 0
     kernel_launches: int = 0
@@ -223,13 +220,6 @@ class HostPrefetcher:
         self.obs.add("prefetch.released_bytes", released)
 
     # -- lifecycle / reporting -----------------------------------------
-    def __enter__(self) -> "HostPrefetcher":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.shutdown()
-        return False
-
     def shutdown(self) -> None:
         """Release every resident shard's pages. Idempotent; counters
         stay readable."""
@@ -277,8 +267,6 @@ class DataMovementEngine:
         self.stats = MovementStats()
         self._resident_named: list[str] = []
         self._cached = False  # all shards resident (in-memory mode)
-        self._lru: "OrderedDict[int, int] | None" = None  # shard -> bytes
-        self._lru_touch: dict[int, int] = {}  # shard -> last iteration
         #: (group name, shard index) -> its (h2d, d2h) copy recipes; both
         #: depend on nothing else, so they are built on first visit
         self._recipes: dict[tuple[str, int], tuple] = {}
@@ -286,7 +274,6 @@ class DataMovementEngine:
         #: bytes)], most recently played first ([]: seen once); the
         #: runtime shares one book per graph and :meth:`tape_key`
         self.tapes: dict[tuple, list] = {}
-        self.current_iteration = 0
 
         max_shard = sharded.max_shard_bytes(with_weights, with_edge_state)
         max_interval = max(
@@ -394,63 +381,6 @@ class DataMovementEngine:
     def cached(self) -> bool:
         return self._cached
 
-    def enable_lru_cache(self) -> None:
-        """Partial shard caching (extension beyond the paper): whatever
-
-        device memory is left after residents and staging slots becomes
-        an LRU cache of whole shards. Useful for graphs that *almost*
-        fit -- the paper's all-or-nothing regimes leave that memory idle.
-        """
-        self._lru = OrderedDict()
-
-    def _lru_acquire(self, shard: Shard, stream, stream_i: int) -> bool:
-        """Make the shard device-resident through the LRU cache.
-
-        Hit: nothing moves. Miss with room (possibly after evicting cold
-        shards): the *whole* shard uploads once on the shard's stream --
-        later phases and iterations then skip all transfers. Miss with
-        no room even after eviction: returns False and the caller
-        streams this phase's buffers normally.
-        """
-        if self._lru is None:
-            return False
-        if shard.index in self._lru:
-            self._lru.move_to_end(shard.index)
-            self._lru_touch[shard.index] = self.current_iteration
-            self.stats.cache_hits += 1
-            self.obs.add("movement.cache.hits")
-            return True
-        self.stats.cache_misses += 1
-        self.obs.add("movement.cache.misses")
-        nbytes = shard.total_bytes(self.with_weights, self.with_edge_state)
-        # Evict only *cold* shards (untouched for two iterations, i.e.
-        # the frontier genuinely moved away). Evicting recently used
-        # entries to admit new ones would thrash on cyclic access --
-        # full-shard uploads every phase instead of the smaller
-        # per-phase buffers -- so a hot working set larger than the
-        # cache keeps its cached prefix and streams the rest.
-        while self._lru and self.device.memory.free_bytes < nbytes:
-            oldest = next(iter(self._lru))
-            if self._lru_touch.get(oldest, -1) >= self.current_iteration - 1:
-                return False
-            self._lru.popitem(last=False)
-            self._lru_touch.pop(oldest, None)
-            self.device.memory.free(f"lru:{oldest}")
-            self.stats.cache_evictions += 1
-            self.obs.add("movement.cache.evictions")
-        if self.device.memory.free_bytes < nbytes:
-            return False
-        self.device.memory.alloc(f"lru:{shard.index}", nbytes)
-        self._lru[shard.index] = nbytes
-        self._lru_touch[shard.index] = self.current_iteration
-        self._issue_copies(
-            stream,
-            stream_i,
-            self._recipe(shard, f"lrufill:{shard.index}"),
-            "h2d",
-        )
-        return True
-
     # ------------------------------------------------------------------
     # Phase execution
     # ------------------------------------------------------------------
@@ -478,24 +408,22 @@ class DataMovementEngine:
             self.obs.add("movement.shards.skipped", skipped)
         key = recorder = None
         defer = barrier and self._tapeable()
-        issued = []  # (stream, shard, work, resident) per computed shard
+        issued = []  # (stream, shard, work) per computed shard
+        resident = self._cached
         before = self._snapshot()
         try:
             for i, shard in enumerate(shards):
                 stream_i = i % self.k
                 work = compute(shard)
-                resident = self._cached or self._lru_acquire(
-                    shard, self.streams[stream_i], stream_i
-                )
-                issued.append((stream_i, shard, work, resident))
+                issued.append((stream_i, shard, work))
                 if not defer:
                     self._issue_shard(group, stream_i, shard, work, resident)
                 self.stats.shards_processed += 1
                 if not self.config.async_streams:
                     self.device.synchronize()  # fully synchronous baseline
             if defer:
-                key = (group, self._cached, tuple(shard.index for _, shard, _, _ in issued))
-                inputs = [x for _, _, work, _ in issued for x in self._kernel_inputs(work)]
+                key = (group, resident, tuple(shard.index for _, shard, _ in issued))
+                inputs = [x for _, _, work in issued for x in self._kernel_inputs(work)]
                 if self._play(key, inputs):
                     defer = False
                 else:
@@ -506,13 +434,14 @@ class DataMovementEngine:
             if defer and issued:
                 traced = recorder.inputs(inputs) if recorder else [None] * (2 * len(issued))
                 for n, args in enumerate(issued):
-                    self._issue_shard(group, *args, kernel=traced[2 * n:2 * n + 2])
+                    self._issue_shard(group, *args, resident, kernel=traced[2 * n:2 * n + 2])
             self._report_since(before)
             span = self.obs.current  # the phase's: one column per shard field
             if span is not None:
-                streams, computed, works, resident = zip(*issued) if issued else ((),) * 4
+                streams, computed, works = zip(*issued) if issued else ((),) * 3
                 span.set(shard_ids=tuple(shard.index for shard in computed), streams=streams,
-                         resident=resident, items=tuple(work.total for work in works))
+                         resident=(resident,) * len(issued),
+                         items=tuple(work.total for work in works))
         if barrier:
             # BSP barrier between phases. Multi-device callers pass
             # barrier=False, issue every device's work, then synchronize
@@ -551,14 +480,13 @@ class DataMovementEngine:
 
         The device must be quiescent at a phase start (a non-barrier
         phase before may have left work in flight), and nothing may
-        carry across phases: LRU fills and SSD spill do, and the
-        synchronous baseline barriers inside the phase.
+        carry across phases: SSD spill does, and the synchronous baseline
+        barriers inside the phase.
         """
         return (
             TAPES > 0
             and self.device.sim.quiescent
             and self.config.async_streams
-            and self._lru is None
             and self.ssd is None
         )
 

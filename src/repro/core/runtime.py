@@ -28,7 +28,7 @@ import numpy as np
 from repro.core.api import GASProgram
 from repro.core.compute import ComputeEngine
 from repro.core.frontier import DirectionController, FrontierManager
-from repro.core.fusion import PhaseGroup, build_async_plan, build_plan
+from repro.core.fusion import PhaseGroup, build_plan
 from repro.core.kernels import resolve_backend
 from repro.core.movement import (
     DataMovementEngine,
@@ -48,6 +48,12 @@ from repro.sim.specs import MachineSpec, default_machine
 from repro.sim.trace import TraceRecorder
 
 
+#: valid ``GraphReduceOptions.cache_policy`` values
+CACHE_POLICIES = ("auto", "never", "greedy")
+#: valid ``GraphReduceOptions.host_backing`` values
+HOST_BACKINGS = ("dram", "ssd")
+
+
 @dataclass(frozen=True)
 class GraphReduceOptions:
     """Runtime configuration; defaults are the fully optimized GR."""
@@ -61,22 +67,15 @@ class GraphReduceOptions:
     #: extension beyond the paper: fuse gatherMap+gatherReduce so the
     #: edge update array stays on-device (see fusion.build_plan)
     fuse_gather: bool = False
-    #: 'bsp' (the paper's model: phase barriers across all shards) or
-    #: 'async' (Section 2.1's variant: one fused sweep per iteration in
-    #: which later shards see earlier shards' same-sweep updates --
-    #: fewer sweeps for monotone programs, Gauss-Seidel for PageRank)
-    execution_mode: str = "bsp"
-    #: 'auto': keep all shards resident when the graph's *canonical*
-    #: footprint (Table 1's accounting, all buffer kinds) fits -- the
-    #: Table-4 in-memory mode; 'never': always stream (the Table-3
-    #: regime); 'greedy': cache whenever this program's actual buffers
-    #: fit, even if the canonical footprint does not (an extension
-    #: beyond the paper: e.g. BFS needs no edge values, so kron21's
-    #: topology alone fits the K20c); 'lru': stream, but keep as many
-    #: whole shards resident as leftover memory allows, evicting the
-    #: least recently touched (extension for almost-fitting graphs).
+    #: one of :data:`CACHE_POLICIES`. 'auto': keep all shards resident
+    #: when the graph's *canonical* footprint (Table 1's accounting, all
+    #: buffer kinds) fits -- the Table-4 in-memory mode; 'never': always
+    #: stream (the Table-3 regime); 'greedy': cache whenever this
+    #: program's actual buffers fit, even if the canonical footprint does
+    #: not (an extension beyond the paper: e.g. BFS needs no edge values,
+    #: so kron21's topology alone fits the K20c).
     cache_policy: str = "auto"
-    #: 'dram' keeps the whole graph in host memory (the paper's Table-3
+    #: one of :data:`HOST_BACKINGS`. 'dram' keeps the whole graph in host memory (the paper's Table-3
     #: setting); 'ssd' backs the host with simulated flash storage so
     #: graphs larger than host DRAM stream from disk (future work,
     #: Section 8 item 2). The spilled fraction of every shard read pays
@@ -153,6 +152,10 @@ class GraphReduceOptions:
             )
         if self.max_iterations < 0:
             raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations!r}")
+        for name, valid in (("cache_policy", CACHE_POLICIES), ("host_backing", HOST_BACKINGS)):
+            value = getattr(self, name)
+            if value not in valid:
+                raise ValueError(f"unknown {name} {value!r} (valid: {', '.join(valid)})")
 
     @staticmethod
     def unoptimized() -> "GraphReduceOptions":
@@ -452,8 +455,6 @@ class GraphReduce:
                     sim, host.ssd_bandwidth, max_concurrent=host.ssd_queue_depth, name="ssd"
                 )
                 movement.ssd, device.ssd = (ssd, spill), ssd
-            elif opts.host_backing != "dram":
-                raise ValueError(f"unknown host_backing {opts.host_backing!r}")
             with obs.span("resident", category="phase"):
                 movement.upload_resident(self._resident_buffers(program, edges.num_vertices))
             in_memory = False
@@ -465,12 +466,8 @@ class GraphReduce:
                         in_memory = movement.cache_all_shards()
                 elif opts.cache_policy == "greedy":
                     in_memory = movement.cache_all_shards()
-                elif opts.cache_policy not in ("never", "lru"):
-                    raise ValueError(f"unknown cache_policy {opts.cache_policy!r}")
                 if not in_memory:
                     movement.reserve_stage_slots()
-                    if opts.cache_policy == "lru":
-                        movement.enable_lru_cache()
                 movement.tapes = self._tapes.setdefault((graph_key, movement.tape_key()), {})
                 # Everything the profiler's Eq. (1)/(2) replay needs to
                 # re-derive K from first principles lives on this span.
@@ -504,14 +501,9 @@ class GraphReduce:
                 # Per-query lanes for the monitor: retirement progress
                 # rides the same snapshot stream as the other sources.
                 telem.add_source("batch", program.batch_stats)
-            if opts.execution_mode == "async":
-                plan = build_async_plan(program, obs=obs)
-            elif opts.execution_mode == "bsp":
-                plan = build_plan(
-                    program, optimized=opts.fusion, fuse_gather=opts.fuse_gather, obs=obs
-                )
-            else:
-                raise ValueError(f"unknown execution_mode {opts.execution_mode!r}")
+            plan = build_plan(
+                program, optimized=opts.fusion, fuse_gather=opts.fuse_gather, obs=obs
+            )
             # --- Iterations --------------------------------------------
             controller = None
             if opts.direction != "push":
@@ -554,7 +546,6 @@ class GraphReduce:
                 h2d0, d2h0 = movement.stats.h2d_bytes, movement.stats.d2h_bytes
                 proc0, skip0 = movement.stats.shards_processed, movement.stats.shards_skipped
                 compute.begin_iteration(iteration)
-                movement.current_iteration = iteration
                 # Over in-RAM shards, each group of an iteration whose
                 # frontier is uniform -- every vertex active, or rows that
                 # fill no shard interval -- runs once over the whole graph;

@@ -269,8 +269,8 @@ def diagnose(
             )
         elif cache_policy == "never":
             recommendation = (
-                "enable shard caching (cache_policy='lru' or 'auto') to stop "
-                "re-streaming hot shards every iteration"
+                "enable whole-graph shard caching (cache_policy='auto' or 'greedy') "
+                "so shards that fit the device stop re-streaming every iteration"
             )
         else:
             recommendation = (

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.algorithms import BFS, SSSP, PageRank, ConnectedComponents, SpMV
+from repro.algorithms import BFS, BFSGather, SSSP, DeltaSSSP, PageRank, ConnectedComponents, SpMV
 from repro.core.api import GASProgram
+from repro.core.runtime import GraphReduce
+from repro.graph.generators import path_graph
 
 
 def test_phase_detection_bfs_apply_only():
@@ -87,3 +89,12 @@ def test_edge_state_allocated_when_typed():
     state = P().init_edge_state(Ctx())
     assert state.shape == (7,)
     assert state.dtype == np.float32
+
+
+@pytest.mark.parametrize("source", (-1, 6))
+@pytest.mark.parametrize("make", (BFS, BFSGather, SSSP, DeltaSSSP))
+def test_solo_source_outside_the_graph_is_rejected(make, source):
+    # -1 used to wrap in init_vertices/init_frontier and "converge"
+    # after one iteration; 6 raised a bare IndexError.
+    with pytest.raises(ValueError, match=f"source {source} out of range .* 6 vertices"):
+        GraphReduce(path_graph(6)).run(make(source=source))

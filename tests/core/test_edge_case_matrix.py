@@ -3,8 +3,8 @@
 The existing edge-case suite covers default options; this matrix locks
 in that empty, single-vertex and all-self-loop graphs produce the same
 (reference-checked) answers under every optimization combination --
-unoptimized baseline, async execution, gather fusion, streaming with
-LRU caching, SSD host backing, and observability off.
+unoptimized baseline, gather fusion, SSD host backing, and
+observability off.
 """
 
 import numpy as np
@@ -17,9 +17,7 @@ from repro.graph.edgelist import EdgeList
 OPTION_SETS = {
     "default": GraphReduceOptions(),
     "unoptimized": GraphReduceOptions.unoptimized(),
-    "async_mode": GraphReduceOptions(execution_mode="async"),
     "fuse_gather": GraphReduceOptions(fuse_gather=True),
-    "streaming_lru": GraphReduceOptions(cache_policy="lru", num_partitions=4),
     "ssd_backed": GraphReduceOptions(host_backing="ssd", cache_policy="never"),
     "no_observe": GraphReduceOptions(observe=False, trace=False),
 }

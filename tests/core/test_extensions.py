@@ -71,11 +71,11 @@ class TestSSDBacking:
         # Host DRAM is large at reproduction scale; nothing spills.
         assert r.trace.total_duration("storage") == 0
 
-    def test_unknown_backing_rejected(self, kron):
-        with pytest.raises(ValueError, match="host_backing"):
-            GraphReduce(
-                kron, options=GraphReduceOptions(host_backing="tape")
-            ).run(BFS())
+    def test_unknown_backing_rejected(self):
+        # refused at construction, before any partitioning or upload
+        for backing in ("tape", "nvme"):
+            with pytest.raises(ValueError, match="host_backing .*valid: dram, ssd"):
+                GraphReduceOptions(host_backing=backing)
 
 
 class TestAdaptiveScheduler:

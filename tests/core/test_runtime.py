@@ -229,9 +229,10 @@ class TestModes:
             GraphReduce(g, machine=machine).run(BFS())
 
     def test_unknown_cache_policy(self):
-        g = erdos_renyi(20, 50, seed=17)
-        with pytest.raises(ValueError, match="cache_policy"):
-            GraphReduce(g, options=GraphReduceOptions(cache_policy="maybe")).run(BFS())
+        # refused at construction, before any partitioning or upload
+        for policy in ("maybe", "lru"):
+            with pytest.raises(ValueError, match="cache_policy .*valid: auto, never, greedy"):
+                GraphReduceOptions(cache_policy=policy)
 
     def test_max_iterations_cuts_off(self):
         g = path_graph(100)
@@ -328,3 +329,36 @@ class TestEngineReuse:
         assert np.array_equal(in0, g.in_degrees())
         with pytest.raises(ValueError, match="read-only"):
             out0[0] = 1
+
+
+class TestIterationStats:
+    def test_stats_cover_every_iteration(self):
+        g = erdos_renyi(200, 1_000, seed=56)
+        r = GraphReduce(
+            g, options=GraphReduceOptions(cache_policy="never")
+        ).run(BFS(source=0))
+        assert len(r.iteration_stats) == r.iterations
+        assert [s.iteration for s in r.iteration_stats] == list(range(r.iterations))
+        # Frontier sizes in stats match the frontier history.
+        assert [s.frontier_size for s in r.iteration_stats] == r.frontier_history[: r.iterations]
+
+    def test_traffic_sums_match_totals(self):
+        g = erdos_renyi(200, 1_000, seed=56)
+        r = GraphReduce(
+            g, options=GraphReduceOptions(cache_policy="never")
+        ).run(PageRank(tolerance=1e-3))
+        # Per-iteration h2d sums to the total minus the resident upload.
+        per_iter = sum(s.h2d_bytes for s in r.iteration_stats)
+        assert 0 < per_iter <= r.stats.h2d_bytes
+        assert sum(s.sim_seconds for s in r.iteration_stats) <= r.sim_time + 1e-12
+
+    def test_low_activity_iterations_move_less(self):
+        g = rmat(10, 20_000, seed=57)
+        r = GraphReduce(
+            g, options=GraphReduceOptions(cache_policy="never")
+        ).run(BFS(source=int(np.argmax(g.out_degrees()))))
+        stats = r.iteration_stats
+        peak = max(s.frontier_size for s in stats)
+        big = [s.h2d_bytes for s in stats if s.frontier_size == peak]
+        small = [s.h2d_bytes for s in stats if s.frontier_size == 1]
+        assert min(big) >= max(small)

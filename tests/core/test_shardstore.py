@@ -643,16 +643,20 @@ def test_prefetcher_threads_die_when_iteration_raises(tmp_path):
     assert set(threading.enumerate()) == before
 
 
-def test_prefetcher_context_manager_shuts_down(tmp_path):
+def test_prefetcher_shutdown_releases_pages(tmp_path):
     g = build("er_mid")
     store = ShardStore.save(PartitionEngine().partition(g, 3), tmp_path / "s")
+    pf = HostPrefetcher(store, capacity=3)
+    # As the runtime does: shutdown() in a finally, even when a phase raises.
     with pytest.raises(RuntimeError, match="mid-iteration"):
-        with HostPrefetcher(store, capacity=3) as pf:
+        try:
             pf.schedule([0, 1, 2])
             pf.get(0)
             pf.get(1)
             raise RuntimeError("mid-iteration")
-    # Leaving the block released both resident shards' pages.
+        finally:
+            pf.shutdown()
+    # Shutting down released both resident shards' pages.
     resident = store.shard_meta[0]["nbytes"] + store.shard_meta[1]["nbytes"]
     assert pf.snapshot()["released_bytes"] == resident
     assert pf.arrays(2) is not None and pf.faults == 3  # emptied, still usable

@@ -83,8 +83,6 @@ def play(phases, tapes, spray, async_streams, mode):
             assert engine.cache_all_shards()
         else:
             engine.reserve_stage_slots()
-        if mode == "lru":
-            engine.enable_lru_cache()
         if mode == "ssd":
             engine.ssd = (FluidResource(sim, 2e9, max_concurrent=4, name="ssd"), 0.5)
         clocks = []
@@ -119,7 +117,7 @@ def play(phases, tapes, spray, async_streams, mode):
     phases=issue_list,
     spray=st.booleans(),
     async_streams=st.booleans(),
-    mode=st.sampled_from(["stream", "cached", "late-cache", "lru", "ssd"]),
+    mode=st.sampled_from(["stream", "cached", "late-cache", "ssd"]),
 )
 # Recorded while streaming, seen again once resident: residency is in the key.
 @example(phases=[(0, [(i, (500, 50)) for i in range(SHARDS)])] * 4,
@@ -129,7 +127,7 @@ def test_tape_equals_event_loop(phases, spray, async_streams, mode):
     off, oracle = play(phases, False, spray, async_streams, mode)
     assert on == off
     assert oracle.value("movement.tape.hits") == oracle.value("movement.tape.records") == 0
-    if not async_streams or mode in ("lru", "ssd"):
+    if not async_streams or mode == "ssd":
         # phases that carry state bypass tapes
         assert metrics.value("movement.tape.hits") == metrics.value("movement.tape.records") == 0
 

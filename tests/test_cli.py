@@ -93,13 +93,19 @@ def test_parser_requires_command():
 
 def test_removed_plan_flags_are_refused():
     run = ["run", "--graph", "delaunay_n13", "--algorithm", "bfs"]
-    for removed in (["--no-plan-cache"], ["--no-sparse-bypass"], ["--plan-cache-budget", "0"]):
+    for removed in (["--no-plan-cache"], ["--no-sparse-bypass"], ["--plan-cache-budget", "0"],
+                    ["--execution-mode", "async"]):
         with pytest.raises(SystemExit):
             build_parser().parse_args(run + removed)
     batch = ["batch", "--graph", "delaunay_n13", "--algorithm", "bfs", "--sources", "0"]
     build_parser().parse_args(batch)
     with pytest.raises(SystemExit):
         build_parser().parse_args(batch + ["--keep-warm"])
+    profile = ["profile", "--algo", "bfs"]
+    for cmd in (run, batch, profile):
+        assert build_parser().parse_args(cmd + ["--cache-policy", "greedy"]).cache_policy == "greedy"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(cmd + ["--cache-policy", "lru"])
 
 
 def test_negative_source_and_memory_budget_are_refused_at_parse_time(capsys):
