@@ -129,8 +129,10 @@ class ComputeEngine:
         obs=None,
         plans: PlanCache | None = None,
         kernels=None,
+        prefetcher=None,
     ):
         self.sharded = sharded
+        self.prefetcher = prefetcher  # a store's: its span holds no edges
         self.program = program
         self.ctx = ctx
         self.frontier = frontier
@@ -311,10 +313,9 @@ class ComputeEngine:
     # One pass per phase group (iterations with a uniform frontier)
     # ------------------------------------------------------------------
     def can_merge(self, plan) -> bool:
-        """Whether every group of ``plan`` may run through
-        :meth:`run_merged`: fused
-        gather and apply over the in-RAM flat arrays, no scatter or edge
-        state (so no group holds a scatter phase), frontier-selected."""
+        """Whether every group of ``plan`` may run through :meth:`run_merged`:
+        fused gather and apply, no scatter or edge state (so no group holds a
+        scatter phase), frontier-selected."""
         return (
             self.sharded.span is not None
             and self.plans.enabled
@@ -331,7 +332,9 @@ class ComputeEngine:
 
         The whole graph is one more shard (``sharded.span``), so the
         phases run unchanged and every vertex reduces the same segment
-        in the same order. Returns the per-shard path's census,
+        in the same order. A store's span holds no edges, so gatherMap
+        acquires the shards through the prefetcher (:meth:`_gather_shards`)
+        and the other phases acquire nothing. Returns the per-shard path's census,
         ``{shard index: WorkItems}``, and counts plans and fused calls
         as that path would have; or None, leaving it to that path, for an
         all-active FrontierActivate over a changed set that is not whole.
@@ -344,15 +347,15 @@ class ComputeEngine:
             if not fr.dense_changed_in(0, len(fr.changed)):
                 return None
         merged = self._merged = [s.index for s in shards]
-        self._counts = None
+        self._counts, self._streamed = None, (0, 0, 0)
         self._split = np.zeros((2, self.sharded.num_partitions), dtype=np.int64)
         p = self.plans
         before = p.hits, p.misses, p.sparse_bypass
         self.run_group(phases, self.sharded.span, False)
         self._merged = None
-        # one query per selected shard, not one for the span
-        after = p.hits, p.misses, p.sparse_bypass
-        p.count(*((a - b) * (len(shards) - 1) for a, b in zip(after, before)))
+        # one query per selected shard, not one for the span (a store's gatherMap queried each)
+        spans = zip((p.hits, p.misses, p.sparse_bypass), before, self._streamed)
+        p.count(*((a - b - s) * (len(shards) - 1) for a, b, s in spans))
         self.merged_groups += 1
         self.obs.add("kernels.merged_groups")
         edge, vertex = self._split.tolist()
@@ -402,6 +405,8 @@ class ComputeEngine:
     def _gather_map(self, shard: Shard, count_full: bool) -> WorkItems:
         if not self.program.has_gather:
             return WorkItems(edge_items=shard.num_in_edges if count_full else 0)
+        if shard is self.sharded.span and self.prefetcher is not None:
+            return self._gather_shards()
         spec = self._gather_spec
         if (
             spec is not None
@@ -469,12 +474,29 @@ class ComputeEngine:
                 self.kernels.gather_segments(
                     shard.index, spec, values, deg,
                     plan.indices, plan.weights, plan.rowptr, plan.verts,
-                    self.gather_temp, self.gather_has,
+                    self.gather_temp, None,
                 )
+                has = self.gather_has[shard.start : shard.stop]
+                np.logical_or(has, plan.has, out=has)  # the static has-set
         if n_edges:
             self._pending[shard.index] = _FusedGather(n_segments)
             self._count_fused()
         return WorkItems(edge_items=shard.num_in_edges if count_full else n_edges)
+
+    def _gather_shards(self) -> WorkItems:
+        """A store's merged gatherMap: each selected shard in order, acquired
+        and gathered, its segments parked for the span's gatherReduce."""
+        pf, p, shards = self.prefetcher, self.plans, self.sharded.shards
+        before = p.hits, p.misses, p.sparse_bypass
+        pf.schedule(self._merged)
+        work, segments = WorkItems(), 0
+        for i in self._merged:
+            pf.get(i)
+            work += self._gather_map(shards[i], False)
+            segments += self._gather_reduce(shards[i], False).vertex_items
+        self._streamed = tuple(a - b for a, b in zip((p.hits, p.misses, p.sparse_bypass), before))
+        self._pending[self.sharded.span.index] = _FusedGather(segments)
+        return work
 
     def _relay_for(self):
         """The relay this rows gather may run from, or None to pull:

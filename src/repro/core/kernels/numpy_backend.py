@@ -103,7 +103,8 @@ class NumpyKernels:
         gather_temp, gather_has,
     ) -> None:
         """Fused gather: ``indices[rowptr[i]:rowptr[i+1]]`` map and reduce
-        into ``verts[i]`` (forms (i) / (ii) of the module notes for ``add``)."""
+        into ``verts[i]`` (forms (i) / (ii) of the module notes for ``add``);
+        ``gather_has`` None: the caller marks a dense plan's static has-set."""
         n = len(rowptr) - 1
         if values.ndim == 2:
             red = self.arena.get2d((key, "gr"), n, values.shape[1], gather_temp.dtype)
@@ -117,7 +118,8 @@ class NumpyKernels:
         else:
             csr_sum(rowptr, self._edge_values(spec, values, deg, indices, weights), out=red)
         gather_temp[verts] = red
-        gather_has[verts] = True
+        if gather_has is not None:
+            gather_has[verts] = True
 
     def _expand_rows(self, key, indptr, loc):
         """``(pos, rowptr, nz, counts)`` of a sparse row subset: its edge

@@ -123,12 +123,13 @@ class HostPrefetcher:
     than the cache MRU is the Belady victim: it keeps ``capacity - 1``
     shards resident from one pass to the next, where LRU keeps none.
 
-    Frontier awareness falls out of the integration point: the runtime
-    calls :meth:`schedule` with exactly the shards the FrontierManager
-    selected for a phase that streams edges, so skipped shards -- and
-    every shard of a phase reading only vertex arrays or the edge
-    update array -- are neither hinted nor faulted in: the paper's
-    shard-skip and phase-elimination optimizations applied to I/O.
+    Frontier awareness falls out of the integration point: :meth:`schedule`
+    gets exactly the shards the FrontierManager selected for a phase that
+    reads shard edges (in an all-active merged pass, gatherMap alone,
+    which schedules them itself), so skipped shards -- and every shard of a
+    phase reading only vertex arrays, the edge update array or the degree
+    block -- are neither hinted nor faulted in: the paper's shard-skip
+    and phase-elimination optimizations applied to I/O.
 
     Everything here is wall-clock only and invisible to the simulated
     timeline. One lock guards all state, so :meth:`snapshot` may be
@@ -178,9 +179,9 @@ class HostPrefetcher:
     def get(self, index: int):
         """Acquire one shard's arrays for compute (counts hit/fault).
 
-        Called once per (shard, edge-streaming phase) by the runtime's
-        compute wrapper; a full cache first evicts the most recently
-        acquired shard.
+        Called once per (shard, edge-reading phase), by the runtime's
+        compute wrapper or a merged gatherMap; a full cache first evicts
+        the most recently acquired shard.
         """
         with self._lock:
             arrays = self._cache.get(index)

@@ -226,8 +226,8 @@ class ShardedGraph:
     shards: list[Shard]
     logic: str = "edge_balanced"
     #: the whole graph as one more shard (index P): ``[0, V)`` over the
-    #: flat CSC/CSR and weight arrays the shards are views of; None for
-    #: store-backed views, which have no flat arrays
+    #: flat CSC/CSR and weight arrays the shards are views of; a store's
+    #: holds no arrays (vertex phases only, see ``ComputeEngine.run_merged``)
     span: Shard | None = field(repr=False, default=None)
     #: dense plans and dense vid aranges by ``(kind, shard index)``, the
     #: span's index being P: topology alone, so :class:`~repro.core.plans.
@@ -243,12 +243,18 @@ class ShardedGraph:
         return self.edges.num_vertices
 
     @cached_property
+    def has_in_edge(self) -> np.ndarray:
+        """Whether each vertex has an in-edge, off the in-degrees (a store's degree block)."""
+        return self.edges.in_degrees() > 0
+
+    @cached_property
     def whole_census(self) -> dict:
-        """Per-shard items of each phase over whole intervals (read off
-        ``span``): in-edges, vertices with an in-edge, vertices, out-edges."""
-        b, csc = self.boundaries, self.span.csc
-        segments = np.searchsorted(np.flatnonzero(np.diff(csc.indptr)), b)
-        sizes = np.diff([csc.indptr[b], segments, b, self.span.csr.indptr[b]], axis=1)
+        """Per-shard items of each phase over whole intervals, read off shard
+        counts and ``has_in_edge``: in-edges, vertices with one, vertices, out-edges."""
+        b = self.boundaries
+        ins, outs = np.array([(s.num_in_edges, s.num_out_edges) for s in self.shards]).T
+        with_in = np.diff(np.concatenate(([0], np.cumsum(self.has_in_edge)))[b])
+        sizes = (ins, with_in, np.diff(b), outs)
         return dict(zip(("gather_map", "gather_reduce", "apply", "frontier_activate"), sizes))
 
     def interval_of(self, vertex: int) -> int:

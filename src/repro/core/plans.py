@@ -104,6 +104,9 @@ class GatherPlan(_LazyRowIds):
     dense: bool
     #: ``(indptr, interval start)`` a dense plan derives ``row_ids`` from
     _row_source: tuple | None = None
+    #: dense plans only: ``has[i]`` iff interval vertex ``i`` has an in-edge,
+    #: the static has-set a dense gather ORs into ``gather_has``
+    has: np.ndarray | None = None
 
     @property
     def starts(self) -> np.ndarray:
@@ -167,26 +170,32 @@ def _build_gather_plan(shard: Shard, rows) -> GatherPlan:
         n_edges=len(indices),
         dense=dense,
         _row_source=(csc.indptr, shard.start) if dense else None,
+        has=csc.indptr[1:] > csc.indptr[:-1] if dense else None,
     )
 
 
-def _build_out_plan(shard: Shard, rows, full: bool, num_vertices: int = 0) -> OutPlan:
+def _build_out_plan(
+    shard: Shard, rows, full: bool, sharded: ShardedGraph | None = None
+) -> OutPlan:
     """Out-edge plan over ``rows`` (global vids); None = the whole interval."""
-    csr = shard.csr
     dense = rows is None
+    n = 0 if sharded is None else sharded.num_vertices
+    if dense and not full and shard.num_interval_vertices == n:
+        # every edge: its targets are the vertices with an in-edge, read off
+        # the degrees (no edge array, so a store's span has this plan too)
+        has_in = sharded.has_in_edge
+        return OutPlan(None, None, None, None, None, shard.num_out_edges, True, False, has_in)
+    csr = shard.csr
     present, lo, row_ids = None, 0, None
     if dense:
         indices = csr.indices
         eids = csr.edge_ids
         weights = shard.csr_weights
-        if shard.num_interval_vertices == num_vertices:
-            # every edge: its targets are the vertices with an in-edge
-            present = shard.csc.indptr[1:] > shard.csc.indptr[:-1]
-        else:  # np.unique(indices) as a presence mask trimmed to its span
-            present = np.zeros(num_vertices, dtype=bool)
-            present[indices] = True
-            lo, hi = (int(indices.min()), int(indices.max()) + 1) if len(indices) else (0, 0)
-            present = present[lo:hi].copy()
+        # np.unique(indices) as a presence mask trimmed to its span
+        present = np.zeros(n, dtype=bool)
+        present[indices] = True
+        lo, hi = (int(indices.min()), int(indices.max()) + 1) if len(indices) else (0, 0)
+        present = present[lo:hi].copy()
     else:
         pos, seg = ragged_gather(csr.indptr, rows - shard.start)
         indices = csr.indices[pos]
@@ -219,7 +228,7 @@ def _plan_nbytes(plan) -> int:
     read derives are the reader's, not the plan's.
     """
     total = 0
-    for name in ("indices", "eids", "weights", "rowptr", "verts", "present"):
+    for name in ("indices", "eids", "weights", "rowptr", "verts", "present", "has"):
         arr = getattr(plan, name, None)
         if arr is not None:
             total += arr.nbytes
@@ -305,7 +314,7 @@ class PlanCache:
         return self._stored(
             "out",
             shard,
-            lambda: _build_out_plan(shard, None, full, self.sharded.num_vertices),
+            lambda: _build_out_plan(shard, None, full, self.sharded),
             stale=lambda plan: full and not plan.full,
         )
 

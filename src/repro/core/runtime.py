@@ -491,7 +491,8 @@ class GraphReduce:
             if kernels is not None:
                 obs.add(f"kernels.backend.{kernels.name}")
             compute = ComputeEngine(
-                sharded, program, ctx, frontier, obs=obs, plans=plans, kernels=kernels
+                sharded, program, ctx, frontier, obs=obs, plans=plans, kernels=kernels,
+                prefetcher=prefetcher,
             )
             if telem is not None and plans.enabled:
                 telem.add_source("plan_cache", plans.stats)
@@ -546,15 +547,12 @@ class GraphReduce:
                 h2d0, d2h0 = movement.stats.h2d_bytes, movement.stats.d2h_bytes
                 proc0, skip0 = movement.stats.shards_processed, movement.stats.shards_skipped
                 compute.begin_iteration(iteration)
-                # Over in-RAM shards, each group of an iteration whose
-                # frontier is uniform -- every vertex active, or rows that
-                # fill no shard interval -- runs once over the whole graph;
+                # Each group of an iteration with a uniform frontier (every vertex
+                # active, or in RAM rows filling no shard interval) runs once over
+                # the whole graph, a store's acquiring shards in gatherMap alone;
                 # anything else, and a group run_merged declines, shard by shard.
-                merge = (
-                    prefetcher is None
-                    and opts.frontier_skipping
-                    and compute.can_merge(plan)
-                    and (frontier.all_active or frontier.sparse_everywhere())
+                merge = opts.frontier_skipping and compute.can_merge(plan) and (
+                    frontier.all_active or (prefetcher is None and frontier.sparse_everywhere())
                 )
                 with obs.span(
                     "iteration",
@@ -568,12 +566,13 @@ class GraphReduce:
                         # Only a group that streams edges acquires its
                         # shards, and only the frontier-selected ones:
                         # skipped shards are neither hinted nor faulted.
+                        # A merged pass schedules what it acquires itself.
                         pf = prefetcher if group.streams_edges else None
-                        if pf is not None:
-                            pf.schedule([s.index for s in shards])
                         if shards:
                             compute.begin_group(group.phases)
                         census = compute.run_merged(group.phases, shards) if merge else None
+                        if pf is not None and census is None:
+                            pf.schedule([s.index for s in shards])
 
                         def run_shard(shard, g=group, pf=pf, census=census):
                             if census is not None:

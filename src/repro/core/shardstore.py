@@ -452,7 +452,8 @@ class ShardStore:
             LazyShard(m["index"], m["start"], m["stop"], m["in_edges"], m["out_edges"], source)
             for m in self.shard_meta
         ]
-        return ShardedGraph(edges, self.boundaries, shards, self.logic)
+        span = LazyShard(len(shards), 0, self.num_vertices, self.num_edges, self.num_edges, None)
+        return ShardedGraph(edges, self.boundaries, shards, self.logic, span)
 
     def edgelist(self) -> StoreEdgeList:
         return StoreEdgeList(self, weighted=self.weighted)

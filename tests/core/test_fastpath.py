@@ -175,6 +175,25 @@ def test_store_runs_match_in_ram(graph_name, tmp_path):
             assert ooc.converged == slow.converged, label
             assert _kernel_items(ooc) == _kernel_items(slow), label
             assert ooc.prefetch is not None, label
+            if "pagerank" in algo:
+                assert_store_merged_like_ram(label, graph, make_program, ooc)
+
+
+def assert_store_merged_like_ram(label, graph, make_program, ooc):
+    """Store-backed PageRank counts as the in-RAM run does. Power
+    iteration is all-active, so every group takes the merged pass;
+    tolerance-driven PageRank's frontier shrinks below the vertex set
+    (rows over a store run shard by shard) and still matches."""
+    ram = _run(graph, make_program, dict(dense_fast_path=True))
+    if make_program().tolerance is None:
+        assert ooc.kernels["merged_groups"] > 0, label
+    else:
+        assert min(ooc.frontier_history) < graph.num_vertices, label
+    assert ooc.kernels["fused_calls"] == ram.kernels["fused_calls"], label
+    for key in ("hits", "misses", "sparse_bypass"):
+        assert ooc.plan_cache[key] == ram.plan_cache[key], (label, key)
+    assert _kernel_items(ooc) == _kernel_items(ram), label
+    assert np.array_equal(ooc.vertex_values, ram.vertex_values), label
 
 
 def test_power_iteration_pagerank_stays_dense():
@@ -476,6 +495,10 @@ def _assert_queries_match_reference(sharded, frontier, fast, ref):
         if got.dense:
             assert fast.gather_plan(shard) is got
             served["gather", shard.index] = got
+            # the static has-set a dense gather ORs in: its segments' rows
+            has = np.zeros(hi - lo, dtype=bool)
+            has[want.verts - lo] = True
+            _same("gather.has", got.has, has)
 
         for full in (False, True):
             got, want = fast.out_plan(shard, full=full), ref.out_plan(shard, full=full)
@@ -867,6 +890,29 @@ def test_the_iteration_after_a_pull_iteration_pulls(monkeypatch):
     assert run.vertex_values.tobytes() == push.vertex_values.tobytes()
     pull = _run_with(g, BFSGather(source=0), num_partitions=3, direction="pull")
     assert pull.kernels["relayed_gathers"] == 0 and pull.kernels["relay_verified"] is None
+
+
+def test_store_pull_iterations_merge_like_ram(tmp_path):
+    """Over a store, the all-active (pull) iterations of an ``auto``
+    traversal take the merged pass and its push ones run shard by shard;
+    values, clock, censuses and fused calls equal the in-RAM run's."""
+    from repro.core.shardstore import ShardStore
+
+    g = build("road10x10")
+    store = ShardStore.save(PartitionEngine().partition(g, 3), tmp_path / "store")
+    auto = GraphReduceOptions(num_partitions=3, direction="auto")
+    ooc = GraphReduce(shard_store=store, options=auto).run(BFSGather(source=0))
+    ram = GraphReduce(g, options=auto).run(BFSGather(source=0))
+    pulls = [d.direction for d in ooc.direction_decisions].count("pull")
+    assert 0 < pulls < ooc.iterations
+    assert 0 < ooc.kernels["merged_groups"] < ram.kernels["merged_groups"]
+    assert ooc.vertex_values.tobytes() == ram.vertex_values.tobytes()
+    assert ooc.frontier_history == ram.frontier_history
+    assert ooc.sim_time == ram.sim_time
+    assert ooc.kernels["fused_calls"] == ram.kernels["fused_calls"]
+    for key in ("hits", "misses", "sparse_bypass"):
+        assert ooc.plan_cache[key] == ram.plan_cache[key], key
+    assert _kernel_items(ooc) == _kernel_items(ram)
 
 
 # ----------------------------------------------------------------------

@@ -549,9 +549,10 @@ class TestRuntimeIntegration:
         store = _store(tmp_path, g, p=8)
         budget = footprint_bytes(g) // 4
         for options, groups in (
-            # gatherMap and FrontierActivate; gatherReduce and apply read
-            # no shard edges
-            (GraphReduceOptions(cache_policy="never"), 2),
+            # gatherMap alone: gatherReduce and apply read no shard
+            # edges, and an all-active FrontierActivate ORs the span's
+            # presence mask (merged pass) without reading any either
+            (GraphReduceOptions(cache_policy="never"), 1),
             # the unoptimized plan moves the full shard in all five phases
             (GraphReduceOptions.unoptimized(), 5),
         ):

@@ -86,6 +86,11 @@ def test_kcore_via_cli(capsys):
     assert code == 0
 
 
+def test_labelprop_via_cli(capsys):
+    code, out = run_cli(capsys, "run", "--graph", "delaunay_n13", "--algorithm", "labelprop")
+    assert code == 0
+
+
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
